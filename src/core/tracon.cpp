@@ -54,6 +54,9 @@ void Tracon::train(model::ModelKind kind) {
 
 sched::TablePredictor Tracon::train_predictor(model::ModelKind kind) const {
   TRACON_REQUIRE(!apps_.empty(), "register applications before training");
+  // train() already fitted this family on the same training sets, and
+  // fitting is deterministic: its table is the one a refit would build.
+  if (predictor_.has_value() && kind == kind_) return *predictor_;
   std::vector<model::ModelPair> models;
   models.reserve(apps_.size());
   std::vector<monitor::AppProfile> profiles;

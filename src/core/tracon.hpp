@@ -51,7 +51,9 @@ class Tracon {
   /// Trains a standalone prediction table of the given kind from the
   /// registered training sets WITHOUT touching the active models — the
   /// building block for multi-family ensembles (each confidence-weighted
-  /// family is one such table). Requires register_applications().
+  /// family is one such table). Requires register_applications(). For
+  /// the kind train() last fitted it returns a copy of the active table
+  /// (bit-identical to a refit) without training again.
   sched::TablePredictor train_predictor(model::ModelKind kind) const;
 
   bool trained() const { return predictor_.has_value(); }

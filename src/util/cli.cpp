@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -77,6 +78,31 @@ long ArgParser::get_int(const std::string& name, long fallback) const {
                                 " expects an integer, got '" + it->second +
                                 "'");
   }
+}
+
+std::size_t ArgParser::get_count(const std::string& name,
+                                 std::size_t fallback,
+                                 std::size_t min) const {
+  if (!has(name)) return fallback;
+  const long v = get_int(name, 0);
+  if (v < 0 || static_cast<std::size_t>(v) < min) {
+    throw std::invalid_argument("flag --" + name + " must be an integer >= " +
+                                std::to_string(min) + ", got '" + get(name) +
+                                "'");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+double ArgParser::get_positive(const std::string& name,
+                               double fallback) const {
+  if (!has(name)) return fallback;
+  const double v = get_double(name, fallback);
+  if (!(std::isfinite(v) && v > 0.0)) {
+    throw std::invalid_argument("flag --" + name +
+                                " must be a finite number > 0, got '" +
+                                get(name) + "'");
+  }
+  return v;
 }
 
 std::vector<std::string> ArgParser::unknown_flags(

@@ -5,6 +5,7 @@
 // `unknown_flags` (the parser cannot know which boolean flags exist).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,17 @@ class ArgParser {
 
   double get_double(const std::string& name, double fallback) const;
   long get_int(const std::string& name, long fallback) const;
+
+  /// The value of --name as a count of at least `min`, or `fallback`
+  /// when absent. Throws std::invalid_argument naming the flag when the
+  /// value is not an integer or is below `min`, so a negative value
+  /// never wraps around through an unsigned cast.
+  std::size_t get_count(const std::string& name, std::size_t fallback,
+                        std::size_t min = 0) const;
+
+  /// The value of --name as a finite number > 0, or `fallback` when
+  /// absent. Throws std::invalid_argument naming the flag otherwise.
+  double get_positive(const std::string& name, double fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/scope_timer.hpp"
 #include "util/error.hpp"
 
 namespace tracon::virt {
@@ -53,6 +54,7 @@ std::vector<double> waterfill(const std::vector<double>& demands,
 
 HostAllocation solve_speeds(const HostConfig& cfg,
                             const std::vector<VmDemand>& demands) {
+  TRACON_PROF_SCOPE("virt.solve_speeds");
   HostAllocation result;
   const std::size_t n = demands.size();
   result.vms.resize(n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "obs/scope_timer.hpp"
@@ -55,6 +56,41 @@ struct VmState {
   }
 };
 
+// The operating-point memo compares demand vectors byte for byte, so
+// VmDemand must be exactly its five doubles, with no padding bytes.
+static_assert(sizeof(VmDemand) == 5 * sizeof(double),
+              "VmDemand must have no padding");
+
+/// An operating point solved earlier in the same run.
+struct SolvedPoint {
+  std::vector<VmDemand> demands;
+  HostAllocation alloc;
+};
+
+/// Bit-pattern equality of two demand vectors. `==` on the doubles
+/// would call -0.0 and 0.0 equal; a reused operating point must be the
+/// one solve_speeds would return for exactly these bits.
+bool same_bits(const std::vector<VmDemand>& a,
+               const std::vector<VmDemand>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(VmDemand)) == 0;
+}
+
+/// The host's operating point for `demands` (non-empty: run() stops
+/// once no VM is active). solve_speeds is a pure function of (host
+/// config, demands), so a demand vector seen earlier in the run reuses
+/// that solution instead of re-running the fixed point; only new
+/// vectors are solved and remembered. The returned reference is valid
+/// until the next call.
+const HostAllocation& operating_point(const HostConfig& cfg,
+                                      const std::vector<VmDemand>& demands,
+                                      std::vector<SolvedPoint>& solved) {
+  for (const SolvedPoint& p : solved)
+    if (same_bits(p.demands, demands)) return p.alloc;
+  solved.push_back({demands, solve_speeds(cfg, demands)});
+  return solved.back().alloc;
+}
+
 }  // namespace
 
 RunResult HostSimulator::run(const std::vector<std::optional<VmWorkload>>& vms,
@@ -85,11 +121,20 @@ RunResult HostSimulator::run(const std::vector<std::optional<VmWorkload>>& vms,
   double now = 0.0;
   double next_tick = cfg_.monitor_period_s;
 
+  // Operating points solved so far in this run. Between events the
+  // demand vector only changes when a burst phase flips or a VM starts
+  // or stops, so a run revisits a handful of vectors (at most four for
+  // two bursty apps) over hundreds of steps.
+  std::vector<SolvedPoint> solved;
+  std::vector<VmDemand> demands;
+  std::vector<std::size_t> demand_vm;  // demand index -> VM index
+  demands.reserve(n);
+  demand_vm.reserve(n);
+
   while (now < opts.max_time_s - kEps) {
     // Assemble instantaneous demands for active VMs.
-    std::vector<VmDemand> demands;
-    std::vector<std::size_t> demand_vm;  // demand index -> VM index
-    demands.reserve(n);
+    demands.clear();
+    demand_vm.clear();
     for (std::size_t v = 0; v < n; ++v) {
       if (!state[v].active()) continue;
       const AppBehavior& app = *state[v].app;
@@ -105,7 +150,7 @@ RunResult HostSimulator::run(const std::vector<std::optional<VmWorkload>>& vms,
     }
     if (demands.empty()) break;  // nothing left to simulate
 
-    HostAllocation alloc = solve_speeds(cfg_, demands);
+    const HostAllocation& alloc = operating_point(cfg_, demands, solved);
     if constexpr (kParanoidChecksEnabled) {
       // Credit conservation at every scheduler decision: guest CPU plus
       // Dom0 I/O handling fits in the host's cores, and the disk is

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace tracon {
 namespace {
 
@@ -36,6 +38,40 @@ TEST(ArgParser, NumericValidation) {
   ArgParser args({"--n", "abc", "--m", "3x"});
   EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(args.get_double("m", 0.0), std::invalid_argument);
+}
+
+TEST(ArgParser, CountsRejectNegativesAndValuesBelowTheMinimum) {
+  ArgParser args({"--machines", "-5", "--threads", "-1", "--queue", "0",
+                  "--shards", "0", "--n", "7", "--x", "2.5"});
+  EXPECT_THROW(args.get_count("machines", 64, 1), std::invalid_argument);
+  EXPECT_THROW(args.get_count("threads", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_count("queue", 8, 1), std::invalid_argument);
+  EXPECT_THROW(args.get_count("x", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_count("shards", 3), 0u);  // 0 is a valid count
+  EXPECT_EQ(args.get_count("n", 0, 1), 7u);
+  EXPECT_EQ(args.get_count("missing", 64, 1), 64u);
+}
+
+TEST(ArgParser, CountErrorNamesTheFlagAndTheValue) {
+  ArgParser args({"--machines", "-5"});
+  try {
+    args.get_count("machines", 64, 1);
+    FAIL() << "--machines -5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--machines"), std::string::npos) << what;
+    EXPECT_NE(what.find(">= 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("'-5'"), std::string::npos) << what;
+  }
+}
+
+TEST(ArgParser, PositiveRejectsZeroNegativeAndNonFinite) {
+  ArgParser args({"--hours", "0.001", "--lambda", "0", "--a", "-2", "--b",
+                  "nan", "--c", "inf", "--d", "x"});
+  EXPECT_DOUBLE_EQ(args.get_positive("hours", 10.0), 0.001);
+  EXPECT_DOUBLE_EQ(args.get_positive("missing", 10.0), 10.0);
+  for (const char* flag : {"lambda", "a", "b", "c", "d"})
+    EXPECT_THROW(args.get_positive(flag, 1.0), std::invalid_argument) << flag;
 }
 
 TEST(ArgParser, ArgcArgvConstructor) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+
+#include "obs/scope_timer.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace tracon::core {
@@ -90,6 +95,45 @@ TEST(Tracon, FifoWorksWithoutTraining) {
   EXPECT_THROW(
       sys.make_scheduler(SchedulerKind::kMios, sched::Objective::kRuntime),
       std::invalid_argument);
+}
+
+// train_predictor() for the family train() already fitted hands back
+// that table: bit for bit what a fresh fit on another system builds,
+// and without a single model.train call. Other families still fit.
+TEST(Tracon, TrainPredictorReusesTheTrainedFamily) {
+  const model::ModelKind kind = model::ModelKind::kNonlinear;
+  Tracon fresh = small_system();
+  const sched::TablePredictor expected = fresh.train_predictor(kind);
+
+  Tracon sys = small_system();
+  sys.train(kind);
+  obs::ProfRegistry& prof = obs::ProfRegistry::global();
+  prof.reset();
+  prof.set_enabled(true);
+  const sched::TablePredictor reused = sys.train_predictor(kind);
+  const std::uint64_t reuse_fits = prof.scope("model.train").calls;
+  sys.train_predictor(model::ModelKind::kLinear);
+  const std::uint64_t total_fits = prof.scope("model.train").calls;
+  prof.set_enabled(false);
+  EXPECT_EQ(reuse_fits, 0u);
+  EXPECT_EQ(total_fits, 2 * sys.num_apps());  // runtime + IOPS per app
+
+  ASSERT_EQ(reused.num_apps(), expected.num_apps());
+  for (std::size_t task = 0; task < reused.num_apps(); ++task) {
+    for (std::size_t nb = 0; nb <= reused.num_apps(); ++nb) {
+      const std::optional<std::size_t> neighbour =
+          nb < reused.num_apps() ? std::optional<std::size_t>(nb)
+                                 : std::nullopt;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    reused.predict_runtime(task, neighbour)),
+                std::bit_cast<std::uint64_t>(
+                    expected.predict_runtime(task, neighbour)));
+      EXPECT_EQ(
+          std::bit_cast<std::uint64_t>(reused.predict_iops(task, neighbour)),
+          std::bit_cast<std::uint64_t>(
+              expected.predict_iops(task, neighbour)));
+    }
+  }
 }
 
 TEST(Tracon, SchedulerKindNames) {

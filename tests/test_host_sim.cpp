@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 
+#include "golden.hpp"
+#include "obs/scope_timer.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace tracon::virt {
@@ -129,6 +133,55 @@ TEST(HostSim, InvalidInputsThrow) {
   opts.max_time_s = -1.0;
   EXPECT_THROW(sim.run({VmWorkload{simple_app(), false}}, opts),
                std::invalid_argument);
+}
+
+// A sampled run of two bursty apps (compile against a recurring dedup,
+// measurement noise on), pinned byte for byte: every monitor sample,
+// then each VM's run stats, at 17 significant digits.
+TEST(HostSim, SampledBurstyPairMatchesGolden) {
+  HostSimulator sim(HostConfig::paper_testbed());
+  RunOptions opts;
+  opts.collect_samples = true;
+  opts.noise_seed = 7;
+  RunResult r =
+      sim.run({VmWorkload{*workload::benchmark_by_name("compile"), false},
+               VmWorkload{*workload::benchmark_by_name("dedup"), true}},
+              opts);
+  std::ostringstream os;
+  os.precision(17);
+  os << "time_s,vm,reads_per_s,writes_per_s,domu_cpu,dom0_cpu\n";
+  for (const MonitorSample& s : r.samples)
+    os << s.time_s << ',' << s.vm << ',' << s.reads_per_s << ','
+       << s.writes_per_s << ',' << s.domu_cpu << ',' << s.dom0_cpu << "\n";
+  os << "vm,present,completed,runtime_s,reads_per_s,writes_per_s,iops,"
+        "avg_domu_cpu,avg_dom0_cpu\n";
+  for (std::size_t v = 0; v < r.vms.size(); ++v) {
+    const VmRunStats& s = r.vms[v];
+    os << v << ',' << s.present << ',' << s.completed << ',' << s.runtime_s
+       << ',' << s.reads_per_s << ',' << s.writes_per_s << ',' << s.iops
+       << ',' << s.avg_domu_cpu << ',' << s.avg_dom0_cpu << "\n";
+  }
+  os << "end_time_s," << r.end_time_s << "\n";
+  golden::expect_matches("host_sim_bursty_pair.csv", os.str());
+}
+
+// A run solves the host's operating point once per distinct demand
+// vector, not once per step. Two bursty apps present at most 2 x 2
+// burst-phase combinations, however many steps the measurement takes.
+TEST(HostSim, BurstyPairSolvesEachOperatingPointOnce) {
+  obs::ProfRegistry& prof = obs::ProfRegistry::global();
+  prof.reset();
+  prof.set_enabled(true);
+  HostSimulator sim(HostConfig::paper_testbed());
+  PairMeasurement pm =
+      sim.measure_pair(*workload::benchmark_by_name("compile"),
+                       *workload::benchmark_by_name("dedup"));
+  prof.set_enabled(false);
+  EXPECT_GT(pm.runtime_s, 0.0);
+  EXPECT_EQ(prof.scope("virt.host_sim.run").calls, 1u);
+  const std::uint64_t solves = prof.scope("virt.solve_speeds").calls;
+  EXPECT_GE(solves, 1u);
+  EXPECT_LE(solves, 4u);
 }
 
 // The Table 1 calibration invariants that the rest of the evaluation

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "golden.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace tracon::sim {
@@ -86,6 +87,20 @@ TEST(PerfTable, CsvRoundTrip) {
       EXPECT_DOUBLE_EQ(loaded.iops(a, nb), t.iops(a, nb));
     }
   }
+}
+
+// The paper testbed's ground-truth table (seed 42, the eight
+// benchmarks), pinned byte for byte at save_csv's 17 significant
+// digits. Every cell is one host simulation, so a change to the host
+// model's arithmetic, its noise stream or the profiler's run seeds
+// shows up here before it reaches any scheduling result.
+TEST(PerfTable, PaperTestbedMatchesGolden) {
+  model::Profiler prof(
+      virt::HostSimulator(virt::HostConfig::paper_testbed()), 42);
+  PerfTable t = PerfTable::build(prof, workload::paper_benchmarks());
+  std::ostringstream os;
+  t.save_csv(os);
+  golden::expect_matches("perf_table_paper.csv", os.str());
 }
 
 TEST(PerfTable, LoadRejectsMalformedCsv) {

@@ -52,6 +52,14 @@
 //   --csv                        machine-readable output where applicable
 //   --prof                       print wall-clock kernel profile to stderr
 //
+// Run-shape flags (dynamic, record; replay takes --machines/--queue):
+//   --machines N (>= 1)  --lambda PER_MIN (> 0)  --hours H (> 0)
+//   --queue N (>= 1)  --threads N (>= 0)  --shards K (>= 0)
+//   are checked before the host profiling and model training start; a
+//   bad value exits 1 with a message naming the flag. When the FIFO
+//   baseline completes nothing (a horizon shorter than any task), the
+//   summary prints "normalized n/a".
+//
 // Telemetry flags (dynamic subcommand):
 //   --metrics-out FILE           metrics registry as JSON
 //   --metrics-csv FILE           metrics registry as CSV
@@ -223,6 +231,32 @@ workload::MixKind mix_by_name(const std::string& m) {
 
 workload::MixKind mix_from(const ArgParser& args) {
   return mix_by_name(args.get("mix", "medium"));
+}
+
+/// Reads the run-shape flags of `dynamic` and `record` into a
+/// sim::DynamicConfig or sim::ShardedConfig. Callers read them before
+/// make_system, so a bad value fails at once with a message naming the
+/// flag instead of after the host profiling and model training.
+template <typename Config>
+void read_run_shape(const ArgParser& args, Config& cfg) {
+  cfg.machines = args.get_count("machines", 64, 1);
+  cfg.lambda_per_min = args.get_positive("lambda", 100.0);
+  cfg.duration_s = args.get_positive("hours", 10.0) * 3600.0;
+  cfg.mix = mix_from(args);
+  cfg.queue_capacity = args.get_count("queue", 8, 1);
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+}
+
+/// The summary's normalized-throughput figure: completed / FIFO
+/// completed to three decimals, or "n/a" when the FIFO baseline
+/// completed nothing (a horizon shorter than any task) and the ratio
+/// is undefined.
+std::string normalized_text(std::size_t completed, std::size_t fifo) {
+  if (fifo == 0) return "n/a";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f",
+                static_cast<double>(completed) / static_cast<double>(fifo));
+  return buf;
 }
 
 /// Parses the live-rebalancing knobs (DESIGN.md §6h). Returns true when
@@ -406,8 +440,7 @@ std::unique_ptr<sched::Scheduler> scheduler_from(
   auto objective = args.get("objective", "rt") == "io"
                        ? sched::Objective::kIops
                        : sched::Objective::kRuntime;
-  auto queue = static_cast<std::size_t>(
-      args.get_int("queue", static_cast<long>(default_queue)));
+  const std::size_t queue = args.get_count("queue", default_queue, 1);
   sched::PlacementPolicy policy;
   if (static_batch) policy.beneficial_joins_only = false;
   core::SchedulerKind kind;
@@ -500,8 +533,7 @@ void instrument_run(const ArgParser& args, const core::Tracon& sys,
     auto objective = args.get("objective", "rt") == "io"
                          ? sched::Objective::kIops
                          : sched::Objective::kRuntime;
-    auto queue = static_cast<std::size_t>(
-        args.get_int("queue", static_cast<long>(default_queue)));
+    const std::size_t queue = args.get_count("queue", default_queue, 1);
     inst.scheduler = std::make_unique<sched::MixScheduler>(
         *inst.confidence, objective, queue, 60.0, sched::PlacementPolicy{});
   }
@@ -541,23 +573,18 @@ int cmd_dynamic_sharded(const ArgParser& args) {
                  "--confidence-weighting is not supported with --threads/"
                  "--shards: the ensemble predictor is stateful and cannot be "
                  "shared across shard workers");
-  core::Tracon sys = make_system(args, true);
   sim::ShardedConfig cfg;
-  cfg.machines = static_cast<std::size_t>(args.get_int("machines", 64));
-  cfg.lambda_per_min = args.get_double("lambda", 100.0);
-  cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
-  cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  cfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
+  read_run_shape(args, cfg);
+  cfg.threads = args.get_count("threads", 1);
+  cfg.shards = args.get_count("shards", 0);
+  TRACON_REQUIRE(!args.has("prof") || cfg.threads == 1,
+                 "--prof requires --threads 1: the profiling accumulators "
+                 "are not synchronized across shard workers");
+  core::Tracon sys = make_system(args, true);
   if (rebalance_from(args, &cfg.rebalance_cfg)) {
     cfg.rebalance = true;
     cfg.rebalance_predictor = &sys.predictor();
   }
-  TRACON_REQUIRE(!args.has("prof") || cfg.threads == 1,
-                 "--prof requires --threads 1: the profiling accumulators "
-                 "are not synchronized across shard workers");
 
   // Sublinear placement: one shortlist index shared read-only by every
   // shard (the table predictor's model epoch never changes mid-run)
@@ -692,11 +719,10 @@ int cmd_dynamic_sharded(const ArgParser& args) {
               sched_name.c_str(), cfg.machines, o.shards, o.threads_used,
               cfg.lambda_per_min, cfg.duration_s / 3600.0,
               workload::mix_name(cfg.mix).c_str());
-  std::printf("  completed %zu (FIFO %zu, normalized %.3f)\n",
+  std::printf("  completed %zu (FIFO %zu, normalized %s)\n",
               o.total.completed, base.total.completed,
-              static_cast<double>(o.total.completed) /
-                  static_cast<double>(std::max<std::size_t>(
-                      1, base.total.completed)));
+              normalized_text(o.total.completed, base.total.completed)
+                  .c_str());
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.total.dropped,
               o.total.total_runtime /
@@ -709,14 +735,13 @@ int cmd_dynamic_sharded(const ArgParser& args) {
 int cmd_dynamic(const ArgParser& args) {
   if (args.has("threads") || args.has("shards"))
     return cmd_dynamic_sharded(args);
-  core::Tracon sys = make_system(args, true);
   sim::DynamicConfig cfg;
-  cfg.machines = static_cast<std::size_t>(args.get_int("machines", 64));
-  cfg.lambda_per_min = args.get_double("lambda", 100.0);
-  cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
-  cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  read_run_shape(args, cfg);
+  TRACON_REQUIRE(!args.has("candidate-index") ||
+                     !args.has("confidence-weighting"),
+                 "--candidate-index is built over the trained table "
+                 "predictor and cannot wrap the confidence ensemble");
+  core::Tracon sys = make_system(args, true);
 
   auto fifo = sys.make_scheduler(core::SchedulerKind::kFifo,
                                  sched::Objective::kRuntime);
@@ -728,9 +753,6 @@ int cmd_dynamic(const ArgParser& args) {
   std::optional<sched::CandidateIndex> cindex;
   std::optional<sched::PredictionCache> pcache;
   if (args.has("candidate-index")) {
-    TRACON_REQUIRE(!args.has("confidence-weighting"),
-                   "--candidate-index is built over the trained table "
-                   "predictor and cannot wrap the confidence ensemble");
     cindex.emplace(sys.predictor());
     cfg.candidate_index = &*cindex;
     pcache.emplace(sys.predictor());
@@ -850,9 +872,9 @@ int cmd_dynamic(const ArgParser& args) {
   std::printf("%s: %zu machines, lambda=%.0f/min, %.1f h, %s mix\n",
               sched->name().c_str(), cfg.machines, cfg.lambda_per_min,
               cfg.duration_s / 3600.0, workload::mix_name(cfg.mix).c_str());
-  std::printf("  completed %zu (FIFO %zu, normalized %.3f)\n", o.completed,
+  std::printf("  completed %zu (FIFO %zu, normalized %s)\n", o.completed,
               base.completed,
-              static_cast<double>(o.completed) / base.completed);
+              normalized_text(o.completed, base.completed).c_str());
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.dropped, o.total_runtime / std::max<std::size_t>(1, o.completed),
               o.mean_wait_s);
@@ -965,14 +987,9 @@ int run_and_store(const ArgParser& args, core::Tracon& sys,
 }
 
 int cmd_record(const ArgParser& args) {
-  core::Tracon sys = make_system(args, true);
   sim::DynamicConfig cfg;
-  cfg.machines = static_cast<std::size_t>(args.get_int("machines", 64));
-  cfg.lambda_per_min = args.get_double("lambda", 100.0);
-  cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
-  cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  read_run_shape(args, cfg);
+  core::Tracon sys = make_system(args, true);
 
   replay::ArrivalTraceHeader header;
   header.version = obs::kJsonlSchemaVersion;
@@ -1025,6 +1042,15 @@ int cmd_replay(const ArgParser& args) {
   const replay::ArrivalTraceHeader header = trace.header;
 
   // Rebuild the recorded configuration; flags override the header.
+  // The flags are checked before the set-up work below.
+  sim::DynamicConfig cfg;
+  cfg.machines = args.get_count("machines", header.machines, 1);
+  cfg.lambda_per_min = header.lambda_per_min;
+  cfg.duration_s = header.duration_s;
+  cfg.mix = mix_by_name(header.mix);
+  cfg.queue_capacity = args.get_count("queue", header.queue_capacity, 1);
+  cfg.seed = header.seed;
+
   const std::string host = args.get("host", header.host);
   core::TraconConfig tcfg;
   tcfg.host = host_by_name(host);
@@ -1033,16 +1059,6 @@ int cmd_replay(const ArgParser& args) {
   core::Tracon sys(tcfg);
   sys.register_applications(workload::paper_benchmarks());
   sys.train(model_by_name(model));
-
-  sim::DynamicConfig cfg;
-  cfg.machines = static_cast<std::size_t>(
-      args.get_int("machines", static_cast<long>(header.machines)));
-  cfg.lambda_per_min = header.lambda_per_min;
-  cfg.duration_s = header.duration_s;
-  cfg.mix = mix_by_name(header.mix);
-  cfg.queue_capacity = static_cast<std::size_t>(
-      args.get_int("queue", static_cast<long>(header.queue_capacity)));
-  cfg.seed = header.seed;
 
   replay::TraceArrivalSource source(std::move(trace));
   if (!source.validate_demands(solo_demands(sys.perf_table()))) {
