@@ -4,10 +4,11 @@
 // same total size?
 //
 // 64 machines total, heavy mix, lambda = 120/min: flat (1x64) vs
-// 2x32, 4x16, 8x8 under round-robin routing, each with MIBS_8 per
+// 2x32, 4x16, 8x8 under round-robin routing of one root stream (the
+// sharded engine with one shard per manager), each with MIBS_8 per
 // manager, normalized to the flat FIFO baseline.
 #include "bench_common.hpp"
-#include "sim/hierarchy.hpp"
+#include "sim/shard_scenario.hpp"
 
 using namespace tracon;
 
@@ -39,13 +40,14 @@ int main() {
                    3),
                "-"});
   for (std::size_t managers : {2UL, 4UL, 8UL}) {
-    sim::HierarchyConfig cfg;
-    cfg.managers = managers;
-    cfg.machines_per_manager = 64 / managers;
+    sim::ShardedConfig cfg;
+    cfg.machines = flat.machines;
+    cfg.shards = managers;
+    cfg.routing = sim::Routing::kRoundRobin;
     cfg.lambda_per_min = flat.lambda_per_min;
     cfg.duration_s = flat.duration_s;
     cfg.mix = flat.mix;
-    auto o = sim::run_hierarchical(
+    auto o = sim::run_dynamic_sharded(
         sys.perf_table(),
         [&](std::size_t) {
           return sys.make_scheduler(core::SchedulerKind::kMibs,

@@ -126,9 +126,9 @@ DynamicOutcome run_dynamic(const PerfTable& table,
                            const DynamicConfig& cfg);
 
 /// Generates the Poisson/mix arrival stream `run_dynamic` would use
-/// when cfg.arrival_source is null — exposed so callers (e.g. the
-/// hierarchical manager) can split one stream exactly across
-/// sub-simulations. Thin wrapper over PoissonArrivalSource.
+/// when cfg.arrival_source is null — exposed so callers can reproduce
+/// one stream exactly (e.g. the sharded engine's routed root stream).
+/// Thin wrapper over PoissonArrivalSource.
 std::vector<Arrival> generate_arrivals(const DynamicConfig& cfg,
                                        std::size_t num_apps);
 

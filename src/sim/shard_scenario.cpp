@@ -11,11 +11,33 @@
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/summary.hpp"
 
 namespace tracon::sim {
 
 std::size_t auto_shard_count(std::size_t machines) {
   return std::clamp<std::size_t>(machines / 128, 1, 64);
+}
+
+std::size_t shard_count(const ShardedConfig& cfg) {
+  return std::min(
+      cfg.shards > 0 ? cfg.shards : auto_shard_count(cfg.machines),
+      cfg.machines);
+}
+
+std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard,
+                         std::size_t shards) {
+  return shards == 1 ? seed : derive_stream_seed(seed, shard);
+}
+
+double ShardedOutcome::completion_imbalance() const {
+  if (per_shard.size() < 2) return 0.0;
+  std::vector<double> xs;
+  xs.reserve(per_shard.size());
+  for (const DynamicOutcome& o : per_shard)
+    xs.push_back(static_cast<double>(o.completed));
+  Summary s = Summary::of(xs);
+  return s.mean > 0.0 ? s.stddev / s.mean : 0.0;
 }
 
 namespace {
@@ -27,6 +49,7 @@ struct ShardState {
   std::size_t base = 0;  ///< first global machine index of the shard
   DynamicConfig cfg;
   std::unique_ptr<sched::Scheduler> scheduler;
+  std::vector<Arrival> arrivals;  ///< routed slice of the root stream
   TraceRecorder trace;
   obs::Telemetry telemetry;
   std::optional<obs::SnapshotSeries> series;
@@ -36,36 +59,34 @@ struct ShardState {
   DynamicOutcome outcome;
 };
 
-/// Machine-weighted average of a per-shard gauge, for utilization
-/// fractions whose merge() default (last writer wins) is meaningless.
-void weighted_gauge(obs::MetricsRegistry& merged,
-                    const std::vector<ShardState>& states,
-                    const std::string& name, std::size_t total_machines) {
-  double acc = 0.0;
-  bool present = false;
-  for (const ShardState& s : states) {
-    auto it = s.telemetry.metrics.gauges().find(name);
-    if (it == s.telemetry.metrics.gauges().end()) continue;
-    present = true;
-    acc += it->second.value() * static_cast<double>(s.cfg.machines);
-  }
-  if (present)
-    merged.gauge(name).set(acc / static_cast<double>(total_machines));
-}
-
-/// Sum of a per-shard gauge (queue lengths, busy counts).
-void summed_gauge(obs::MetricsRegistry& merged,
-                  const std::vector<ShardState>& states,
-                  const std::string& name) {
-  double acc = 0.0;
-  bool present = false;
-  for (const ShardState& s : states) {
-    auto it = s.telemetry.metrics.gauges().find(name);
-    if (it == s.telemetry.metrics.gauges().end()) continue;
-    present = true;
-    acc += it->second.value();
-  }
-  if (present) merged.gauge(name).set(acc);
+/// Replaces the merged gauges whose merge() default (last writer wins)
+/// is meaningless with a cluster-level aggregate: utilization fractions
+/// average machine-weighted, queue lengths and busy counts sum.
+void aggregate_gauges(obs::MetricsRegistry& merged,
+                      const std::vector<ShardState>& states,
+                      std::size_t total_machines) {
+  auto aggregate = [&](const std::string& name, bool machine_weighted) {
+    double acc = 0.0;
+    bool present = false;
+    for (const ShardState& s : states) {
+      auto it = s.telemetry.metrics.gauges().find(name);
+      if (it == s.telemetry.metrics.gauges().end()) continue;
+      present = true;
+      acc += machine_weighted
+                 ? it->second.value() * static_cast<double>(s.cfg.machines)
+                 : it->second.value();
+    }
+    if (present)
+      merged.gauge(name).set(
+          machine_weighted ? acc / static_cast<double>(total_machines) : acc);
+  };
+  for (const char* name :
+       {"sim.util.host_busy_fraction", "sim.util.slot_busy_fraction"})
+    aggregate(name, true);
+  for (const char* name :
+       {"sim.queue.mean_length", "sim.queue.length", "sim.util.busy_machines",
+        "sim.util.busy_slots", "sched.queue_length"})
+    aggregate(name, false);
 }
 
 /// Merges the per-shard snapshot series window by window. All shards
@@ -122,6 +143,73 @@ std::string merge_series(const std::vector<ShardState>& states) {
   return obs::metrics_series_str(merged);
 }
 
+/// Registers one model family's rolling accuracy windows with a shard's
+/// snapshot series as `model.<family>.{runtime,iops}`.
+void track_family(obs::SnapshotSeries& series, const std::string& family,
+                  const obs::WindowedAccuracy* runtime,
+                  const obs::WindowedAccuracy* iops) {
+  // The composed path is validated by track_accuracy itself.
+  // tracon-lint: allow(metric-name)
+  series.track_accuracy("model." + family + ".runtime", runtime);
+  // tracon-lint: allow(metric-name)
+  series.track_accuracy("model." + family + ".iops", iops);
+}
+
+/// Materializes the root arrival stream once and deals it out: arrival
+/// i goes to shard i % K under round-robin (and to the only shard of a
+/// 1-shard run), or to a uniform draw from a stream seeded off the root
+/// seed under random routing.
+void route_root_stream(const PerfTable& table, const ShardedConfig& cfg,
+                       std::vector<ShardState>& states) {
+  PoissonArrivalSource poisson(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                               cfg.mix_stddev, cfg.seed);
+  ArrivalSource& source =
+      cfg.arrival_source != nullptr ? *cfg.arrival_source : poisson;
+  const std::vector<Arrival> root = source.arrivals(table.num_apps());
+  const std::size_t k = states.size();
+  Rng route_rng(cfg.seed ^ 0xabcdef12345ULL);
+  for (std::size_t i = 0; i < root.size(); ++i) {
+    const std::size_t shard =
+        cfg.routing == Routing::kRandom ? route_rng.index(k) : i % k;
+    states[shard].arrivals.push_back(root[i]);
+  }
+}
+
+/// The one merge routine for per-shard record streams: concatenate in
+/// shard order (records are already time-ordered within a shard),
+/// re-index each record into the global machine and task-id space, then
+/// stable-sort by `stamp(record)` (a virtual time) — equal stamps keep
+/// (shard, record) order, independent of the thread count.
+/// `reindex(record, machine_base, task_base)` shifts one record: task
+/// ids are per-shard arrival indices, offset by the arrivals of the
+/// shards before it (`arrived` is a function of the shard seed alone,
+/// so the offsets are thread-independent).
+template <typename Record, typename Records, typename Reindex,
+          typename Stamp, typename Emit>
+void merge_records(const std::vector<ShardState>& states, Records records,
+                   Reindex reindex, Stamp stamp, Emit emit) {
+  std::vector<Record> all;
+  std::uint64_t task_base = 0;
+  for (const ShardState& s : states) {
+    for (Record r : records(s)) {
+      reindex(r, s.base, task_base);
+      all.push_back(std::move(r));
+    }
+    task_base += s.outcome.arrived;
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [&](const Record& a, const Record& b) {
+                     return stamp(a) < stamp(b);
+                   });
+  for (Record& r : all) emit(std::move(r));
+}
+
+/// Shifts a shard-local machine index (or its `none` sentinel, kept
+/// as is) into the global machine space.
+void shift_machine(std::size_t& machine, std::size_t none, std::size_t base) {
+  if (machine != none) machine += base;
+}
+
 }  // namespace
 
 ShardedOutcome run_dynamic_sharded(const PerfTable& table,
@@ -129,11 +217,25 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
                                    const ShardedConfig& cfg) {
   TRACON_REQUIRE(cfg.machines > 0, "need at least one machine");
   TRACON_REQUIRE(make_scheduler != nullptr, "scheduler factory must be set");
-  const std::size_t shards = std::min(
-      cfg.shards > 0 ? cfg.shards : auto_shard_count(cfg.machines),
-      cfg.machines);
+  const std::size_t shards = shard_count(cfg);
   const std::size_t threads =
       cfg.threads > 0 ? cfg.threads : hardware_threads();
+  const bool routed =
+      cfg.routing != Routing::kIndependent || cfg.arrival_source != nullptr;
+  TRACON_REQUIRE(cfg.routing != Routing::kIndependent ||
+                     cfg.arrival_source == nullptr || shards == 1,
+                 "an arrival-source override with independent routing "
+                 "needs one shard");
+  TRACON_REQUIRE(cfg.ensembles.empty() ||
+                     (cfg.ensembles.size() == shards &&
+                      std::count(cfg.ensembles.begin(), cfg.ensembles.end(),
+                                 nullptr) == 0),
+                 "need exactly one non-null confidence ensemble per shard");
+  TRACON_REQUIRE(cfg.ensembles.empty() || cfg.accuracy_probe == nullptr,
+                 "per-shard ensembles replace the shared accuracy probe");
+  // A 1-shard run is the flat system: shard 0 records straight into the
+  // caller's sinks and its outcome is the total — nothing to merge.
+  const bool merge = shards > 1;
   const bool series_on = cfg.snapshot_interval_s > 0.0;
   const bool telemetry_on = cfg.telemetry != nullptr || series_on;
   const bool tracer_on =
@@ -144,7 +246,8 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
       cfg.telemetry != nullptr && cfg.telemetry->spans.enabled();
 
   // --- Decompose: everything here is a function of (seed, machines,
-  // shards); the thread count appears only in the parallel_for below.
+  // shards, routing); the thread count appears only in the parallel_for
+  // below.
   std::vector<ShardState> states(shards);
   const std::size_t per_shard = cfg.machines / shards;
   const std::size_t remainder = cfg.machines % shards;
@@ -156,35 +259,47 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     d.machines = per_shard + (i < remainder ? 1 : 0);
     base += d.machines;
     // Each shard sees its machine share of the aggregate arrival rate,
-    // drawn from its own counter-derived Poisson stream.
-    d.lambda_per_min = cfg.lambda_per_min * static_cast<double>(d.machines) /
-                       static_cast<double>(cfg.machines);
+    // drawn from its own Poisson stream (unless a root stream is routed).
+    d.lambda_per_min = merge ? cfg.lambda_per_min *
+                                   static_cast<double>(d.machines) /
+                                   static_cast<double>(cfg.machines)
+                             : cfg.lambda_per_min;
     d.duration_s = cfg.duration_s;
     d.mix = cfg.mix;
     d.mix_stddev = cfg.mix_stddev;
-    d.seed = derive_stream_seed(cfg.seed, i);
+    d.seed = shard_seed(cfg.seed, i, shards);
     d.queue_capacity = cfg.queue_capacity;
     d.schedule_period_s = cfg.schedule_period_s;
     d.candidate_index = cfg.candidate_index;
+    d.accuracy_probe = cfg.accuracy_probe;
+    d.accuracy_family = cfg.accuracy_family;
     s.scheduler = make_scheduler(i);
     TRACON_REQUIRE(s.scheduler != nullptr, "scheduler factory returned null");
   }
   TRACON_ASSERT(base == cfg.machines, "shard partition must cover the fleet");
+  if (routed) route_root_stream(table, cfg, states);
 
   // Wire the per-shard sinks only now that `states` has its final
   // addresses (DynamicConfig stores raw pointers into its ShardState).
-  for (ShardState& s : states) {
-    if (cfg.trace != nullptr) s.cfg.trace = &s.trace;
+  for (std::size_t i = 0; i < shards; ++i) {
+    ShardState& s = states[i];
+    obs::Telemetry* tel =
+        !merge && cfg.telemetry != nullptr ? cfg.telemetry : &s.telemetry;
+    if (cfg.trace != nullptr) s.cfg.trace = merge ? &s.trace : cfg.trace;
     if (telemetry_on) {
-      s.cfg.telemetry = &s.telemetry;
-      s.scheduler->set_telemetry(&s.telemetry);
+      s.cfg.telemetry = tel;
+      s.scheduler->set_telemetry(tel);
     }
-    if (tracer_on) s.telemetry.tracer.set_enabled(true);
-    if (decisions_on) s.telemetry.decisions.set_enabled(true);
-    if (spans_on) s.telemetry.spans.set_enabled(true);
-    if (cfg.accuracy_probe != nullptr) {
-      s.cfg.accuracy_probe = cfg.accuracy_probe;
-      s.cfg.accuracy_family = cfg.accuracy_family;
+    s.telemetry.tracer.set_enabled(tracer_on);
+    s.telemetry.decisions.set_enabled(decisions_on);
+    s.telemetry.spans.set_enabled(spans_on);
+    sched::ConfidenceWeightedPredictor* ensemble =
+        cfg.ensembles.empty() ? nullptr : cfg.ensembles[i];
+    if (ensemble != nullptr) {
+      s.cfg.outcome_observer = ensemble;
+      s.cfg.accuracy_probe = ensemble;
+      s.cfg.accuracy_family = "confidence";
+      if (telemetry_on) ensemble->set_metrics(&tel->metrics);
     }
     if (cfg.rebalance) {
       TRACON_REQUIRE(cfg.rebalance_predictor != nullptr,
@@ -193,38 +308,48 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
       s.cfg.rebalancer = &*s.rebalancer;
     }
     if (series_on) {
-      s.series.emplace(s.telemetry.metrics, cfg.snapshot_interval_s);
+      s.series.emplace(tel->metrics, cfg.snapshot_interval_s);
       s.cfg.snapshots = &*s.series;
-      if (cfg.accuracy_probe != nullptr) {
+      if (ensemble != nullptr) {
+        for (std::size_t f = 0; f < ensemble->num_families(); ++f)
+          track_family(*s.series, ensemble->family_name(f),
+                       &ensemble->runtime_window(f),
+                       &ensemble->iops_window(f));
+      } else if (cfg.accuracy_probe != nullptr) {
         s.win_runtime.emplace(cfg.accuracy_window);
         s.win_iops.emplace(cfg.accuracy_window);
         s.cfg.windowed_runtime = &*s.win_runtime;
         s.cfg.windowed_iops = &*s.win_iops;
-        const std::string fam = obs::metric_path_component(
-            cfg.accuracy_family.empty() ? "probe" : cfg.accuracy_family);
-        // The composed path is validated by track_accuracy itself.
-        // tracon-lint: allow(metric-name)
-        s.series->track_accuracy("model." + fam + ".runtime",
-                                 &*s.win_runtime);
-        // tracon-lint: allow(metric-name)
-        s.series->track_accuracy("model." + fam + ".iops", &*s.win_iops);
+        track_family(*s.series,
+                     obs::metric_path_component(cfg.accuracy_family.empty()
+                                                    ? "probe"
+                                                    : cfg.accuracy_family),
+                     &*s.win_runtime, &*s.win_iops);
       }
     }
   }
 
   // --- Run every shard on the worker pool. Shards touch only their own
-  // state (plus shared read-only inputs: the perf table and the probe),
-  // and parallel_for joins all workers before returning, so the merge
-  // below reads fully published results.
+  // state (plus shared read-only inputs: the perf table, the probe and
+  // the ensembles' family tables), and parallel_for joins all workers
+  // before returning, so the merge below reads fully published results.
   parallel_for(threads, shards, [&](std::size_t i) {
-    states[i].outcome = run_dynamic(table, *states[i].scheduler,
-                                    states[i].cfg);
+    ShardState& s = states[i];
+    s.outcome = routed ? run_dynamic(table, *s.scheduler, s.cfg, s.arrivals)
+                       : run_dynamic(table, *s.scheduler, s.cfg);
   });
 
-  // --- Merge, serially and in shard order.
   ShardedOutcome out;
   out.shards = shards;
   out.threads_used = threads;
+  if (!merge) {
+    out.total = states[0].outcome;
+    out.per_shard.push_back(states[0].outcome);
+    if (series_on) out.series = states[0].series->str();
+    return out;
+  }
+
+  // --- Merge, serially and in shard order.
   out.total.duration_s = cfg.duration_s;
   double wait_weighted = 0.0;
   std::size_t wait_count = 0;
@@ -238,8 +363,7 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     out.total.total_runtime += o.total_runtime;
     out.total.total_iops += o.total_iops;
     out.total.mean_queue_length += o.mean_queue_length;
-    // mean_wait is per-started-task; weight by completions as a proxy
-    // (the hierarchical scenario's convention).
+    // mean_wait is per-started-task; weight by completions as a proxy.
     wait_weighted += o.mean_wait_s * static_cast<double>(o.completed);
     wait_count += o.completed;
   }
@@ -249,97 +373,65 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   if (cfg.telemetry != nullptr) {
     for (const ShardState& s : states)
       cfg.telemetry->metrics.merge(s.telemetry.metrics);
-    // merge() leaves gauges last-writer-wins; replace the ones with a
-    // meaningful cluster-level aggregate.
-    obs::MetricsRegistry& m = cfg.telemetry->metrics;
-    weighted_gauge(m, states, "sim.util.host_busy_fraction", cfg.machines);
-    weighted_gauge(m, states, "sim.util.slot_busy_fraction", cfg.machines);
-    summed_gauge(m, states, "sim.queue.mean_length");
-    summed_gauge(m, states, "sim.queue.length");
-    summed_gauge(m, states, "sim.util.busy_machines");
-    summed_gauge(m, states, "sim.util.busy_slots");
-    summed_gauge(m, states, "sched.queue_length");
+    aggregate_gauges(cfg.telemetry->metrics, states, cfg.machines);
   }
 
   if (cfg.trace != nullptr) {
-    // Canonical event order: concatenate in shard order (records are
-    // already time-ordered within a shard), re-index machines into the
-    // global space, then stable-sort by time — equal timestamps keep
-    // (shard, record) order, independent of the thread count.
-    std::vector<TaskEvent> all;
-    for (const ShardState& s : states)
-      for (TaskEvent ev : s.trace.events()) {
-        if (ev.machine != TaskEvent::kNoMachine) ev.machine += s.base;
-        all.push_back(ev);
-      }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TaskEvent& a, const TaskEvent& b) {
-                       return a.time_s < b.time_s;
-                     });
-    for (const TaskEvent& ev : all) cfg.trace->record(ev);
+    merge_records<TaskEvent>(
+        states,
+        [](const ShardState& s) -> const auto& { return s.trace.events(); },
+        [](TaskEvent& ev, std::size_t machines, std::uint64_t) {
+          shift_machine(ev.machine, TaskEvent::kNoMachine, machines);
+        },
+        [](const TaskEvent& ev) { return ev.time_s; },
+        [&](TaskEvent&& ev) { cfg.trace->record(ev); });
   }
-
   if (tracer_on) {
-    std::vector<obs::TraceEvent> all;
-    for (const ShardState& s : states)
-      for (obs::TraceEvent ev : s.telemetry.tracer.events()) {
-        if (ev.machine != obs::TraceEvent::kNone) ev.machine += s.base;
-        all.push_back(ev);
-      }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                       return a.time_s < b.time_s;
-                     });
-    for (const obs::TraceEvent& ev : all) cfg.telemetry->tracer.record(ev);
+    merge_records<obs::TraceEvent>(
+        states,
+        [](const ShardState& s) -> const auto& {
+          return s.telemetry.tracer.events();
+        },
+        [](obs::TraceEvent& ev, std::size_t machines, std::uint64_t) {
+          shift_machine(ev.machine, obs::TraceEvent::kNone, machines);
+        },
+        [](const obs::TraceEvent& ev) { return ev.time_s; },
+        [&](obs::TraceEvent&& ev) { cfg.telemetry->tracer.record(ev); });
   }
-
   if (decisions_on) {
-    // Task ids are per-shard arrival indices. Shift each shard's ids
-    // by the arrivals of the shards before it so ids stay unique in
-    // the merged log; `arrived` is a function of the shard seed alone,
-    // so the offsets (and the merged bytes) are thread-independent.
-    // Machines re-index into the global space exactly like the traces.
-    std::vector<obs::DecisionEvent> all;
-    std::uint64_t task_base = 0;
-    for (const ShardState& s : states) {
-      for (obs::DecisionEvent ev : s.telemetry.decisions.events()) {
-        if (ev.machine != obs::DecisionEvent::kNoMachine) ev.machine += s.base;
-        if (ev.from_machine != obs::DecisionEvent::kNoMachine)
-          ev.from_machine += s.base;
-        ev.task += task_base;
-        all.push_back(std::move(ev));
-      }
-      task_base += s.outcome.arrived;
-    }
-    std::stable_sort(
-        all.begin(), all.end(),
-        [](const obs::DecisionEvent& a, const obs::DecisionEvent& b) {
-          return a.time_s < b.time_s;
+    merge_records<obs::DecisionEvent>(
+        states,
+        [](const ShardState& s) -> const auto& {
+          return s.telemetry.decisions.events();
+        },
+        [](obs::DecisionEvent& ev, std::size_t machines,
+           std::uint64_t tasks) {
+          shift_machine(ev.machine, obs::DecisionEvent::kNoMachine, machines);
+          shift_machine(ev.from_machine, obs::DecisionEvent::kNoMachine,
+                        machines);
+          ev.task += tasks;
+        },
+        [](const obs::DecisionEvent& ev) { return ev.time_s; },
+        [&](obs::DecisionEvent&& ev) {
+          cfg.telemetry->decisions.append(std::move(ev));
         });
-    for (obs::DecisionEvent& ev : all)
-      cfg.telemetry->decisions.append(std::move(ev));
   }
-
   if (spans_on) {
-    // Same recipe as the decision log: re-index machines, offset task
-    // ids by the per-shard arrival prefix sums, stable-sort on span
-    // start (a task's starts are non-decreasing, so per-task
-    // chronological order survives), append verbatim.
-    std::vector<obs::SpanEvent> all;
-    std::uint64_t task_base = 0;
-    for (const ShardState& s : states) {
-      for (obs::SpanEvent ev : s.telemetry.spans.events()) {
-        if (ev.machine != obs::SpanEvent::kNoMachine) ev.machine += s.base;
-        ev.task += task_base;
-        all.push_back(std::move(ev));
-      }
-      task_base += s.outcome.arrived;
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
-                       return a.t0_s < b.t0_s;
-                     });
-    for (obs::SpanEvent& ev : all) cfg.telemetry->spans.append(std::move(ev));
+    // Spans sort on their start: a task's starts are non-decreasing, so
+    // per-task chronological order survives the merge.
+    merge_records<obs::SpanEvent>(
+        states,
+        [](const ShardState& s) -> const auto& {
+          return s.telemetry.spans.events();
+        },
+        [](obs::SpanEvent& ev, std::size_t machines, std::uint64_t tasks) {
+          shift_machine(ev.machine, obs::SpanEvent::kNoMachine, machines);
+          ev.task += tasks;
+        },
+        [](const obs::SpanEvent& ev) { return ev.t0_s; },
+        [&](obs::SpanEvent&& ev) {
+          cfg.telemetry->spans.append(std::move(ev));
+        });
   }
 
   if (series_on) out.series = merge_series(states);

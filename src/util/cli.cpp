@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -101,6 +102,20 @@ double ArgParser::get_positive(const std::string& name,
     throw std::invalid_argument("flag --" + name +
                                 " must be a finite number > 0, got '" +
                                 get(name) + "'");
+  }
+  return v;
+}
+
+double ArgParser::get_in_range(const std::string& name, double fallback,
+                               double lo, double hi) const {
+  if (!has(name)) return fallback;
+  const double v = get_double(name, fallback);
+  if (!(std::isfinite(v) && v >= lo && v < hi)) {
+    std::ostringstream range;
+    range << "[" << lo << ", " << hi << ")";
+    throw std::invalid_argument("flag --" + name +
+                                " must be a finite number in " + range.str() +
+                                ", got '" + get(name) + "'");
   }
   return v;
 }

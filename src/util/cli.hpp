@@ -40,6 +40,11 @@ class ArgParser {
   /// absent. Throws std::invalid_argument naming the flag otherwise.
   double get_positive(const std::string& name, double fallback) const;
 
+  /// The value of --name as a finite number in [lo, hi), or `fallback`
+  /// when absent. Throws std::invalid_argument naming the flag otherwise.
+  double get_in_range(const std::string& name, double fallback, double lo,
+                      double hi) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Flags present on the command line but not in `known` — for usage

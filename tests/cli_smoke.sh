@@ -4,15 +4,19 @@
 #
 # Usage: cli_smoke.sh TRACON_BINARY GOLDEN_TRACE
 #
-#   1. a bad run-shape flag of `dynamic` (both engines), `record` or
-#      `replay` exits 1 with a message naming the flag, before any
-#      set-up work: every rejected command also carries `--host bogus`,
-#      which the set-up would reject first if it had started;
+#   1. a bad flag value of `dynamic` (flat or sharded), `record`,
+#      `replay`, `hierarchy` or `static` exits 1 with a message naming
+#      the flag, before any set-up work: every rejected command also
+#      carries `--host bogus`, which the set-up would reject first if it
+#      had started; so do the rejected flag combinations;
 #   2. the edge values that stay valid (--hours 0.001, --threads 0,
 #      --shards 0) still run;
-#   3. when the FIFO baseline completes nothing, both engines print
-#      "normalized n/a" (never nan, never a made-up ratio); a longer run
-#      still prints the ratio with three decimals.
+#   3. when the FIFO baseline completes nothing, flat and sharded runs
+#      print "normalized n/a" (never nan, never a made-up ratio); a
+#      longer run still prints the ratio with three decimals;
+#   4. one shard is one system: `--threads N` on a cluster that resolves
+#      to one shard prints exactly the flag-free run's stdout, and
+#      --confidence-weighting runs sharded.
 set -euo pipefail
 
 TRACON=$1
@@ -22,8 +26,8 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
-expect_rejected() {  # FLAG CMD...: exit 1 and a message naming --FLAG
-  local flag=$1
+expect_error() {  # MESSAGE CMD...: exit 1 and an error containing MESSAGE
+  local message=$1
   shift
   local rc=0
   "$TRACON" "$@" --host bogus > out.log 2> err.log || rc=$?
@@ -32,11 +36,17 @@ expect_rejected() {  # FLAG CMD...: exit 1 and a message naming --FLAG
     cat err.log
     exit 1
   fi
-  grep -q -- "flag --$flag " err.log || {
-    echo "FAIL: error does not name --$flag: tracon $*"
+  grep -q -- "$message" err.log || {
+    echo "FAIL: error lacks '$message': tracon $*"
     cat err.log
     exit 1
   }
+}
+
+expect_rejected() {  # FLAG CMD...: exit 1 and a message naming --FLAG
+  local flag=$1
+  shift
+  expect_error "flag --$flag " "$@"
 }
 
 echo "== bad run-shape flags fail before the set-up =="
@@ -61,6 +71,40 @@ expect_rejected hours record --hours -1 --out a.jsonl --store runs
 expect_rejected machines replay --trace "$GOLDEN" --machines 0 --store runs
 expect_rejected queue replay --trace "$GOLDEN" --queue -1 --store runs
 
+echo "== every other flag fails before the set-up too =="
+for cmd in "dynamic" "dynamic --threads 2" "record --out a.jsonl --store runs"; do
+  # shellcheck disable=SC2086
+  {
+    expect_rejected accuracy-window $cmd --accuracy-window -1 --series-out f
+    expect_rejected accuracy-window $cmd --accuracy-window 0
+    expect_rejected snapshot-interval $cmd --snapshot-interval 0
+    expect_rejected snapshot-interval $cmd --snapshot-interval -5
+    expect_rejected rebalance-interval $cmd --rebalance --rebalance-interval 0
+    expect_rejected rebalance-max-moves $cmd --rebalance \
+        --rebalance-max-moves -1
+    expect_rejected migration-interference $cmd --rebalance \
+        --migration-interference 2
+    expect_rejected migration-downtime $cmd --rebalance \
+        --migration-downtime -1
+    expect_rejected working-set $cmd --rebalance --working-set 0
+    expect_rejected scheduler $cmd --scheduler bogus
+    expect_rejected objective $cmd --objective bogus
+    expect_error "requires --scheduler mix" $cmd --confidence-weighting
+    expect_error "cannot wrap the confidence ensemble" $cmd --scheduler mix \
+        --confidence-weighting --candidate-index
+  }
+done
+expect_rejected accuracy-window replay --trace "$GOLDEN" --accuracy-window 0 \
+    --store runs
+expect_error "requires --threads 1" dynamic --threads 2 --prof
+expect_rejected routing hierarchy --routing bogus
+expect_rejected managers hierarchy --managers -1
+expect_rejected machines hierarchy --machines 0
+expect_rejected lambda hierarchy --lambda -10
+expect_rejected threads hierarchy --threads -1
+expect_rejected machines static --machines -3
+expect_rejected scheduler static --scheduler bogus
+
 echo "== a horizon FIFO cannot finish a task in prints n/a =="
 "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.001 > legacy.log
 "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.001 --threads 0 \
@@ -83,6 +127,24 @@ echo "== a longer run still prints the ratio =="
 grep -Eq "normalized [0-9]+\.[0-9]{3}\)" ratio.log || {
   echo "FAIL: no three-decimal normalized ratio"
   cat ratio.log
+  exit 1
+}
+
+echo "== one shard is one system, however it is invoked =="
+"$TRACON" dynamic --machines 64 --hours 0.5 > flat.log
+"$TRACON" dynamic --machines 64 --hours 0.5 --threads 3 > threads.log
+cmp flat.log threads.log || {
+  echo "FAIL: a 1-shard --threads run differs from the flag-free run"
+  diff flat.log threads.log
+  exit 1
+}
+
+echo "== the confidence ensemble runs sharded =="
+"$TRACON" dynamic --machines 4 --lambda 6 --hours 0.1 --scheduler mix \
+    --confidence-weighting --threads 2 > confidence.log
+grep -q "completed" confidence.log || {
+  echo "FAIL: no summary from a sharded --confidence-weighting run"
+  cat confidence.log
   exit 1
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 namespace tracon {
@@ -72,6 +73,27 @@ TEST(ArgParser, PositiveRejectsZeroNegativeAndNonFinite) {
   EXPECT_DOUBLE_EQ(args.get_positive("missing", 10.0), 10.0);
   for (const char* flag : {"lambda", "a", "b", "c", "d"})
     EXPECT_THROW(args.get_positive(flag, 1.0), std::invalid_argument) << flag;
+}
+
+TEST(ArgParser, InRangeIsHalfOpenAndNamesTheFlag) {
+  ArgParser args({"--f", "0", "--g", "0.99", "--h", "1", "--i", "-0.5",
+                  "--j", "nan", "--k", "inf"});
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(args.get_in_range("f", 0.5, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(args.get_in_range("g", 0.5, 0.0, 1.0), 0.99);
+  EXPECT_DOUBLE_EQ(args.get_in_range("missing", 0.5, 0.0, 1.0), 0.5);
+  for (const char* flag : {"h", "i", "j"})
+    EXPECT_THROW(args.get_in_range(flag, 0.5, 0.0, 1.0),
+                 std::invalid_argument)
+        << flag;
+  // An unbounded range still rejects infinity itself.
+  EXPECT_THROW(args.get_in_range("k", 0.5, 0.0, inf), std::invalid_argument);
+  try {
+    args.get_in_range("h", 0.5, 0.0, 1.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("flag --h must be"),
+              std::string::npos);
+  }
 }
 
 TEST(ArgParser, ArgcArgvConstructor) {

@@ -1,4 +1,7 @@
-#include "sim/hierarchy.hpp"
+// The paper's manager tree (Section 3) on the sharded engine: one root
+// arrival stream routed round-robin or at random across per-manager
+// shards (ShardedConfig::routing).
+#include "sim/shard_scenario.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,28 +21,30 @@ const PerfTable& table() {
   return t;
 }
 
-HierarchyConfig small_config() {
-  HierarchyConfig cfg;
-  cfg.managers = 4;
-  cfg.machines_per_manager = 4;
+/// Four managers of four machines each, fed one round-robin root stream.
+ShardedConfig small_config() {
+  ShardedConfig cfg;
+  cfg.machines = 16;
+  cfg.shards = 4;
+  cfg.routing = Routing::kRoundRobin;
   cfg.lambda_per_min = 20.0;
   cfg.duration_s = 3600.0;
   cfg.seed = 11;
   return cfg;
 }
 
-std::function<std::unique_ptr<sched::Scheduler>(std::size_t)> fifo_factory() {
+SchedulerFactory fifo_factory() {
   return [](std::size_t m) {
     return std::make_unique<sched::FifoScheduler>(100 + m);
   };
 }
 
 TEST(Hierarchy, AggregatesManagerOutcomes) {
-  HierarchyOutcome o =
-      run_hierarchical(table(), fifo_factory(), small_config());
-  ASSERT_EQ(o.per_manager.size(), 4u);
+  ShardedOutcome o =
+      run_dynamic_sharded(table(), fifo_factory(), small_config());
+  ASSERT_EQ(o.per_shard.size(), 4u);
   std::size_t arrived = 0, completed = 0, dropped = 0;
-  for (const auto& m : o.per_manager) {
+  for (const auto& m : o.per_shard) {
     arrived += m.arrived;
     completed += m.completed;
     dropped += m.dropped;
@@ -51,24 +56,27 @@ TEST(Hierarchy, AggregatesManagerOutcomes) {
 }
 
 TEST(Hierarchy, RootStreamSplitExactly) {
-  HierarchyConfig cfg = small_config();
-  HierarchyOutcome o = run_hierarchical(table(), fifo_factory(), cfg);
-  DynamicConfig root;
-  root.lambda_per_min = cfg.lambda_per_min;
-  root.duration_s = cfg.duration_s;
-  root.mix = cfg.mix;
-  root.seed = cfg.seed;
-  auto all = generate_arrivals(root, table().num_apps());
-  EXPECT_EQ(o.total.arrived, all.size());
+  for (Routing routing : {Routing::kRoundRobin, Routing::kRandom}) {
+    ShardedConfig cfg = small_config();
+    cfg.routing = routing;
+    ShardedOutcome o = run_dynamic_sharded(table(), fifo_factory(), cfg);
+    DynamicConfig root;
+    root.lambda_per_min = cfg.lambda_per_min;
+    root.duration_s = cfg.duration_s;
+    root.mix = cfg.mix;
+    root.seed = cfg.seed;
+    auto all = generate_arrivals(root, table().num_apps());
+    EXPECT_EQ(o.total.arrived, all.size());
+  }
 }
 
 TEST(Hierarchy, RoundRobinIsBalanced) {
-  HierarchyConfig cfg = small_config();
+  ShardedConfig cfg = small_config();
   cfg.routing = Routing::kRoundRobin;
-  HierarchyOutcome o = run_hierarchical(table(), fifo_factory(), cfg);
+  ShardedOutcome o = run_dynamic_sharded(table(), fifo_factory(), cfg);
   // Arrivals differ by at most 1 across managers under round-robin.
-  std::size_t lo = o.per_manager[0].arrived, hi = lo;
-  for (const auto& m : o.per_manager) {
+  std::size_t lo = o.per_shard[0].arrived, hi = lo;
+  for (const auto& m : o.per_shard) {
     lo = std::min(lo, m.arrived);
     hi = std::max(hi, m.arrived);
   }
@@ -77,17 +85,17 @@ TEST(Hierarchy, RoundRobinIsBalanced) {
 }
 
 TEST(Hierarchy, RandomRoutingRoughlyBalanced) {
-  HierarchyConfig cfg = small_config();
+  ShardedConfig cfg = small_config();
   cfg.routing = Routing::kRandom;
-  HierarchyOutcome o = run_hierarchical(table(), fifo_factory(), cfg);
+  ShardedOutcome o = run_dynamic_sharded(table(), fifo_factory(), cfg);
   EXPECT_LT(o.completion_imbalance(), 0.3);
   EXPECT_GT(o.total.completed, 0u);
 }
 
 TEST(Hierarchy, Deterministic) {
-  HierarchyConfig cfg = small_config();
-  auto a = run_hierarchical(table(), fifo_factory(), cfg);
-  auto b = run_hierarchical(table(), fifo_factory(), cfg);
+  ShardedConfig cfg = small_config();
+  auto a = run_dynamic_sharded(table(), fifo_factory(), cfg);
+  auto b = run_dynamic_sharded(table(), fifo_factory(), cfg);
   EXPECT_EQ(a.total.completed, b.total.completed);
   EXPECT_EQ(a.total.total_runtime, b.total.total_runtime);
 }
@@ -95,21 +103,20 @@ TEST(Hierarchy, Deterministic) {
 TEST(Hierarchy, ThreadCountDoesNotChangeResults) {
   // The leaf runs go through util/parallel's worker pool; any thread
   // count must reproduce the serial outcome exactly.
-  HierarchyConfig serial = small_config();
+  ShardedConfig serial = small_config();
   serial.threads = 1;
-  HierarchyOutcome a = run_hierarchical(table(), fifo_factory(), serial);
+  ShardedOutcome a = run_dynamic_sharded(table(), fifo_factory(), serial);
   for (std::size_t threads : {2u, 4u, 8u}) {
-    HierarchyConfig cfg = small_config();
+    ShardedConfig cfg = small_config();
     cfg.threads = threads;
-    HierarchyOutcome b = run_hierarchical(table(), fifo_factory(), cfg);
-    ASSERT_EQ(a.per_manager.size(), b.per_manager.size());
-    for (std::size_t m = 0; m < a.per_manager.size(); ++m) {
-      EXPECT_EQ(a.per_manager[m].arrived, b.per_manager[m].arrived);
-      EXPECT_EQ(a.per_manager[m].completed, b.per_manager[m].completed);
-      EXPECT_EQ(a.per_manager[m].dropped, b.per_manager[m].dropped);
-      EXPECT_EQ(a.per_manager[m].total_runtime,
-                b.per_manager[m].total_runtime);
-      EXPECT_EQ(a.per_manager[m].mean_wait_s, b.per_manager[m].mean_wait_s);
+    ShardedOutcome b = run_dynamic_sharded(table(), fifo_factory(), cfg);
+    ASSERT_EQ(a.per_shard.size(), b.per_shard.size());
+    for (std::size_t m = 0; m < a.per_shard.size(); ++m) {
+      EXPECT_EQ(a.per_shard[m].arrived, b.per_shard[m].arrived);
+      EXPECT_EQ(a.per_shard[m].completed, b.per_shard[m].completed);
+      EXPECT_EQ(a.per_shard[m].dropped, b.per_shard[m].dropped);
+      EXPECT_EQ(a.per_shard[m].total_runtime, b.per_shard[m].total_runtime);
+      EXPECT_EQ(a.per_shard[m].mean_wait_s, b.per_shard[m].mean_wait_s);
     }
     EXPECT_EQ(a.total.completed, b.total.completed);
     EXPECT_EQ(a.total.total_runtime, b.total.total_runtime);
@@ -119,7 +126,7 @@ TEST(Hierarchy, ThreadCountDoesNotChangeResults) {
 
 TEST(Hierarchy, PerManagerSchedulersAreIndependent) {
   // Manager 0 gets MIBS, the rest FIFO; the factory index must be used.
-  HierarchyConfig cfg = small_config();
+  ShardedConfig cfg = small_config();
   cfg.lambda_per_min = 60.0;  // load the managers
   cfg.mix = workload::MixKind::kHeavy;
   int mibs_made = 0;
@@ -132,23 +139,29 @@ TEST(Hierarchy, PerManagerSchedulersAreIndependent) {
     }
     return std::make_unique<sched::FifoScheduler>(m);
   };
-  HierarchyOutcome o = run_hierarchical(table(), factory, cfg);
+  ShardedOutcome o = run_dynamic_sharded(table(), factory, cfg);
   EXPECT_EQ(mibs_made, 1);
-  ASSERT_EQ(o.per_manager.size(), 4u);
+  ASSERT_EQ(o.per_shard.size(), 4u);
 }
 
 TEST(Hierarchy, ConfigValidation) {
-  HierarchyConfig cfg = small_config();
-  cfg.managers = 0;
-  EXPECT_THROW(run_hierarchical(table(), fifo_factory(), cfg),
+  ShardedConfig cfg = small_config();
+  cfg.machines = 0;
+  EXPECT_THROW(run_dynamic_sharded(table(), fifo_factory(), cfg),
                std::invalid_argument);
+  EXPECT_THROW(run_dynamic_sharded(table(), nullptr, small_config()),
+               std::invalid_argument);
+  // A root-stream override is dealt out by a routing policy; without
+  // one it can only feed a single shard.
+  PoissonArrivalSource source(20.0, 3600.0, workload::MixKind::kMedium, 1.5,
+                              11);
   cfg = small_config();
-  cfg.machines_per_manager = 0;
-  EXPECT_THROW(run_hierarchical(table(), fifo_factory(), cfg),
+  cfg.routing = Routing::kIndependent;
+  cfg.arrival_source = &source;
+  EXPECT_THROW(run_dynamic_sharded(table(), fifo_factory(), cfg),
                std::invalid_argument);
-  cfg = small_config();
-  EXPECT_THROW(run_hierarchical(table(), nullptr, cfg),
-               std::invalid_argument);
+  cfg.shards = 1;
+  EXPECT_NO_THROW(run_dynamic_sharded(table(), fifo_factory(), cfg));
 }
 
 }  // namespace

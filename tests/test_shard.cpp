@@ -1,7 +1,8 @@
-// Tests the sharded dynamic scenario's headline guarantee: results are
+// Tests the sharded dynamic scenario's headline guarantees: results are
 // a function of (seed, machines, shards) only — the worker-pool size
 // must never leak into outcomes, metrics bytes, trace bytes, or the
-// merged snapshot series (DESIGN.md §7).
+// merged snapshot series (DESIGN.md §7) — and a 1-shard run is the
+// flat run_dynamic system, byte for byte.
 #include "sim/shard_scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
+#include "stats/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/benchmarks.hpp"
@@ -237,12 +239,191 @@ TEST(ShardedScenario, ShardsNeverExceedMachines) {
   EXPECT_EQ(o.shards, 2u);
 }
 
+/// Every sink of one run, serialized.
+struct SinkBytes {
+  std::string metrics, trace, events, decisions, spans, series;
+};
+
+SinkBytes sink_bytes(const obs::Telemetry& tel, const TraceRecorder& trace,
+                     std::string series) {
+  SinkBytes b;
+  std::ostringstream metrics, tj, ej, dj, sj;
+  tel.metrics.write_json(metrics);
+  tel.tracer.write_jsonl(tj);
+  trace.write_jsonl(ej);
+  tel.decisions.write(dj);
+  tel.spans.write(sj);
+  b.metrics = metrics.str();
+  b.trace = tj.str();
+  b.events = ej.str();
+  b.decisions = dj.str();
+  b.spans = sj.str();
+  b.series = std::move(series);
+  return b;
+}
+
+void enable_logs(obs::Telemetry& tel) {
+  tel.tracer.set_enabled(true);
+  tel.decisions.set_enabled(true);
+  tel.spans.set_enabled(true);
+}
+
+TEST(ShardedScenario, OneShardIsTheFlatRunByteForByte) {
+  // The flat system, wired by hand: every sink, the accuracy windows,
+  // the snapshot series and a rebalancer.
+  migrate::RebalanceConfig rcfg;
+  rcfg.interval_s = 120.0;
+  DynamicConfig flat;
+  flat.machines = 12;
+  flat.lambda_per_min = 14.0;
+  flat.duration_s = 7200.0;
+  flat.mix = workload::MixKind::kHeavy;
+  flat.seed = 5;
+  obs::Telemetry flat_tel;
+  enable_logs(flat_tel);
+  TraceRecorder flat_trace;
+  flat.telemetry = &flat_tel;
+  flat.trace = &flat_trace;
+  flat.accuracy_probe = &oracle();
+  flat.accuracy_family = "oracle";
+  obs::SnapshotSeries series(flat_tel.metrics, 600.0);
+  obs::WindowedAccuracy win_runtime(64), win_iops(64);
+  series.track_accuracy("model.oracle.runtime", &win_runtime);
+  series.track_accuracy("model.oracle.iops", &win_iops);
+  flat.snapshots = &series;
+  flat.windowed_runtime = &win_runtime;
+  flat.windowed_iops = &win_iops;
+  migrate::Rebalancer rebalancer(oracle(), rcfg);
+  flat.rebalancer = &rebalancer;
+  auto scheduler = factory_for("mibs", flat.seed)(0);
+  scheduler->set_telemetry(&flat_tel);
+  const DynamicOutcome a = run_dynamic(table(), *scheduler, flat);
+  const SinkBytes want = sink_bytes(flat_tel, flat_trace, series.str());
+
+  // The same system through the engine, at any thread count.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ShardedConfig cfg;
+    cfg.machines = flat.machines;
+    cfg.lambda_per_min = flat.lambda_per_min;
+    cfg.duration_s = flat.duration_s;
+    cfg.mix = flat.mix;
+    cfg.seed = flat.seed;
+    cfg.shards = 1;
+    cfg.threads = threads;
+    obs::Telemetry tel;
+    enable_logs(tel);
+    TraceRecorder trace;
+    cfg.telemetry = &tel;
+    cfg.trace = &trace;
+    cfg.accuracy_probe = &oracle();
+    cfg.accuracy_family = "oracle";
+    cfg.snapshot_interval_s = 600.0;
+    cfg.rebalance = true;
+    cfg.rebalance_cfg = rcfg;
+    cfg.rebalance_predictor = &oracle();
+    const ShardedOutcome o =
+        run_dynamic_sharded(table(), factory_for("mibs", cfg.seed), cfg);
+    ASSERT_EQ(o.shards, 1u);
+    EXPECT_EQ(o.total.arrived, a.arrived);
+    EXPECT_EQ(o.total.completed, a.completed);
+    EXPECT_EQ(o.total.dropped, a.dropped);
+    EXPECT_EQ(o.total.total_runtime, a.total_runtime);
+    EXPECT_EQ(o.total.total_iops, a.total_iops);
+    EXPECT_EQ(o.total.mean_wait_s, a.mean_wait_s);
+    EXPECT_EQ(o.total.mean_queue_length, a.mean_queue_length);
+    const SinkBytes got = sink_bytes(tel, trace, o.series);
+    EXPECT_EQ(got.metrics, want.metrics);
+    EXPECT_EQ(got.trace, want.trace);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.spans, want.spans);
+    EXPECT_EQ(got.series, want.series);
+    EXPECT_GT(tel.metrics.counters().at("sim.tasks.migrated").value(), 0u);
+  }
+}
+
+/// An interference-blind family: every neighbour predicts the solo run.
+sched::TablePredictor solo_predictor() {
+  const std::size_t n = table().num_apps();
+  stats::Matrix runtime(n, n + 1), iops(n, n + 1);
+  for (std::size_t a = 0; a < n; ++a)
+    for (std::size_t b = 0; b <= n; ++b) {
+      runtime(a, b) = table().solo_runtime(a);
+      iops(a, b) = table().solo_iops(a);
+    }
+  return sched::TablePredictor(std::move(runtime), std::move(iops));
+}
+
+struct ConfidenceRun {
+  ShardedOutcome outcome;
+  SinkBytes bytes;
+};
+
+ConfidenceRun run_confidence(std::size_t threads) {
+  static const sched::TablePredictor solo = solo_predictor();
+  ShardedConfig cfg = small_cfg(13, threads);
+  std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> owned;
+  for (std::size_t i = 0; i < cfg.shards; ++i) {
+    owned.push_back(std::make_unique<sched::ConfidenceWeightedPredictor>(
+        std::vector<sched::ConfidenceWeightedPredictor::Family>{
+            {"oracle", &oracle()}, {"solo", &solo}}));
+    cfg.ensembles.push_back(owned.back().get());
+  }
+  obs::Telemetry telemetry;
+  enable_logs(telemetry);
+  TraceRecorder trace;
+  cfg.telemetry = &telemetry;
+  cfg.trace = &trace;
+  cfg.snapshot_interval_s = 600.0;
+  SchedulerFactory factory =
+      [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
+    return std::make_unique<sched::MixScheduler>(
+        *cfg.ensembles[shard], sched::Objective::kRuntime, 8, 60.0,
+        no_hold());
+  };
+  ConfidenceRun r;
+  r.outcome = run_dynamic_sharded(table(), factory, cfg);
+  r.bytes = sink_bytes(telemetry, trace, r.outcome.series);
+  return r;
+}
+
+TEST(ShardedScenario, PerShardEnsemblesAreThreadInvariant) {
+  // One confidence ensemble per shard: each learns from its own
+  // shard's completions only, so the stateful blend cannot see the
+  // worker-pool size.
+  const ConfidenceRun a = run_confidence(1);
+  const ConfidenceRun b = run_confidence(4);
+  EXPECT_EQ(a.outcome.total.completed, b.outcome.total.completed);
+  EXPECT_EQ(a.bytes.metrics, b.bytes.metrics);
+  EXPECT_EQ(a.bytes.trace, b.bytes.trace);
+  EXPECT_EQ(a.bytes.events, b.bytes.events);
+  EXPECT_EQ(a.bytes.decisions, b.bytes.decisions);
+  EXPECT_EQ(a.bytes.spans, b.bytes.spans);
+  EXPECT_EQ(a.bytes.series, b.bytes.series);
+  // The ensembles did their jobs: probe, weight gauges, series windows.
+  EXPECT_NE(a.bytes.metrics.find("model.confidence.runtime"),
+            std::string::npos);
+  EXPECT_NE(a.bytes.metrics.find("sched.confidence.oracle.runtime_weight"),
+            std::string::npos);
+  EXPECT_NE(a.bytes.series.find("model.solo.iops"), std::string::npos);
+}
+
 TEST(ShardedScenario, RejectsBadConfig) {
   ShardedConfig cfg = small_cfg(7, 1);
   cfg.machines = 0;
   EXPECT_THROW(run_dynamic_sharded(table(), factory_for("fifo", 7), cfg),
                std::invalid_argument);
   EXPECT_THROW(run_dynamic_sharded(table(), nullptr, small_cfg(7, 1)),
+               std::invalid_argument);
+  // Ensembles come one per shard, and replace the shared probe.
+  sched::ConfidenceWeightedPredictor ensemble({{"oracle", &oracle()}});
+  cfg = small_cfg(7, 1);
+  cfg.ensembles = {&ensemble};
+  EXPECT_THROW(run_dynamic_sharded(table(), factory_for("fifo", 7), cfg),
+               std::invalid_argument);
+  cfg.shards = 1;
+  cfg.accuracy_probe = &oracle();
+  EXPECT_THROW(run_dynamic_sharded(table(), factory_for("fifo", 7), cfg),
                std::invalid_argument);
 }
 

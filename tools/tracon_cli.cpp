@@ -6,6 +6,9 @@
 //   tracon predict               model vs measured for one app pair
 //   tracon static                schedule a batch and report Speedup/IOBoost
 //   tracon dynamic               Poisson-arrival cluster simulation
+//   tracon hierarchy             the paper's manager tree: --managers M
+//                                of --machines N each, one root arrival
+//                                stream split by --routing rr|random
 //   tracon record                dynamic run that also writes an arrival
 //                                trace (--out) and stores the run (--store)
 //   tracon replay                re-run a recorded trace (--trace) under
@@ -52,35 +55,42 @@
 //   --csv                        machine-readable output where applicable
 //   --prof                       print wall-clock kernel profile to stderr
 //
-// Run-shape flags (dynamic, record; replay takes --machines/--queue):
+// Run-shape flags (dynamic, record, hierarchy; replay takes
+// --machines/--queue):
 //   --machines N (>= 1)  --lambda PER_MIN (> 0)  --hours H (> 0)
 //   --queue N (>= 1)  --threads N (>= 0)  --shards K (>= 0)
-//   are checked before the host profiling and model training start; a
-//   bad value exits 1 with a message naming the flag. When the FIFO
+//   These and every other flag of a simulated run (scheduler, snapshot,
+//   confidence and rebalancing flags, and their combinations) are
+//   checked before the host profiling and model training start; a bad
+//   value exits 1 with a message naming the flag. When the FIFO
 //   baseline completes nothing (a horizon shorter than any task), the
 //   summary prints "normalized n/a".
 //
-// Telemetry flags (dynamic subcommand):
+// Telemetry flags (dynamic, record, replay):
 //   --metrics-out FILE           metrics registry as JSON
 //   --metrics-csv FILE           metrics registry as CSV
 //   --trace-out FILE             Chrome trace_event JSON (Perfetto-loadable)
 //   --trace-jsonl FILE           one trace event per line
 //   --events-jsonl FILE          per-task event log (tracon.task_events)
+//   --trace FILE                 the same log as CSV (dynamic only)
 //
-// Sharded execution flags (dynamic subcommand; DESIGN.md §7):
-//   --threads N                  run shards on N workers (0 = all cores;
-//                                presence routes through the sharded
-//                                engine — results are byte-identical for
-//                                every N at a fixed seed/shard count)
-//   --shards K                   machine shards (default: auto, one per
-//                                128 machines, clamped to [1, 64]);
-//                                part of the simulated system's shape
-//   --prof requires --threads 1; --confidence-weighting is unsupported
-//   with the sharded engine.
+// Sharded execution (DESIGN.md §7): every simulated run goes through
+// one engine, sim::run_dynamic_sharded. A `dynamic` run without the
+// two flags below is one shard — the flat cluster; `record` and
+// `replay` always are.
+//   --threads N                  run the shards on N workers (0 = all
+//                                cores); every export is byte-identical
+//                                for every N at a fixed seed/shard count
+//   --shards K                   machine shards (default with either
+//                                flag: auto, one per 128 machines,
+//                                clamped to [1, 64]); part of the
+//                                simulated system's shape. A run that
+//                                resolves to one shard is the flag-free
+//                                run, byte for byte.
+//   --prof requires --threads 1.
 //   --candidate-index            place via the clustered candidate
 //                                shortlist index with per-scheduler
-//                                prediction memoization (dynamic, with
-//                                or without --threads). Placements are
+//                                prediction memoization. Placements are
 //                                bit-identical to the flat scan, so
 //                                every export keeps its exact bytes and
 //                                no fingerprint entry is stamped.
@@ -94,7 +104,8 @@
 //   --confidence-weighting       schedule with the confidence-weighted
 //                                WMM/LM/NLM ensemble instead of the
 //                                single --model table (requires
-//                                --scheduler mix)
+//                                --scheduler mix); one ensemble per
+//                                shard, so it works with --threads
 //   --accuracy-window N          rolling accuracy window size (default 64)
 //
 // Decision provenance flags (DESIGN.md §6g):
@@ -145,9 +156,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
-#include <span>
 #include <sstream>
 #include <string>
 
@@ -169,10 +180,9 @@
 #include "runstore/runstore.hpp"
 #include "sched/candidate_index.hpp"
 #include "sched/fifo.hpp"
-#include "sched/mix.hpp"
 #include "sched/prediction_cache.hpp"
-#include "sim/dynamic_scenario.hpp"
-#include "sim/hierarchy.hpp"
+#include "sched/predictor.hpp"
+#include "sim/arrival_source.hpp"
 #include "sim/shard_scenario.hpp"
 #include "sim/static_scenario.hpp"
 #include "util/cli.hpp"
@@ -216,10 +226,6 @@ model::ModelKind model_by_name(const std::string& m) {
                               "' (wmm|lm|nlm|nlm-log|nlm-nodom0)");
 }
 
-model::ModelKind model_from(const ArgParser& args) {
-  return model_by_name(args.get("model", "nlm"));
-}
-
 workload::MixKind mix_by_name(const std::string& m) {
   if (m == "light") return workload::MixKind::kLight;
   if (m == "medium") return workload::MixKind::kMedium;
@@ -233,13 +239,14 @@ workload::MixKind mix_from(const ArgParser& args) {
   return mix_by_name(args.get("mix", "medium"));
 }
 
-/// Reads the run-shape flags of `dynamic` and `record` into a
-/// sim::DynamicConfig or sim::ShardedConfig. Callers read them before
-/// make_system, so a bad value fails at once with a message naming the
-/// flag instead of after the host profiling and model training.
-template <typename Config>
-void read_run_shape(const ArgParser& args, Config& cfg) {
-  cfg.machines = args.get_count("machines", 64, 1);
+/// Reads the run-shape flags of `dynamic`, `record` and `hierarchy`
+/// (whose --machines counts per manager, default `machines`) into a
+/// sim::ShardedConfig. Callers read them before make_system, so a bad
+/// value fails at once with a message naming the flag instead of after
+/// the host profiling and model training.
+void read_run_shape(const ArgParser& args, sim::ShardedConfig& cfg,
+                    std::size_t machines = 64) {
+  cfg.machines = args.get_count("machines", machines, 1);
   cfg.lambda_per_min = args.get_positive("lambda", 100.0);
   cfg.duration_s = args.get_positive("hours", 10.0) * 3600.0;
   cfg.mix = mix_from(args);
@@ -259,71 +266,28 @@ std::string normalized_text(std::size_t completed, std::size_t fifo) {
   return buf;
 }
 
-/// Parses the live-rebalancing knobs (DESIGN.md §6h). Returns true when
-/// --rebalance is on; `out` then carries the round interval, the
-/// hysteresis margin, and the migration cost model's parameters.
+/// Parses the live-rebalancing knobs (DESIGN.md §6h), each checked
+/// against the range the rebalancer and the migration cost model
+/// accept. Returns true when --rebalance is on; `out` then carries the
+/// round interval, the hysteresis margin, and the migration cost
+/// model's parameters.
 bool rebalance_from(const ArgParser& args, migrate::RebalanceConfig* out) {
   if (!args.has("rebalance")) return false;
-  out->interval_s = args.get_double("rebalance-interval", out->interval_s);
-  out->min_benefit_s =
-      args.get_double("rebalance-min-benefit", out->min_benefit_s);
-  out->max_moves_per_round = static_cast<std::size_t>(args.get_int(
-      "rebalance-max-moves", static_cast<long>(out->max_moves_per_round)));
-  out->cost.downtime_s =
-      args.get_double("migration-downtime", out->cost.downtime_s);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  out->interval_s = args.get_positive("rebalance-interval", out->interval_s);
+  out->min_benefit_s = args.get_in_range("rebalance-min-benefit",
+                                         out->min_benefit_s, 0.0, kInf);
+  out->max_moves_per_round =
+      args.get_count("rebalance-max-moves", out->max_moves_per_round, 1);
+  out->cost.downtime_s = args.get_in_range("migration-downtime",
+                                           out->cost.downtime_s, 0.0, kInf);
   out->cost.copy_bandwidth_mbps =
-      args.get_double("migration-bandwidth", out->cost.copy_bandwidth_mbps);
+      args.get_positive("migration-bandwidth", out->cost.copy_bandwidth_mbps);
   out->cost.working_set_mb =
-      args.get_double("working-set", out->cost.working_set_mb);
-  out->cost.copy_interference =
-      args.get_double("migration-interference", out->cost.copy_interference);
+      args.get_positive("working-set", out->cost.working_set_mb);
+  out->cost.copy_interference = args.get_in_range(
+      "migration-interference", out->cost.copy_interference, 0.0, 1.0);
   return true;
-}
-
-/// Fingerprint entries for a rebalancing run. Pure functions of the
-/// flags — identical across thread counts, so they are safe to copy
-/// onto the decision-log fingerprint.
-void stamp_rebalance_fingerprint(obs::MetricsRegistry& metrics,
-                                 const migrate::RebalanceConfig& rc) {
-  metrics.set_fingerprint("rebalance", "on");
-  metrics.set_fingerprint("rebalance_interval",
-                          obs::json_number(rc.interval_s));
-}
-
-/// Stamps the run-identity block every metrics export carries: enough
-/// to tell two stored runs apart and to reproduce either one.
-void stamp_fingerprint(obs::MetricsRegistry& metrics,
-                       const sim::DynamicConfig& cfg, const std::string& host,
-                       const std::string& model, const std::string& scheduler,
-                       const std::string& source) {
-  metrics.set_fingerprint("seed", std::to_string(cfg.seed));
-  metrics.set_fingerprint("scheduler", scheduler);
-  metrics.set_fingerprint("machines", std::to_string(cfg.machines));
-  metrics.set_fingerprint("mix", workload::mix_name(cfg.mix));
-  metrics.set_fingerprint("host", host);
-  metrics.set_fingerprint("model", model);
-  metrics.set_fingerprint("source", source);
-  metrics.set_fingerprint("build", TRACON_GIT_DESCRIBE);
-}
-
-/// Copies the finished metrics fingerprint onto the decision log,
-/// minus the execution-shape keys (threads/shards): DESIGN.md §6g
-/// keeps the log byte-identical across `--threads N`, so its header
-/// must not record how many workers produced it.
-void stamp_decision_fingerprint(obs::Telemetry& tel) {
-  for (const auto& [key, value] : tel.metrics.fingerprint()) {
-    if (key == "threads" || key == "shards") continue;
-    tel.decisions.set_fingerprint(key, value);
-  }
-}
-
-/// Same contract for the span log (DESIGN.md §6i): the header must
-/// stay byte-identical across `--threads N`.
-void stamp_span_fingerprint(obs::Telemetry& tel) {
-  for (const auto& [key, value] : tel.metrics.fingerprint()) {
-    if (key == "threads" || key == "shards") continue;
-    tel.spans.set_fingerprint(key, value);
-  }
 }
 
 /// App-class id -> benchmark name, for human-readable decision output.
@@ -354,9 +318,12 @@ core::Tracon make_system(const ArgParser& args, bool train) {
   core::TraconConfig cfg;
   cfg.host = host_from(args);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  // Parsed before the host profiling so a bad --model fails at once.
+  const model::ModelKind kind = train ? model_by_name(args.get("model", "nlm"))
+                                      : model::ModelKind::kNonlinear;
   core::Tracon sys(cfg);
   sys.register_applications(workload::paper_benchmarks());
-  if (train) sys.train(model_from(args));
+  if (train) sys.train(kind);
   return sys;
 }
 
@@ -432,34 +399,59 @@ int cmd_predict(const ArgParser& args) {
   return 0;
 }
 
-std::unique_ptr<sched::Scheduler> scheduler_from(
-    const ArgParser& args, const core::Tracon& sys, bool static_batch,
-    std::size_t default_queue = 8,
+/// A --scheduler / --objective choice plus the manager queue bound,
+/// read and checked before any set-up work; make_scheduler builds it.
+struct SchedulerChoice {
+  core::SchedulerKind kind = core::SchedulerKind::kMibs;
+  sched::Objective objective = sched::Objective::kRuntime;
+  std::size_t queue = 8;
+};
+
+SchedulerChoice scheduler_choice(const ArgParser& args, std::size_t queue) {
+  SchedulerChoice c;
+  const std::string s = args.get("scheduler", "mibs");
+  if (s == "fifo") c.kind = core::SchedulerKind::kFifo;
+  else if (s == "mios") c.kind = core::SchedulerKind::kMios;
+  else if (s == "mibs") c.kind = core::SchedulerKind::kMibs;
+  else if (s == "mix") c.kind = core::SchedulerKind::kMix;
+  else
+    throw std::invalid_argument("flag --scheduler must be fifo|mios|mibs|mix, "
+                                "got '" + s + "'");
+  const std::string o = args.get("objective", "rt");
+  if (o == "io") c.objective = sched::Objective::kIops;
+  else if (o != "rt")
+    throw std::invalid_argument("flag --objective must be rt|io, got '" + o +
+                                "'");
+  c.queue = queue;
+  return c;
+}
+
+std::unique_ptr<sched::Scheduler> make_scheduler(
+    const core::Tracon& sys, const SchedulerChoice& c, bool static_batch,
     const sched::Predictor* predictor_override = nullptr) {
-  std::string s = args.get("scheduler", "mibs");
-  auto objective = args.get("objective", "rt") == "io"
-                       ? sched::Objective::kIops
-                       : sched::Objective::kRuntime;
-  const std::size_t queue = args.get_count("queue", default_queue, 1);
   sched::PlacementPolicy policy;
   if (static_batch) policy.beneficial_joins_only = false;
-  core::SchedulerKind kind;
-  if (s == "fifo") kind = core::SchedulerKind::kFifo;
-  else if (s == "mios") kind = core::SchedulerKind::kMios;
-  else if (s == "mibs") kind = core::SchedulerKind::kMibs;
-  else if (s == "mix") kind = core::SchedulerKind::kMix;
-  else throw std::invalid_argument("unknown --scheduler '" + s + "'");
-  return sys.make_scheduler(kind, objective, queue,
+  return sys.make_scheduler(c.kind, c.objective, c.queue,
                             static_batch ? 0.0 : 60.0, policy,
                             predictor_override);
 }
 
+/// --prof's ScopeStats accumulation is deliberately unsynchronized
+/// (profiling is wall-clock anyway), so it needs a single worker.
+void check_prof(const ArgParser& args, std::size_t threads) {
+  TRACON_REQUIRE(!args.has("prof") || threads == 1,
+                 "--prof requires --threads 1: the profiling accumulators "
+                 "are not synchronized across shard workers");
+}
+
 int cmd_static(const ArgParser& args) {
+  const std::size_t machines = args.get_count("machines", 16, 1);
+  const workload::MixKind mix = mix_from(args);
+  const SchedulerChoice choice =
+      scheduler_choice(args, args.get_count("queue", 8, 1));
   core::Tracon sys = make_system(args, true);
-  auto machines = static_cast<std::size_t>(args.get_int("machines", 16));
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 7);
-  auto tasks = workload::sample_task_indices(mix_from(args), 2 * machines,
-                                             rng);
+  auto tasks = workload::sample_task_indices(mix, 2 * machines, rng);
   double fifo_rt = 0, fifo_io = 0;
   constexpr int kRepeats = 20;
   for (int r = 0; r < kRepeats; ++r) {
@@ -468,7 +460,7 @@ int cmd_static(const ArgParser& args) {
     fifo_rt += o.total_runtime / kRepeats;
     fifo_io += o.total_iops / kRepeats;
   }
-  auto sched = scheduler_from(args, sys, true);
+  auto sched = make_scheduler(sys, choice, true);
   auto o = sim::run_static(sys.perf_table(), *sched, tasks, machines);
   std::printf("%s on %zu machines, %zu %s tasks:\n", sched->name().c_str(),
               machines, tasks.size(), args.get("mix", "medium").c_str());
@@ -480,200 +472,200 @@ int cmd_static(const ArgParser& args) {
   return 0;
 }
 
-/// Owns the optional per-run instrumentation the snapshot/confidence
-/// flags hang off one dynamic run: the snapshot sampler, the rolling
-/// accuracy windows, and (with --confidence-weighting) the ensemble's
-/// family tables, the ensemble itself, and the MIX scheduler bound to
-/// it. DynamicConfig holds raw pointers into this, so it must outlive
-/// the run — callers keep it on the stack and pass it by reference.
-struct RunInstruments {
-  std::optional<obs::SnapshotSeries> series;
-  std::optional<obs::WindowedAccuracy> win_runtime;
-  std::optional<obs::WindowedAccuracy> win_iops;
-  std::vector<sched::TablePredictor> family_tables;
-  std::vector<std::string> family_names;
-  std::unique_ptr<sched::ConfidenceWeightedPredictor> confidence;
-  std::unique_ptr<sched::Scheduler> scheduler;  ///< set iff confidence on
+/// One simulated run of `dynamic`, `record` or `replay`: the engine
+/// configuration its flags describe, the provenance its fingerprint
+/// records, and the sinks it writes.
+struct Run {
+  sim::ShardedConfig cfg;  ///< sink pointers are wired by simulate()
+  SchedulerChoice scheduler;
+  /// `record`/`replay`: metrics always on (the run store keeps them),
+  /// --decisions/--spans record the logs for the store, and --trace is
+  /// not a task-event sink (replay reads its input trace from it).
+  bool store = false;
+  bool telemetry = false;        ///< record into `tel`
+  bool task_events = false;      ///< record into `trace`
+  bool confidence = false;       ///< --confidence-weighting
+  bool candidate_index = false;  ///< --candidate-index
+  std::size_t accuracy_window = 64;
+  std::string host = "paper";
+  std::string model = "nlm";  ///< CLI token, as --model takes it
+  std::string source = "live";
+  obs::Telemetry tel;
+  sim::TraceRecorder trace;
 };
 
-/// Wires --snapshot-interval / --series-out / --confidence-weighting /
-/// --accuracy-window into `cfg`. Mutates nothing when none of those
-/// flags are present, which is what keeps flag-off runs byte-identical
-/// to the pre-snapshot CLI.
-void instrument_run(const ArgParser& args, const core::Tracon& sys,
-                    sim::DynamicConfig& cfg, obs::Telemetry& tel,
-                    std::size_t default_queue, RunInstruments& inst) {
-  const auto window =
-      static_cast<std::size_t>(args.get_int("accuracy-window", 64));
-  if (args.has("confidence-weighting")) {
-    TRACON_REQUIRE(args.get("scheduler", "mibs") == "mix",
-                   "--confidence-weighting requires --scheduler mix");
-    const model::ModelKind kinds[] = {model::ModelKind::kWmm,
-                                      model::ModelKind::kLinear,
-                                      model::ModelKind::kNonlinear};
-    inst.family_tables.reserve(std::size(kinds));
-    inst.family_names.reserve(std::size(kinds));
-    for (model::ModelKind kind : kinds) {
-      inst.family_tables.push_back(sys.train_predictor(kind));
-      inst.family_names.push_back(model::model_kind_metric_family(kind));
-    }
-    std::vector<sched::ConfidenceWeightedPredictor::Family> families;
-    families.reserve(inst.family_tables.size());
-    for (std::size_t f = 0; f < inst.family_tables.size(); ++f)
-      families.push_back({inst.family_names[f], &inst.family_tables[f]});
-    sched::ConfidenceConfig ccfg;
-    ccfg.window = window;
-    inst.confidence = std::make_unique<sched::ConfidenceWeightedPredictor>(
-        std::move(families), ccfg);
-    inst.confidence->set_metrics(&tel.metrics);
-    cfg.outcome_observer = inst.confidence.get();
-    // The cumulative accuracy tracker scores the blend itself.
-    cfg.accuracy_probe = inst.confidence.get();
-    cfg.accuracy_family = "confidence";
-    auto objective = args.get("objective", "rt") == "io"
-                         ? sched::Objective::kIops
-                         : sched::Objective::kRuntime;
-    const std::size_t queue = args.get_count("queue", default_queue, 1);
-    inst.scheduler = std::make_unique<sched::MixScheduler>(
-        *inst.confidence, objective, queue, 60.0, sched::PlacementPolicy{});
+/// Reads every flag of a run besides its shape (already in run.cfg)
+/// and checks their combinations, all before make_system: a bad value
+/// fails with a message naming the flag before any set-up work.
+void read_run_flags(const ArgParser& args, Run& run) {
+  sim::ShardedConfig& cfg = run.cfg;
+  run.scheduler = scheduler_choice(args, cfg.queue_capacity);
+  run.confidence = args.has("confidence-weighting");
+  run.candidate_index = args.has("candidate-index");
+  run.accuracy_window = args.get_count("accuracy-window", 64, 1);
+  run.host = args.get("host", run.host);
+  run.model = args.get("model", run.model);
+  TRACON_REQUIRE(
+      !run.confidence || run.scheduler.kind == core::SchedulerKind::kMix,
+      "--confidence-weighting requires --scheduler mix");
+  TRACON_REQUIRE(!run.candidate_index || !run.confidence,
+                 "--candidate-index is built over the trained table "
+                 "predictor and cannot wrap the confidence ensemble");
+  check_prof(args, cfg.threads);
+  cfg.rebalance = rebalance_from(args, &cfg.rebalance_cfg);
+  const bool series = args.has("snapshot-interval") || args.has("series-out");
+  if (series)
+    cfg.snapshot_interval_s = args.get_positive("snapshot-interval", 600.0);
+
+  obs::Telemetry& tel = run.tel;
+  tel.tracer.set_enabled(args.has("trace-out") || args.has("trace-jsonl"));
+  tel.decisions.set_enabled(args.has("decisions-out") ||
+                            (run.store && args.has("decisions")));
+  tel.spans.set_enabled(args.has("spans-out") ||
+                        (run.store && args.has("spans")));
+  run.telemetry = run.store || series || run.confidence ||
+                  args.has("metrics-out") || args.has("metrics-csv") ||
+                  tel.tracer.enabled() || tel.decisions.enabled() ||
+                  tel.spans.enabled();
+  run.task_events =
+      args.has("events-jsonl") || (!run.store && args.has("trace"));
+}
+
+/// Stamps the run-identity block every metrics export carries — enough
+/// to tell two stored runs apart and to reproduce either one — and
+/// copies it onto the decision and span logs without the execution
+/// shape: DESIGN.md §6g/§6i keep those logs byte-identical across
+/// `--threads N`. A 1-shard run is the same simulated system however it
+/// was invoked, so only a multi-shard run records threads and shards.
+void stamp_fingerprint(Run& run, const sim::ShardedConfig& cfg,
+                       const sim::ShardedOutcome& o,
+                       const std::string& scheduler) {
+  obs::MetricsRegistry& m = run.tel.metrics;
+  m.set_fingerprint("seed", std::to_string(cfg.seed));
+  m.set_fingerprint("scheduler", scheduler);
+  m.set_fingerprint("machines", std::to_string(cfg.machines));
+  m.set_fingerprint("mix", workload::mix_name(cfg.mix));
+  m.set_fingerprint("host", run.host);
+  m.set_fingerprint("model", run.model);
+  m.set_fingerprint("source", run.source);
+  m.set_fingerprint("build", TRACON_GIT_DESCRIBE);
+  if (run.confidence) m.set_fingerprint("confidence", "on");
+  if (cfg.rebalance) {
+    m.set_fingerprint("rebalance", "on");
+    m.set_fingerprint("rebalance_interval",
+                      obs::json_number(cfg.rebalance_cfg.interval_s));
   }
-  if (args.has("snapshot-interval") || args.has("series-out")) {
-    inst.series.emplace(tel.metrics,
-                        args.get_double("snapshot-interval", 600.0));
-    cfg.snapshots = &*inst.series;
-    if (inst.confidence != nullptr) {
-      for (std::size_t f = 0; f < inst.confidence->num_families(); ++f) {
-        const std::string& fam = inst.confidence->family_name(f);
-        inst.series->track_accuracy("model." + fam + ".runtime",
-                                    &inst.confidence->runtime_window(f));
-        inst.series->track_accuracy("model." + fam + ".iops",
-                                    &inst.confidence->iops_window(f));
-      }
-    } else {
-      inst.win_runtime.emplace(window);
-      inst.win_iops.emplace(window);
-      cfg.windowed_runtime = &*inst.win_runtime;
-      cfg.windowed_iops = &*inst.win_iops;
-      const std::string fam = obs::metric_path_component(cfg.accuracy_family);
-      inst.series->track_accuracy("model." + fam + ".runtime",
-                                  &*inst.win_runtime);
-      inst.series->track_accuracy("model." + fam + ".iops",
-                                  &*inst.win_iops);
-    }
+  for (const auto& [key, value] : m.fingerprint()) {
+    run.tel.decisions.set_fingerprint(key, value);
+    run.tel.spans.set_fingerprint(key, value);
+  }
+  if (o.shards > 1) {
+    m.set_fingerprint("threads", std::to_string(o.threads_used));
+    m.set_fingerprint("shards", std::to_string(o.shards));
   }
 }
 
-/// `tracon dynamic --threads N [--shards K]`: the sharded engine.
-/// Split out of cmd_dynamic so the legacy single-threaded path stays
-/// byte-for-byte what it was; presence of either flag routes here, and
-/// DESIGN.md §7's contract makes every export byte-identical across
-/// thread counts (only the `threads` fingerprint entry differs).
-int cmd_dynamic_sharded(const ArgParser& args) {
-  TRACON_REQUIRE(!args.has("confidence-weighting"),
-                 "--confidence-weighting is not supported with --threads/"
-                 "--shards: the ensemble predictor is stateful and cannot be "
-                 "shared across shard workers");
-  sim::ShardedConfig cfg;
-  read_run_shape(args, cfg);
-  cfg.threads = args.get_count("threads", 1);
-  cfg.shards = args.get_count("shards", 0);
-  TRACON_REQUIRE(!args.has("prof") || cfg.threads == 1,
-                 "--prof requires --threads 1: the profiling accumulators "
-                 "are not synchronized across shard workers");
-  core::Tracon sys = make_system(args, true);
-  if (rebalance_from(args, &cfg.rebalance_cfg)) {
-    cfg.rebalance = true;
-    cfg.rebalance_predictor = &sys.predictor();
-  }
+/// Runs `run` on the engine and stamps its fingerprint. Builds the
+/// per-shard schedulers, the optional candidate index (with a
+/// prediction cache per shard) and, with --confidence-weighting, one
+/// ensemble per shard over WMM/LM/NLM tables trained once and shared
+/// read-only. `scheduler` receives the scheduler's display name.
+sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
+                             std::string& scheduler) {
+  // A working copy: the pointers it gains below point at `run` and at
+  // locals.
+  sim::ShardedConfig cfg = run.cfg;
+  if (run.telemetry) cfg.telemetry = &run.tel;
+  if (run.task_events) cfg.trace = &run.trace;
+  const std::size_t shards = sim::shard_count(cfg);
+  if (cfg.rebalance) cfg.rebalance_predictor = &sys.predictor();
 
-  // Sublinear placement: one shortlist index shared read-only by every
-  // shard (the table predictor's model epoch never changes mid-run)
-  // plus a per-shard prediction cache created serially by the factory.
-  // Placements are bit-identical to the flat scan, so no fingerprint
-  // entry is stamped and exports cmp-equal against exact-scan runs.
+  // Sublinear placement: placements are bit-identical to the flat
+  // scan, so no fingerprint entry is stamped.
   std::optional<sched::CandidateIndex> cindex;
   std::vector<std::unique_ptr<sched::PredictionCache>> caches;
-  if (args.has("candidate-index")) {
+  if (run.candidate_index) {
     cindex.emplace(sys.predictor());
     cfg.candidate_index = &*cindex;
   }
 
-  const bool want_metrics = args.has("metrics-out") || args.has("metrics-csv");
-  const bool want_trace = args.has("trace-out") || args.has("trace-jsonl");
-  const bool want_series =
-      args.has("snapshot-interval") || args.has("series-out");
-  const bool want_decisions = args.has("decisions-out");
-  const bool want_spans = args.has("spans-out");
-  obs::Telemetry tel;
-  sim::TraceRecorder trace;
-  if (args.has("trace") || args.has("events-jsonl")) cfg.trace = &trace;
-  if (want_metrics || want_trace || want_series || want_decisions ||
-      want_spans) {
-    tel.tracer.set_enabled(want_trace);
-    tel.decisions.set_enabled(want_decisions);
-    tel.spans.set_enabled(want_spans);
-    cfg.telemetry = &tel;
+  std::vector<sched::TablePredictor> tables;
+  std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> ensembles;
+  if (run.confidence) {
+    const model::ModelKind kinds[] = {model::ModelKind::kWmm,
+                                      model::ModelKind::kLinear,
+                                      model::ModelKind::kNonlinear};
+    std::vector<sched::ConfidenceWeightedPredictor::Family> families;
+    tables.reserve(std::size(kinds));
+    for (model::ModelKind kind : kinds) {
+      tables.push_back(sys.train_predictor(kind));
+      families.push_back(
+          {model::model_kind_metric_family(kind), &tables.back()});
+    }
+    sched::ConfidenceConfig ccfg;
+    ccfg.window = run.accuracy_window;
+    for (std::size_t i = 0; i < shards; ++i) {
+      ensembles.push_back(
+          std::make_unique<sched::ConfidenceWeightedPredictor>(families, ccfg));
+      cfg.ensembles.push_back(ensembles.back().get());
+    }
+  } else if (run.telemetry) {
     cfg.accuracy_probe = &sys.predictor();
     cfg.accuracy_family = model::model_kind_name(sys.model_kind());
-    cfg.accuracy_window =
-        static_cast<std::size_t>(args.get_int("accuracy-window", 64));
+    cfg.accuracy_window = run.accuracy_window;
   }
-  if (want_series)
-    cfg.snapshot_interval_s = args.get_double("snapshot-interval", 600.0);
 
-  // FIFO normalization baseline over the same decomposition, with its
-  // own counter-derived per-shard seed stream (and no instrumentation).
-  sim::ShardedConfig base_cfg = cfg;
-  base_cfg.trace = nullptr;
-  base_cfg.telemetry = nullptr;
-  base_cfg.accuracy_probe = nullptr;
-  base_cfg.snapshot_interval_s = 0.0;
-  base_cfg.rebalance = false;
-  base_cfg.rebalance_predictor = nullptr;
-  base_cfg.candidate_index = nullptr;
-  auto base = sim::run_dynamic_sharded(
-      sys.perf_table(),
-      [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-        return std::make_unique<sched::FifoScheduler>(
-            derive_stream_seed(cfg.seed + 1, shard));
-      },
-      base_cfg);
-
-  const std::string sched_kind = args.get("scheduler", "mibs");
   auto factory = [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-    if (sched_kind == "fifo") {
-      // The core factory seeds FIFO at seed+1; shards split that
-      // stream the same way the arrival streams split cfg.seed.
-      return std::make_unique<sched::FifoScheduler>(
-          derive_stream_seed(cfg.seed + 1, shard));
+    std::unique_ptr<sched::Scheduler> s;
+    if (run.scheduler.kind == core::SchedulerKind::kFifo) {
+      // The core factory seeds FIFO at seed + 1; shards split that
+      // stream the way the arrival streams split the seed.
+      s = std::make_unique<sched::FifoScheduler>(
+          sim::shard_seed(cfg.seed + 1, shard, shards));
+    } else {
+      const sched::Predictor* predictor = nullptr;
+      if (!ensembles.empty()) {
+        predictor = ensembles[shard].get();
+      } else if (cindex.has_value()) {
+        caches.push_back(
+            std::make_unique<sched::PredictionCache>(sys.predictor()));
+        predictor = caches.back().get();
+      }
+      s = make_scheduler(sys, run.scheduler, false, predictor);
     }
-    if (!cindex.has_value()) return scheduler_from(args, sys, false);
-    caches.push_back(
-        std::make_unique<sched::PredictionCache>(sys.predictor()));
-    return scheduler_from(args, sys, false, 8, caches.back().get());
+    if (scheduler.empty()) scheduler = s->name();
+    return s;
   };
-  std::string sched_name = factory(0)->name();
-  auto o = sim::run_dynamic_sharded(sys.perf_table(), factory, cfg);
+  sim::ShardedOutcome o =
+      sim::run_dynamic_sharded(sys.perf_table(), factory, cfg);
 
-  if (cfg.telemetry != nullptr) {
-    sim::DynamicConfig fp;
-    fp.seed = cfg.seed;
-    fp.machines = cfg.machines;
-    fp.mix = cfg.mix;
-    stamp_fingerprint(tel.metrics, fp, args.get("host", "paper"),
-                      args.get("model", "nlm"), sched_name, "live");
-    tel.metrics.set_fingerprint("threads", std::to_string(o.threads_used));
-    tel.metrics.set_fingerprint("shards", std::to_string(o.shards));
-    if (cfg.rebalance)
-      stamp_rebalance_fingerprint(tel.metrics, cfg.rebalance_cfg);
-    if (want_decisions) stamp_decision_fingerprint(tel);
-    if (want_spans) stamp_span_fingerprint(tel);
-  }
+  if (run.telemetry) stamp_fingerprint(run, cfg, o, scheduler);
+  return o;
+}
 
+/// Completions of the FIFO normalization baseline: a run of the same
+/// shape and decomposition as `cfg`, with FIFO on every shard, no sink
+/// and no rebalancer.
+std::size_t fifo_completed(const core::Tracon& sys,
+                           const sim::ShardedConfig& cfg) {
+  Run base;
+  base.cfg = cfg;
+  base.cfg.snapshot_interval_s = 0.0;
+  base.cfg.rebalance = false;
+  base.scheduler.kind = core::SchedulerKind::kFifo;
+  std::string name;
+  return simulate(sys, base, name).total.completed;
+}
+
+/// Writes every export file the flags name, with a "written to" line
+/// each. Returns false when a file cannot be opened.
+bool write_exports(const ArgParser& args, const Run& run,
+                   const sim::ShardedOutcome& o) {
   auto write_file = [&](const char* flag, const char* what,
                         auto&& writer) -> bool {
+    if (!args.has(flag)) return true;
     std::string path = args.get(flag);
-    std::ofstream f(path);
+    std::ofstream f(path, std::ios::binary);
     if (!f) {
       std::fprintf(stderr, "cannot open %s file '%s'\n", what, path.c_str());
       return false;
@@ -682,202 +674,68 @@ int cmd_dynamic_sharded(const ArgParser& args) {
     std::printf("%s written to %s\n", what, path.c_str());
     return true;
   };
-  bool io_ok = true;
-  if (args.has("metrics-out"))
-    io_ok &= write_file("metrics-out", "metrics JSON",
-                        [&](std::ostream& f) { tel.metrics.write_json(f); });
-  if (args.has("metrics-csv"))
-    io_ok &= write_file("metrics-csv", "metrics CSV",
-                        [&](std::ostream& f) { tel.metrics.write_csv(f); });
-  if (args.has("trace-out"))
-    io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
-      tel.tracer.write_chrome_json(f);
-    });
-  if (args.has("trace-jsonl"))
-    io_ok &= write_file("trace-jsonl", "JSONL trace", [&](std::ostream& f) {
-      tel.tracer.write_jsonl(f);
-    });
-  if (args.has("series-out"))
-    io_ok &= write_file("series-out", "metrics series",
-                        [&](std::ostream& f) { f << o.series; });
-  if (args.has("decisions-out"))
-    io_ok &= write_file("decisions-out", "decision log",
-                        [&](std::ostream& f) { tel.decisions.write(f); });
-  if (args.has("spans-out"))
-    io_ok &= write_file("spans-out", "span log",
-                        [&](std::ostream& f) { tel.spans.write(f); });
-  if (args.has("trace"))
+  const obs::Telemetry& tel = run.tel;
+  bool io_ok = write_file("metrics-out", "metrics JSON", [&](std::ostream& f) {
+    tel.metrics.write_json(f);
+  });
+  io_ok &= write_file("metrics-csv", "metrics CSV",
+                      [&](std::ostream& f) { tel.metrics.write_csv(f); });
+  io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
+    tel.tracer.write_chrome_json(f);
+  });
+  io_ok &= write_file("trace-jsonl", "JSONL trace",
+                      [&](std::ostream& f) { tel.tracer.write_jsonl(f); });
+  io_ok &= write_file("series-out", "metrics series",
+                      [&](std::ostream& f) { f << o.series; });
+  io_ok &= write_file("decisions-out", "decision log",
+                      [&](std::ostream& f) { tel.decisions.write(f); });
+  io_ok &= write_file("spans-out", "span log",
+                      [&](std::ostream& f) { tel.spans.write(f); });
+  if (!run.store)
     io_ok &= write_file("trace", "task-event CSV",
-                        [&](std::ostream& f) { trace.write_csv(f); });
-  if (args.has("events-jsonl"))
-    io_ok &= write_file("events-jsonl", "task-event JSONL",
-                        [&](std::ostream& f) { trace.write_jsonl(f); });
-  if (!io_ok) return 1;
+                        [&](std::ostream& f) { run.trace.write_csv(f); });
+  io_ok &= write_file("events-jsonl", "task-event JSONL",
+                      [&](std::ostream& f) { run.trace.write_jsonl(f); });
+  return io_ok;
+}
 
-  std::printf("%s: %zu machines, %zu shards, %zu threads, lambda=%.0f/min, "
-              "%.1f h, %s mix\n",
-              sched_name.c_str(), cfg.machines, o.shards, o.threads_used,
-              cfg.lambda_per_min, cfg.duration_s / 3600.0,
-              workload::mix_name(cfg.mix).c_str());
+/// `tracon dynamic`: one engine run. Without --threads/--shards it is
+/// the flat system (one shard); either flag shards the cluster
+/// (default auto_shard_count) onto a worker pool, and DESIGN.md §7's
+/// contract keeps every export byte-identical across thread counts.
+int cmd_dynamic(const ArgParser& args) {
+  Run run;
+  sim::ShardedConfig& cfg = run.cfg;
+  read_run_shape(args, cfg);
+  const bool sharded = args.has("threads") || args.has("shards");
+  cfg.threads = args.get_count("threads", 1);
+  cfg.shards = sharded ? args.get_count("shards", 0) : 1;
+  read_run_flags(args, run);
+  core::Tracon sys = make_system(args, true);
+
+  const std::size_t fifo = fifo_completed(sys, cfg);
+  std::string name;
+  const sim::ShardedOutcome o = simulate(sys, run, name);
+  if (!write_exports(args, run, o)) return 1;
+
+  // Like the fingerprint, the header names the execution shape only
+  // when there is more than one shard.
+  char shape[64] = "";
+  if (o.shards > 1)
+    std::snprintf(shape, sizeof shape, ", %zu shards, %zu threads", o.shards,
+                  o.threads_used);
+  std::printf("%s: %zu machines%s, lambda=%.0f/min, %.1f h, %s mix\n",
+              name.c_str(), cfg.machines, shape, cfg.lambda_per_min,
+              cfg.duration_s / 3600.0, workload::mix_name(cfg.mix).c_str());
   std::printf("  completed %zu (FIFO %zu, normalized %s)\n",
-              o.total.completed, base.total.completed,
-              normalized_text(o.total.completed, base.total.completed)
-                  .c_str());
+              o.total.completed, fifo,
+              normalized_text(o.total.completed, fifo).c_str());
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.total.dropped,
               o.total.total_runtime /
                   static_cast<double>(
                       std::max<std::size_t>(1, o.total.completed)),
               o.total.mean_wait_s);
-  return 0;
-}
-
-int cmd_dynamic(const ArgParser& args) {
-  if (args.has("threads") || args.has("shards"))
-    return cmd_dynamic_sharded(args);
-  sim::DynamicConfig cfg;
-  read_run_shape(args, cfg);
-  TRACON_REQUIRE(!args.has("candidate-index") ||
-                     !args.has("confidence-weighting"),
-                 "--candidate-index is built over the trained table "
-                 "predictor and cannot wrap the confidence ensemble");
-  core::Tracon sys = make_system(args, true);
-
-  auto fifo = sys.make_scheduler(core::SchedulerKind::kFifo,
-                                 sched::Objective::kRuntime);
-  auto base = sim::run_dynamic(sys.perf_table(), *fifo, cfg);
-
-  // Sublinear placement (the FIFO normalization baseline above never
-  // consults an index, so it runs un-indexed either way). Bit-identical
-  // to the flat scan: no fingerprint entry, exports keep their bytes.
-  std::optional<sched::CandidateIndex> cindex;
-  std::optional<sched::PredictionCache> pcache;
-  if (args.has("candidate-index")) {
-    cindex.emplace(sys.predictor());
-    cfg.candidate_index = &*cindex;
-    pcache.emplace(sys.predictor());
-  }
-  const sched::Predictor* pover = pcache.has_value() ? &*pcache : nullptr;
-  sim::TraceRecorder trace;
-  if (args.has("trace") || args.has("events-jsonl")) cfg.trace = &trace;
-
-  // Rebalancing applies to the chosen-scheduler run only — the FIFO
-  // pass above stays the un-rebalanced normalization baseline.
-  migrate::RebalanceConfig reb_cfg;
-  const bool want_rebalance = rebalance_from(args, &reb_cfg);
-  std::optional<migrate::Rebalancer> rebalancer;
-  if (want_rebalance) {
-    rebalancer.emplace(sys.predictor(), reb_cfg);
-    cfg.rebalancer = &*rebalancer;
-  }
-
-  // Telemetry wraps only the chosen-scheduler run (the FIFO pass above
-  // is just the normalization baseline).
-  const bool want_metrics = args.has("metrics-out") || args.has("metrics-csv");
-  const bool want_trace = args.has("trace-out") || args.has("trace-jsonl");
-  const bool want_series =
-      args.has("snapshot-interval") || args.has("series-out");
-  const bool want_confidence = args.has("confidence-weighting");
-  const bool want_decisions = args.has("decisions-out");
-  const bool want_spans = args.has("spans-out");
-  obs::Telemetry tel;
-  RunInstruments inst;
-  std::unique_ptr<sched::Scheduler> sched;
-  if (want_metrics || want_trace || want_series || want_confidence ||
-      want_decisions || want_spans) {
-    tel.tracer.set_enabled(want_trace);
-    tel.decisions.set_enabled(want_decisions);
-    tel.spans.set_enabled(want_spans);
-    cfg.telemetry = &tel;
-    cfg.accuracy_probe = &sys.predictor();
-    cfg.accuracy_family = model::model_kind_name(sys.model_kind());
-    instrument_run(args, sys, cfg, tel, 8, inst);
-    sched = inst.scheduler != nullptr
-                ? std::move(inst.scheduler)
-                : scheduler_from(args, sys, false, 8, pover);
-    sched->set_telemetry(&tel);
-    stamp_fingerprint(tel.metrics, cfg, args.get("host", "paper"),
-                      args.get("model", "nlm"), sched->name(), "live");
-    if (want_confidence) tel.metrics.set_fingerprint("confidence", "on");
-    if (want_rebalance) stamp_rebalance_fingerprint(tel.metrics, reb_cfg);
-    if (want_decisions) stamp_decision_fingerprint(tel);
-    if (want_spans) stamp_span_fingerprint(tel);
-  } else {
-    sched = scheduler_from(args, sys, false, 8, pover);
-  }
-
-  auto o = sim::run_dynamic(sys.perf_table(), *sched, cfg);
-
-  auto write_file = [&](const char* flag, const char* what,
-                        auto&& writer) -> bool {
-    std::string path = args.get(flag);
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s file '%s'\n", what, path.c_str());
-      return false;
-    }
-    writer(f);
-    std::printf("%s written to %s\n", what, path.c_str());
-    return true;
-  };
-  bool io_ok = true;
-  if (args.has("metrics-out"))
-    io_ok &= write_file("metrics-out", "metrics JSON",
-                        [&](std::ostream& f) { tel.metrics.write_json(f); });
-  if (args.has("metrics-csv"))
-    io_ok &= write_file("metrics-csv", "metrics CSV",
-                        [&](std::ostream& f) { tel.metrics.write_csv(f); });
-  if (args.has("trace-out"))
-    io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
-      tel.tracer.write_chrome_json(f);
-    });
-  if (args.has("trace-jsonl"))
-    io_ok &= write_file("trace-jsonl", "JSONL trace", [&](std::ostream& f) {
-      tel.tracer.write_jsonl(f);
-    });
-  if (args.has("series-out"))
-    io_ok &= write_file("series-out", "metrics series", [&](std::ostream& f) {
-      inst.series->write(f);
-    });
-  if (args.has("decisions-out"))
-    io_ok &= write_file("decisions-out", "decision log",
-                        [&](std::ostream& f) { tel.decisions.write(f); });
-  if (args.has("spans-out"))
-    io_ok &= write_file("spans-out", "span log",
-                        [&](std::ostream& f) { tel.spans.write(f); });
-  if (!io_ok) return 1;
-
-  if (args.has("trace")) {
-    std::ofstream f(args.get("trace"));
-    if (!f) {
-      std::fprintf(stderr, "cannot open trace file '%s'\n",
-                   args.get("trace").c_str());
-      return 1;
-    }
-    trace.write_csv(f);
-    std::printf("trace (%zu events) written to %s\n", trace.events().size(),
-                args.get("trace").c_str());
-  }
-  if (args.has("events-jsonl")) {
-    std::ofstream f(args.get("events-jsonl"));
-    if (!f) {
-      std::fprintf(stderr, "cannot open task-event file '%s'\n",
-                   args.get("events-jsonl").c_str());
-      return 1;
-    }
-    trace.write_jsonl(f);
-    std::printf("task events (%zu) written to %s\n", trace.events().size(),
-                args.get("events-jsonl").c_str());
-  }
-  std::printf("%s: %zu machines, lambda=%.0f/min, %.1f h, %s mix\n",
-              sched->name().c_str(), cfg.machines, cfg.lambda_per_min,
-              cfg.duration_s / 3600.0, workload::mix_name(cfg.mix).c_str());
-  std::printf("  completed %zu (FIFO %zu, normalized %s)\n", o.completed,
-              base.completed,
-              normalized_text(o.completed, base.completed).c_str());
-  std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
-              o.dropped, o.total_runtime / std::max<std::size_t>(1, o.completed),
-              o.mean_wait_s);
   return 0;
 }
 
@@ -889,115 +747,43 @@ std::vector<double> solo_demands(const sim::PerfTable& table) {
   return demands;
 }
 
-/// Shared tail of `record` and `replay`: build the scheduler (the
-/// stock one, or the confidence-weighted MIX when the flag is on), run
-/// the simulation over an already-materialized arrival list with
-/// telemetry on, stamp the fingerprint, store the run (plus its
-/// snapshot series when sampled), and print a one-line summary plus
-/// the run id (the id is the last token on stdout, for scripting).
-int run_and_store(const ArgParser& args, core::Tracon& sys,
-                  sim::DynamicConfig& cfg,
-                  std::span<const sim::Arrival> arrivals,
-                  const std::string& host, const std::string& model,
-                  const std::string& source, std::size_t default_queue = 8) {
-  const bool want_decisions =
-      args.has("decisions") || args.has("decisions-out");
-  const bool want_spans = args.has("spans") || args.has("spans-out");
-  obs::Telemetry tel;
-  tel.tracer.set_enabled(false);
-  tel.decisions.set_enabled(want_decisions);
-  tel.spans.set_enabled(want_spans);
-  cfg.telemetry = &tel;
-  cfg.accuracy_probe = &sys.predictor();
-  cfg.accuracy_family = model::model_kind_name(sys.model_kind());
-  migrate::RebalanceConfig reb_cfg;
-  std::optional<migrate::Rebalancer> rebalancer;
-  if (rebalance_from(args, &reb_cfg)) {
-    rebalancer.emplace(sys.predictor(), reb_cfg);
-    cfg.rebalancer = &*rebalancer;
-  }
-  RunInstruments inst;
-  instrument_run(args, sys, cfg, tel, default_queue, inst);
-  std::unique_ptr<sched::Scheduler> sched =
-      inst.scheduler != nullptr
-          ? std::move(inst.scheduler)
-          : scheduler_from(args, sys, false, default_queue);
-  sched->set_telemetry(&tel);
-  auto o = sim::run_dynamic(sys.perf_table(), *sched, cfg, arrivals);
-  stamp_fingerprint(tel.metrics, cfg, host, model, sched->name(), source);
-  if (inst.confidence != nullptr)
-    tel.metrics.set_fingerprint("confidence", "on");
-  if (rebalancer.has_value())
-    stamp_rebalance_fingerprint(tel.metrics, reb_cfg);
-  if (want_decisions) stamp_decision_fingerprint(tel);
-  if (want_spans) stamp_span_fingerprint(tel);
-
-  if (args.has("metrics-out")) {
-    std::string path = args.get("metrics-out");
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot open metrics file '%s'\n", path.c_str());
-      return 1;
-    }
-    tel.metrics.write_json(f);
-  }
-  if (args.has("series-out")) {
-    std::string path = args.get("series-out");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open series file '%s'\n", path.c_str());
-      return 1;
-    }
-    inst.series->write(f);
-    std::printf("metrics series written to %s\n", path.c_str());
-  }
-  if (args.has("decisions-out")) {
-    std::string path = args.get("decisions-out");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open decision-log file '%s'\n",
-                   path.c_str());
-      return 1;
-    }
-    tel.decisions.write(f);
-    std::printf("decision log written to %s\n", path.c_str());
-  }
-  if (args.has("spans-out")) {
-    std::string path = args.get("spans-out");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open span-log file '%s'\n", path.c_str());
-      return 1;
-    }
-    tel.spans.write(f);
-    std::printf("span log written to %s\n", path.c_str());
-  }
-
+/// Shared tail of `record` and `replay`: write the exports, store the
+/// run (plus its snapshot series and logs when recorded), and print a
+/// one-line summary plus the run id (the id is the last token on
+/// stdout, for scripting).
+int store_run(const ArgParser& args, const Run& run,
+              const sim::ShardedOutcome& o, const std::string& scheduler,
+              std::size_t arrivals) {
+  if (!write_exports(args, run, o)) return 1;
+  const obs::Telemetry& tel = run.tel;
   runstore::RunStore store(args.get("store", "runs"));
-  std::string id =
-      store.add_run(tel.metrics, sched->name(), source,
-                    inst.series.has_value() ? inst.series->str() : "",
-                    want_decisions ? tel.decisions.str() : "",
-                    want_spans ? tel.spans.str() : "");
+  std::string id = store.add_run(
+      tel.metrics, scheduler, run.source, o.series,
+      tel.decisions.enabled() ? tel.decisions.str() : "",
+      tel.spans.enabled() ? tel.spans.str() : "");
   std::printf("%s (%s): %zu arrivals, completed %zu, dropped %zu\n",
-              sched->name().c_str(), source.c_str(), arrivals.size(),
-              o.completed, o.dropped);
+              scheduler.c_str(), run.source.c_str(), arrivals,
+              o.total.completed, o.total.dropped);
   std::printf("stored run %s\n", id.c_str());
   return 0;
 }
 
 int cmd_record(const ArgParser& args) {
-  sim::DynamicConfig cfg;
+  Run run;
+  sim::ShardedConfig& cfg = run.cfg;
   read_run_shape(args, cfg);
+  cfg.shards = 1;
+  run.store = true;
+  read_run_flags(args, run);
   core::Tracon sys = make_system(args, true);
 
   replay::ArrivalTraceHeader header;
   header.version = obs::kJsonlSchemaVersion;
   header.seed = cfg.seed;
-  header.host = args.get("host", "paper");
+  header.host = run.host;
   // CLI token, not the display name: `replay` feeds this back through
   // --model parsing.
-  header.model = args.get("model", "nlm");
+  header.model = run.model;
   header.mix = workload::mix_name(cfg.mix);
   header.lambda_per_min = cfg.lambda_per_min;
   header.duration_s = cfg.duration_s;
@@ -1016,15 +802,15 @@ int cmd_record(const ArgParser& args) {
                                     cfg.mix, cfg.mix_stddev, cfg.seed);
   replay::RecordingArrivalSource recording(poisson, writer,
                                            solo_demands(sys.perf_table()));
-  // Materialize once through the tee; both the trace file and the run
-  // below see the same stream.
-  std::vector<sim::Arrival> arrivals = recording.arrivals(header.num_apps);
+  // The engine materializes the root stream once, through the tee: the
+  // trace file and the run see the same stream.
+  cfg.arrival_source = &recording;
+  std::string name;
+  const sim::ShardedOutcome o = simulate(sys, run, name);
   trace_file.close();
   std::printf("trace (%zu arrivals) written to %s\n", writer.written(),
               trace_path.c_str());
-
-  return run_and_store(args, sys, cfg, arrivals, header.host, header.model,
-                       "live");
+  return store_run(args, run, o, name, writer.written());
 }
 
 int cmd_replay(const ArgParser& args) {
@@ -1038,39 +824,43 @@ int cmd_replay(const ArgParser& args) {
                  args.get("trace").c_str());
     return 1;
   }
-  replay::ArrivalTrace trace = replay::load_arrival_trace(in);
-  const replay::ArrivalTraceHeader header = trace.header;
+  replay::TraceArrivalSource source(replay::load_arrival_trace(in));
+  const replay::ArrivalTraceHeader& header = source.header();
 
   // Rebuild the recorded configuration; flags override the header.
   // The flags are checked before the set-up work below.
-  sim::DynamicConfig cfg;
+  Run run;
+  sim::ShardedConfig& cfg = run.cfg;
   cfg.machines = args.get_count("machines", header.machines, 1);
   cfg.lambda_per_min = header.lambda_per_min;
   cfg.duration_s = header.duration_s;
   cfg.mix = mix_by_name(header.mix);
   cfg.queue_capacity = args.get_count("queue", header.queue_capacity, 1);
   cfg.seed = header.seed;
+  cfg.shards = 1;
+  run.store = true;
+  run.host = header.host;
+  run.model = header.model;
+  run.source = "trace";
+  read_run_flags(args, run);
 
-  const std::string host = args.get("host", header.host);
   core::TraconConfig tcfg;
-  tcfg.host = host_by_name(host);
+  tcfg.host = host_by_name(run.host);
   tcfg.seed = header.seed;
-  const std::string model = args.get("model", header.model);
+  const model::ModelKind kind = model_by_name(run.model);
   core::Tracon sys(tcfg);
   sys.register_applications(workload::paper_benchmarks());
-  sys.train(model_by_name(model));
+  sys.train(kind);
 
-  replay::TraceArrivalSource source(std::move(trace));
   if (!source.validate_demands(solo_demands(sys.perf_table()))) {
     std::fprintf(stderr,
                  "warning: recorded service demands do not match this host's "
                  "perf table; replaying the recorded arrival stream anyway\n");
   }
-  std::vector<sim::Arrival> arrivals =
-      source.arrivals(sys.perf_table().num_apps());
-
-  return run_and_store(args, sys, cfg, arrivals, host, model, "trace",
-                       header.queue_capacity);
+  cfg.arrival_source = &source;
+  std::string name;
+  const sim::ShardedOutcome o = simulate(sys, run, name);
+  return store_run(args, run, o, name, source.trace().arrivals.size());
 }
 
 int cmd_runs(const ArgParser& args) {
@@ -1840,36 +1630,40 @@ int cmd_profile(const ArgParser& args) {
   return 0;
 }
 
+/// `tracon hierarchy`: the paper's manager tree (Section 3) — one shard
+/// of --machines machines per manager, fed one root arrival stream
+/// split by --routing.
 int cmd_hierarchy(const ArgParser& args) {
+  const std::size_t managers = args.get_count("managers", 4, 1);
+  sim::ShardedConfig cfg;
+  read_run_shape(args, cfg, 16);
+  const std::size_t per_manager = cfg.machines;
+  TRACON_REQUIRE(per_manager <= std::numeric_limits<std::size_t>::max() /
+                                    managers,
+                 "flag --managers times flag --machines overflows");
+  cfg.machines = managers * per_manager;
+  cfg.shards = managers;
+  cfg.threads = args.get_count("threads", 1);
+  const std::string routing = args.get("routing", "rr");
+  if (routing == "rr") cfg.routing = sim::Routing::kRoundRobin;
+  else if (routing == "random") cfg.routing = sim::Routing::kRandom;
+  else
+    throw std::invalid_argument("flag --routing must be rr|random, got '" +
+                                routing + "'");
+  check_prof(args, cfg.threads);
+  const SchedulerChoice choice = scheduler_choice(args, cfg.queue_capacity);
   core::Tracon sys = make_system(args, true);
-  sim::HierarchyConfig cfg;
-  cfg.managers = static_cast<std::size_t>(args.get_int("managers", 4));
-  cfg.machines_per_manager =
-      static_cast<std::size_t>(args.get_int("machines", 16));
-  cfg.lambda_per_min = args.get_double("lambda", 100.0);
-  cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
-  cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.routing = args.get("routing", "rr") == "random"
-                    ? sim::Routing::kRandom
-                    : sim::Routing::kRoundRobin;
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 1));
 
-  auto outcome = sim::run_hierarchical(
+  auto o = sim::run_dynamic_sharded(
       sys.perf_table(),
-      [&](std::size_t) {
-        return scheduler_from(args, sys, false);
-      },
-      cfg);
+      [&](std::size_t) { return make_scheduler(sys, choice, false); }, cfg);
   std::printf("%zu managers x %zu machines, lambda=%.0f/min total, %s mix\n",
-              cfg.managers, cfg.machines_per_manager, cfg.lambda_per_min,
+              managers, per_manager, cfg.lambda_per_min,
               workload::mix_name(cfg.mix).c_str());
   std::printf("  completed %zu   dropped %zu   imbalance %.3f\n",
-              outcome.total.completed, outcome.total.dropped,
-              outcome.completion_imbalance());
-  for (std::size_t m = 0; m < outcome.per_manager.size(); ++m) {
-    const auto& pm = outcome.per_manager[m];
+              o.total.completed, o.total.dropped, o.completion_imbalance());
+  for (std::size_t m = 0; m < o.per_shard.size(); ++m) {
+    const auto& pm = o.per_shard[m];
     std::printf("  manager %zu: completed %zu dropped %zu\n", m,
                 pm.completed, pm.dropped);
   }
