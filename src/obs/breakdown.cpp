@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace tracon::obs {
 
 namespace {
@@ -89,8 +91,12 @@ BreakdownReport breakdown(const SpanDoc& doc, double window_s) {
     fold_cell(row, &report.total);
     fold_cell(row, &report.by_app[row.app]);
     if (window_s > 0.0) {
-      const auto window = static_cast<std::uint64_t>(row.complete_s / window_s);
-      fold_cell(row, &report.by_window[window]);
+      const double window = row.complete_s / window_s;
+      // 0x1p64 is the first index a uint64_t cannot hold.
+      TRACON_REQUIRE(window >= 0.0 && window < 0x1p64,
+                     "breakdown window index must fit in uint64_t; the "
+                     "window is too small for this run");
+      fold_cell(row, &report.by_window[static_cast<std::uint64_t>(window)]);
     }
     report.rows.push_back(row);
   }

@@ -13,7 +13,7 @@
 //     the same name-based lookup API; call sites do not change.
 //
 // Metric names are dotted snake_case paths ("sched.mios.decisions"),
-// validated at registration and enforced on literals by tracon_lint's
+// validated at registration and enforced on literals by tracon_analyze's
 // metric-name rule.
 #pragma once
 

@@ -2,8 +2,8 @@
 // stepwise selection, MIX rotation, host-sim advance).
 //
 // This is the ONE place in the library allowed to read a wall clock
-// (tracon_lint exempts src/obs/scope_timer explicitly — see
-// lint_rules.cpp). Profiling is opt-in: until
+// (tracon_analyze's determinism rule exempts src/obs/scope_timer
+// explicitly). Profiling is opt-in: until
 // ProfRegistry::global().set_enabled(true) a TRACON_PROF_SCOPE costs a
 // single branch, and nothing wall-clock-dependent ever reaches the
 // deterministic metrics/trace exports — the report is a separate,

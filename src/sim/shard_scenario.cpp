@@ -148,10 +148,10 @@ std::string merge_series(const std::vector<ShardState>& states) {
 void track_family(obs::SnapshotSeries& series, const std::string& family,
                   const obs::WindowedAccuracy* runtime,
                   const obs::WindowedAccuracy* iops) {
-  // The composed path is validated by track_accuracy itself.
-  // tracon-lint: allow(metric-name)
+  // TRACON_ANALYZE_ALLOW(metric-name): the composed path is validated
+  // by track_accuracy itself.
   series.track_accuracy("model." + family + ".runtime", runtime);
-  // tracon-lint: allow(metric-name)
+  // TRACON_ANALYZE_ALLOW(metric-name): validated the same way.
   series.track_accuracy("model." + family + ".iops", iops);
 }
 

@@ -17,8 +17,8 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   parse(args);
 }
 
-// Validation happens in parse(); an empty args vector is legitimate.
-// tracon-lint: allow(require-guard)
+// TRACON_ANALYZE_ALLOW(require-guard): validation happens in parse();
+// an empty args vector is legitimate.
 ArgParser::ArgParser(const std::vector<std::string>& args) { parse(args); }
 
 void ArgParser::parse(const std::vector<std::string>& args) {

@@ -16,11 +16,14 @@
 #      longer run still prints the ratio with three decimals;
 #   4. one shard is one system: `--threads N` on a cluster that resolves
 #      to one shard prints exactly the flag-free run's stdout, and
-#      --confidence-weighting runs sharded.
+#      --confidence-weighting runs sharded;
+#   5. `breakdown --window` and `attribution --top` reject NaN, negative
+#      and overflowing values; valid ones print tests/data/cli_* exactly.
 set -euo pipefail
 
 TRACON=$1
 GOLDEN=$2
+DATA=$(dirname "$GOLDEN")
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -147,5 +150,18 @@ grep -q "completed" confidence.log || {
   cat confidence.log
   exit 1
 }
+
+echo "== breakdown --window and attribution --top are validated =="
+"$TRACON" dynamic --machines 4 --lambda 6 --hours 0.5 --spans-out spans.jsonl \
+    --decisions-out decisions.jsonl > provenance.log
+expect_rejected window breakdown --spans spans.jsonl --window nan --json
+expect_rejected window breakdown --spans spans.jsonl --window -60
+expect_error "must fit in uint64_t" breakdown --spans spans.jsonl \
+    --window 1e-300
+expect_rejected top attribution --decisions decisions.jsonl --top -1
+"$TRACON" breakdown --spans spans.jsonl --window 600 --json > breakdown.json
+diff breakdown.json "$DATA/cli_breakdown_window600.json"
+"$TRACON" attribution --decisions decisions.jsonl --top 3 > attribution.txt
+diff attribution.txt "$DATA/cli_attribution_top3.txt"
 
 echo "cli_smoke: all checks passed"

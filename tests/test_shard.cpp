@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>  // tracon-lint: allow(raw-thread)
+#include <atomic>
 #include <sstream>
 
 #include "sched/fifo.hpp"

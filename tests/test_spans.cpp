@@ -252,6 +252,17 @@ TEST(Breakdown, WindowAggregationBucketsByCompletionTime) {
   EXPECT_EQ(r.by_window.at(2).tasks, 1u);  // completes at 600
 }
 
+TEST(Breakdown, RejectsAWindowWhoseIndexOverflows) {
+  SpanDoc doc;
+  doc.version = 2;
+  doc.events = {make_span(SpanEvent::Kind::kRunning, 1, 0.0, 600.0, 0, 0),
+                make_span(SpanEvent::Kind::kCompleted, 1, 600.0, 600.0, 0, 0)};
+  // 600 s in 1e-300 s windows is index 6e302, far past 2^64; 1e-15 s
+  // windows (index 6e17) still fit.
+  EXPECT_THROW(obs::breakdown(doc, 1e-300), std::invalid_argument);
+  EXPECT_EQ(obs::breakdown(doc, 1e-15).by_window.size(), 1u);
+}
+
 TEST(CriticalPath, WalksSameMachinePredecessors) {
   SpanDoc doc;
   doc.version = 2;
@@ -395,7 +406,9 @@ TEST(SpanSharding, FourThreadsByteIdenticalToOne) {
     // Merged spans carry globally re-indexed machine ids and still
     // tile per task (breakdown throws otherwise).
     for (const SpanEvent& e : doc.events) {
-      if (e.machine != SpanEvent::kNoMachine) EXPECT_LT(e.machine, 26u);
+      if (e.machine != SpanEvent::kNoMachine) {
+        EXPECT_LT(e.machine, 26u);
+      }
     }
     obs::BreakdownReport r = obs::breakdown(doc);
     EXPECT_GT(r.rows.size(), 0u);

@@ -40,18 +40,45 @@ const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> kRules = {
       {"layering",
        "module includes must follow the layer DAG (no upward or "
-       "same-layer cross edges, no include cycles)"},
+       "same-layer cross edges, no include cycles)",
+       pass_layering},
       {"mutable-global",
        "no non-const namespace-scope variables or non-const static "
-       "locals in src/"},
+       "locals in src/",
+       pass_mutable_global},
       {"determinism-taint",
        "no nondeterminism source (wall clock, global RNG, unordered "
        "iteration, pointer-keyed ordering, thread identity) may share "
        "a translation unit with an emitter (src/obs, src/replay, "
-       "src/runstore)"},
+       "src/runstore)",
+       pass_determinism_taint},
       {"parallel-discipline",
        "parallel_for bodies may mutate by-reference captures only "
-       "through shard indexing or local declarations"},
+       "through shard indexing or local declarations",
+       pass_parallel_discipline},
+      {"determinism",
+       "no RNG/wall-clock calls in sim, virt, sched, migrate, obs, "
+       "replay, runstore (except the scope-timer profiler)",
+       pass_determinism},
+      {"float-eq",
+       "no ==/!= against floating-point literals outside src/stats",
+       pass_float_eq},
+      {"iostream", "library code logs through util/log, not iostream",
+       pass_iostream},
+      {"pragma-once", "headers open with #pragma once", pass_pragma_once},
+      {"include-order",
+       "own header first, then <system>, then \"project\", each sorted",
+       pass_include_order},
+      {"require-guard",
+       "argument-taking constructors validate with TRACON_REQUIRE",
+       pass_require_guard},
+      {"metric-name",
+       "metric/scope/event name literals are dotted snake_case paths",
+       pass_metric_name},
+      {"raw-thread",
+       "raw threading primitives quarantined to src/util/, "
+       "src/sim/shard_*, and src/obs/scope_timer",
+       pass_raw_thread},
   };
   return kRules;
 }
@@ -144,16 +171,12 @@ std::vector<Finding> Reporter::take_findings() {
 
 AnalysisResult run_passes(const Project& project,
                           const std::vector<std::string>& rules) {
-  auto wants = [&](const char* rule) {
-    return rules.empty() ||
-           std::find(rules.begin(), rules.end(), rule) != rules.end();
-  };
   Reporter reporter(project);
-  if (wants("layering")) pass_layering(project, reporter);
-  if (wants("mutable-global")) pass_mutable_global(project, reporter);
-  if (wants("determinism-taint")) pass_determinism_taint(project, reporter);
-  if (wants("parallel-discipline")) {
-    pass_parallel_discipline(project, reporter);
+  for (const RuleInfo& rule : rule_catalog()) {
+    if (rules.empty() ||
+        std::find(rules.begin(), rules.end(), rule.name) != rules.end()) {
+      rule.run(project, reporter);
+    }
   }
 
   AnalysisResult result;

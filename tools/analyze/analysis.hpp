@@ -1,9 +1,8 @@
-// tracon_analyze: semantic static-analysis framework for the TRACON
-// tree. Where tracon_lint matches line regexes, this layer parses —
-// a real token stream (tools/analyze/tokenizer.hpp), the project
-// include graph (tools/analyze/include_graph.hpp), and a per-file
-// symbol scan — and feeds a pass pipeline that enforces the repo's two
-// architectural contracts statically:
+// tracon_analyze: static analysis for the TRACON tree. It parses — a
+// real token stream (tools/analyze/tokenizer.hpp), the project include
+// graph (tools/analyze/include_graph.hpp), and a per-file symbol scan —
+// and feeds a pass pipeline that enforces the repo's two architectural
+// contracts statically:
 //
 //   layering             the module DAG (util -> obs -> stats/virt ->
 //                        workload/monitor -> model -> sched -> sim ->
@@ -27,6 +26,26 @@
 //                        (written through `[i]`) or locally declared;
 //                        anything else is a cross-shard race that the
 //                        determinism CI sweep may or may not catch.
+//
+// Beside those sit the per-file src/ conventions no generic tool knows
+// about (pass_determinism_taint.cpp and pass_conventions.cpp):
+//
+//   determinism          no global RNG or wall-clock read in simulation
+//                        code (src/{sim,virt,sched,obs,migrate,replay,
+//                        runstore}), whether or not it reaches an
+//                        emitter; src/obs/scope_timer is exempt.
+//   float-eq             no ==/!= against floating-point literals
+//                        outside src/stats.
+//   iostream             library code logs through util/log.
+//   pragma-once          every header opens with #pragma once.
+//   include-order        own header first, then <system>, then
+//                        "project", each block sorted.
+//   require-guard        argument-taking out-of-line constructors
+//                        validate with TRACON_REQUIRE.
+//   metric-name          metric/scope/event name literals are dotted
+//                        snake_case paths.
+//   raw-thread           threading primitives stay in src/util/,
+//                        src/sim/shard_* and src/obs/scope_timer.
 //
 // A finding is suppressed by a comment of the form
 //
@@ -58,14 +77,6 @@ struct Finding {
   std::string rule;
   std::string message;
 };
-
-struct RuleInfo {
-  std::string name;
-  std::string summary;
-};
-
-/// The four passes, in pipeline order.
-const std::vector<RuleInfo>& rule_catalog();
 
 /// Parsed, indexed view of a file: tokens, per-line comments, quoted
 /// includes, and its module in the layer DAG.
@@ -117,6 +128,16 @@ class Reporter {
   std::vector<Finding> findings_;
   std::size_t suppressed_ = 0;
 };
+
+struct RuleInfo {
+  std::string name;
+  std::string summary;
+  void (*run)(const Project& project, Reporter& reporter);
+};
+
+/// Every rule, in pipeline order: the four architectural passes, then
+/// the per-file src/ conventions.
+const std::vector<RuleInfo>& rule_catalog();
 
 struct AnalysisResult {
   std::vector<Finding> findings;  ///< sorted by (file, line, rule, message)

@@ -7,7 +7,7 @@ namespace tracon::analyze {
 
 namespace {
 
-/// "src/sim/x.cpp" -> "sim"; "tools/lint/x.cpp" -> "tools".
+/// "src/sim/x.cpp" -> "src/sim"; "tools/analyze/x.cpp" -> "tools/analyze".
 std::string dir_of(const std::string& path) {
   std::size_t slash = path.rfind('/');
   return slash == std::string::npos ? std::string() : path.substr(0, slash);

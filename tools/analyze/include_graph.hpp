@@ -21,7 +21,7 @@
 namespace tracon::analyze {
 
 /// Module name for a repo-relative POSIX path: "src/sim/x.cpp" ->
-/// "sim", "tools/lint/x.cpp" -> "tools", "tests/x.cpp" -> "tests",
+/// "sim", "tools/analyze/x.cpp" -> "tools", "tests/x.cpp" -> "tests",
 /// "bench/x.cpp" -> "bench". Empty for anything else.
 std::string module_of(const std::string& path);
 

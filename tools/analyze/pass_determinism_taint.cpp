@@ -1,13 +1,23 @@
-// determinism-taint: the repo's headline contract is that every run
-// replays bit-identically from its seed, so the bytes the system emits
-// (metrics/trace/series/decision-log exports in src/obs, traces in
-// src/replay, stored runs in src/runstore, migration plans in
-// src/migrate) must never be downstream of a nondeterminism source. tracon_lint catches the obvious line hits in
-// a fixed directory list; this pass instead catalogs sources anywhere
-// in src/ and uses the include graph to decide whether each one can
-// share a translation unit with an emitter — if it can, the tainted
-// value has a compile-time path into reproducible output and the
-// finding names the witness TU and emitter.
+// determinism-taint and determinism: the repo's headline contract is
+// that every run replays bit-identically from its seed, so the bytes
+// the system emits (metrics/trace/series/decision-log exports in
+// src/obs, traces in src/replay, stored runs in src/runstore, migration
+// plans in src/migrate) must never be downstream of a nondeterminism
+// source. Both rules read one source catalog.
+//
+// determinism-taint catalogs sources anywhere in src/ and uses the
+// include graph to decide whether each one can share a translation
+// unit with an emitter — if it can, the tainted value has a
+// compile-time path into reproducible output and the finding names
+// the witness TU and emitter.
+//
+// determinism is the directory rule: simulation code
+// (src/{sim,virt,sched,obs,migrate,replay,runstore}) must not read a
+// global RNG, wall clock, environment variable or thread identity at
+// all, even in a file no emitter TU includes today. Its one exemption
+// is src/obs/scope_timer, the opt-in wall-clock profiler whose output
+// never feeds the deterministic exports. Iteration-order hazards are
+// left to determinism-taint: they only matter where bytes are emitted.
 //
 // Source catalog:
 //   * global RNG / entropy: rand, srand, drand48, lrand48, mrand48,
@@ -56,7 +66,8 @@ const std::set<std::string>& bare_sources() {
 
 struct SourceHit {
   std::size_t line = 0;
-  std::string what;  ///< the offending spelling, for the message
+  std::string what;    ///< the offending spelling, for the message
+  bool order = false;  ///< an iteration-order hazard, not a value source
 };
 
 /// True when the first template argument after `map<`/`set<` ends in
@@ -94,7 +105,7 @@ std::vector<SourceHit> scan_sources(const std::vector<Token>& toks) {
         prev && prev->kind == TokKind::kPunct &&
         (prev->text == "." || prev->text == "->");
     if (bare_sources().count(t.text) && !member_access) {
-      hits.push_back({t.line, t.text});
+      hits.push_back({t.line, t.text, t.text.starts_with("unordered_")});
       continue;
     }
     // An identifier directly before (other than `return`) makes this a
@@ -109,13 +120,39 @@ std::vector<SourceHit> scan_sources(const std::vector<Token>& toks) {
     if ((t.text == "map" || t.text == "set") && next &&
         next->kind == TokKind::kPunct && next->text == "<" &&
         pointer_keyed(toks, i + 1)) {
-      hits.push_back({t.line, "pointer-keyed std::" + t.text});
+      hits.push_back({t.line, "pointer-keyed std::" + t.text, true});
     }
   }
   return hits;
 }
 
+/// The determinism rule's directories, minus the profiler.
+bool determinism_scope(const std::string& path) {
+  if (!is_src_source(path) || path.starts_with("src/obs/scope_timer")) {
+    return false;
+  }
+  for (const char* dir : {"src/sim/", "src/virt/", "src/sched/", "src/obs/",
+                          "src/migrate/", "src/replay/", "src/runstore/"}) {
+    if (path.starts_with(dir)) return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+void pass_determinism(const Project& project, Reporter& reporter) {
+  const std::vector<FileIndex>& files = project.files();
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (!determinism_scope(files[i].path)) continue;
+    for (const SourceHit& hit : scan_sources(files[i].ts.tokens)) {
+      if (hit.order) continue;
+      reporter.report(i, hit.line, "determinism",
+                      "global RNG / wall-clock call in simulation code; "
+                      "thread a seeded tracon::Rng or simulated time "
+                      "through instead");
+    }
+  }
+}
 
 void pass_determinism_taint(const Project& project, Reporter& reporter) {
   const std::vector<FileIndex>& files = project.files();

@@ -2,7 +2,7 @@
 // says every index of a parallel_for must touch only its own state —
 // that is what makes the result independent of the thread count. PR 5
 // enforced the perimeter dynamically (CI diffs --threads 1 vs 4) and
-// lexically (tracon_lint's raw-thread quarantine); this pass checks
+// lexically (the raw-thread quarantine); this pass checks
 // the call sites themselves. Inside the lambda passed to
 // parallel_for, any mutation whose base object was captured by
 // reference must be shard-indexed (written through a subscript, e.g.
@@ -21,10 +21,6 @@ namespace tracon::analyze {
 
 namespace {
 
-bool is_punct(const Token& t, const char* text) {
-  return t.kind == TokKind::kPunct && t.text == text;
-}
-
 /// Container/atomic member calls that mutate the receiver.
 const std::set<std::string>& mutating_methods() {
   static const std::set<std::string> kMut = {
@@ -34,18 +30,6 @@ const std::set<std::string>& mutating_methods() {
       "push", "pop", "write", "observe", "inc", "add", "set", "record",
   };
   return kMut;
-}
-
-std::size_t match_forward(const std::vector<Token>& toks, std::size_t open,
-                          const char* open_text, const char* close_text) {
-  std::size_t depth = 0;
-  for (std::size_t i = open; i < toks.size(); ++i) {
-    if (is_punct(toks[i], open_text)) ++depth;
-    if (is_punct(toks[i], close_text)) {
-      if (--depth == 0) return i;
-    }
-  }
-  return toks.size();
 }
 
 std::size_t match_backward(const std::vector<Token>& toks, std::size_t close,

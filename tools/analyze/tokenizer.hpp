@@ -1,14 +1,13 @@
-// Lightweight C++ tokenizer for the tracon_analyze passes (and the
-// tokenizer-backed tracon_lint rules).
+// Lightweight C++ tokenizer for the tracon_analyze passes.
 //
 // This is not a compiler front end: it produces a flat token stream
 // good enough for convention checks — identifiers, pp-numbers, string
-// and character literals (including raw strings, which the old
-// line-regex lint could not see through), and punctuation, each tagged
-// with its 1-based source line. Comments never become tokens; they are
-// collected separately, one entry per physical line, so suppression
-// tags ("this line or the line above") can be matched without
-// re-scanning the source.
+// and character literals (including raw strings, whose content must
+// never read as code), and punctuation, each tagged with its 1-based
+// source line. Comments never become tokens; they are collected
+// separately, one entry per physical line, so suppression tags ("this
+// line or the comment block above") can be matched without re-scanning
+// the source.
 #pragma once
 
 #include <cstddef>

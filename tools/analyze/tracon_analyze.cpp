@@ -1,4 +1,4 @@
-// tracon_analyze — semantic static analysis for the TRACON tree.
+// tracon_analyze — static analysis for the TRACON tree.
 //
 // Usage: tracon_analyze [REPO_ROOT] [options]
 //   REPO_ROOT            tree to scan (default: current directory);
@@ -23,9 +23,10 @@ namespace {
 void print_usage(std::ostream& os) {
   os << "usage: tracon_analyze [REPO_ROOT] [--rule NAME]... [--json FILE]"
         " [--list-rules]\n"
-        "Semantic static analysis: layering, mutable-global,\n"
-        "determinism-taint, parallel-discipline. Suppress a finding with\n"
-        "a comment on the same or preceding line:\n"
+        "Static analysis: the layering, mutable-global, determinism-taint\n"
+        "and parallel-discipline passes plus the src/ conventions (see\n"
+        "--list-rules). Suppress a finding with a comment on the same line\n"
+        "or in the comment block directly above it:\n"
         "  // TRACON_ANALYZE_ALLOW(rule): reason\n";
 }
 

@@ -1334,6 +1334,7 @@ int cmd_attribution(const ArgParser& args) {
   const char* kUsage =
       "usage: tracon attribution (--decisions FILE | <run-id-prefix> "
       "[--store DIR]) [--top N] [--json]\n";
+  const std::size_t top = args.get_count("top", 10);
   obs::DecisionDoc doc;
   std::string label;
   if (int rc = load_decision_doc(args, 1, &doc, &label); rc != 0) {
@@ -1341,7 +1342,6 @@ int cmd_attribution(const ArgParser& args) {
     return rc;
   }
   obs::AttributionReport report = obs::attribute(doc);
-  const auto top = static_cast<std::size_t>(args.get_int("top", 10));
   const std::size_t shown = std::min(top, report.mispredict_order.size());
 
   if (args.has("json")) {
@@ -1452,13 +1452,14 @@ int cmd_breakdown(const ArgParser& args) {
   const char* kUsage =
       "usage: tracon breakdown (--spans FILE | <run-id-prefix> "
       "[--store DIR]) [--window S] [--json]\n";
+  const double window_s = args.get_in_range(
+      "window", 0.0, 0.0, std::numeric_limits<double>::infinity());
   obs::SpanDoc doc;
   std::string label;
   if (int rc = load_span_doc(args, 1, &doc, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
-  const double window_s = args.get_double("window", 0.0);
   obs::BreakdownReport report = obs::breakdown(doc, window_s);
 
   if (args.has("json")) {
