@@ -28,7 +28,6 @@
 #include "bench_common.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/candidate_index.hpp"
-#include "sched/prediction_cache.hpp"
 #include "sim/shard_scenario.hpp"
 #include "stats/matrix.hpp"
 #include "util/parallel.hpp"
@@ -81,13 +80,6 @@ const sched::TablePredictor& shared_oracle() {
   return p;
 }
 
-/// One shared immutable index serves every shard; per-shard state
-/// (clustered availability) lives inside each shard's ClusterCounts.
-const sched::CandidateIndex& shared_index() {
-  static sched::CandidateIndex idx(shared_oracle());
-  return idx;
-}
-
 struct ScalingRow {
   std::size_t machines = 0;
   std::size_t shards = 0;
@@ -102,9 +94,8 @@ struct ScalingRow {
 
 /// One full sharded run; wall-clock measured around run_dynamic_sharded
 /// only (table construction is shared and excluded). With `indexed`,
-/// placements go through the candidate index and each shard's scheduler
-/// reads the oracle through its own PredictionCache — the sublinear
-/// path the CLI enables with --candidate-index.
+/// each shard's scheduler places through its own candidate index — the
+/// default path; without, through the flat reference scan.
 ScalingRow run_once(std::size_t machines, std::size_t threads,
                     double duration_s = 1'800.0, bool indexed = false) {
   const sched::TablePredictor& oracle = shared_oracle();
@@ -114,18 +105,14 @@ ScalingRow run_once(std::size_t machines, std::size_t threads,
   cfg.duration_s = duration_s;
   cfg.seed = 7;
   cfg.threads = threads;
-  if (indexed) cfg.candidate_index = &shared_index();
-  std::vector<std::unique_ptr<sched::PredictionCache>> caches;
   auto start = std::chrono::steady_clock::now();
   sim::ShardedOutcome o = sim::run_dynamic_sharded(
       table(),
       [&](std::size_t) -> std::unique_ptr<sched::Scheduler> {
-        if (!indexed)
-          return std::make_unique<sched::MibsScheduler>(
-              oracle, sched::Objective::kRuntime, 8, 60.0);
-        caches.push_back(std::make_unique<sched::PredictionCache>(oracle));
-        return std::make_unique<sched::MibsScheduler>(
-            *caches.back(), sched::Objective::kRuntime, 8, 60.0);
+        auto s = std::make_unique<sched::MibsScheduler>(
+            oracle, sched::Objective::kRuntime, 8, 60.0);
+        if (!indexed) s->set_candidate_index(nullptr);
+        return s;
       },
       cfg);
   ScalingRow row;
@@ -267,7 +254,7 @@ struct PlacementMicro {
 PlacementMicro placement_micro(const sched::TablePredictor& pred,
                                int iters) {
   const std::size_t n = pred.num_apps();
-  sched::CandidateIndex idx(pred);
+  sched::CandidateIndex idx(pred, sched::Objective::kRuntime);
   sched::ClusterCounts counts(n, 4'096);
   idx.attach(&counts);
   for (std::size_t m = 0; m < 2'048; ++m) counts.place(m % n, std::nullopt);
@@ -294,50 +281,6 @@ PlacementMicro placement_micro(const sched::TablePredictor& pred,
   row.indexed_ns = seconds_since(start) * 1e9 / iters;
   row.speedup = row.indexed_ns > 0.0 ? row.flat_ns / row.indexed_ns : 0.0;
   if (sink == 0) std::fprintf(stderr, "warn: placement micro placed nothing\n");
-  return row;
-}
-
-struct CacheMicro {
-  double ensemble_ns = 0.0;
-  double cached_ns = 0.0;
-  double speedup = 0.0;
-};
-
-/// Per-query cost of the confidence-weighted ensemble blend vs the same
-/// ensemble read through a warmed PredictionCache (a hit is one dense
-/// table lookup, bit-identical to the blend by construction).
-CacheMicro cache_micro(int iters) {
-  const sched::TablePredictor& a = shared_oracle();
-  sched::TablePredictor b = table().oracle_predictor();
-  sched::ConfidenceWeightedPredictor ensemble(
-      {{"oracle", &a}, {"oracle2", &b}});
-  sched::PredictionCache cache(ensemble);
-  const std::size_t n = a.num_apps();
-  const std::size_t stride = n + 1;
-  auto neighbour_of = [&](std::size_t q) {
-    std::size_t col = (q / n) % stride;
-    return col == n ? std::optional<std::size_t>{}
-                    : std::optional<std::size_t>{col};
-  };
-  // Warm every (pair, objective) slot so the timed loop measures hits.
-  for (std::size_t q = 0; q < n * stride; ++q)
-    cache.predict_runtime(q % n, neighbour_of(q));
-  double sink = 0.0;
-  CacheMicro row;
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    std::size_t q = static_cast<std::size_t>(i);
-    sink += ensemble.predict_runtime(q % n, neighbour_of(q));
-  }
-  row.ensemble_ns = seconds_since(start) * 1e9 / iters;
-  start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    std::size_t q = static_cast<std::size_t>(i);
-    sink += cache.predict_runtime(q % n, neighbour_of(q));
-  }
-  row.cached_ns = seconds_since(start) * 1e9 / iters;
-  row.speedup = row.cached_ns > 0.0 ? row.ensemble_ns / row.cached_ns : 0.0;
-  if (sink <= 0.0) std::fprintf(stderr, "warn: cache micro summed nothing\n");
   return row;
 }
 
@@ -382,8 +325,8 @@ int main() {
 
   // Large tiers (DESIGN.md section 7): the same 1 task/machine/min load
   // at 10^5 and 10^6 machines. Each tier first runs the exact candidate
-  // scan once, then the indexed path (candidate index + per-shard
-  // prediction caches) at 1 and 4 worker threads; completed counts must
+  // scan once, then the indexed path (each shard's scheduler with its
+  // own candidate index) at 1 and 4 worker threads; completed counts must
   // agree across all three runs — the byte-identity contract at scale.
   // The 10^6 horizon is shortened to 600 virtual seconds to keep the
   // whole bench minutes-scale; tasks/sec is the headline number.
@@ -433,15 +376,6 @@ int main() {
     pmicro.add_row({std::to_string(p.classes), fmt(p.flat_ns, 1),
                     fmt(p.indexed_ns, 1), fmt(p.speedup, 2)});
   pmicro.print(std::cout);
-
-  std::printf("\nprediction-cache microbench "
-              "(2-family confidence ensemble, warmed cache):\n");
-  CacheMicro cachem = cache_micro(1'000'000);
-  TableWriter cmicro({"path", "ns/query", "speedup"});
-  cmicro.add_row({"ensemble blend", fmt(cachem.ensemble_ns, 1), "1.00"});
-  cmicro.add_row({"cache hit", fmt(cachem.cached_ns, 1),
-                  fmt(cachem.speedup, 2)});
-  cmicro.print(std::cout);
 
   std::printf("\nMIBS batched-prediction microbench "
               "(1024 machines, 256-task Min-Min window):\n");
@@ -530,11 +464,7 @@ int main() {
           << ", \"speedup\": " << fmt(p.speedup, 3) << "}"
           << (i + 1 < placement.size() ? "," : "") << "\n";
     }
-    out << "  ],\n  \"prediction_cache_microbench\": "
-        << "{\"ensemble_ns_per_query\": " << fmt(cachem.ensemble_ns, 2)
-        << ", \"cached_ns_per_query\": " << fmt(cachem.cached_ns, 2)
-        << ", \"speedup\": " << fmt(cachem.speedup, 3) << "},\n"
-        << "  \"mibs_batch_microbench\": {\"scalar_us_per_round\": "
+    out << "  ],\n  \"mibs_batch_microbench\": {\"scalar_us_per_round\": "
         << fmt(scalar_us, 2)
         << ", \"batched_us_per_round\": " << fmt(batched_us, 2)
         << ", \"speedup\": " << fmt(micro_speedup, 3) << "},\n"

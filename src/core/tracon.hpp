@@ -71,9 +71,9 @@ class Tracon {
   /// applies to MIBS/MIX (the paper's subscript, e.g. MIBS_8). The
   /// placement policy controls beneficial-join admission (disable it for
   /// fixed-batch static allocation, where every task must be placed).
-  /// `predictor_override` substitutes another predictor view (e.g. a
-  /// sched::PredictionCache over this system's predictor) — the caller
-  /// keeps ownership and must outlive the scheduler.
+  /// `predictor_override` substitutes another predictor (e.g. a
+  /// shard's sched::ConfidenceWeightedPredictor) — the caller keeps
+  /// ownership and must outlive the scheduler.
   std::unique_ptr<sched::Scheduler> make_scheduler(
       SchedulerKind kind, sched::Objective objective,
       std::size_t queue_limit = 8, double batch_timeout_s = 60.0,

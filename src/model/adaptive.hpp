@@ -44,7 +44,7 @@ class AdaptiveModel {
 
   const InterferenceModel& current() const { return *model_; }
   std::size_t rebuild_count() const { return rebuilds_; }
-  /// Model epoch for memoization layers (sched::PredictionCache): a
+  /// Model epoch for memoization layers (sched::CandidateIndex): a
   /// retrain is exactly the event after which cached predictions made
   /// through this model must be invalidated, so the epoch IS the
   /// rebuild counter. Predictor adapters over an AdaptiveModel forward

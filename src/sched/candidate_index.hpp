@@ -6,34 +6,39 @@
 // promotes that flat scan to an index in two steps:
 //
 //  1. ClassClustering groups the application classes by interference
-//     profile — each class's predicted runtime/IOPS rows and columns
-//     are projected with the same src/stats PCA that powers the WMM
-//     model, then clustered with deterministic farthest-point k-means
-//     (nearest-centroid assignment, the k-NN matching step of WMM).
-//  2. CandidateIndex precomputes, once per (objective, task, model
-//     epoch), each cluster's candidate classes sorted by (score,
+//     profile — each class's predicted runtime/IOPS rows and columns,
+//     standardized per column — with deterministic farthest-point
+//     k-means (nearest-centroid assignment, the k-NN matching step of
+//     WMM).
+//  2. CandidateIndex precomputes, for one objective and once per (task,
+//     model epoch), each cluster's candidate classes sorted by (score,
 //     canonical rank), together with the beneficial-join quantities.
 //     A lookup walks the clusters the live ClusterCounts reports
 //     non-empty (cluster representatives first), refines inside each
 //     by taking its first available entry, and picks the lexicographic
 //     minimum — which is EXACTLY the argmin-with-first-wins-ties of
 //     the flat scan, so placements are byte-identical to the exact
-//     path (property-tested across schedulers and seeds).
+//     path (property-tested across schedulers and seeds). Exactness
+//     holds for any clustering; the clustering only decides how many
+//     entries a lookup touches.
 //
 // Cost: a decision touches O(active clusters + probed entries) instead
 // of O(num_apps); with per-cluster availability maintained by
 // ClusterCounts in O(1) per place/depart, exhausted clusters cost
-// nothing. The index rebuilds itself when the predictor's model epoch
-// advances. Instances are read-only at decision time, so one index may
-// serve every shard of a sharded run over an immutable TablePredictor.
+// nothing. The index rebuilds its lists in place when the predictor's
+// model epoch advances. Every TRACON scheduler owns one over the
+// predictor it scores with (the static table, or a shard's own
+// confidence ensemble) and the objective it optimizes, so a rebuild —
+// a mutation on a read — never crosses a shard's worker.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sched/cluster_counts.hpp"
-#include "sched/mios.hpp"
 #include "sched/predictor.hpp"
+#include "sched/scheduler.hpp"
 
 namespace tracon::sched {
 
@@ -56,12 +61,14 @@ class ClassClustering {
 
 class CandidateIndex {
  public:
-  /// `predictor` is not owned and must outlive the index.
-  explicit CandidateIndex(const Predictor& predictor,
-                          std::size_t num_clusters = 0);
+  /// Indexes placements of `objective` under `predictor`, which is not
+  /// owned and must outlive the index.
+  CandidateIndex(const Predictor& predictor, Objective objective,
+                 std::size_t num_clusters = 0);
 
   const ClassClustering& clustering() const { return clustering_; }
   const Predictor& predictor() const { return predictor_; }
+  Objective objective() const { return objective_; }
 
   /// Attaches this index's clustering to a ClusterCounts instance
   /// (required before best_slot can consult it).
@@ -73,7 +80,7 @@ class CandidateIndex {
   /// shape. Bit-identical to the exact scan, including tie-breaking and
   /// the empty-machine last resort under `exclude_empty`.
   std::optional<std::optional<std::size_t>> best_slot(
-      std::size_t task, const ClusterCounts& cluster, Objective objective,
+      std::size_t task, const ClusterCounts& cluster,
       const PlacementPolicy& policy, bool exclude_empty) const;
 
   /// Number of epoch-driven rebuilds since construction (0 for an
@@ -94,15 +101,21 @@ class CandidateIndex {
 
   void sync_epoch() const;
   void rebuild() const;
-  const std::vector<Entry>& entries(Objective objective, std::size_t task,
-                                    std::size_t cluster) const;
 
   const Predictor& predictor_;
+  Objective objective_;
   ClassClustering clustering_;
-  /// lists_[objective][task * (num_clusters + 1) + cluster]: entries
-  /// sorted ascending by (score, rank). The trailing pseudo-cluster
-  /// holds the single empty-machine entry.
-  mutable std::vector<std::vector<Entry>> lists_[2];
+  /// Position of class a inside a task's block: classes grouped by
+  /// cluster, ascending within each.
+  std::vector<std::uint32_t> slot_of_;
+  /// Cluster c occupies [cluster_start_[c], cluster_start_[c + 1]) of
+  /// every task's block; the empty-machine pseudo-cluster (index
+  /// num_clusters) is the block's last entry.
+  std::vector<std::uint32_t> cluster_start_;
+  /// One block of num_apps + 1 entries per task, each cluster's range
+  /// sorted ascending by (score, rank). Sized once; a rebuild rewrites
+  /// it in place.
+  mutable std::vector<Entry> entries_;
   mutable std::uint64_t epoch_ = 0;
   mutable std::uint64_t rebuilds_ = 0;
 };

@@ -46,9 +46,14 @@ bool batch_due(std::span<const QueuedTask> queue, const ClusterCounts& cluster,
 
 class MibsScheduler final : public Scheduler {
  public:
+  /// Builds the scheduler's candidate index over `predictor` and
+  /// `objective`; `predictor` must outlive the scheduler.
   MibsScheduler(const Predictor& predictor, Objective objective,
                 std::size_t queue_limit = 8, double batch_timeout_s = 60.0,
                 PlacementPolicy policy = {});
+  /// The base's index pointer targets this object's own member.
+  MibsScheduler(const MibsScheduler&) = delete;
+  MibsScheduler& operator=(const MibsScheduler&) = delete;
 
   std::string name() const override;
 
@@ -67,6 +72,7 @@ class MibsScheduler final : public Scheduler {
   std::size_t queue_limit_;
   double batch_timeout_s_;
   PlacementPolicy policy_;
+  CandidateIndex index_;
 };
 
 }  // namespace tracon::sched

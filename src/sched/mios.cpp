@@ -3,7 +3,6 @@
 #include <limits>
 #include <vector>
 
-#include "sched/candidate_index.hpp"
 #include "sched/decision_probe.hpp"
 #include "util/error.hpp"
 
@@ -42,9 +41,21 @@ std::optional<std::optional<std::size_t>> mios_best_slot(
     const PlacementPolicy& policy, bool exclude_empty,
     const CandidateIndex* index) {
   // Indexed fast path: per-cluster shortlist lookup, bit-identical to
-  // the flat scan below (see candidate_index.hpp).
-  if (index != nullptr && cluster.clustered())
-    return index->best_slot(task, cluster, objective, policy, exclude_empty);
+  // the flat scan below (see candidate_index.hpp). The paranoid tier
+  // re-derives every indexed answer through the reference scan.
+  if (index != nullptr && cluster.clustered()) {
+    TRACON_REQUIRE(
+        &index->predictor() == &predictor && index->objective() == objective,
+        "the candidate index scores a different predictor or objective");
+    auto slot = index->best_slot(task, cluster, policy, exclude_empty);
+    if constexpr (kParanoidChecksEnabled) {
+      TRACON_DCHECK(slot == mios_best_slot(task, cluster, predictor,
+                                           objective, policy, exclude_empty,
+                                           nullptr),
+                    "the candidate index disagrees with the flat scan");
+    }
+    return slot;
+  }
   // Candidate slot classes in canonical scan order (empty machine
   // first, then occupied classes ascending), scored through the batched
   // prediction API: one virtual call covers every candidate, and one

@@ -6,35 +6,11 @@
 // TRACON schedulers.
 #pragma once
 
+#include "sched/candidate_index.hpp"
 #include "sched/predictor.hpp"
 #include "sched/scheduler.hpp"
 
 namespace tracon::sched {
-
-class CandidateIndex;
-
-/// Placement policy shared by the TRACON schedulers.
-struct PlacementPolicy {
-  /// Only consolidate when the predicted combined progress of the pair
-  /// beats leaving the resident application alone. Two data-intensive
-  /// tasks can destroy so much of each other's throughput that a
-  /// machine does *less* total work with both than with either by
-  /// itself; an interference-aware scheduler then prefers to keep the
-  /// slot idle and wait for a compatible task. This is what preserves
-  /// cluster capacity (and the paper's normalized-throughput gains)
-  /// under heavy load. Disable for fixed-batch allocation where every
-  /// task must be placed (the static scenario).
-  bool beneficial_joins_only = true;
-  /// Required predicted net progress gain of a join, in units of solo
-  /// task progress (0 = any non-negative join allowed). The default is
-  /// calibrated for the paper's hard-disk testbed, whose 3-7x collapses
-  /// make holding a slot open worth the wait for a compatible task; on
-  /// low-interference devices (RAID/SSD) a slightly NEGATIVE margin —
-  /// refuse only clearly capacity-destroying joins — is the better
-  /// setting, because reserved slots idle longer than mild joins would
-  /// have cost (bench_storage demonstrates both).
-  double join_margin = 0.15;
-};
 
 /// True when placing `task` next to a running app of class `neighbour`
 /// is predicted to add net progress: the task's own predicted speed
@@ -51,8 +27,11 @@ bool join_beneficial(std::size_t task, std::size_t neighbour,
 /// resort — MIBS uses this for candidate 2 when the batch cannot fit on
 /// empty machines anyway, so that the chosen partner actually
 /// co-locates. When `index` is non-null and `cluster` carries its
-/// clustering, the flat candidate scan is replaced by the indexed
-/// lookup (bit-identical placements; see candidate_index.hpp).
+/// clustering, the indexed lookup answers (bit-identical placements;
+/// see candidate_index.hpp); `index` must be built over `predictor`
+/// for `objective`.
+/// nullptr selects the flat candidate scan, the reference
+/// implementation.
 std::optional<std::optional<std::size_t>> mios_best_slot(
     std::size_t task, const ClusterCounts& cluster,
     const Predictor& predictor, Objective objective,
@@ -61,9 +40,19 @@ std::optional<std::optional<std::size_t>> mios_best_slot(
 
 class MiosScheduler final : public Scheduler {
  public:
+  /// Builds the scheduler's candidate index over `predictor` and
+  /// `objective`; `predictor` must outlive the scheduler.
   MiosScheduler(const Predictor& predictor, Objective objective,
                 PlacementPolicy policy = {})
-      : predictor_(predictor), objective_(objective), policy_(policy) {}
+      : predictor_(predictor),
+        objective_(objective),
+        policy_(policy),
+        index_(predictor, objective) {
+    set_candidate_index(&index_);
+  }
+  /// The base's index pointer targets this object's own member.
+  MiosScheduler(const MiosScheduler&) = delete;
+  MiosScheduler& operator=(const MiosScheduler&) = delete;
 
   std::string name() const override {
     return "MIOS-" + objective_name(objective_);
@@ -79,6 +68,7 @@ class MiosScheduler final : public Scheduler {
   const Predictor& predictor_;
   Objective objective_;
   PlacementPolicy policy_;
+  CandidateIndex index_;
 };
 
 }  // namespace tracon::sched

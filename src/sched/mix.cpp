@@ -15,9 +15,11 @@ MixScheduler::MixScheduler(const Predictor& predictor, Objective objective,
       objective_(objective),
       queue_limit_(queue_limit),
       batch_timeout_s_(batch_timeout_s),
-      policy_(policy) {
+      policy_(policy),
+      index_(predictor, objective) {
   TRACON_REQUIRE(queue_limit_ >= 1, "queue limit must be >= 1");
   TRACON_REQUIRE(batch_timeout_s_ >= 0.0, "batch timeout must be >= 0");
+  set_candidate_index(&index_);
 }
 
 std::string MixScheduler::name() const {

@@ -13,9 +13,14 @@ namespace tracon::sched {
 
 class MixScheduler final : public Scheduler {
  public:
+  /// Builds the scheduler's candidate index over `predictor` and
+  /// `objective`; `predictor` must outlive the scheduler.
   MixScheduler(const Predictor& predictor, Objective objective,
                std::size_t queue_limit = 8, double batch_timeout_s = 60.0,
                PlacementPolicy policy = {});
+  /// The base's index pointer targets this object's own member.
+  MixScheduler(const MixScheduler&) = delete;
+  MixScheduler& operator=(const MixScheduler&) = delete;
 
   std::string name() const override;
 
@@ -34,6 +39,7 @@ class MixScheduler final : public Scheduler {
   std::size_t queue_limit_;
   double batch_timeout_s_;
   PlacementPolicy policy_;
+  CandidateIndex index_;
 };
 
 }  // namespace tracon::sched

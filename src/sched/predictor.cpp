@@ -220,12 +220,18 @@ void ConfidenceWeightedPredictor::begin_round(double now_s) const {
   (void)now_s;
   refresh();
   if (metrics_ == nullptr) return;
+  if (weight_gauges_.empty()) {
+    for (const Family& family : families_) {
+      const std::string prefix = "sched.confidence." + family.name;
+      weight_gauges_.push_back(&metrics_->gauge(prefix + ".runtime_weight"));
+      weight_gauges_.push_back(&metrics_->gauge(prefix + ".iops_weight"));
+    }
+  }
   // Weight gauges are stamped per round, not per prediction, so the
   // exported value is the blend the round's decisions actually used.
   for (std::size_t f = 0; f < families_.size(); ++f) {
-    const std::string prefix = "sched.confidence." + families_[f].name;
-    metrics_->gauge(prefix + ".runtime_weight").set(runtime_weights_[f]);
-    metrics_->gauge(prefix + ".iops_weight").set(iops_weights_[f]);
+    weight_gauges_[2 * f]->set(runtime_weights_[f]);
+    weight_gauges_[2 * f + 1]->set(iops_weights_[f]);
   }
 }
 

@@ -18,6 +18,7 @@
 #include "stats/matrix.hpp"
 
 namespace tracon::obs {
+class Gauge;
 class MetricsRegistry;
 }
 
@@ -65,11 +66,10 @@ class Predictor {
 
   /// Model epoch: monotone counter that advances whenever the
   /// predictor's answers may change (retraining, confidence-weight
-  /// updates). Memoization layers (sched::PredictionCache,
-  /// sched::CandidateIndex) key their cached values on it and
-  /// invalidate on a bump. Immutable predictors (TablePredictor) stay
-  /// at epoch 0 forever, which is what makes their caches shareable
-  /// across a whole sharded run.
+  /// updates). Memoization layers (sched::CandidateIndex) key their
+  /// cached values on it and rebuild on a bump. Immutable predictors
+  /// (TablePredictor) stay at epoch 0 forever, so an index over one is
+  /// built once.
   virtual std::uint64_t model_epoch() const { return 0; }
 };
 
@@ -206,7 +206,10 @@ class ConfidenceWeightedPredictor final : public Predictor,
 
   /// Attaches (or detaches) the registry receiving per-round weight
   /// gauges. Not owned.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    weight_gauges_.clear();
+  }
 
   const ConfidenceConfig& config() const { return cfg_; }
 
@@ -220,6 +223,11 @@ class ConfidenceWeightedPredictor final : public Predictor,
   std::vector<obs::WindowedAccuracy> runtime_windows_;
   std::vector<obs::WindowedAccuracy> iops_windows_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// The per-family {runtime, iops} weight gauges in `metrics_`,
+  /// resolved at the first begin_round after set_metrics (the
+  /// registry's nodes are stable), so a run without rounds registers
+  /// none.
+  mutable std::vector<obs::Gauge*> weight_gauges_;
   mutable std::vector<double> runtime_weights_;
   mutable std::vector<double> iops_weights_;
   mutable bool stale_ = true;

@@ -25,6 +25,29 @@ enum class Objective { kRuntime, kIops };
 
 std::string objective_name(Objective o);
 
+/// Placement policy shared by the TRACON schedulers.
+struct PlacementPolicy {
+  /// Only consolidate when the predicted combined progress of the pair
+  /// beats leaving the resident application alone. Two data-intensive
+  /// tasks can destroy so much of each other's throughput that a
+  /// machine does *less* total work with both than with either by
+  /// itself; an interference-aware scheduler then prefers to keep the
+  /// slot idle and wait for a compatible task. This is what preserves
+  /// cluster capacity (and the paper's normalized-throughput gains)
+  /// under heavy load. Disable for fixed-batch allocation where every
+  /// task must be placed (the static scenario).
+  bool beneficial_joins_only = true;
+  /// Required predicted net progress gain of a join, in units of solo
+  /// task progress (0 = any non-negative join allowed). The default is
+  /// calibrated for the paper's hard-disk testbed, whose 3-7x collapses
+  /// make holding a slot open worth the wait for a compatible task; on
+  /// low-interference devices (RAID/SSD) a slightly NEGATIVE margin —
+  /// refuse only clearly capacity-destroying joins — is the better
+  /// setting, because reserved slots idle longer than mild joins would
+  /// have cost (bench_storage demonstrates both).
+  double join_margin = 0.15;
+};
+
 struct QueuedTask {
   std::size_t app = 0;      ///< application class
   double arrival_s = 0.0;   ///< arrival time (for batch timeouts)
@@ -72,11 +95,13 @@ class Scheduler {
   void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
   obs::Telemetry* telemetry() const { return telemetry_; }
 
-  /// Attaches (or detaches, with nullptr) a candidate shortlist index
-  /// (sched::CandidateIndex, not owned). The TRACON schedulers route
-  /// their slot scans through it when the cluster view carries its
-  /// clustering; schedulers without a candidate scan (FIFO) ignore it.
-  /// The simulator wires this from DynamicConfig::candidate_index.
+  /// The candidate shortlist index the slot scans go through (not
+  /// owned). Each TRACON scheduler builds one over the predictor it
+  /// scores with and points this at it; the simulators attach its
+  /// clustering to their ClusterCounts, and the scans use it whenever
+  /// the cluster view carries that clustering. nullptr (FIFO, or a
+  /// scheduler reset to the reference path) selects the flat scan,
+  /// which places identically.
   void set_candidate_index(const CandidateIndex* index) {
     candidate_index_ = index;
   }

@@ -12,6 +12,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/kvlog.hpp"
 #include "obs/span_log.hpp"
+#include "sched/candidate_index.hpp"
 #include "sim/completion_heap.hpp"
 #include "sim/slot_registry.hpp"
 #include "util/error.hpp"
@@ -112,8 +113,10 @@ DynamicOutcome run_dynamic(const PerfTable& table,
 
   std::vector<Machine> fleet(cfg.machines);
   sched::ClusterCounts counts(n, cfg.machines);
-  if (cfg.candidate_index != nullptr) cfg.candidate_index->attach(&counts);
-  scheduler.set_candidate_index(cfg.candidate_index);
+  // The scheduler's own index (none for FIFO) clusters the live view;
+  // its slot scans then walk per-cluster shortlists.
+  if (const sched::CandidateIndex* index = scheduler.candidate_index())
+    index->attach(&counts);
   SlotRegistry registry(cfg.machines, n);
   for (std::size_t m = 0; m < cfg.machines; ++m)
     registry.set_key(m, 0);

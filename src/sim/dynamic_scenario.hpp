@@ -14,7 +14,6 @@
 #include "migrate/rebalancer.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/candidate_index.hpp"
 #include "sched/predictor.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/arrival_source.hpp"
@@ -89,17 +88,6 @@ struct DynamicConfig {
   /// completion. Stateful: use one instance per run (per shard under
   /// the sharded engine).
   migrate::Rebalancer* rebalancer = nullptr;
-  /// Optional candidate shortlist index (not owned; may be nullptr).
-  /// When set, the run attaches the index's interference-profile
-  /// clustering to its live ClusterCounts (per-cluster availability
-  /// maintained O(1) per place/depart) and hands the index to the
-  /// scheduler, whose slot scans then walk per-cluster shortlists
-  /// instead of every class. Placements are bit-identical to the flat
-  /// scan (candidate_index.hpp), so all exports keep their exact
-  /// bytes. The index must be built over a predictor whose model epoch
-  /// does not change during the run when the run is sharded (a
-  /// TablePredictor qualifies).
-  const sched::CandidateIndex* candidate_index = nullptr;
   /// Optional arrival stream override (not owned; may be nullptr). When
   /// set, run_dynamic(table, scheduler, cfg) draws the arrival list from
   /// this source and lambda_per_min / mix / mix_stddev / seed are

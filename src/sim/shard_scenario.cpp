@@ -270,7 +270,6 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     d.seed = shard_seed(cfg.seed, i, shards);
     d.queue_capacity = cfg.queue_capacity;
     d.schedule_period_s = cfg.schedule_period_s;
-    d.candidate_index = cfg.candidate_index;
     d.accuracy_probe = cfg.accuracy_probe;
     d.accuracy_family = cfg.accuracy_family;
     s.scheduler = make_scheduler(i);

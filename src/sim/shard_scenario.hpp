@@ -132,14 +132,6 @@ struct ShardedConfig {
   /// concurrent reads (TablePredictor qualifies).
   const sched::Predictor* rebalance_predictor = nullptr;
 
-  /// Candidate shortlist index shared by every shard (not owned; may be
-  /// nullptr). Read-only during the run, so it must be built over a
-  /// predictor whose model epoch never changes mid-run (TablePredictor
-  /// qualifies; the CLI rejects it with the online ensemble).
-  /// Each shard attaches the index's clustering to its own
-  /// ClusterCounts; placements stay bit-identical to the flat scan.
-  const sched::CandidateIndex* candidate_index = nullptr;
-
   /// > 0 enables the merged snapshot series (ShardedOutcome::series):
   /// every shard samples the same virtual-clock window grid, and
   /// windows merge index by index at those global barriers.

@@ -8,7 +8,8 @@
 #      `replay`, `hierarchy` or `static` exits 1 with a message naming
 #      the flag, before any set-up work: every rejected command also
 #      carries `--host bogus`, which the set-up would reject first if it
-#      had started; so do the rejected flag combinations;
+#      had started; so do the rejected flag combinations, and so does a
+#      flag the subcommand does not read (misspelt or retired);
 #   2. the edge values that stay valid (--hours 0.001, --threads 0,
 #      --shards 0) still run;
 #   3. when the FIFO baseline completes nothing, flat and sharded runs
@@ -16,7 +17,7 @@
 #      longer run still prints the ratio with three decimals;
 #   4. one shard is one system: `--threads N` on a cluster that resolves
 #      to one shard prints exactly the flag-free run's stdout, and
-#      --confidence-weighting runs sharded;
+#      --scheduler mix --confidence-weighting runs flat and sharded;
 #   5. `breakdown --window` and `attribution --top` reject NaN, negative
 #      and overflowing values; valid ones print tests/data/cli_* exactly.
 set -euo pipefail
@@ -93,8 +94,6 @@ for cmd in "dynamic" "dynamic --threads 2" "record --out a.jsonl --store runs"; 
     expect_rejected scheduler $cmd --scheduler bogus
     expect_rejected objective $cmd --objective bogus
     expect_error "requires --scheduler mix" $cmd --confidence-weighting
-    expect_error "cannot wrap the confidence ensemble" $cmd --scheduler mix \
-        --confidence-weighting --candidate-index
   }
 done
 expect_rejected accuracy-window replay --trace "$GOLDEN" --accuracy-window 0 \
@@ -107,6 +106,23 @@ expect_rejected lambda hierarchy --lambda -10
 expect_rejected threads hierarchy --threads -1
 expect_rejected machines static --machines -3
 expect_rejected scheduler static --scheduler bogus
+
+echo "== a flag the subcommand does not read fails before the set-up =="
+expect_error "unknown flags --bogus, --confidence-weightng for tracon dynamic" \
+    dynamic --machines 8 --hours 0.05 --confidence-weightng --bogus 3
+expect_error "unknown flag --candidate-index for tracon dynamic" dynamic \
+    --candidate-index
+expect_error "unknown flag --shard for tracon dynamic" dynamic --threads 2 \
+    --shard 4
+expect_error "unknown flag --decisons for tracon record" record \
+    --out a.jsonl --store runs --decisons
+expect_error "unknown flag --threads for tracon record" record \
+    --out a.jsonl --store runs --threads 2
+expect_error "unknown flag --shedulr for tracon replay" replay \
+    --trace "$GOLDEN" --store runs --shedulr mix
+expect_error "unknown flag --manager for tracon hierarchy" hierarchy \
+    --manager 2
+expect_error "unknown flag --machine for tracon static" static --machine 4
 
 echo "== a horizon FIFO cannot finish a task in prints n/a =="
 "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.001 > legacy.log
@@ -142,14 +158,17 @@ cmp flat.log threads.log || {
   exit 1
 }
 
-echo "== the confidence ensemble runs sharded =="
-"$TRACON" dynamic --machines 4 --lambda 6 --hours 0.1 --scheduler mix \
-    --confidence-weighting --threads 2 > confidence.log
-grep -q "completed" confidence.log || {
-  echo "FAIL: no summary from a sharded --confidence-weighting run"
-  cat confidence.log
-  exit 1
-}
+echo "== the confidence ensemble runs flat and sharded =="
+for engine in "" "--threads 2"; do
+  # shellcheck disable=SC2086
+  "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.1 --scheduler mix \
+      --confidence-weighting $engine > confidence.log
+  grep -q "completed" confidence.log || {
+    echo "FAIL: no summary from a --confidence-weighting $engine run"
+    cat confidence.log
+    exit 1
+  }
+done
 
 echo "== breakdown --window and attribution --top are validated =="
 "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.5 --spans-out spans.jsonl \

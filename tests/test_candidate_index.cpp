@@ -7,14 +7,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
-#include "sched/prediction_cache.hpp"
 #include "sim/dynamic_scenario.hpp"
+#include "sim/static_scenario.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace tracon::sched {
@@ -77,9 +78,11 @@ TEST(ClassClustering, DeterministicAcrossBuilds) {
 TEST(CandidateIndex, BestSlotMatchesFlatScanUnderChurn) {
   TablePredictor pred = paper_table().oracle_predictor();
   const std::size_t n = pred.num_apps();
-  CandidateIndex index(pred);
+  // One index per objective; both cluster the same predictor alike.
+  const CandidateIndex indexes[] = {CandidateIndex(pred, Objective::kRuntime),
+                                    CandidateIndex(pred, Objective::kIops)};
   ClusterCounts counts(n, 6);
-  index.attach(&counts);
+  indexes[0].attach(&counts);
 
   PlacementPolicy strict;                    // beneficial joins only
   PlacementPolicy open;
@@ -136,7 +139,7 @@ TEST(CandidateIndex, BestSlotMatchesFlatScanUnderChurn) {
           for (bool excl : {false, true}) {
             auto exact = mios_best_slot(task, counts, pred, obj, pol, excl);
             auto fast = mios_best_slot(task, counts, pred, obj, pol, excl,
-                                       &index);
+                                       &indexes[static_cast<int>(obj)]);
             ASSERT_EQ(exact, fast)
                 << "step " << step << " task " << task << " obj "
                 << static_cast<int>(obj) << " strict "
@@ -146,12 +149,33 @@ TEST(CandidateIndex, BestSlotMatchesFlatScanUnderChurn) {
       }
     }
   }
-  EXPECT_EQ(index.rebuilds(), 0u);  // table predictor: epoch never moves
+  for (const CandidateIndex& index : indexes)
+    EXPECT_EQ(index.rebuilds(), 0u);  // table predictor: epoch never moves
+}
+
+/// `pred` with every runtime scaled by `runtime` and every IOPS by
+/// `iops`: a deliberately biased model family.
+TablePredictor scaled_predictor(const Predictor& pred, double runtime,
+                                double iops) {
+  const std::size_t n = pred.num_apps();
+  stats::Matrix rt(n, n + 1), io(n, n + 1);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b <= n; ++b) {
+      std::optional<std::size_t> neighbour;
+      if (b < n) neighbour = b;
+      rt(a, b) = runtime * pred.predict_runtime(a, neighbour);
+      io(a, b) = iops * pred.predict_iops(a, neighbour);
+    }
+  }
+  return TablePredictor(std::move(rt), std::move(io));
 }
 
 struct SchedulerCase {
   const char* name;
   std::unique_ptr<Scheduler> (*make)(const Predictor& pred);
+  /// Schedule over a fresh three-family confidence ensemble fed by the
+  /// run's completions instead of the static oracle table.
+  bool ensemble = false;
 };
 
 std::unique_ptr<Scheduler> make_fifo(const Predictor&) {
@@ -168,19 +192,46 @@ std::unique_ptr<Scheduler> make_mibs(const Predictor& pred) {
 std::unique_ptr<Scheduler> make_mix(const Predictor& pred) {
   return std::make_unique<MixScheduler>(pred, Objective::kIops);
 }
+std::unique_ptr<Scheduler> make_mix_rt(const Predictor& pred) {
+  return std::make_unique<MixScheduler>(pred, Objective::kRuntime);
+}
+
+TEST(CandidateIndex, TraconSchedulersOwnAnIndexOverTheirPredictor) {
+  // The base's index pointer targets the scheduler's own member, so a
+  // copy or a move would leave it dangling.
+  static_assert(!std::is_copy_constructible_v<MiosScheduler> &&
+                !std::is_move_constructible_v<MiosScheduler>);
+  static_assert(!std::is_copy_constructible_v<MibsScheduler> &&
+                !std::is_move_constructible_v<MibsScheduler>);
+  static_assert(!std::is_copy_constructible_v<MixScheduler> &&
+                !std::is_move_constructible_v<MixScheduler>);
+  TablePredictor pred = paper_table().oracle_predictor();
+  for (auto make : {&make_mios, &make_mibs, &make_mix}) {
+    std::unique_ptr<Scheduler> sched = make(pred);
+    ASSERT_NE(sched->candidate_index(), nullptr) << sched->name();
+    EXPECT_EQ(&sched->candidate_index()->predictor(), &pred) << sched->name();
+    EXPECT_EQ(sched->name().find("-IO") != std::string::npos,
+              sched->candidate_index()->objective() == Objective::kIops)
+        << sched->name();
+  }
+  EXPECT_EQ(make_fifo(pred)->candidate_index(), nullptr);
+}
 
 /// Property test for the determinism contract: every scheduler, over
 /// several seeds, produces byte-identical metrics, decision logs, and
-/// span logs when placements go through the candidate index plus a
-/// prediction cache instead of the flat scan over the raw predictor.
+/// span logs when placements go through its own candidate index (the
+/// default) instead of the flat reference scan — MIX included over a
+/// confidence ensemble whose epoch moves on every completion.
 TEST(CandidateIndex, DynamicRunsAreByteIdenticalAcrossSchedulersAndSeeds) {
   const sim::PerfTable& table = paper_table();
   TablePredictor pred = table.oracle_predictor();
-  CandidateIndex index(pred);
+  TablePredictor pessimist = scaled_predictor(pred, 1.4, 0.7);
+  TablePredictor optimist = scaled_predictor(pred, 0.8, 1.25);
   const SchedulerCase cases[] = {{"fifo", &make_fifo},
                                  {"mios", &make_mios},
                                  {"mibs", &make_mibs},
-                                 {"mix", &make_mix}};
+                                 {"mix", &make_mix},
+                                 {"mix-confidence", &make_mix_rt, true}};
   for (const SchedulerCase& sc : cases) {
     for (std::uint64_t seed : {3u, 5u, 9u}) {
       sim::DynamicConfig cfg;
@@ -195,13 +246,26 @@ TEST(CandidateIndex, DynamicRunsAreByteIdenticalAcrossSchedulersAndSeeds) {
         tel.spans.set_enabled(true);
         sim::DynamicConfig c = cfg;
         c.telemetry = &tel;
-        PredictionCache cache(pred);
-        const Predictor& view = indexed ? static_cast<const Predictor&>(cache)
-                                        : static_cast<const Predictor&>(pred);
-        c.candidate_index = indexed ? &index : nullptr;
-        std::unique_ptr<Scheduler> sched = sc.make(view);
+        std::optional<ConfidenceWeightedPredictor> ensemble;
+        const Predictor* view = &pred;
+        if (sc.ensemble) {
+          ensemble.emplace(std::vector<ConfidenceWeightedPredictor::Family>{
+              {"oracle", &pred},
+              {"pessimist", &pessimist},
+              {"optimist", &optimist}});
+          ensemble->set_metrics(&tel.metrics);
+          c.outcome_observer = &*ensemble;
+          c.accuracy_probe = &*ensemble;
+          c.accuracy_family = "confidence";
+          view = &*ensemble;
+        }
+        std::unique_ptr<Scheduler> sched = sc.make(*view);
+        if (!indexed) sched->set_candidate_index(nullptr);
         sched->set_telemetry(&tel);
         sim::DynamicOutcome o = sim::run_dynamic(table, *sched, c);
+        if (indexed && sc.ensemble) {
+          EXPECT_GE(sched->candidate_index()->rebuilds(), 1u) << seed;
+        }
         std::ostringstream all;
         tel.metrics.write_json(all);
         tel.decisions.write(all);
@@ -221,44 +285,32 @@ TEST(CandidateIndex, DynamicRunsAreByteIdenticalAcrossSchedulersAndSeeds) {
   }
 }
 
-TEST(PredictionCache, HitsAreBitIdenticalToTheBase) {
-  TablePredictor base = crafted_predictor();
-  PredictionCache cache(base);
-  const std::size_t n = base.num_apps();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t task = 0; task < n; ++task) {
-      for (std::size_t nb = 0; nb <= n; ++nb) {
-        std::optional<std::size_t> neighbour;
-        if (nb < n) neighbour = nb;
-        EXPECT_EQ(cache.predict_runtime(task, neighbour),
-                  base.predict_runtime(task, neighbour));
-        EXPECT_EQ(cache.predict_iops(task, neighbour),
-                  base.predict_iops(task, neighbour));
-      }
+TEST(CandidateIndex, StaticRunsMatchTheFlatScan) {
+  const sim::PerfTable& table = paper_table();
+  TablePredictor pred = table.oracle_predictor();
+  PlacementPolicy open;
+  open.beneficial_joins_only = false;  // the static scenario's policy
+  std::vector<std::size_t> tasks;
+  for (std::size_t i = 0; i < 40; ++i) tasks.push_back((i * 5 + 3) % 8);
+  for (Objective obj : {Objective::kRuntime, Objective::kIops}) {
+    auto run = [&](std::unique_ptr<Scheduler> sched, bool indexed) {
+      if (!indexed) sched->set_candidate_index(nullptr);
+      return sim::run_static(table, *sched, tasks, 20);
+    };
+    auto makers = [&](int which) -> std::unique_ptr<Scheduler> {
+      if (which == 0) return std::make_unique<MiosScheduler>(pred, obj, open);
+      if (which == 1)
+        return std::make_unique<MibsScheduler>(pred, obj, 8, 0.0, open);
+      return std::make_unique<MixScheduler>(pred, obj, 8, 0.0, open);
+    };
+    for (int which = 0; which < 3; ++which) {
+      sim::StaticOutcome exact = run(makers(which), false);
+      sim::StaticOutcome fast = run(makers(which), true);
+      EXPECT_EQ(exact.total_runtime, fast.total_runtime) << which;
+      EXPECT_EQ(exact.total_iops, fast.total_iops) << which;
+      EXPECT_EQ(exact.unplaced, fast.unplaced) << which;
     }
   }
-  // Second pass answered entirely from the cache: 2 channels x n(n+1)
-  // unique pairs missed once each, everything else hit.
-  EXPECT_EQ(cache.misses(), 2 * n * (n + 1));
-  EXPECT_EQ(cache.hits(), cache.misses());
-  EXPECT_EQ(cache.invalidations(), 0u);
-}
-
-TEST(PredictionCache, BatchMatchesScalarAndFillsTheCache) {
-  TablePredictor base = crafted_predictor();
-  PredictionCache cache(base);
-  std::vector<PredictQuery> queries;
-  for (std::size_t task = 0; task < base.num_apps(); ++task) {
-    queries.push_back({task, std::nullopt});
-    queries.push_back({task, 1});
-    queries.push_back({task, 1});  // duplicate: second is a hit
-  }
-  std::vector<double> got(queries.size());
-  cache.predict_runtime_batch(queries, got);
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    EXPECT_EQ(got[q],
-              base.predict_runtime(queries[q].task, queries[q].neighbour));
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 ConfidenceWeightedPredictor ensemble(const TablePredictor& a,
@@ -267,30 +319,14 @@ ConfidenceWeightedPredictor ensemble(const TablePredictor& a,
       {{"oracle", &a}, {"crafted", &b}});
 }
 
-TEST(PredictionCache, EpochBumpInvalidatesAndTracksTheNewBlend) {
-  TablePredictor a = crafted_predictor();
-  TablePredictor b = crafted_predictor_alt();
-  ConfidenceWeightedPredictor base = ensemble(a, b);
-  PredictionCache cache(base);
-
-  double before = cache.predict_runtime(1, 2);
-  EXPECT_EQ(before, base.predict_runtime(1, 2));
-  // A completion feeds the error windows, advancing the model epoch;
-  // the next lookup must flush and re-consult the (re-weighted) blend.
-  base.on_completion(1, 2, 500.0, 30.0);
-  EXPECT_GT(base.model_epoch(), 0u);
-  double after = cache.predict_runtime(1, 2);
-  EXPECT_EQ(after, base.predict_runtime(1, 2));
-  EXPECT_EQ(cache.invalidations(), 1u);
-}
-
 TEST(CandidateIndex, RebuildsWhenTheModelEpochAdvances) {
   TablePredictor a = crafted_predictor();
   TablePredictor b = crafted_predictor_alt();
   ConfidenceWeightedPredictor base = ensemble(a, b);
-  CandidateIndex index(base);
+  const CandidateIndex indexes[] = {CandidateIndex(base, Objective::kRuntime),
+                                    CandidateIndex(base, Objective::kIops)};
   ClusterCounts counts(base.num_apps(), 4);
-  index.attach(&counts);
+  indexes[0].attach(&counts);
   counts.place(0, std::nullopt);
   counts.place(1, std::nullopt);
 
@@ -301,16 +337,17 @@ TEST(CandidateIndex, RebuildsWhenTheModelEpochAdvances) {
       for (Objective obj : {Objective::kRuntime, Objective::kIops})
         ASSERT_EQ(mios_best_slot(task, counts, base, obj, open),
                   mios_best_slot(task, counts, base, obj, open,
-                                 /*exclude_empty=*/false, &index));
+                                 /*exclude_empty=*/false,
+                                 &indexes[static_cast<int>(obj)]));
   };
   check_all();
-  EXPECT_EQ(index.rebuilds(), 0u);
+  for (const CandidateIndex& index : indexes) EXPECT_EQ(index.rebuilds(), 0u);
   // Skew the windows hard enough to move the blend, then re-verify:
   // the index must rebuild once (per epoch bump observed) and keep
   // matching the flat scan over the new predictions.
   for (int i = 0; i < 8; ++i) base.on_completion(2, 0, 60.0, 150.0);
   check_all();
-  EXPECT_GE(index.rebuilds(), 1u);
+  for (const CandidateIndex& index : indexes) EXPECT_GE(index.rebuilds(), 1u);
 }
 
 }  // namespace

@@ -359,7 +359,10 @@ struct ConfidenceRun {
   SinkBytes bytes;
 };
 
-ConfidenceRun run_confidence(std::size_t threads) {
+/// MIX over one confidence ensemble per shard, every sink on.
+/// `indexed` false resets each shard's scheduler to the flat reference
+/// scan.
+ConfidenceRun run_confidence(std::size_t threads, bool indexed = true) {
   static const sched::TablePredictor solo = solo_predictor();
   ShardedConfig cfg = small_cfg(13, threads);
   std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> owned;
@@ -377,9 +380,11 @@ ConfidenceRun run_confidence(std::size_t threads) {
   cfg.snapshot_interval_s = 600.0;
   SchedulerFactory factory =
       [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-    return std::make_unique<sched::MixScheduler>(
+    auto s = std::make_unique<sched::MixScheduler>(
         *cfg.ensembles[shard], sched::Objective::kRuntime, 8, 60.0,
         no_hold());
+    if (!indexed) s->set_candidate_index(nullptr);
+    return s;
   };
   ConfidenceRun r;
   r.outcome = run_dynamic_sharded(table(), factory, cfg);
@@ -406,6 +411,57 @@ TEST(ShardedScenario, PerShardEnsemblesAreThreadInvariant) {
   EXPECT_NE(a.bytes.metrics.find("sched.confidence.oracle.runtime_weight"),
             std::string::npos);
   EXPECT_NE(a.bytes.series.find("model.solo.iops"), std::string::npos);
+}
+
+/// MIBS over the static table (default beneficial-join admission),
+/// every sink on; `indexed` as in run_confidence.
+SinkBytes run_mibs(std::size_t threads, bool indexed) {
+  ShardedConfig cfg = small_cfg(21, threads);
+  obs::Telemetry telemetry;
+  enable_logs(telemetry);
+  TraceRecorder trace;
+  cfg.telemetry = &telemetry;
+  cfg.trace = &trace;
+  cfg.snapshot_interval_s = 600.0;
+  cfg.accuracy_probe = &oracle();
+  cfg.accuracy_family = "oracle";
+  SchedulerFactory factory =
+      [&](std::size_t) -> std::unique_ptr<sched::Scheduler> {
+    auto s = std::make_unique<sched::MibsScheduler>(
+        oracle(), sched::Objective::kRuntime);
+    if (!indexed) s->set_candidate_index(nullptr);
+    return s;
+  };
+  ShardedOutcome o = run_dynamic_sharded(table(), factory, cfg);
+  return sink_bytes(telemetry, trace, o.series);
+}
+
+void expect_same_bytes(const SinkBytes& a, const SinkBytes& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.metrics, b.metrics) << what;
+  EXPECT_EQ(a.trace, b.trace) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.decisions, b.decisions) << what;
+  EXPECT_EQ(a.spans, b.spans) << what;
+  EXPECT_EQ(a.series, b.series) << what;
+}
+
+TEST(ShardedScenario, IndexedPlacementIsTheFlatScanAtAnyThreadCount) {
+  // Each shard's scheduler places through its own candidate index;
+  // over the static table it never rebuilds, over a shard's ensemble
+  // it rebuilds on that shard's worker as completions move the blend.
+  // Either way every sink must match the flat scan, at every
+  // worker-pool size.
+  const SinkBytes mibs_flat = run_mibs(1, false);
+  const ConfidenceRun mix_flat = run_confidence(1, false);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string at = " at threads " + std::to_string(threads);
+    expect_same_bytes(run_mibs(threads, true), mibs_flat, "mibs" + at);
+    const ConfidenceRun mix = run_confidence(threads, true);
+    EXPECT_EQ(mix.outcome.total.completed, mix_flat.outcome.total.completed);
+    expect_same_bytes(mix.bytes, mix_flat.bytes, "mix" + at);
+  }
+  EXPECT_NE(mibs_flat.decisions.find("\"decision\""), std::string::npos);
 }
 
 TEST(ShardedScenario, RejectsBadConfig) {

@@ -62,9 +62,10 @@
 //   These and every other flag of a simulated run (scheduler, snapshot,
 //   confidence and rebalancing flags, and their combinations) are
 //   checked before the host profiling and model training start; a bad
-//   value exits 1 with a message naming the flag. When the FIFO
-//   baseline completes nothing (a horizon shorter than any task), the
-//   summary prints "normalized n/a".
+//   value, or a flag the subcommand does not read (static and
+//   hierarchy included), exits 1 with a message naming the flag. When
+//   the FIFO baseline completes nothing (a horizon shorter than any
+//   task), the summary prints "normalized n/a".
 //
 // Telemetry flags (dynamic, record, replay):
 //   --metrics-out FILE           metrics registry as JSON
@@ -88,12 +89,6 @@
 //                                resolves to one shard is the flag-free
 //                                run, byte for byte.
 //   --prof requires --threads 1.
-//   --candidate-index            place via the clustered candidate
-//                                shortlist index with per-scheduler
-//                                prediction memoization. Placements are
-//                                bit-identical to the flat scan, so
-//                                every export keeps its exact bytes and
-//                                no fingerprint entry is stamped.
 //
 // Snapshot / confidence flags (dynamic, record, replay):
 //   --snapshot-interval S        sample a tracon.metrics_series window
@@ -178,9 +173,7 @@
 #include "replay/arrival_trace.hpp"
 #include "runstore/report.hpp"
 #include "runstore/runstore.hpp"
-#include "sched/candidate_index.hpp"
 #include "sched/fifo.hpp"
-#include "sched/prediction_cache.hpp"
 #include "sched/predictor.hpp"
 #include "sim/arrival_source.hpp"
 #include "sim/shard_scenario.hpp"
@@ -436,6 +429,44 @@ std::unique_ptr<sched::Scheduler> make_scheduler(
                             predictor_override);
 }
 
+/// Fails, naming them, on the flags simulating subcommand `cmd` does
+/// not read: a misspelt or retired flag would otherwise run a different
+/// experiment without a word. Called first, before any set-up work.
+void reject_unknown_flags(const ArgParser& args, const std::string& cmd) {
+  using Flags = std::vector<std::string>;
+  const Flags shape = {"machines", "lambda", "hours", "mix", "queue", "seed"};
+  const Flags setup = {"host", "model", "scheduler", "objective"};
+  const Flags run = {
+      "confidence-weighting", "accuracy-window", "snapshot-interval",
+      "series-out", "rebalance", "rebalance-interval",
+      "rebalance-min-benefit", "rebalance-max-moves", "migration-downtime",
+      "migration-bandwidth", "working-set", "migration-interference",
+      "metrics-out", "metrics-csv", "trace-out", "trace-jsonl",
+      "decisions-out", "spans-out", "events-jsonl"};
+  const Flags store = {"store", "decisions", "spans"};
+  std::vector<Flags> groups;
+  if (cmd == "dynamic")
+    groups = {shape, setup, run, {"threads", "shards", "trace"}};
+  else if (cmd == "record")
+    groups = {shape, setup, run, store, {"out"}};
+  else if (cmd == "replay")
+    groups = {setup, run, store, {"trace", "machines", "queue"}};
+  else if (cmd == "hierarchy")
+    groups = {shape, setup, {"managers", "threads", "routing"}};
+  else if (cmd == "static")
+    groups = {setup, {"machines", "mix", "queue", "seed"}};
+  Flags known = {"prof"};  // main reads it for every subcommand
+  for (const Flags& g : groups) known.insert(known.end(), g.begin(), g.end());
+  const Flags unknown = args.unknown_flags(known);
+  if (unknown.empty()) return;
+  std::string names;
+  for (const std::string& flag : unknown)
+    names += (names.empty() ? "--" : ", --") + flag;
+  throw std::invalid_argument(
+      std::string(unknown.size() == 1 ? "unknown flag " : "unknown flags ") +
+      names + " for tracon " + cmd);
+}
+
 /// --prof's ScopeStats accumulation is deliberately unsynchronized
 /// (profiling is wall-clock anyway), so it needs a single worker.
 void check_prof(const ArgParser& args, std::size_t threads) {
@@ -445,6 +476,7 @@ void check_prof(const ArgParser& args, std::size_t threads) {
 }
 
 int cmd_static(const ArgParser& args) {
+  reject_unknown_flags(args, "static");
   const std::size_t machines = args.get_count("machines", 16, 1);
   const workload::MixKind mix = mix_from(args);
   const SchedulerChoice choice =
@@ -482,10 +514,9 @@ struct Run {
   /// --decisions/--spans record the logs for the store, and --trace is
   /// not a task-event sink (replay reads its input trace from it).
   bool store = false;
-  bool telemetry = false;        ///< record into `tel`
-  bool task_events = false;      ///< record into `trace`
-  bool confidence = false;       ///< --confidence-weighting
-  bool candidate_index = false;  ///< --candidate-index
+  bool telemetry = false;    ///< record into `tel`
+  bool task_events = false;  ///< record into `trace`
+  bool confidence = false;   ///< --confidence-weighting
   std::size_t accuracy_window = 64;
   std::string host = "paper";
   std::string model = "nlm";  ///< CLI token, as --model takes it
@@ -501,16 +532,12 @@ void read_run_flags(const ArgParser& args, Run& run) {
   sim::ShardedConfig& cfg = run.cfg;
   run.scheduler = scheduler_choice(args, cfg.queue_capacity);
   run.confidence = args.has("confidence-weighting");
-  run.candidate_index = args.has("candidate-index");
   run.accuracy_window = args.get_count("accuracy-window", 64, 1);
   run.host = args.get("host", run.host);
   run.model = args.get("model", run.model);
   TRACON_REQUIRE(
       !run.confidence || run.scheduler.kind == core::SchedulerKind::kMix,
       "--confidence-weighting requires --scheduler mix");
-  TRACON_REQUIRE(!run.candidate_index || !run.confidence,
-                 "--candidate-index is built over the trained table "
-                 "predictor and cannot wrap the confidence ensemble");
   check_prof(args, cfg.threads);
   cfg.rebalance = rebalance_from(args, &cfg.rebalance_cfg);
   const bool series = args.has("snapshot-interval") || args.has("series-out");
@@ -566,10 +593,10 @@ void stamp_fingerprint(Run& run, const sim::ShardedConfig& cfg,
 }
 
 /// Runs `run` on the engine and stamps its fingerprint. Builds the
-/// per-shard schedulers, the optional candidate index (with a
-/// prediction cache per shard) and, with --confidence-weighting, one
-/// ensemble per shard over WMM/LM/NLM tables trained once and shared
-/// read-only. `scheduler` receives the scheduler's display name.
+/// per-shard schedulers (each TRACON scheduler places through its own
+/// candidate index) and, with --confidence-weighting, one ensemble per
+/// shard over WMM/LM/NLM tables trained once and shared read-only.
+/// `scheduler` receives the scheduler's display name.
 sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
                              std::string& scheduler) {
   // A working copy: the pointers it gains below point at `run` and at
@@ -579,15 +606,6 @@ sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
   if (run.task_events) cfg.trace = &run.trace;
   const std::size_t shards = sim::shard_count(cfg);
   if (cfg.rebalance) cfg.rebalance_predictor = &sys.predictor();
-
-  // Sublinear placement: placements are bit-identical to the flat
-  // scan, so no fingerprint entry is stamped.
-  std::optional<sched::CandidateIndex> cindex;
-  std::vector<std::unique_ptr<sched::PredictionCache>> caches;
-  if (run.candidate_index) {
-    cindex.emplace(sys.predictor());
-    cfg.candidate_index = &*cindex;
-  }
 
   std::vector<sched::TablePredictor> tables;
   std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> ensembles;
@@ -623,15 +641,8 @@ sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
       s = std::make_unique<sched::FifoScheduler>(
           sim::shard_seed(cfg.seed + 1, shard, shards));
     } else {
-      const sched::Predictor* predictor = nullptr;
-      if (!ensembles.empty()) {
-        predictor = ensembles[shard].get();
-      } else if (cindex.has_value()) {
-        caches.push_back(
-            std::make_unique<sched::PredictionCache>(sys.predictor()));
-        predictor = caches.back().get();
-      }
-      s = make_scheduler(sys, run.scheduler, false, predictor);
+      s = make_scheduler(sys, run.scheduler, false,
+                         ensembles.empty() ? nullptr : ensembles[shard].get());
     }
     if (scheduler.empty()) scheduler = s->name();
     return s;
@@ -704,6 +715,7 @@ bool write_exports(const ArgParser& args, const Run& run,
 /// (default auto_shard_count) onto a worker pool, and DESIGN.md §7's
 /// contract keeps every export byte-identical across thread counts.
 int cmd_dynamic(const ArgParser& args) {
+  reject_unknown_flags(args, "dynamic");
   Run run;
   sim::ShardedConfig& cfg = run.cfg;
   read_run_shape(args, cfg);
@@ -769,6 +781,7 @@ int store_run(const ArgParser& args, const Run& run,
 }
 
 int cmd_record(const ArgParser& args) {
+  reject_unknown_flags(args, "record");
   Run run;
   sim::ShardedConfig& cfg = run.cfg;
   read_run_shape(args, cfg);
@@ -814,6 +827,7 @@ int cmd_record(const ArgParser& args) {
 }
 
 int cmd_replay(const ArgParser& args) {
+  reject_unknown_flags(args, "replay");
   if (!args.has("trace")) {
     std::fprintf(stderr, "replay requires --trace FILE\n");
     return 2;
@@ -1635,6 +1649,7 @@ int cmd_profile(const ArgParser& args) {
 /// of --machines machines per manager, fed one root arrival stream
 /// split by --routing.
 int cmd_hierarchy(const ArgParser& args) {
+  reject_unknown_flags(args, "hierarchy");
   const std::size_t managers = args.get_count("managers", 4, 1);
   sim::ShardedConfig cfg;
   read_run_shape(args, cfg, 16);
