@@ -44,35 +44,18 @@ double Rebalancer::cell_slowdown(
 
 std::vector<MigrationPlan> Rebalancer::plan(
     double now, const std::vector<RunningTaskView>& running,
-    const sched::ClusterCounts& counts,
-    const obs::AttributionReport* attribution) const {
+    const sched::ClusterCounts& counts) const {
   (void)now;  // plans depend on state, not on the clock
   std::vector<MigrationPlan> plans;
   if (running.empty()) return plans;
 
-  // --- Candidate cells, from the live signals only. The map's key
+  // --- Candidate cells, from the slowdown rings only. The map's key
   // order makes every later walk deterministic.
   std::map<PairKey, double> flagged;  // cell -> badness (mean slowdown)
   for (const auto& [key, ring] : cells_) {
     if (ring.size() < cfg_.min_cell_samples) continue;
     double slowdown = 1.0 + ring.mean_abs_error();
     if (slowdown > cfg_.slowdown_threshold) flagged[key] = slowdown;
-  }
-  if (attribution != nullptr) {
-    for (const auto& [key, cell] : attribution->pairs) {
-      if (cell.count < cfg_.min_cell_samples) continue;
-      if (cell.mean_slowdown() <= cfg_.slowdown_threshold) continue;
-      double& badness = flagged[key];
-      badness = std::max(badness, cell.mean_slowdown());
-    }
-    const std::size_t top =
-        std::min(cfg_.top_mispredict_rows, attribution->mispredict_order.size());
-    for (std::size_t i = 0; i < top; ++i) {
-      const obs::AttributionRow& row =
-          attribution->rows[attribution->mispredict_order[i]];
-      double& badness = flagged[PairKey{row.app, row.neighbour}];
-      badness = std::max(badness, row.realized_slowdown);
-    }
   }
   if (flagged.empty()) return plans;
 

@@ -4,16 +4,13 @@
 // task's whole lifetime. The Rebalancer closes that loop. Every
 // `interval_s` of virtual time the dynamic event loop hands it a
 // snapshot of the running tasks and the live cluster view; it selects
-// migration candidates from live signals only —
-//   - degrading (app, co-runner) cells: a per-pair
-//     obs::WindowedAccuracy ring over recently realized slowdowns,
-//     fed by the completion path, flags cells whose rolling mean
-//     slowdown exceeds a threshold;
-//   - the worst-mispredict ranking and pair heatmap of an
-//     obs::AttributionReport built from the run's own decision log
-//     (obs::attribute), when decision recording is on —
-// and moves a running task only when the predicted remaining time at
-// the best alternative slot plus the full migration cost
+// migration candidates from its own live signal only: a per-pair
+// obs::WindowedAccuracy ring over recently realized slowdowns, fed by
+// the completion path, flags the degrading (app, co-runner) cells
+// whose rolling mean slowdown exceeds a threshold. It reads no sink,
+// so recording a decision log never changes the run. It moves a
+// running task only when the predicted remaining time at the best
+// alternative slot plus the full migration cost
 // (virt::MigrationCostModel) beats staying put by at least
 // `min_benefit_s`. Destination slots are scored through
 // sched::score_candidates, the same batched-predictor path the
@@ -34,7 +31,6 @@
 #include <vector>
 
 #include "obs/accuracy.hpp"
-#include "obs/attribution.hpp"
 #include "sched/cluster_counts.hpp"
 #include "sched/predictor.hpp"
 #include "virt/migration.hpp"
@@ -87,9 +83,6 @@ struct RebalanceConfig {
   std::size_t min_cell_samples = 4;
   /// Capacity of each per-pair slowdown ring.
   std::size_t signal_window = 32;
-  /// How many worst-mispredict rows of the attribution report flag
-  /// their (app, co-runner) cell as a migration source.
-  std::size_t top_mispredict_rows = 4;
   virt::MigrationCostConfig cost;
 };
 
@@ -115,13 +108,11 @@ class Rebalancer {
 
   /// Plans this round's migrations. `running` must be in a
   /// deterministic order (the simulator walks machines ascending,
-  /// slot 0 before slot 1); `counts` is the live free-slot view;
-  /// `attribution` may be null when decision recording is off.
+  /// slot 0 before slot 1); `counts` is the live free-slot view.
   /// Pure: does not mutate the rebalancer.
   std::vector<MigrationPlan> plan(
       double now, const std::vector<RunningTaskView>& running,
-      const sched::ClusterCounts& counts,
-      const obs::AttributionReport* attribution) const;
+      const sched::ClusterCounts& counts) const;
 
   std::uint64_t completions_observed() const { return observed_; }
 

@@ -2,7 +2,9 @@
 
 #include <ostream>
 
+#include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 
 namespace tracon::obs {
 
@@ -47,6 +49,24 @@ void write_args_json(std::ostream& os, const TraceEvent& ev) {
   field("value", format_double(ev.value));
   field("value2", format_double(ev.value2));
   os << "}";
+}
+
+/// The task-event log's name for a kTask* kind; nullptr for every kind
+/// the log drops.
+const char* task_event_name(TraceEventKind kind) {
+  switch (kind) {
+    case TraceEventKind::kTaskArrival: return "arrived";
+    case TraceEventKind::kTaskDropped: return "dropped";
+    case TraceEventKind::kTaskPlaced: return "placed";
+    case TraceEventKind::kTaskCompleted: return "completed";
+    default: return nullptr;
+  }
+}
+
+void require_complete(const EventTracer& tracer) {
+  TRACON_REQUIRE(tracer.dropped() == 0,
+                 "a capped tracer dropped events; its task-event log "
+                 "would be incomplete");
 }
 
 }  // namespace
@@ -96,6 +116,39 @@ void EventTracer::write_jsonl(std::ostream& os) const {
     os << ", \"count\": " << ev.count
        << ", \"value\": " << format_double(ev.value)
        << ", \"value2\": " << format_double(ev.value2) << "}\n";
+  }
+}
+
+void EventTracer::write_task_events_csv(std::ostream& os) const {
+  require_complete(*this);
+  os << "time_s,event,app,machine\n";
+  for (const TraceEvent& ev : events_) {
+    const char* name = task_event_name(ev.kind);
+    if (name == nullptr) continue;
+    os << ev.time_s << ',' << name << ',' << ev.app << ',';
+    if (ev.machine != TraceEvent::kNone) os << ev.machine;
+    os << '\n';
+  }
+}
+
+void EventTracer::write_task_events_jsonl(std::ostream& os) const {
+  require_complete(*this);
+  std::size_t count = 0;
+  for (const TraceEvent& ev : events_)
+    if (task_event_name(ev.kind) != nullptr) ++count;
+  os << JsonLineWriter()
+            .field("schema", "tracon.task_events")
+            .field("version", kJsonlSchemaVersion)
+            .field("events", count)
+            .str()
+     << '\n';
+  for (const TraceEvent& ev : events_) {
+    const char* name = task_event_name(ev.kind);
+    if (name == nullptr) continue;
+    JsonLineWriter line;
+    line.field("time_s", ev.time_s).field("event", name).field("app", ev.app);
+    if (ev.machine != TraceEvent::kNone) line.field("machine", ev.machine);
+    os << line.str() << '\n';
   }
 }
 

@@ -1,11 +1,13 @@
 // Typed simulation event tracing with virtual-clock timestamps.
 //
 // The tracer records plain-old-data events (no allocation per event
-// beyond vector growth) and exports two machine-readable views:
+// beyond vector growth) and exports four machine-readable views:
 //   - Chrome trace_event JSON, loadable in chrome://tracing and
 //     Perfetto (task lifetimes become duration slices per machine,
 //     control-plane events become instants);
-//   - one JSON object per line (JSONL) for ad-hoc scripting.
+//   - one JSON object per line (JSONL) for ad-hoc scripting;
+//   - the per-task event log, as CSV or as `tracon.task_events` JSONL:
+//     the stream filtered to its four kTask* kinds.
 //
 // Timestamps are SIMULATED seconds — never wall clock — so two runs
 // with the same seed export byte-identical traces. The tracer is
@@ -85,6 +87,19 @@ class EventTracer {
 
   /// One JSON object per line, in record order.
   void write_jsonl(std::ostream& os) const;
+
+  /// The per-task event log: the kTask* events in record order, every
+  /// other kind dropped, each named arrived/dropped/placed/completed.
+  /// CSV with header `time_s,event,app,machine` (machine empty when the
+  /// event has none). Requires that no event was dropped at the cap.
+  void write_task_events_csv(std::ostream& os) const;
+
+  /// The same log as JSONL: a schema-version header line ({"schema":
+  /// "tracon.task_events", "version": N, "events": count} — the header
+  /// shape of the replay arrival-trace format) followed by one
+  /// {"time_s", "event", "app"[, "machine"]} object per line. Requires
+  /// that no event was dropped at the cap.
+  void write_task_events_jsonl(std::ostream& os) const;
 
  private:
   bool enabled_ = false;

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
@@ -13,8 +14,10 @@ namespace tracon::obs {
 
 SnapshotSeries::SnapshotSeries(const MetricsRegistry& registry,
                                double interval_s)
-    : registry_(&registry), interval_s_(interval_s) {
+    : registry_(&registry) {
   TRACON_REQUIRE(interval_s > 0.0, "snapshot interval must be positive");
+  series_.version = kJsonlSchemaVersion;
+  series_.interval_s = interval_s;
 }
 
 void SnapshotSeries::track_accuracy(const std::string& name,
@@ -27,61 +30,35 @@ void SnapshotSeries::track_accuracy(const std::string& name,
 
 void SnapshotSeries::sample(double now_s) {
   TRACON_CHECK_FINITE(now_s, "snapshot timestamp");
-  TRACON_REQUIRE(now_s > last_sample_s_ || next_window_ == 0,
+  const double last_s =
+      series_.windows.empty() ? 0.0 : series_.windows.back().t_end;
+  TRACON_REQUIRE(now_s > last_s || series_.windows.empty(),
                  "snapshot timestamps must be strictly increasing");
 
-  JsonLineWriter counters;
+  SeriesWindow w;
+  w.index = series_.windows.size();
+  w.t_start = last_s;
+  w.t_end = now_s;
   for (const auto& [name, counter] : registry_->counters()) {
-    std::uint64_t last = 0;
-    if (auto it = last_counters_.find(name); it != last_counters_.end())
-      last = it->second;
+    std::uint64_t& last = last_counters_[name];
     TRACON_ASSERT(counter.value() >= last, "counter moved backwards");
-    counters.field(name, counter.value() - last);
-    last_counters_[name] = counter.value();
+    w.counters[name] = static_cast<double>(counter.value() - last);
+    last = counter.value();
   }
-
-  JsonLineWriter gauges;
   for (const auto& [name, gauge] : registry_->gauges())
-    gauges.field(name, gauge.value());
-
-  JsonLineWriter accuracy;
+    w.gauges[name] = gauge.value();
   for (const auto& [name, window] : accuracy_) {
-    JsonLineWriter stats;
-    stats.field("count", static_cast<std::uint64_t>(window->size()));
-    stats.field("total", window->total());
-    stats.field("mean_abs", window->mean_abs_error());
-    stats.field("p50", window->quantile(0.5));
-    stats.field("p90", window->quantile(0.9));
-    accuracy.raw_field(name, stats.str());
+    SeriesWindow::Accuracy& a = w.accuracy[name];
+    a.count = static_cast<double>(window->size());
+    a.total = static_cast<double>(window->total());
+    a.mean_abs = window->mean_abs_error();
+    a.p50 = window->quantile(0.5);
+    a.p90 = window->quantile(0.9);
   }
-
-  records_.push_back(JsonLineWriter()
-                         .field("window", next_window_)
-                         .field("t_start", last_sample_s_)
-                         .field("t_end", now_s)
-                         .raw_field("counters", counters.str())
-                         .raw_field("gauges", gauges.str())
-                         .raw_field("accuracy", accuracy.str())
-                         .str());
-  last_sample_s_ = now_s;
-  ++next_window_;
+  series_.windows.push_back(std::move(w));
 }
 
-void SnapshotSeries::write(std::ostream& os) const {
-  os << JsonLineWriter()
-            .field("schema", kMetricsSeriesSchema)
-            .field("version", kJsonlSchemaVersion)
-            .field("interval_s", interval_s_)
-            .str()
-     << "\n";
-  for (const std::string& record : records_) os << record << "\n";
-}
-
-std::string SnapshotSeries::str() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
-}
+std::string SnapshotSeries::str() const { return metrics_series_str(series_); }
 
 namespace {
 

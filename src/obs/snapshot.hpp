@@ -1,6 +1,7 @@
 // Windowed time-series telemetry: SnapshotSeries samples a
-// MetricsRegistry on the simulator's virtual clock and emits one
-// schema-versioned `tracon.metrics_series` JSONL record per window.
+// MetricsRegistry on the simulator's virtual clock into one
+// SeriesWindow per window, written as a schema-versioned
+// `tracon.metrics_series` JSONL record each.
 //
 // Each record carries, for the window (t_start, t_end]:
 //   - per-window counter *deltas* (current value minus the value at the
@@ -32,43 +33,9 @@ class JsonValue;
 inline constexpr std::string_view kMetricsSeriesSchema =
     "tracon.metrics_series";
 
-class SnapshotSeries {
- public:
-  /// Samples `registry` (not owned; must outlive the series) every
-  /// `interval_s` sim-seconds — the driver (the dynamic scenario's
-  /// event loop) owns the cadence and calls sample().
-  SnapshotSeries(const MetricsRegistry& registry, double interval_s);
-
-  double interval_s() const { return interval_s_; }
-
-  /// Registers a rolling accuracy window (not owned) whose statistics
-  /// are embedded in every subsequent record under `name` — a dotted
-  /// metric path such as "model.nlm.runtime".
-  void track_accuracy(const std::string& name, const WindowedAccuracy* window);
-
-  /// Closes the window ending at `now_s` (strictly after the previous
-  /// sample) and appends its record. Timestamps must come from the
-  /// virtual clock, never the wall clock.
-  void sample(double now_s);
-
-  std::size_t windows() const { return records_.size(); }
-
-  /// Header line plus one record per window.
-  void write(std::ostream& os) const;
-  std::string str() const;
-
- private:
-  const MetricsRegistry* registry_;
-  double interval_s_;
-  std::map<std::string, const WindowedAccuracy*> accuracy_;
-  std::map<std::string, std::uint64_t> last_counters_;
-  double last_sample_s_ = 0.0;
-  std::uint64_t next_window_ = 0;
-  std::vector<std::string> records_;
-};
-
-/// Parsed view of one series record, used by `tracon timeline`, the
-/// report diff, and telemetry_check.
+/// One series record: what SnapshotSeries samples, what the sharded
+/// engine merges, and what `tracon timeline`, the report diff and
+/// telemetry_check parse back.
 struct SeriesWindow {
   std::uint64_t index = 0;
   double t_start = 0.0;
@@ -91,18 +58,49 @@ struct MetricsSeries {
   std::vector<SeriesWindow> windows;
 };
 
-/// Parses a series document as written by SnapshotSeries::write.
+class SnapshotSeries {
+ public:
+  /// Samples `registry` (not owned; must outlive the series) every
+  /// `interval_s` sim-seconds — the driver (the dynamic scenario's
+  /// event loop) owns the cadence and calls sample().
+  SnapshotSeries(const MetricsRegistry& registry, double interval_s);
+
+  double interval_s() const { return series_.interval_s; }
+
+  /// Registers a rolling accuracy window (not owned) whose statistics
+  /// are embedded in every subsequent record under `name` — a dotted
+  /// metric path such as "model.nlm.runtime".
+  void track_accuracy(const std::string& name, const WindowedAccuracy* window);
+
+  /// Closes the window ending at `now_s` (strictly after the previous
+  /// sample) and appends its record. Timestamps must come from the
+  /// virtual clock, never the wall clock.
+  void sample(double now_s);
+
+  /// The windows sampled so far, by value.
+  const MetricsSeries& series() const { return series_; }
+
+  /// Header line plus one record per window (metrics_series_str).
+  std::string str() const;
+
+ private:
+  const MetricsRegistry* registry_;
+  std::map<std::string, const WindowedAccuracy*> accuracy_;
+  std::map<std::string, std::uint64_t> last_counters_;
+  MetricsSeries series_;
+};
+
+/// Parses a series document as written by write_metrics_series.
 /// Throws std::invalid_argument on a foreign schema or malformed
 /// records.
 MetricsSeries parse_metrics_series(std::istream& in);
 MetricsSeries parse_metrics_series(const std::string& text);
 
-/// Re-emits a parsed (or programmatically merged) series in the exact
-/// byte format SnapshotSeries::write produces: same header, same field
-/// order, maps in name order, counters/accuracy counts as integers and
-/// everything else through the shortest round-trip double writer. The
-/// sharded runner uses this to publish a merged per-window series that
-/// is byte-comparable across thread counts.
+/// Writes a series — sampled, merged across shards, or parsed — as
+/// JSONL: the header, then one record per window with maps in name
+/// order, counters and accuracy counts as integers and everything else
+/// through the shortest round-trip double writer. Byte-comparable
+/// across thread counts for the sharded engine's merged series.
 void write_metrics_series(std::ostream& os, const MetricsSeries& series);
 std::string metrics_series_str(const MetricsSeries& series);
 

@@ -1,15 +1,15 @@
 #include "sim/dynamic_scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "obs/accuracy.hpp"
-#include "obs/attribution.hpp"
-#include "obs/jsonl.hpp"
 #include "obs/kvlog.hpp"
 #include "obs/span_log.hpp"
 #include "sched/candidate_index.hpp"
@@ -53,18 +53,17 @@ struct Machine {
   }
 };
 
-/// Control events. Completions are NOT queued here: they live in the
-/// indexed CompletionHeap, keyed by VM slot, where ETA changes move the
-/// slot's single entry in place instead of stranding dead events.
-enum class EventType { kArrival, kWakeup, kRound, kSnapshot, kRebalance };
+/// Control events, in the order they run at one instant: a snapshot
+/// comes last, so a window closes after every other event at its
+/// t_end. Completions are not control events: they live in the indexed
+/// CompletionHeap, keyed by VM slot, where ETA changes move the slot's
+/// single entry in place instead of stranding dead events.
+enum class EventType { kArrival, kWakeup, kRound, kRebalance, kSnapshot };
+constexpr std::size_t kEventTypes =
+    static_cast<std::size_t>(EventType::kSnapshot) + 1;
 
-struct Event {
-  double time = 0.0;
-  EventType type = EventType::kArrival;
-  std::size_t index = 0;  ///< arrival index (kArrival only)
-
-  bool operator>(const Event& o) const { return time > o.time; }
-};
+/// A control clock with nothing pending.
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 int registry_key(const Machine& m) {
   std::size_t occ = m.occupancy();
@@ -121,7 +120,26 @@ DynamicOutcome run_dynamic(const PerfTable& table,
   for (std::size_t m = 0; m < cfg.machines; ++m)
     registry.set_key(m, 0);
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  // One clock per control-event type: the instant of its next event,
+  // kNever when none is pending. Only the scheduler's wake-ups can be
+  // pending several at once; they queue in `wakeups`, whose top is the
+  // kWakeup clock. Picking the earliest clock, ties to the type
+  // declared first, is a total order, so the event sequence never
+  // depends on which sinks are on.
+  std::array<double, kEventTypes> clocks;
+  clocks.fill(kNever);
+  auto next_at = [&](EventType type) -> double& {
+    return clocks[static_cast<std::size_t>(type)];
+  };
+  std::priority_queue<double, std::vector<double>, std::greater<double>>
+      wakeups;
+  std::size_t next_arrival = 0;
+  // Time of arrival `i`; kNever past the list or the horizon.
+  auto arrival_at = [&](std::size_t i) {
+    return i < arrivals.size() && arrivals[i].time_s < cfg.duration_s
+               ? arrivals[i].time_s
+               : kNever;
+  };
   // Completions live in an indexed heap keyed by VM slot; ETA changes
   // move the slot's single entry in place instead of stranding stale
   // events behind a stamp check.
@@ -377,8 +395,6 @@ DynamicOutcome run_dynamic(const PerfTable& table,
           trace_event(now, obs::TraceEventKind::kVmStart, app, mi,
                       m.occupancy(), 0.0, 0.0);
         }
-        if (cfg.trace != nullptr)
-          cfg.trace->record(now, TaskEventKind::kPlaced, app, mi);
         double wait = now - queue[p.queue_pos].arrival_s;
         if (wait_hist != nullptr) wait_hist->observe(wait);
         trace_event(now, obs::TraceEventKind::kTaskPlaced, app, mi,
@@ -394,12 +410,12 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     }
     if (auto wake = scheduler.next_wakeup(queue, ctx);
         wake.has_value() && *wake > now && *wake < cfg.duration_s) {
-      events.push({*wake, EventType::kWakeup});
+      wakeups.push(*wake);
     }
   };
 
   // One rebalance round: snapshot the running tasks, let the
-  // rebalancer plan against its live signals, then apply each move —
+  // rebalancer plan against its slowdown rings, then apply each move —
   // lift the task off its source host, claim a destination slot of the
   // planned class, freeze the task for the downtime, open the copy
   // window on both hosts, and record provenance.
@@ -427,19 +443,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         views.push_back(v);
       }
     }
-    // Worst-mispredict signal: attribute the run's own decision log so
-    // far. Shard-local under the sharded engine, so the report (and
-    // every plan derived from it) is thread-count independent.
-    std::optional<obs::AttributionReport> report;
-    if (tel != nullptr && tel->decisions.enabled() &&
-        tel->decisions.size() > 0) {
-      obs::DecisionDoc doc;
-      doc.version = obs::kJsonlSchemaVersion;
-      doc.events = tel->decisions.events();
-      report.emplace(obs::attribute(doc));
-    }
-    const auto plans = cfg.rebalancer->plan(
-        now, views, counts, report.has_value() ? &*report : nullptr);
+    const auto plans = cfg.rebalancer->plan(now, views, counts);
     for (const migrate::MigrationPlan& p : plans) {
       // Resolve the destination before touching anything: earlier moves
       // in the same round can have consumed the planned class's last
@@ -528,8 +532,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
   TRACON_REQUIRE(cfg.queue_capacity >= 1, "queue capacity must be >= 1");
   TRACON_REQUIRE(cfg.schedule_period_s > 0.0,
                  "schedule period must be positive");
-  if (!arrivals.empty() && arrivals.front().time_s < cfg.duration_s)
-    events.push({arrivals.front().time_s, EventType::kArrival, 0});
+  next_at(EventType::kArrival) = arrival_at(0);
   // Online schedulers (FIFO, MIOS) dispatch on every event. Batch
   // schedulers are triggered by arrivals (the paper: "the scheduling
   // process takes place when the queue that holds the incoming tasks is
@@ -537,11 +540,11 @@ DynamicOutcome run_dynamic(const PerfTable& table,
   // completions: freed VMs accumulate between batches, which is what
   // gives MIBS/MIX genuinely concurrent placement choices.
   const bool online = scheduler.online();
-  events.push({cfg.schedule_period_s, EventType::kRound});
+  next_at(EventType::kRound) = cfg.schedule_period_s;
   if (cfg.snapshots != nullptr) {
     TRACON_REQUIRE(tel != nullptr, "snapshot series requires telemetry");
-    events.push({std::min(cfg.snapshots->interval_s(), cfg.duration_s),
-                 EventType::kSnapshot});
+    next_at(EventType::kSnapshot) =
+        std::min(cfg.snapshots->interval_s(), cfg.duration_s);
   }
   TRACON_REQUIRE(
       cfg.windowed_runtime == nullptr || cfg.accuracy_probe != nullptr,
@@ -551,21 +554,22 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       "windowed IOPS accuracy requires an accuracy probe");
   if (cfg.rebalancer != nullptr) {
     double first = cfg.rebalancer->config().interval_s;
-    if (first < cfg.duration_s)
-      events.push({first, EventType::kRebalance});
+    if (first < cfg.duration_s) next_at(EventType::kRebalance) = first;
   }
 
-  while (!events.empty() || !completions.empty()) {
+  while (true) {
+    next_at(EventType::kWakeup) = wakeups.empty() ? kNever : wakeups.top();
+    std::size_t due = 0;
+    for (std::size_t t = 1; t < kEventTypes; ++t)
+      if (clocks[t] < clocks[due]) due = t;
     // Two-queue merge: control events win equal-time ties so that a
     // round/arrival at the exact instant of a completion sees the
     // pre-completion cluster — completions at a tied time strictly
     // follow, as a deterministic rule rather than heap happenstance.
     const bool take_comp =
-        !completions.empty() &&
-        (events.empty() || completions.top().time < events.top().time);
-    const double now =
-        take_comp ? completions.top().time : events.top().time;
-    if (now > cfg.duration_s) break;
+        !completions.empty() && completions.top().time < clocks[due];
+    const double now = take_comp ? completions.top().time : clocks[due];
+    if (now > cfg.duration_s) break;  // also: nothing left pending
 
     double dt = now - last_event_time;
     queue_len_integral += static_cast<double>(queue.size()) * dt;
@@ -596,8 +600,6 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       out.total_runtime += runtime;
       out.total_iops += mean_iops;
       std::size_t departed = t->app;
-      if (cfg.trace != nullptr)
-        cfg.trace->record(now, TaskEventKind::kCompleted, departed, mi);
       if (runtime_hist != nullptr) runtime_hist->observe(runtime);
       trace_event(now, obs::TraceEventKind::kTaskCompleted, departed, mi, 0,
                   runtime, mean_iops);
@@ -659,46 +661,43 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       continue;
     }
 
-    Event ev = events.top();
-    events.pop();
-
-    switch (ev.type) {
+    switch (static_cast<EventType>(due)) {
       case EventType::kArrival: {
         ++out.arrived;
         if (c_arrived != nullptr) c_arrived->inc();
-        std::size_t idx = ev.index;
+        const std::size_t idx = next_arrival++;
+        next_at(EventType::kArrival) = arrival_at(next_arrival);
         std::size_t app = arrivals[idx].app;
         TRACON_ASSERT(app < n, "arrival app out of range");
-        if (cfg.trace != nullptr)
-          cfg.trace->record(ev.time, TaskEventKind::kArrived, app);
-        trace_event(ev.time, obs::TraceEventKind::kTaskArrival, app,
+        trace_event(now, obs::TraceEventKind::kTaskArrival, app,
                     obs::TraceEvent::kNone, queue.size(), 0.0, 0.0);
         if (queue.size() < cfg.queue_capacity) {
-          queue.push_back({app, ev.time, static_cast<std::uint64_t>(idx)});
-          run_scheduler(ev.time);
+          queue.push_back({app, now, static_cast<std::uint64_t>(idx)});
+          run_scheduler(now);
         } else {
           ++out.dropped;  // manager queue full: task rejected
           if (c_dropped != nullptr) c_dropped->inc();
-          if (cfg.trace != nullptr)
-            cfg.trace->record(ev.time, TaskEventKind::kDropped, app);
-          trace_event(ev.time, obs::TraceEventKind::kTaskDropped, app,
+          trace_event(now, obs::TraceEventKind::kTaskDropped, app,
                       obs::TraceEvent::kNone, queue.size(), 0.0, 0.0);
-        }
-        if (idx + 1 < arrivals.size() &&
-            arrivals[idx + 1].time_s < cfg.duration_s) {
-          events.push(
-              {arrivals[idx + 1].time_s, EventType::kArrival, idx + 1});
         }
         break;
       }
       case EventType::kWakeup:
-        run_scheduler(ev.time);
+        wakeups.pop();
+        run_scheduler(now);
         break;
       case EventType::kRound: {
-        run_scheduler(ev.time);
-        double next_round = ev.time + cfg.schedule_period_s;
-        if (next_round < cfg.duration_s)
-          events.push({next_round, EventType::kRound});
+        run_scheduler(now);
+        double next_round = now + cfg.schedule_period_s;
+        next_at(EventType::kRound) =
+            next_round < cfg.duration_s ? next_round : kNever;
+        break;
+      }
+      case EventType::kRebalance: {
+        run_rebalancer(now);
+        double next_rebalance = now + cfg.rebalancer->config().interval_s;
+        next_at(EventType::kRebalance) =
+            next_rebalance < cfg.duration_s ? next_rebalance : kNever;
         break;
       }
       case EventType::kSnapshot: {
@@ -710,18 +709,11 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         m.gauge("sim.util.busy_machines")
             .set(static_cast<double>(busy_machines));
         m.gauge("sim.util.busy_slots").set(static_cast<double>(busy_slots));
-        cfg.snapshots->sample(ev.time);
-        double next = ev.time + cfg.snapshots->interval_s();
-        if (next > cfg.duration_s) next = cfg.duration_s;
-        if (next > ev.time)
-          events.push({next, EventType::kSnapshot});
-        break;
-      }
-      case EventType::kRebalance: {
-        run_rebalancer(ev.time);
-        double next = ev.time + cfg.rebalancer->config().interval_s;
-        if (next < cfg.duration_s)
-          events.push({next, EventType::kRebalance});
+        cfg.snapshots->sample(now);
+        double next_window =
+            std::min(now + cfg.snapshots->interval_s(), cfg.duration_s);
+        next_at(EventType::kSnapshot) =
+            next_window > now ? next_window : kNever;
         break;
       }
     }

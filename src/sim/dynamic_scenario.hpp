@@ -18,7 +18,6 @@
 #include "sched/scheduler.hpp"
 #include "sim/arrival_source.hpp"
 #include "sim/perf_table.hpp"
-#include "sim/trace.hpp"
 #include "workload/mixes.hpp"
 
 namespace tracon::sim {
@@ -41,11 +40,10 @@ struct DynamicConfig {
   /// batch scheduler genuinely concurrent placement choices. Online
   /// schedulers (FIFO, MIOS) additionally dispatch on every event.
   double schedule_period_s = 5.0;
-  /// Optional per-task event trace (not owned; may be nullptr).
-  TraceRecorder* trace = nullptr;
   /// Optional telemetry sinks (not owned; may be nullptr). When set, the
   /// run records task/VM/queue counters and histograms plus typed trace
-  /// events at virtual-clock timestamps.
+  /// events at virtual-clock timestamps; the per-task event log is the
+  /// tracer's kTask* events.
   obs::Telemetry* telemetry = nullptr;
   /// Optional prediction-accuracy probe (not owned). When both this and
   /// `telemetry` are set, each placement captures the probe's predicted
@@ -80,13 +78,12 @@ struct DynamicConfig {
   /// the event loop runs a rebalance round every
   /// rebalancer->config().interval_s of virtual time: running tasks are
   /// snapshotted (machines ascending, slot 0 first), the rebalancer
-  /// plans migrations from its live signals (plus an attribution report
-  /// over the run's own decision log when recording is on), and each
-  /// planned move is applied — the task is frozen for the downtime, a
-  /// copy-I/O window slows both hosts, and a decision-log migration
-  /// record preserves provenance. The rebalancer is also fed every
-  /// completion. Stateful: use one instance per run (per shard under
-  /// the sharded engine).
+  /// plans migrations from its own slowdown rings (it reads no sink),
+  /// and each planned move is applied — the task is frozen for the
+  /// downtime, a copy-I/O window slows both hosts, and a decision-log
+  /// migration record preserves provenance. The rebalancer is also fed
+  /// every completion. Stateful: use one instance per run (per shard
+  /// under the sharded engine).
   migrate::Rebalancer* rebalancer = nullptr;
   /// Optional arrival stream override (not owned; may be nullptr). When
   /// set, run_dynamic(table, scheduler, cfg) draws the arrival list from

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -50,7 +49,6 @@ struct ShardState {
   DynamicConfig cfg;
   std::unique_ptr<sched::Scheduler> scheduler;
   std::vector<Arrival> arrivals;  ///< routed slice of the root stream
-  TraceRecorder trace;
   obs::Telemetry telemetry;
   std::optional<obs::SnapshotSeries> series;
   std::optional<obs::WindowedAccuracy> win_runtime;
@@ -91,29 +89,20 @@ void aggregate_gauges(obs::MetricsRegistry& merged,
 
 /// Merges the per-shard snapshot series window by window. All shards
 /// sample the same virtual-clock grid (same interval and horizon), so
-/// records pair up by window index: counter deltas and gauges sum,
-/// accuracy statistics merge weighted by each shard's windowed sample
-/// count.
+/// windows pair up by index: counter deltas and gauges sum, accuracy
+/// statistics merge weighted by each shard's windowed sample count.
 std::string merge_series(const std::vector<ShardState>& states) {
-  obs::MetricsSeries merged;
-  bool first = true;
-  for (const ShardState& s : states) {
-    obs::MetricsSeries part = obs::parse_metrics_series(s.series->str());
-    if (first) {
-      merged.version = part.version;
-      merged.interval_s = part.interval_s;
-      merged.windows = std::move(part.windows);
-      // Pre-scale accuracy stats by their weights; divided back out
-      // after every shard is folded in.
-      for (obs::SeriesWindow& w : merged.windows)
-        for (auto& [name, a] : w.accuracy) {
-          a.mean_abs *= a.count;
-          a.p50 *= a.count;
-          a.p90 *= a.count;
-        }
-      first = false;
-      continue;
+  obs::MetricsSeries merged = states.front().series->series();
+  // Pre-scale accuracy stats by their weights; divided back out after
+  // every shard is folded in.
+  for (obs::SeriesWindow& w : merged.windows)
+    for (auto& [name, a] : w.accuracy) {
+      a.mean_abs *= a.count;
+      a.p50 *= a.count;
+      a.p90 *= a.count;
     }
+  for (std::size_t i = 1; i < states.size(); ++i) {
+    const obs::MetricsSeries& part = states[i].series->series();
     TRACON_REQUIRE(part.windows.size() == merged.windows.size(),
                    "shards disagree on snapshot window count");
     for (std::size_t w = 0; w < part.windows.size(); ++w) {
@@ -284,7 +273,6 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     ShardState& s = states[i];
     obs::Telemetry* tel =
         !merge && cfg.telemetry != nullptr ? cfg.telemetry : &s.telemetry;
-    if (cfg.trace != nullptr) s.cfg.trace = merge ? &s.trace : cfg.trace;
     if (telemetry_on) {
       s.cfg.telemetry = tel;
       s.scheduler->set_telemetry(tel);
@@ -375,16 +363,6 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     aggregate_gauges(cfg.telemetry->metrics, states, cfg.machines);
   }
 
-  if (cfg.trace != nullptr) {
-    merge_records<TaskEvent>(
-        states,
-        [](const ShardState& s) -> const auto& { return s.trace.events(); },
-        [](TaskEvent& ev, std::size_t machines, std::uint64_t) {
-          shift_machine(ev.machine, TaskEvent::kNoMachine, machines);
-        },
-        [](const TaskEvent& ev) { return ev.time_s; },
-        [&](TaskEvent&& ev) { cfg.trace->record(ev); });
-  }
   if (tracer_on) {
     merge_records<obs::TraceEvent>(
         states,

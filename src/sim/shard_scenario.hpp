@@ -20,7 +20,10 @@
 // construction, and the serial shard-order merge. The thread count
 // sizes the worker pool and NOTHING else, so `--threads N` produces
 // byte-identical metrics JSON, snapshot series, and task/trace event
-// files to `--threads 1` for the same seed.
+// files to `--threads 1` for the same seed. Each stream has one
+// per-shard recorder and one merge: the tracer (task events included),
+// the decision log and the span log through merge_records, the
+// series by SeriesWindow value.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +40,6 @@
 #include "sim/arrival_source.hpp"
 #include "sim/dynamic_scenario.hpp"
 #include "sim/perf_table.hpp"
-#include "sim/trace.hpp"
 #include "workload/mixes.hpp"
 
 namespace tracon::sim {
@@ -89,13 +91,13 @@ struct ShardedConfig {
   /// independent routing it requires one shard.
   ArrivalSource* arrival_source = nullptr;
 
-  /// Merged-output sinks (not owned; may be nullptr). Task events and
-  /// typed trace events are buffered per shard with shard-local machine
-  /// indices, then re-indexed into the global machine space and emitted
-  /// in canonical (time, shard, record) order. Metrics merge via
+  /// Merged-output sinks (not owned; may be nullptr). Typed trace
+  /// events (the per-task event log among them), decisions and spans
+  /// are buffered per shard with shard-local machine indices, then
+  /// re-indexed into the global machine space and emitted in canonical
+  /// (time, shard, record) order. Metrics merge via
   /// MetricsRegistry::merge with machine-weighted utilization gauges.
-  /// A 1-shard run records into these directly, with no merge.
-  TraceRecorder* trace = nullptr;
+  /// A 1-shard run records into it directly, with no merge.
   obs::Telemetry* telemetry = nullptr;
 
   /// Accuracy probe shared by every shard; must be immutable under
@@ -119,12 +121,12 @@ struct ShardedConfig {
 
   /// Live rebalancing, restricted per shard (DESIGN.md §6h): when on,
   /// each shard owns one migrate::Rebalancer scoped to its own
-  /// machines, fed by its own completions and decision log — no state
-  /// crosses a shard boundary, so migrations are a function of the
-  /// shard's seed alone and `--threads N` stays byte-identical to
-  /// `--threads 1`. Cross-shard moves are deliberately not modeled: a
-  /// shard is the paper's per-manager sub-cluster, and a manager only
-  /// migrates within its own fleet.
+  /// machines, fed by its own completions — no state crosses a shard
+  /// boundary, so migrations are a function of the shard's seed alone
+  /// and `--threads N` stays byte-identical to `--threads 1`. No sink
+  /// feeds it, so the sinks never change the run. Cross-shard moves
+  /// are deliberately not modeled: a shard is the paper's per-manager
+  /// sub-cluster, and a manager only migrates within its own fleet.
   bool rebalance = false;
   migrate::RebalanceConfig rebalance_cfg;
   /// Predictor the per-shard rebalancers score destinations with; must
@@ -144,11 +146,12 @@ struct ShardedOutcome {
   std::size_t shards = 0;        ///< effective shard count
   std::size_t threads_used = 0;  ///< effective worker-pool size
   /// Merged `tracon.metrics_series` document (empty when
-  /// snapshot_interval_s == 0; a 1-shard run's own series verbatim):
-  /// per-window counter deltas and gauges
-  /// sum across shards; accuracy stats merge count-weighted (the
-  /// quantiles are a weighted average of per-shard quantiles, an
-  /// approximation that is exact for the count/total fields).
+  /// snapshot_interval_s == 0; a 1-shard run's own series verbatim).
+  /// The shards' SeriesWindow values merge index by index, then are
+  /// written once: per-window counter deltas and gauges sum across
+  /// shards; accuracy stats merge count-weighted (the quantiles are a
+  /// weighted average of per-shard quantiles, an approximation that is
+  /// exact for the count/total fields).
   std::string series;
 
   /// Coefficient of variation of per-shard completions — a routing

@@ -19,7 +19,12 @@
 #      to one shard prints exactly the flag-free run's stdout, and
 #      --scheduler mix --confidence-weighting runs flat and sharded;
 #   5. `breakdown --window` and `attribution --top` reject NaN, negative
-#      and overflowing values; valid ones print tests/data/cli_* exactly.
+#      and overflowing values; valid ones print tests/data/cli_* exactly;
+#   6. the task-event CSV (--trace), the task-event JSONL
+#      (--events-jsonl) and the snapshot series (--series-out) of a
+#      small run, flat and on 2 shards, match tests/data/task_events_*
+#      and tests/data/series_* byte for byte. The 601 s interval never
+#      lands on a 5 s scheduling round, so no window closes on a tie.
 set -euo pipefail
 
 TRACON=$1
@@ -182,5 +187,18 @@ expect_rejected top attribution --decisions decisions.jsonl --top -1
 diff breakdown.json "$DATA/cli_breakdown_window600.json"
 "$TRACON" attribution --decisions decisions.jsonl --top 3 > attribution.txt
 diff attribution.txt "$DATA/cli_attribution_top3.txt"
+
+echo "== task events and the series keep their bytes =="
+for shape in flat:"" 2shards:"--threads 2 --shards 2"; do
+  name=${shape%%:*}
+  # shellcheck disable=SC2086
+  "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.5 \
+      --snapshot-interval 601 ${shape#*:} --trace "events_$name.csv" \
+      --events-jsonl "events_$name.jsonl" --series-out "series_$name.jsonl" \
+      > "golden_$name.log"
+  diff "events_$name.csv" "$DATA/task_events_$name.csv"
+  diff "events_$name.jsonl" "$DATA/task_events_$name.jsonl"
+  diff "series_$name.jsonl" "$DATA/series_$name.jsonl"
+done
 
 echo "cli_smoke: all checks passed"

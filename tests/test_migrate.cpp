@@ -122,7 +122,7 @@ TEST(Rebalancer, MovesATaskOutOfADegradingCell) {
   sched::ClusterCounts counts(table().num_apps(), 3);
   counts.place(app, std::nullopt);   // half-busy source stand-in
   counts.place(nb, app);             // fills it: the (app, nb) machine
-  auto plans = reb.plan(100.0, one_task(app, nb), counts, nullptr);
+  auto plans = reb.plan(100.0, one_task(app, nb), counts);
   ASSERT_EQ(plans.size(), 1u);
   const MigrationPlan& p = plans[0];
   EXPECT_EQ(p.task_id, 17u);
@@ -141,7 +141,7 @@ TEST(Rebalancer, StaysPutWithoutADegradationSignal) {
   sched::ClusterCounts counts(table().num_apps(), 3);
   counts.place(app, std::nullopt);
   counts.place(nb, app);
-  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts, nullptr).empty());
+  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts).empty());
   EXPECT_DOUBLE_EQ(reb.cell_slowdown(app, nb), 1.0);
 }
 
@@ -157,7 +157,7 @@ TEST(Rebalancer, NeverMovesWhenCostExceedsBenefit) {
   sched::ClusterCounts counts(table().num_apps(), 3);
   counts.place(app, std::nullopt);
   counts.place(nb, app);
-  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts, nullptr).empty());
+  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts).empty());
 }
 
 TEST(Rebalancer, ValidatesItsConfig) {

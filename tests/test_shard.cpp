@@ -137,9 +137,7 @@ RunBytes run_instrumented(const std::string& kind, std::uint64_t seed,
   ShardedConfig cfg = small_cfg(seed, threads);
   obs::Telemetry telemetry;
   telemetry.tracer.set_enabled(true);
-  TraceRecorder trace;
   cfg.telemetry = &telemetry;
-  cfg.trace = &trace;
   cfg.accuracy_probe = &oracle();
   cfg.accuracy_family = "oracle";
   cfg.snapshot_interval_s = 600.0;
@@ -149,7 +147,7 @@ RunBytes run_instrumented(const std::string& kind, std::uint64_t seed,
   std::ostringstream metrics, tj, ej;
   telemetry.metrics.write_json(metrics);
   telemetry.tracer.write_jsonl(tj);
-  trace.write_jsonl(ej);
+  telemetry.tracer.write_task_events_jsonl(ej);
   r.metrics_json = metrics.str();
   r.trace_jsonl = tj.str();
   r.events_jsonl = ej.str();
@@ -244,13 +242,12 @@ struct SinkBytes {
   std::string metrics, trace, events, decisions, spans, series;
 };
 
-SinkBytes sink_bytes(const obs::Telemetry& tel, const TraceRecorder& trace,
-                     std::string series) {
+SinkBytes sink_bytes(const obs::Telemetry& tel, std::string series) {
   SinkBytes b;
   std::ostringstream metrics, tj, ej, dj, sj;
   tel.metrics.write_json(metrics);
   tel.tracer.write_jsonl(tj);
-  trace.write_jsonl(ej);
+  tel.tracer.write_task_events_jsonl(ej);
   tel.decisions.write(dj);
   tel.spans.write(sj);
   b.metrics = metrics.str();
@@ -281,9 +278,7 @@ TEST(ShardedScenario, OneShardIsTheFlatRunByteForByte) {
   flat.seed = 5;
   obs::Telemetry flat_tel;
   enable_logs(flat_tel);
-  TraceRecorder flat_trace;
   flat.telemetry = &flat_tel;
-  flat.trace = &flat_trace;
   flat.accuracy_probe = &oracle();
   flat.accuracy_family = "oracle";
   obs::SnapshotSeries series(flat_tel.metrics, 600.0);
@@ -298,7 +293,7 @@ TEST(ShardedScenario, OneShardIsTheFlatRunByteForByte) {
   auto scheduler = factory_for("mibs", flat.seed)(0);
   scheduler->set_telemetry(&flat_tel);
   const DynamicOutcome a = run_dynamic(table(), *scheduler, flat);
-  const SinkBytes want = sink_bytes(flat_tel, flat_trace, series.str());
+  const SinkBytes want = sink_bytes(flat_tel, series.str());
 
   // The same system through the engine, at any thread count.
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -312,9 +307,7 @@ TEST(ShardedScenario, OneShardIsTheFlatRunByteForByte) {
     cfg.threads = threads;
     obs::Telemetry tel;
     enable_logs(tel);
-    TraceRecorder trace;
     cfg.telemetry = &tel;
-    cfg.trace = &trace;
     cfg.accuracy_probe = &oracle();
     cfg.accuracy_family = "oracle";
     cfg.snapshot_interval_s = 600.0;
@@ -331,7 +324,7 @@ TEST(ShardedScenario, OneShardIsTheFlatRunByteForByte) {
     EXPECT_EQ(o.total.total_iops, a.total_iops);
     EXPECT_EQ(o.total.mean_wait_s, a.mean_wait_s);
     EXPECT_EQ(o.total.mean_queue_length, a.mean_queue_length);
-    const SinkBytes got = sink_bytes(tel, trace, o.series);
+    const SinkBytes got = sink_bytes(tel, o.series);
     EXPECT_EQ(got.metrics, want.metrics);
     EXPECT_EQ(got.trace, want.trace);
     EXPECT_EQ(got.events, want.events);
@@ -374,9 +367,7 @@ ConfidenceRun run_confidence(std::size_t threads, bool indexed = true) {
   }
   obs::Telemetry telemetry;
   enable_logs(telemetry);
-  TraceRecorder trace;
   cfg.telemetry = &telemetry;
-  cfg.trace = &trace;
   cfg.snapshot_interval_s = 600.0;
   SchedulerFactory factory =
       [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
@@ -388,7 +379,7 @@ ConfidenceRun run_confidence(std::size_t threads, bool indexed = true) {
   };
   ConfidenceRun r;
   r.outcome = run_dynamic_sharded(table(), factory, cfg);
-  r.bytes = sink_bytes(telemetry, trace, r.outcome.series);
+  r.bytes = sink_bytes(telemetry, r.outcome.series);
   return r;
 }
 
@@ -419,9 +410,7 @@ SinkBytes run_mibs(std::size_t threads, bool indexed) {
   ShardedConfig cfg = small_cfg(21, threads);
   obs::Telemetry telemetry;
   enable_logs(telemetry);
-  TraceRecorder trace;
   cfg.telemetry = &telemetry;
-  cfg.trace = &trace;
   cfg.snapshot_interval_s = 600.0;
   cfg.accuracy_probe = &oracle();
   cfg.accuracy_family = "oracle";
@@ -433,7 +422,7 @@ SinkBytes run_mibs(std::size_t threads, bool indexed) {
     return s;
   };
   ShardedOutcome o = run_dynamic_sharded(table(), factory, cfg);
-  return sink_bytes(telemetry, trace, o.series);
+  return sink_bytes(telemetry, o.series);
 }
 
 void expect_same_bytes(const SinkBytes& a, const SinkBytes& b,

@@ -1,9 +1,15 @@
-#include "sim/trace.hpp"
+// The per-task event log (`--trace` CSV, `--events-jsonl` JSONL): the
+// EventTracer's stream projected onto its four kTask* kinds, and the
+// dynamic scenario that records it.
+#include "obs/event_tracer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
+#include "obs/telemetry.hpp"
 #include "sched/fifo.hpp"
 #include "sim/dynamic_scenario.hpp"
 #include "workload/benchmarks.hpp"
@@ -11,60 +17,113 @@
 namespace tracon::sim {
 namespace {
 
+using obs::EventTracer;
+using obs::TraceEvent;
+using obs::TraceEventKind;
+
+TraceEvent event(double time_s, TraceEventKind kind, std::size_t app,
+                 std::size_t machine = TraceEvent::kNone) {
+  TraceEvent ev;
+  ev.time_s = time_s;
+  ev.kind = kind;
+  ev.app = app;
+  ev.machine = machine;
+  return ev;
+}
+
+EventTracer enabled_tracer() {
+  EventTracer t;
+  t.set_enabled(true);
+  return t;
+}
+
+std::size_t count(const EventTracer& t, TraceEventKind kind) {
+  std::size_t n = 0;
+  for (const TraceEvent& e : t.events())
+    if (e.kind == kind) ++n;
+  return n;
+}
+
+std::string csv(const EventTracer& t) {
+  std::ostringstream os;
+  t.write_task_events_csv(os);
+  return os.str();
+}
+
+std::string jsonl(const EventTracer& t) {
+  std::ostringstream os;
+  t.write_task_events_jsonl(os);
+  return os.str();
+}
+
 TEST(TraceRecorder, RecordsAndCounts) {
-  TraceRecorder t;
-  t.record(1.0, TaskEventKind::kArrived, 3);
-  t.record(1.5, TaskEventKind::kPlaced, 3, 7);
-  t.record(9.0, TaskEventKind::kCompleted, 3, 7);
-  t.record(2.0, TaskEventKind::kDropped, 5);
-  EXPECT_EQ(t.events().size(), 4u);
-  EXPECT_EQ(t.count(TaskEventKind::kArrived), 1u);
-  EXPECT_EQ(t.count(TaskEventKind::kPlaced), 1u);
-  EXPECT_EQ(t.count(TaskEventKind::kDropped), 1u);
+  EventTracer t = enabled_tracer();
+  t.record(event(1.0, TraceEventKind::kTaskArrival, 3));
+  t.record(event(1.5, TraceEventKind::kVmStart, 3, 7));
+  t.record(event(1.5, TraceEventKind::kTaskPlaced, 3, 7));
+  t.record(event(9.0, TraceEventKind::kTaskCompleted, 3, 7));
+  t.record(event(2.0, TraceEventKind::kTaskDropped, 5));
+  EXPECT_EQ(t.events().size(), 5u);
+  EXPECT_EQ(count(t, TraceEventKind::kTaskArrival), 1u);
+  EXPECT_EQ(count(t, TraceEventKind::kTaskPlaced), 1u);
+  EXPECT_EQ(count(t, TraceEventKind::kTaskDropped), 1u);
+  // The log holds the four task events, not the VM start.
+  EXPECT_NE(jsonl(t).find("\"events\": 4}"), std::string::npos);
   t.clear();
   EXPECT_TRUE(t.events().empty());
+  EXPECT_EQ(csv(t), "time_s,event,app,machine\n");
 }
 
 TEST(TraceRecorder, CsvFormat) {
-  TraceRecorder t;
-  t.record(1.5, TaskEventKind::kPlaced, 3, 7);
-  t.record(2.0, TaskEventKind::kDropped, 5);
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(),
+  EventTracer t = enabled_tracer();
+  t.record(event(1.5, TraceEventKind::kVmStart, 3, 7));
+  t.record(event(1.5, TraceEventKind::kTaskPlaced, 3, 7));
+  t.record(event(1.5, TraceEventKind::kSchedDecision, TraceEvent::kNone));
+  t.record(event(2.0, TraceEventKind::kTaskDropped, 5));
+  EXPECT_EQ(csv(t),
             "time_s,event,app,machine\n"
             "1.5,placed,3,7\n"
             "2,dropped,5,\n");
 }
 
 TEST(TraceRecorder, KindNames) {
-  EXPECT_EQ(task_event_kind_name(TaskEventKind::kArrived), "arrived");
-  EXPECT_EQ(task_event_kind_name(TaskEventKind::kCompleted), "completed");
-}
-
-TEST(TraceRecorder, KindNamesRoundTripThroughParse) {
-  for (auto kind : {TaskEventKind::kArrived, TaskEventKind::kDropped,
-                    TaskEventKind::kPlaced, TaskEventKind::kCompleted}) {
-    auto parsed = parse_task_event_kind(task_event_kind_name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(parse_task_event_kind("exploded").has_value());
-  EXPECT_FALSE(parse_task_event_kind("").has_value());
+  EventTracer t = enabled_tracer();
+  t.record(event(1.0, TraceEventKind::kTaskArrival, 0));
+  t.record(event(2.0, TraceEventKind::kTaskCompleted, 1, 2));
+  EXPECT_EQ(csv(t),
+            "time_s,event,app,machine\n"
+            "1,arrived,0,\n"
+            "2,completed,1,2\n");
 }
 
 TEST(TraceRecorder, JsonlFormat) {
-  TraceRecorder t;
-  t.record(1.5, TaskEventKind::kPlaced, 3, 7);
-  t.record(2.0, TaskEventKind::kDropped, 5);
-  std::ostringstream os;
-  t.write_jsonl(os);
-  EXPECT_EQ(os.str(),
+  EventTracer t = enabled_tracer();
+  t.record(event(1.5, TraceEventKind::kVmStart, 3, 7));
+  t.record(event(1.5, TraceEventKind::kTaskPlaced, 3, 7));
+  t.record(event(1.5, TraceEventKind::kSchedDecision, TraceEvent::kNone));
+  t.record(event(2.0, TraceEventKind::kTaskDropped, 5));
+  EXPECT_EQ(jsonl(t),
             "{\"schema\": \"tracon.task_events\", \"version\": 2, "
             "\"events\": 2}\n"
             "{\"time_s\": 1.5, \"event\": \"placed\", \"app\": 3, "
             "\"machine\": 7}\n"
             "{\"time_s\": 2, \"event\": \"dropped\", \"app\": 5}\n");
+}
+
+TEST(TaskEventLog, CappedTracerRefusesToWriteIt) {
+  EventTracer t = enabled_tracer();
+  t.set_max_events(1);
+  t.record(event(1.0, TraceEventKind::kTaskArrival, 0));
+  t.record(event(2.0, TraceEventKind::kTaskArrival, 1));
+  ASSERT_EQ(t.dropped(), 1u);
+  std::ostringstream os;
+  EXPECT_THROW(t.write_task_events_csv(os), std::invalid_argument);
+  EXPECT_THROW(t.write_task_events_jsonl(os), std::invalid_argument);
+  EXPECT_TRUE(os.str().empty());
+  // A cap that dropped nothing leaves the log complete.
+  t.clear();
+  t.record(event(1.0, TraceEventKind::kTaskArrival, 0));
+  EXPECT_EQ(csv(t), "time_s,event,app,machine\n1,arrived,0,\n");
 }
 
 class TracedDynamic : public ::testing::Test {
@@ -82,31 +141,39 @@ class TracedDynamic : public ::testing::Test {
 };
 
 TEST_F(TracedDynamic, TraceMatchesOutcomeCounts) {
-  TraceRecorder trace;
+  obs::Telemetry tel;
+  tel.tracer.set_enabled(true);
   DynamicConfig cfg;
   cfg.machines = 4;
   cfg.lambda_per_min = 30.0;
   cfg.duration_s = 1800.0;
-  cfg.trace = &trace;
+  cfg.telemetry = &tel;
   sched::FifoScheduler fifo(9);
   DynamicOutcome o = run_dynamic(table(), fifo, cfg);
+  const EventTracer& trace = tel.tracer;
 
-  EXPECT_EQ(trace.count(TaskEventKind::kArrived), o.arrived);
-  EXPECT_EQ(trace.count(TaskEventKind::kDropped), o.dropped);
-  EXPECT_EQ(trace.count(TaskEventKind::kCompleted), o.completed);
+  EXPECT_EQ(count(trace, TraceEventKind::kTaskArrival), o.arrived);
+  EXPECT_EQ(count(trace, TraceEventKind::kTaskDropped), o.dropped);
+  EXPECT_EQ(count(trace, TraceEventKind::kTaskCompleted), o.completed);
   // Every completion was preceded by a placement.
-  EXPECT_GE(trace.count(TaskEventKind::kPlaced),
-            trace.count(TaskEventKind::kCompleted));
+  EXPECT_GE(count(trace, TraceEventKind::kTaskPlaced),
+            count(trace, TraceEventKind::kTaskCompleted));
   // Events are time-ordered (the simulator emits them in event order).
   for (std::size_t i = 1; i < trace.events().size(); ++i)
     EXPECT_LE(trace.events()[i - 1].time_s, trace.events()[i].time_s);
   // Placements and completions carry machine ids within range.
   for (const auto& e : trace.events()) {
-    if (e.kind == TaskEventKind::kPlaced ||
-        e.kind == TaskEventKind::kCompleted) {
+    if (e.kind == TraceEventKind::kTaskPlaced ||
+        e.kind == TraceEventKind::kTaskCompleted) {
       EXPECT_LT(e.machine, cfg.machines);
     }
   }
+  // The log has one row per task event.
+  const std::string rows = csv(trace);
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(rows.begin(), rows.end(), '\n')),
+            1 + o.arrived + o.dropped +
+                count(trace, TraceEventKind::kTaskPlaced) + o.completed);
 }
 
 TEST_F(TracedDynamic, ExplicitArrivalListHonored) {

@@ -72,8 +72,14 @@
 //   --metrics-csv FILE           metrics registry as CSV
 //   --trace-out FILE             Chrome trace_event JSON (Perfetto-loadable)
 //   --trace-jsonl FILE           one trace event per line
-//   --events-jsonl FILE          per-task event log (tracon.task_events)
+//   --events-jsonl FILE          per-task event log (tracon.task_events):
+//                                the trace's arrived/dropped/placed/
+//                                completed events, each with time_s,
+//                                event, app and (placed/completed)
+//                                machine
 //   --trace FILE                 the same log as CSV (dynamic only)
+//   Every sink only records: a run with any set of them simulates the
+//   same run as with none.
 //
 // Sharded execution (DESIGN.md §7): every simulated run goes through
 // one engine, sim::run_dynamic_sharded. A `dynamic` run without the
@@ -514,15 +520,13 @@ struct Run {
   /// --decisions/--spans record the logs for the store, and --trace is
   /// not a task-event sink (replay reads its input trace from it).
   bool store = false;
-  bool telemetry = false;    ///< record into `tel`
-  bool task_events = false;  ///< record into `trace`
-  bool confidence = false;   ///< --confidence-weighting
+  bool telemetry = false;   ///< record into `tel`
+  bool confidence = false;  ///< --confidence-weighting
   std::size_t accuracy_window = 64;
   std::string host = "paper";
   std::string model = "nlm";  ///< CLI token, as --model takes it
   std::string source = "live";
   obs::Telemetry tel;
-  sim::TraceRecorder trace;
 };
 
 /// Reads every flag of a run besides its shape (already in run.cfg)
@@ -545,7 +549,10 @@ void read_run_flags(const ArgParser& args, Run& run) {
     cfg.snapshot_interval_s = args.get_positive("snapshot-interval", 600.0);
 
   obs::Telemetry& tel = run.tel;
-  tel.tracer.set_enabled(args.has("trace-out") || args.has("trace-jsonl"));
+  // The task-event log is the tracer's kTask* stream.
+  tel.tracer.set_enabled(args.has("trace-out") || args.has("trace-jsonl") ||
+                         args.has("events-jsonl") ||
+                         (!run.store && args.has("trace")));
   tel.decisions.set_enabled(args.has("decisions-out") ||
                             (run.store && args.has("decisions")));
   tel.spans.set_enabled(args.has("spans-out") ||
@@ -554,8 +561,6 @@ void read_run_flags(const ArgParser& args, Run& run) {
                   args.has("metrics-out") || args.has("metrics-csv") ||
                   tel.tracer.enabled() || tel.decisions.enabled() ||
                   tel.spans.enabled();
-  run.task_events =
-      args.has("events-jsonl") || (!run.store && args.has("trace"));
 }
 
 /// Stamps the run-identity block every metrics export carries — enough
@@ -603,7 +608,6 @@ sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
   // locals.
   sim::ShardedConfig cfg = run.cfg;
   if (run.telemetry) cfg.telemetry = &run.tel;
-  if (run.task_events) cfg.trace = &run.trace;
   const std::size_t shards = sim::shard_count(cfg);
   if (cfg.rebalance) cfg.rebalance_predictor = &sys.predictor();
 
@@ -703,10 +707,12 @@ bool write_exports(const ArgParser& args, const Run& run,
   io_ok &= write_file("spans-out", "span log",
                       [&](std::ostream& f) { tel.spans.write(f); });
   if (!run.store)
-    io_ok &= write_file("trace", "task-event CSV",
-                        [&](std::ostream& f) { run.trace.write_csv(f); });
-  io_ok &= write_file("events-jsonl", "task-event JSONL",
-                      [&](std::ostream& f) { run.trace.write_jsonl(f); });
+    io_ok &= write_file("trace", "task-event CSV", [&](std::ostream& f) {
+      tel.tracer.write_task_events_csv(f);
+    });
+  io_ok &= write_file("events-jsonl", "task-event JSONL", [&](std::ostream& f) {
+    tel.tracer.write_task_events_jsonl(f);
+  });
   return io_ok;
 }
 
