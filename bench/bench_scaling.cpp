@@ -14,7 +14,8 @@
 //   3. decision-log overhead — the 4096-machine run repeated with
 //      telemetry attached and decision recording off vs on, measuring
 //      what the provenance stream (DESIGN.md section 6g) costs when
-//      enabled (it is a no-op when off).
+//      enabled (it is a no-op when off). The "on" row includes writing
+//      the log into a discarding stream, where the shards' logs merge;
 //   4. span-log overhead — the same off-vs-on probe for the
 //      task-lifecycle span stream (DESIGN.md section 6i), which records
 //      a span per co-runner epoch and so writes more events than the
@@ -24,6 +25,8 @@
 // is written to $TRACON_BENCH_OUT/BENCH_scaling.json (CI consumes it;
 // bench/run_all.sh exports the variable).
 #include <chrono>
+#include <ostream>
+#include <streambuf>
 
 #include "bench_common.hpp"
 #include "obs/telemetry.hpp"
@@ -131,44 +134,27 @@ ScalingRow run_once(std::size_t machines, std::size_t threads,
 
 struct DecisionRow {
   double wall_s = 0.0;
-  std::size_t events = 0;  ///< decision + outcome records produced
+  std::size_t events = 0;  ///< records the log produced
 };
 
-/// Decision-log overhead probe: the 4096-machine sweep configuration
-/// re-run with telemetry attached, once with decision recording off
-/// (the gate makes every record call a no-op) and once on.
-DecisionRow run_decisions(std::size_t machines, std::size_t threads,
-                          bool decisions) {
-  const sched::TablePredictor& oracle = [] {
-    static sched::TablePredictor p = table().oracle_predictor();
-    return p;
-  }();
-  sim::ShardedConfig cfg;
-  cfg.machines = machines;
-  cfg.lambda_per_min = static_cast<double>(machines);
-  cfg.duration_s = 1'800.0;
-  cfg.seed = 7;
-  cfg.threads = threads;
-  obs::Telemetry tel;
-  tel.decisions.set_enabled(decisions);
-  cfg.telemetry = &tel;
-  auto start = std::chrono::steady_clock::now();
-  sim::run_dynamic_sharded(
-      table(),
-      [&](std::size_t) {
-        return std::make_unique<sched::MibsScheduler>(
-            oracle, sched::Objective::kRuntime, 8, 60.0);
-      },
-      cfg);
-  DecisionRow row;
-  row.wall_s = seconds_since(start);
-  row.events = tel.decisions.size();
-  return row;
-}
+/// A stream buffer that drops every byte, so a log's write() is timed
+/// without the file system.
+class DiscardBuffer final : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
 
-/// Span-log overhead probe: same configuration, with the lifecycle
-/// span stream (DESIGN.md section 6i) off vs on.
-DecisionRow run_spans(std::size_t machines, std::size_t threads, bool spans) {
+enum class Log { kDecisions, kSpans };
+
+/// Log overhead probe: the 4096-machine sweep configuration re-run with
+/// telemetry attached, once with `log` off (the gate makes every record
+/// call a no-op) and once on. An "on" row also times the log's write()
+/// into a discarding stream: that is where the shards' parts merge.
+DecisionRow run_log(std::size_t machines, std::size_t threads, Log log,
+                    bool on) {
   const sched::TablePredictor& oracle = [] {
     static sched::TablePredictor p = table().oracle_predictor();
     return p;
@@ -180,7 +166,8 @@ DecisionRow run_spans(std::size_t machines, std::size_t threads, bool spans) {
   cfg.seed = 7;
   cfg.threads = threads;
   obs::Telemetry tel;
-  tel.spans.set_enabled(spans);
+  tel.decisions.set_enabled(on && log == Log::kDecisions);
+  tel.spans.set_enabled(on && log == Log::kSpans);
   cfg.telemetry = &tel;
   auto start = std::chrono::steady_clock::now();
   sim::run_dynamic_sharded(
@@ -190,9 +177,19 @@ DecisionRow run_spans(std::size_t machines, std::size_t threads, bool spans) {
             oracle, sched::Objective::kRuntime, 8, 60.0);
       },
       cfg);
+  if (on) {
+    DiscardBuffer discard;
+    std::ostream sink(&discard);
+    if (log == Log::kDecisions) {
+      tel.decisions.write(sink);
+    } else {
+      tel.spans.write(sink);
+    }
+  }
   DecisionRow row;
   row.wall_s = seconds_since(start);
-  row.events = tel.spans.size();
+  row.events =
+      log == Log::kDecisions ? tel.decisions.size() : tel.spans.size();
   return row;
 }
 
@@ -394,8 +391,10 @@ int main() {
   const std::size_t dec_threads = 4;
   std::printf("\ndecision-log overhead (%zu machines, %zu threads):\n",
               dec_machines, dec_threads);
-  DecisionRow dec_off = run_decisions(dec_machines, dec_threads, false);
-  DecisionRow dec_on = run_decisions(dec_machines, dec_threads, true);
+  DecisionRow dec_off =
+      run_log(dec_machines, dec_threads, Log::kDecisions, false);
+  DecisionRow dec_on =
+      run_log(dec_machines, dec_threads, Log::kDecisions, true);
   double dec_overhead_pct =
       dec_off.wall_s > 0.0 ? (dec_on.wall_s / dec_off.wall_s - 1.0) * 100.0
                            : 0.0;
@@ -408,8 +407,10 @@ int main() {
 
   std::printf("\nspan-log overhead (%zu machines, %zu threads):\n",
               dec_machines, dec_threads);
-  DecisionRow span_off = run_spans(dec_machines, dec_threads, false);
-  DecisionRow span_on = run_spans(dec_machines, dec_threads, true);
+  DecisionRow span_off =
+      run_log(dec_machines, dec_threads, Log::kSpans, false);
+  DecisionRow span_on =
+      run_log(dec_machines, dec_threads, Log::kSpans, true);
   double span_overhead_pct =
       span_off.wall_s > 0.0
           ? (span_on.wall_s / span_off.wall_s - 1.0) * 100.0

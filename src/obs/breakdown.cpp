@@ -50,9 +50,9 @@ void fold_cell(const TaskBreakdown& row, BreakdownCell* cell) {
 }  // namespace
 
 BreakdownReport breakdown(const SpanDoc& doc, double window_s) {
-  // Group spans per task. The log is stable-sorted on span start and a
-  // task's starts are non-decreasing, so per-task chronological order
-  // survives the grouping.
+  // Group spans per task. A sharded log is merged on span start, a
+  // 1-shard log is in record order, and either way each task's spans
+  // are in chronological order, which the grouping keeps.
   std::map<std::uint64_t, std::vector<const SpanEvent*>> by_task;
   for (const SpanEvent& e : doc.events) by_task[e.task].push_back(&e);
 

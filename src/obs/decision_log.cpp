@@ -1,7 +1,9 @@
 #include "obs/decision_log.hpp"
 
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -9,112 +11,56 @@
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
 #include "util/error.hpp"
+#include "util/stamp_merge.hpp"
 
 namespace tracon::obs {
 
 namespace {
 
-// An empty machine is spelled as the string "empty" so a candidate's
-// co-runner column is never confused with app class 0.
-std::string neighbour_json(const std::optional<std::size_t>& neighbour) {
-  if (!neighbour.has_value()) return "\"empty\"";
-  return std::to_string(*neighbour);
-}
-
-std::string number_array(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += json_number(values[i]);
-  }
-  out += "]";
-  return out;
-}
-
-std::string string_array(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    out += json_escape(values[i]);
-    out += '"';
-  }
-  out += "]";
-  return out;
-}
-
-std::string header_line(int version,
-                        const std::map<std::string, std::string>& fingerprint) {
+std::string header_line(const std::map<std::string, std::string>& fingerprint) {
   JsonLineWriter stamp;
   for (const auto& [key, value] : fingerprint) stamp.field(key, value);
   return JsonLineWriter()
       .field("schema", kDecisionLogSchema)
-      .field("version", version)
+      .field("version", kJsonlSchemaVersion)
       .raw_field("fingerprint", stamp.str())
       .str();
 }
 
-// Shared by DecisionLog::write and write_decision_log so the recorded
-// stream and a re-emitted merged stream are byte-compatible.
-std::string event_line(const DecisionEvent& e) {
-  JsonLineWriter w;
-  if (e.kind == DecisionEvent::Kind::kDecision) {
-    w.field("kind", "decision");
-    w.field("task", e.task);
-    w.field("t", e.time_s);
-    w.field("app", static_cast<std::uint64_t>(e.app));
-    w.field("scheduler", e.scheduler);
-    w.field("objective", e.objective);
-    w.raw_field("families", string_array(e.families));
-    w.raw_field("weights", number_array(e.weights));
-    std::string candidates = "[";
-    for (std::size_t i = 0; i < e.candidates.size(); ++i) {
-      const DecisionCandidate& c = e.candidates[i];
-      if (i != 0) candidates += ", ";
-      candidates += JsonLineWriter()
-                        .raw_field("neighbour", neighbour_json(c.neighbour))
-                        .field("score", c.score)
-                        .raw_field("by_family", number_array(c.by_family))
-                        .str();
-    }
-    candidates += "]";
-    w.raw_field("candidates", candidates);
-    w.field("chosen", static_cast<std::uint64_t>(e.chosen));
-    w.field("margin", e.margin);
-    w.field("predicted_runtime_s", e.predicted_runtime_s);
-    w.field("predicted_iops", e.predicted_iops);
-    if (e.machine != DecisionEvent::kNoMachine) {
-      w.field("machine", static_cast<std::uint64_t>(e.machine));
-    }
-  } else if (e.kind == DecisionEvent::Kind::kMigration) {
-    w.field("kind", "migration");
-    w.field("task", e.task);
-    w.field("t", e.time_s);
-    w.field("app", static_cast<std::uint64_t>(e.app));
-    w.field("from_machine", static_cast<std::uint64_t>(e.from_machine));
-    w.raw_field("from_neighbour", neighbour_json(e.from_neighbour));
-    w.field("machine", static_cast<std::uint64_t>(e.machine));
-    w.raw_field("neighbour", neighbour_json(e.neighbour));
-    w.field("predicted_stay_s", e.predicted_stay_s);
-    w.field("predicted_move_s", e.predicted_move_s);
-    w.field("downtime_s", e.downtime_s);
-    w.field("copy_s", e.copy_s);
-    w.field("cost_s", e.cost_s);
-    w.field("margin", e.margin);
-  } else {
-    w.field("kind", "outcome");
-    w.field("task", e.task);
-    w.field("t", e.time_s);
-    w.field("app", static_cast<std::uint64_t>(e.app));
-    w.raw_field("neighbour", neighbour_json(e.neighbour));
-    w.field("runtime_s", e.runtime_s);
-    w.field("iops", e.iops);
-    w.field("solo_runtime_s", e.solo_runtime_s);
-    if (e.machine != DecisionEvent::kNoMachine) {
-      w.field("machine", static_cast<std::uint64_t>(e.machine));
-    }
+/// One of a record kind's doubles: its JSON key (with the separator
+/// before it) and its DecisionEvent field. DecisionLog::Record::value
+/// holds a kind's doubles in this order, which is also output order.
+struct ValueField {
+  std::string_view json;
+  double DecisionEvent::*field;
+};
+
+constexpr ValueField kDecisionValues[] = {
+    {", \"margin\": ", &DecisionEvent::margin},
+    {", \"predicted_runtime_s\": ", &DecisionEvent::predicted_runtime_s},
+    {", \"predicted_iops\": ", &DecisionEvent::predicted_iops}};
+constexpr ValueField kMigrationValues[] = {
+    {", \"predicted_stay_s\": ", &DecisionEvent::predicted_stay_s},
+    {", \"predicted_move_s\": ", &DecisionEvent::predicted_move_s},
+    {", \"downtime_s\": ", &DecisionEvent::downtime_s},
+    {", \"copy_s\": ", &DecisionEvent::copy_s},
+    {", \"cost_s\": ", &DecisionEvent::cost_s},
+    {", \"margin\": ", &DecisionEvent::margin}};
+constexpr ValueField kOutcomeValues[] = {
+    {", \"runtime_s\": ", &DecisionEvent::runtime_s},
+    {", \"iops\": ", &DecisionEvent::iops},
+    {", \"solo_runtime_s\": ", &DecisionEvent::solo_runtime_s}};
+
+std::span<const ValueField> value_fields(DecisionEvent::Kind kind) {
+  switch (kind) {
+    case DecisionEvent::Kind::kDecision:
+      return kDecisionValues;
+    case DecisionEvent::Kind::kMigration:
+      return kMigrationValues;
+    case DecisionEvent::Kind::kOutcome:
+      return kOutcomeValues;
   }
-  return w.str();
+  return {};
 }
 
 double number_field(const JsonValue& obj, const std::string& key,
@@ -256,41 +202,278 @@ DecisionEvent parse_event(const JsonValue& obj) {
 
 }  // namespace
 
-void DecisionLog::record_decision(DecisionEvent event) {
+std::uint16_t DecisionLog::Stream::intern(const DecisionEvent& e) {
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const Key& key = keys[k];
+    if (key.scheduler == e.scheduler && key.objective == e.objective &&
+        key.families == e.families)
+      return static_cast<std::uint16_t>(k);
+  }
+  TRACON_REQUIRE(keys.size() < 0xffffU,
+                 "a decision log interns at most 65535 (scheduler, "
+                 "objective, families) triples");
+  // The fields between "app" and the weights' values, rendered once.
+  std::string json = ", \"scheduler\": \"" + json_escape(e.scheduler) +
+                     "\", \"objective\": \"" + json_escape(e.objective) +
+                     "\", \"families\": [";
+  for (std::size_t f = 0; f < e.families.size(); ++f) {
+    if (f != 0) json += ", ";
+    json += '"' + json_escape(e.families[f]) + '"';
+  }
+  json += "], \"weights\": [";
+  keys.push_back({e.scheduler, e.objective, e.families, std::move(json)});
+  return static_cast<std::uint16_t>(keys.size() - 1);
+}
+
+void DecisionLog::Stream::add(const DecisionEvent& e,
+                              DecisionEvent::Kind kind) {
+  auto id = [](std::size_t value, const char* what) {
+    TRACON_REQUIRE(value < Record::kNone, what);
+    return static_cast<std::uint32_t>(value);
+  };
+  auto machine = [&](std::size_t m) {
+    return m == DecisionEvent::kNoMachine
+               ? Record::kNone
+               : id(m, "a decision log machine id must fit in 32 bits");
+  };
+  auto neighbour = [&](const std::optional<std::size_t>& nb) {
+    return nb.has_value()
+               ? id(*nb, "a decision log co-runner class must fit in 32 bits")
+               : Record::kNone;
+  };
+  Record r;
+  r.kind = kind;
+  r.time_s = e.time_s;
+  r.task = e.task;
+  r.app = id(e.app, "a decision log app class must fit in 32 bits");
+  r.machine = machine(e.machine);
+  const std::span<const ValueField> fields = value_fields(kind);
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    r.value[i] = e.*fields[i].field;
+  if (kind == DecisionEvent::Kind::kDecision) {
+    const std::size_t families = e.families.size();
+    TRACON_REQUIRE(e.chosen < e.candidates.size(),
+                   "decision's chosen index must address a scanned candidate");
+    TRACON_REQUIRE(e.weights.size() == families,
+                   "a decision needs one confidence weight per model family");
+    r.key = intern(e);
+    r.candidates = id(e.candidates.size(), "too many decision candidates");
+    r.chosen = static_cast<std::uint32_t>(e.chosen);
+    r.first_value = values.size();
+    r.first_neighbour = neighbours.size();
+    values.insert(values.end(), e.weights.begin(), e.weights.end());
+    for (const DecisionCandidate& c : e.candidates) {
+      TRACON_REQUIRE(c.by_family.size() == families,
+                     "a decision candidate needs one prediction per model "
+                     "family");
+      values.push_back(c.score);
+      values.insert(values.end(), c.by_family.begin(), c.by_family.end());
+      neighbours.push_back(neighbour(c.neighbour));
+    }
+  } else {
+    r.neighbour = neighbour(e.neighbour);
+    if (kind == DecisionEvent::Kind::kMigration) {
+      r.from_machine = machine(e.from_machine);
+      r.from_neighbour = neighbour(e.from_neighbour);
+    }
+  }
+  records.push_back(r);
+}
+
+DecisionEvent DecisionLog::Stream::event(const Record& r,
+                                         std::size_t machine_base,
+                                         std::uint64_t task_base) const {
+  auto machine = [&](std::uint32_t m) {
+    return m == Record::kNone ? DecisionEvent::kNoMachine : m + machine_base;
+  };
+  auto neighbour = [](std::uint32_t nb) -> std::optional<std::size_t> {
+    if (nb == Record::kNone) return std::nullopt;
+    return nb;
+  };
+  DecisionEvent e;
+  e.kind = r.kind;
+  e.task = r.task + task_base;
+  e.time_s = r.time_s;
+  e.app = r.app;
+  e.machine = machine(r.machine);
+  const std::span<const ValueField> fields = value_fields(r.kind);
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    e.*fields[i].field = r.value[i];
+  if (r.kind == DecisionEvent::Kind::kDecision) {
+    const Key& key = keys[r.key];
+    const std::size_t families = key.families.size();
+    e.scheduler = key.scheduler;
+    e.objective = key.objective;
+    e.families = key.families;
+    const double* v = values.data() + r.first_value;
+    e.weights.assign(v, v + families);
+    v += families;
+    for (std::uint32_t c = 0; c < r.candidates; ++c, v += 1 + families) {
+      DecisionCandidate candidate;
+      candidate.neighbour = neighbour(neighbours[r.first_neighbour + c]);
+      candidate.score = v[0];
+      candidate.by_family.assign(v + 1, v + 1 + families);
+      e.candidates.push_back(std::move(candidate));
+    }
+    e.chosen = r.chosen;
+  } else {
+    e.neighbour = neighbour(r.neighbour);
+    if (r.kind == DecisionEvent::Kind::kMigration) {
+      e.from_machine = machine(r.from_machine);
+      e.from_neighbour = neighbour(r.from_neighbour);
+    }
+  }
+  return e;
+}
+
+void DecisionLog::Stream::write(JsonlBuffer& out, const Record& r,
+                                std::size_t machine_base,
+                                std::uint64_t task_base) const {
+  // An unset machine keeps DecisionEvent's sentinel; a set one moves
+  // into the merged id space.
+  auto machine = [&](std::string_view json, std::uint32_t m) {
+    out.raw(json).integer(m == Record::kNone ? DecisionEvent::kNoMachine
+                                             : m + machine_base);
+  };
+  // An empty machine is spelled as the string "empty" so a co-runner
+  // column is never confused with app class 0.
+  auto neighbour = [&](std::string_view json, std::uint32_t nb) {
+    out.raw(json);
+    if (nb == Record::kNone) {
+      out.raw("\"empty\"");
+    } else {
+      out.integer(nb);
+    }
+  };
+  auto numbers = [&](const double* v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != 0) out.raw(", ");
+      out.number(v[i]);
+    }
+  };
+  static constexpr std::string_view kKinds[] = {
+      "{\"kind\": \"decision\", \"task\": ",
+      "{\"kind\": \"migration\", \"task\": ",
+      "{\"kind\": \"outcome\", \"task\": "};
+  out.raw(kKinds[static_cast<std::size_t>(r.kind)])
+      .integer(r.task + task_base)
+      .raw(", \"t\": ")
+      .number(r.time_s)
+      .raw(", \"app\": ")
+      .integer(r.app);
+  if (r.kind == DecisionEvent::Kind::kDecision) {
+    const Key& key = keys[r.key];
+    const std::size_t families = key.families.size();
+    const double* v = values.data() + r.first_value;
+    out.raw(key.json);
+    numbers(v, families);
+    v += families;
+    out.raw("], \"candidates\": [");
+    for (std::uint32_t c = 0; c < r.candidates; ++c, v += 1 + families) {
+      neighbour(c == 0 ? "{\"neighbour\": " : ", {\"neighbour\": ",
+                neighbours[r.first_neighbour + c]);
+      out.raw(", \"score\": ").number(v[0]).raw(", \"by_family\": [");
+      numbers(v + 1, families);
+      out.raw("]}");
+    }
+    out.raw("], \"chosen\": ").integer(r.chosen);
+  } else if (r.kind == DecisionEvent::Kind::kMigration) {
+    machine(", \"from_machine\": ", r.from_machine);
+    neighbour(", \"from_neighbour\": ", r.from_neighbour);
+    machine(", \"machine\": ", r.machine);
+    neighbour(", \"neighbour\": ", r.neighbour);
+  } else {
+    neighbour(", \"neighbour\": ", r.neighbour);
+  }
+  const std::span<const ValueField> fields = value_fields(r.kind);
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    out.raw(fields[i].json).number(r.value[i]);
+  // A decision's or outcome's machine closes the record once bound.
+  if (r.kind != DecisionEvent::Kind::kMigration && r.machine != Record::kNone)
+    machine(", \"machine\": ", r.machine);
+  out.raw("}").end_line();
+}
+
+void DecisionLog::record_decision(const DecisionEvent& event) {
   if (!enabled_) return;
-  TRACON_REQUIRE(event.chosen < event.candidates.size(),
-                 "decision's chosen index must address a scanned candidate");
-  event.kind = DecisionEvent::Kind::kDecision;
-  decision_index_[event.task] = events_.size();
-  events_.push_back(std::move(event));
+  own_.add(event, DecisionEvent::Kind::kDecision);
+  unbound_.emplace_back(event.task, own_.records.size() - 1);
 }
 
 void DecisionLog::bind_machine(std::uint64_t task, std::size_t machine) {
   if (!enabled_) return;
-  auto it = decision_index_.find(task);
-  if (it == decision_index_.end()) return;
-  events_[it->second].machine = machine;
+  // The latest decision for `task` wins, as it would in a task index.
+  for (auto it = unbound_.rbegin(); it != unbound_.rend(); ++it) {
+    if (it->first != task) continue;
+    TRACON_REQUIRE(machine < Record::kNone,
+                   "a decision log machine id must fit in 32 bits");
+    own_.records[it->second].machine = static_cast<std::uint32_t>(machine);
+    unbound_.erase(std::next(it).base());
+    return;
+  }
 }
 
-void DecisionLog::record_migration(DecisionEvent event) {
+void DecisionLog::record_migration(const DecisionEvent& event) {
   if (!enabled_) return;
   TRACON_REQUIRE(event.machine != DecisionEvent::kNoMachine &&
                      event.from_machine != DecisionEvent::kNoMachine,
                  "migration record must carry both host ids");
   TRACON_REQUIRE(event.machine != event.from_machine,
                  "migration source and destination must differ");
-  event.kind = DecisionEvent::Kind::kMigration;
-  events_.push_back(std::move(event));
+  own_.add(event, DecisionEvent::Kind::kMigration);
 }
 
-void DecisionLog::record_outcome(DecisionEvent event) {
+void DecisionLog::record_outcome(const DecisionEvent& event) {
   if (!enabled_) return;
-  event.kind = DecisionEvent::Kind::kOutcome;
-  events_.push_back(std::move(event));
+  own_.add(event, DecisionEvent::Kind::kOutcome);
 }
 
-void DecisionLog::append(DecisionEvent event) {
-  events_.push_back(std::move(event));
+void DecisionLog::append(const DecisionEvent& event) {
+  own_.add(event, event.kind);
+}
+
+void DecisionLog::append_part(DecisionLog&& shard, std::size_t machine_base,
+                              std::uint64_t task_base) {
+  TRACON_REQUIRE(own_.records.empty(),
+                 "a decision log takes its merge parts before recording");
+  TRACON_REQUIRE(shard.parts_.empty(),
+                 "a merge part must hold its own records only");
+  parts_.push_back({std::move(shard.own_), machine_base, task_base});
+}
+
+std::size_t DecisionLog::size() const {
+  std::size_t n = own_.records.size();
+  for (const Part& p : parts_) n += p.stream.records.size();
+  return n;
+}
+
+template <typename Visit>
+void DecisionLog::for_each(Visit&& visit) const {
+  std::vector<std::size_t> sizes;
+  sizes.reserve(parts_.size());
+  for (const Part& p : parts_) sizes.push_back(p.stream.records.size());
+  merge_by_stamp(
+      sizes,
+      [&](std::size_t p, std::size_t i) {
+        return parts_[p].stream.records[i].time_s;
+      },
+      [&](std::size_t p, std::size_t i) {
+        const Part& part = parts_[p];
+        visit(part.stream, part.stream.records[i], part.machine_base,
+              part.task_base);
+      });
+  for (const Record& r : own_.records)
+    visit(own_, r, std::size_t{0}, std::uint64_t{0});
+}
+
+std::vector<DecisionEvent> DecisionLog::events() const {
+  std::vector<DecisionEvent> out;
+  out.reserve(size());
+  for_each([&](const Stream& s, const Record& r, std::size_t machine_base,
+               std::uint64_t task_base) {
+    out.push_back(s.event(r, machine_base, task_base));
+  });
+  return out;
 }
 
 void DecisionLog::set_fingerprint(const std::string& key,
@@ -299,8 +482,13 @@ void DecisionLog::set_fingerprint(const std::string& key,
 }
 
 void DecisionLog::write(std::ostream& os) const {
-  os << header_line(kJsonlSchemaVersion, fingerprint_) << "\n";
-  for (const DecisionEvent& e : events_) os << event_line(e) << "\n";
+  JsonlBuffer out(os);
+  out.raw(header_line(fingerprint_)).end_line();
+  for_each([&](const Stream& s, const Record& r, std::size_t machine_base,
+               std::uint64_t task_base) {
+    s.write(out, r, machine_base, task_base);
+  });
+  out.flush();
 }
 
 std::string DecisionLog::str() const {
@@ -344,17 +532,6 @@ DecisionDoc parse_decision_log(std::istream& in) {
 DecisionDoc parse_decision_log(const std::string& text) {
   std::istringstream in(text);
   return parse_decision_log(in);
-}
-
-void write_decision_log(std::ostream& os, const DecisionDoc& doc) {
-  os << header_line(doc.version, doc.fingerprint) << "\n";
-  for (const DecisionEvent& e : doc.events) os << event_line(e) << "\n";
-}
-
-std::string decision_log_str(const DecisionDoc& doc) {
-  std::ostringstream os;
-  write_decision_log(os, doc);
-  return os.str();
 }
 
 }  // namespace tracon::obs

@@ -21,15 +21,25 @@
 //       (realized runtime, mean IOPS, co-runner at placement, solo
 //       runtime for slowdown attribution).
 //
+// Storage: every record is one flat, trivially-copyable
+// DecisionLog::Record. A decision's confidence weights and its
+// candidates' scores and per-family predictions live in one double
+// arena, its candidates' co-runners in one integer arena, and its
+// (scheduler, objective, families) triple is interned once per log, so
+// recording allocates nothing per candidate.
+//
 // Determinism contract (DESIGN.md §6g): timestamps come from the
 // virtual clock only, doubles go through the shortest round-trip
-// writer, and the sharded runner merges per-shard logs by re-indexing
-// machine/task ids and stable-sorting on time — `--threads N` writes
-// byte-identical logs to `--threads 1`. Recording is gated on
-// enabled(): when off, every record call returns immediately and no
-// simulation output changes by a byte.
+// writer, and the sharded runner moves each shard's log into the
+// caller's as a part carrying its machine and task id offsets. write()
+// runs one k-way merge over the parts on (time, shard), re-indexing
+// ids as it formats: the order a concatenation stable-sorted on time
+// gives, so `--threads N` writes byte-identical logs to `--threads 1`.
+// Recording is gated on enabled(): when off, every record call returns
+// immediately and no simulation output changes by a byte.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -37,11 +47,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tracon::obs {
 
 class JsonValue;
+class JsonlBuffer;
 
 inline constexpr std::string_view kDecisionLogSchema = "tracon.decision_log";
 
@@ -63,7 +75,7 @@ struct DecisionCandidate {
 /// re-placement, or the completion outcome they are later joined to
 /// (by task id).
 struct DecisionEvent {
-  enum class Kind { kDecision, kMigration, kOutcome };
+  enum class Kind : std::uint8_t { kDecision, kMigration, kOutcome };
 
   /// Sentinel for "machine not bound" on a decision record.
   static constexpr std::size_t kNoMachine = static_cast<std::size_t>(-1);
@@ -119,48 +131,126 @@ class DecisionLog {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  /// Appends a decision record (kind forced to kDecision) and indexes
-  /// it by task id for later bind_machine()/record_outcome() joins.
-  void record_decision(DecisionEvent event);
+  /// Appends a decision record (kind forced to kDecision) and holds it
+  /// for the bind_machine() that follows its placement. Its weights
+  /// and every candidate's by_family must have one entry per family.
+  void record_decision(const DecisionEvent& event);
 
   /// Stamps the machine id onto `task`'s decision record once the
   /// simulator binds the placement to a concrete machine. No-op when
-  /// the task has no recorded decision (e.g. FIFO placements).
+  /// the task has no unbound decision (e.g. FIFO placements).
   void bind_machine(std::uint64_t task, std::size_t machine);
 
   /// Appends a re-placement record (kind forced to kMigration). The
   /// rebalancer stamps source/destination hosts and the cost breakdown
   /// before handing the event over; a task may carry any number of
   /// migration records between its decision and its outcome.
-  void record_migration(DecisionEvent event);
+  void record_migration(const DecisionEvent& event);
 
   /// Appends a completion record (kind forced to kOutcome). Recorded
   /// even for tasks without a decision; attribution joins by task id.
-  void record_outcome(DecisionEvent event);
+  void record_outcome(const DecisionEvent& event);
 
-  /// Appends a pre-built event verbatim — the sharded merge path,
-  /// after re-indexing ids. Ignores the enabled gate.
-  void append(DecisionEvent event);
+  /// Appends a pre-built event verbatim (its own kind, its machine as
+  /// given), e.g. a parsed document's. Ignores the enabled gate.
+  void append(const DecisionEvent& event);
 
-  std::size_t size() const { return events_.size(); }
-  const std::vector<DecisionEvent>& events() const { return events_; }
+  /// Moves `shard`'s records in as the next part of the merge that
+  /// write() runs: on (time, part) order, with the part's machine ids
+  /// shifted by `machine_base` and its task ids by `task_base`. Parts
+  /// go in shard order, each ordered by time (checked in paranoid
+  /// builds), before this log records anything itself; what it records
+  /// afterwards is written after the merged parts.
+  void append_part(DecisionLog&& shard, std::size_t machine_base,
+                   std::uint64_t task_base);
+
+  std::size_t size() const;
+  /// Every record in write() order, ids re-indexed.
+  std::vector<DecisionEvent> events() const;
 
   /// Reproducibility stamp emitted in the header line. Deliberately
   /// excludes the thread count so logs stay byte-comparable across
   /// `--threads` values.
   void set_fingerprint(const std::string& key, const std::string& value);
-  const std::map<std::string, std::string>& fingerprint() const {
-    return fingerprint_;
-  }
 
-  /// Header line plus one record per event, in append order.
+  /// Header line, then the merged parts, then this log's own records
+  /// in record order.
   void write(std::ostream& os) const;
   std::string str() const;
 
  private:
+  /// One record. Fields narrower than DecisionEvent's are range-checked
+  /// on the way in; kNone marks an unset machine or an empty co-runner.
+  struct Record {
+    static constexpr std::uint32_t kNone = 0xffffffffU;
+
+    double time_s = 0.0;
+    std::uint64_t task = 0;
+    /// The kind's DecisionEvent doubles, in output order: a decision's
+    /// margin and predicted runtime and IOPS; a migration's predicted
+    /// stay and move, downtime, copy, cost and margin; an outcome's
+    /// runtime, IOPS and solo runtime.
+    std::array<double, 6> value{};
+    /// A decision's weights, then per candidate its score and
+    /// by-family values, from here in Stream::values.
+    std::uint64_t first_value = 0;
+    /// A decision's candidate co-runners, from here in
+    /// Stream::neighbours.
+    std::uint64_t first_neighbour = 0;
+    std::uint32_t app = 0;
+    std::uint32_t machine = kNone;
+    std::uint32_t from_machine = kNone;
+    std::uint32_t neighbour = kNone;
+    std::uint32_t from_neighbour = kNone;
+    std::uint32_t candidates = 0;
+    std::uint32_t chosen = 0;
+    std::uint16_t key = 0;  ///< a decision's interned Stream::keys entry
+    DecisionEvent::Kind kind = DecisionEvent::Kind::kDecision;
+  };
+
+  /// A decision's (scheduler, objective, families), with its JSON
+  /// fields rendered once.
+  struct Key {
+    std::string scheduler;
+    std::string objective;
+    std::vector<std::string> families;
+    std::string json;
+  };
+
+  /// One append-only record stream and the arenas its records point
+  /// into.
+  struct Stream {
+    std::vector<Record> records;
+    std::vector<double> values;
+    std::vector<std::uint32_t> neighbours;
+    std::vector<Key> keys;
+
+    void add(const DecisionEvent& event, DecisionEvent::Kind kind);
+    std::uint16_t intern(const DecisionEvent& event);
+    DecisionEvent event(const Record& r, std::size_t machine_base,
+                        std::uint64_t task_base) const;
+    void write(JsonlBuffer& out, const Record& r, std::size_t machine_base,
+               std::uint64_t task_base) const;
+  };
+
+  struct Part {
+    Stream stream;
+    std::size_t machine_base = 0;
+    std::uint64_t task_base = 0;
+  };
+
+  /// Calls visit(stream, record, machine_base, task_base) for every
+  /// record, in write() order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const;
+
   bool enabled_ = false;
-  std::vector<DecisionEvent> events_;
-  std::map<std::uint64_t, std::size_t> decision_index_;
+  Stream own_;
+  std::vector<Part> parts_;
+  /// Decisions awaiting bind_machine, as (task, record index). The
+  /// simulator binds every placement of the round that recorded it, so
+  /// this holds at most one round's decisions.
+  std::vector<std::pair<std::uint64_t, std::size_t>> unbound_;
   std::map<std::string, std::string> fingerprint_;
 };
 
@@ -176,12 +266,5 @@ struct DecisionDoc {
 /// std::invalid_argument on a foreign schema or malformed records.
 DecisionDoc parse_decision_log(std::istream& in);
 DecisionDoc parse_decision_log(const std::string& text);
-
-/// Re-emits a parsed (or programmatically merged) document in the
-/// exact byte format DecisionLog::write produces — the sharded runner
-/// publishes its merged log through this writer so the result is
-/// byte-comparable across thread counts.
-void write_decision_log(std::ostream& os, const DecisionDoc& doc);
-std::string decision_log_str(const DecisionDoc& doc);
 
 }  // namespace tracon::obs

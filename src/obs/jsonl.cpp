@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <ostream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -94,6 +95,32 @@ JsonLineWriter& JsonLineWriter::raw_field(std::string_view k,
 }
 
 std::string JsonLineWriter::str() const { return body_ + "}"; }
+
+// TRACON_ANALYZE_ALLOW(require-guard): any stream will do; its writer
+// checks the stream state once the log is written.
+JsonlBuffer::JsonlBuffer(std::ostream& os) : os_(os) {
+  // One block plus room for the line that crosses it.
+  text_.reserve(kBlockBytes + kBlockBytes / 8);
+}
+
+JsonlBuffer& JsonlBuffer::number(double value) {
+  char buf[32];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  text_.append(buf, result.ptr);
+  return *this;
+}
+
+JsonlBuffer& JsonlBuffer::integer(std::uint64_t value) {
+  char buf[24];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  text_.append(buf, result.ptr);
+  return *this;
+}
+
+void JsonlBuffer::flush() {
+  os_.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+  text_.clear();
+}
 
 int require_schema(const JsonValue& header, std::string_view schema) {
   if (!header.is_object()) {

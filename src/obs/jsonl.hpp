@@ -13,7 +13,9 @@
 // value recovers it bit-exactly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -53,6 +55,37 @@ class JsonLineWriter {
   void key(std::string_view k);
   std::string body_ = "{";
   bool first_ = true;
+};
+
+/// Formats JSONL text into one reused buffer and hands it to a stream
+/// in blocks of about kBlockBytes: the decision and span logs append
+/// their records field by field, with no temporary string per field or
+/// per line. Numbers format exactly as JsonLineWriter's fields do.
+class JsonlBuffer {
+ public:
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+  explicit JsonlBuffer(std::ostream& os);
+
+  /// Appends pre-formatted JSON text verbatim.
+  JsonlBuffer& raw(std::string_view json) {
+    text_.append(json);
+    return *this;
+  }
+  /// Shortest round-trip double, as JsonLineWriter::field(key, double).
+  JsonlBuffer& number(double value);
+  JsonlBuffer& integer(std::uint64_t value);
+  /// Ends a line; writes the buffer out once it holds a block.
+  void end_line() {
+    text_ += '\n';
+    if (text_.size() >= kBlockBytes) flush();
+  }
+  /// Writes out whatever is buffered.
+  void flush();
+
+ private:
+  std::ostream& os_;
+  std::string text_;
 };
 
 /// Validates a parsed JSONL header line: it must be an object whose

@@ -1,5 +1,6 @@
 #include "obs/span_log.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -9,26 +10,18 @@
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
 #include "util/error.hpp"
+#include "util/stamp_merge.hpp"
 
 namespace tracon::obs {
 
 namespace {
 
-// An empty machine is spelled as the string "empty" so a span's
-// co-runner column is never confused with app class 0 (mirrors the
-// decision log's convention).
-std::string neighbour_json(const std::optional<std::size_t>& neighbour) {
-  if (!neighbour.has_value()) return "\"empty\"";
-  return std::to_string(*neighbour);
-}
-
-std::string header_line(int version,
-                        const std::map<std::string, std::string>& fingerprint) {
+std::string header_line(const std::map<std::string, std::string>& fingerprint) {
   JsonLineWriter stamp;
   for (const auto& [key, value] : fingerprint) stamp.field(key, value);
   return JsonLineWriter()
       .field("schema", kSpanLogSchema)
-      .field("version", version)
+      .field("version", kJsonlSchemaVersion)
       .raw_field("fingerprint", stamp.str())
       .str();
 }
@@ -49,34 +42,45 @@ const char* kind_name(SpanEvent::Kind kind) {
   return "unknown";
 }
 
-// Shared by SpanLog::write and write_span_log so the recorded stream
-// and a re-emitted merged stream are byte-compatible.
-std::string event_line(const SpanEvent& e) {
-  JsonLineWriter w;
-  w.field("kind", kind_name(e.kind));
-  w.field("task", e.task);
+/// Formats one span, its machine and task ids shifted into the merged
+/// id space.
+void write_span(JsonlBuffer& out, const SpanEvent& e,
+                std::size_t machine_base, std::uint64_t task_base) {
+  out.raw("{\"kind\": \"")
+      .raw(kind_name(e.kind))
+      .raw("\", \"task\": ")
+      .integer(e.task + task_base);
   if (e.kind == SpanEvent::Kind::kCompleted) {
-    w.field("t", e.t0_s);
+    out.raw(", \"t\": ").number(e.t0_s);
   } else {
-    w.field("t0", e.t0_s);
-    w.field("t1", e.t1_s);
+    out.raw(", \"t0\": ").number(e.t0_s).raw(", \"t1\": ").number(e.t1_s);
   }
-  w.field("app", static_cast<std::uint64_t>(e.app));
+  out.raw(", \"app\": ").integer(e.app);
   if (e.kind != SpanEvent::Kind::kQueued) {
-    w.field("machine", static_cast<std::uint64_t>(e.machine));
+    out.raw(", \"machine\": ")
+        .integer(e.machine == SpanEvent::kNoMachine ? e.machine
+                                                   : e.machine + machine_base);
   }
   if (e.kind == SpanEvent::Kind::kRunning ||
       e.kind == SpanEvent::Kind::kMigrationCopy) {
-    w.raw_field("neighbour", neighbour_json(e.neighbour));
-    w.field("factor", e.factor);
+    // An empty machine is spelled as the string "empty" so a span's
+    // co-runner column is never confused with app class 0 (mirrors the
+    // decision log's convention).
+    out.raw(", \"neighbour\": ");
+    if (e.neighbour.has_value()) {
+      out.integer(*e.neighbour);
+    } else {
+      out.raw("\"empty\"");
+    }
+    out.raw(", \"factor\": ").number(e.factor);
   }
   if (e.kind == SpanEvent::Kind::kMigrationCopy) {
-    w.field("copy_factor", e.copy_factor);
+    out.raw(", \"copy_factor\": ").number(e.copy_factor);
   }
   if (e.kind == SpanEvent::Kind::kCompleted) {
-    w.field("solo_runtime_s", e.solo_runtime_s);
+    out.raw(", \"solo_runtime_s\": ").number(e.solo_runtime_s);
   }
-  return w.str();
+  out.raw("}").end_line();
 }
 
 double number_field(const JsonValue& obj, const std::string& key,
@@ -154,16 +158,38 @@ SpanEvent parse_event(const JsonValue& obj) {
 
 }  // namespace
 
-void SpanLog::record(SpanEvent event) {
+void SpanLog::record(const SpanEvent& event) {
   if (!enabled_) return;
   TRACON_REQUIRE(event.t1_s >= event.t0_s, "span must not run backwards");
   if (event.kind != SpanEvent::Kind::kCompleted && event.t1_s <= event.t0_s) {
     return;  // zero-length segment carries no time
   }
-  events_.push_back(std::move(event));
+  events_.push_back(event);
 }
 
-void SpanLog::append(SpanEvent event) { events_.push_back(std::move(event)); }
+void SpanLog::append(const SpanEvent& event) { events_.push_back(event); }
+
+void SpanLog::sort_by_start() {
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) {
+                     return a.t0_s < b.t0_s;
+                   });
+}
+
+void SpanLog::append_part(SpanLog&& shard, std::size_t machine_base,
+                          std::uint64_t task_base) {
+  TRACON_REQUIRE(events_.empty(),
+                 "a span log takes its merge parts before recording");
+  TRACON_REQUIRE(shard.parts_.empty(),
+                 "a merge part must hold its own spans only");
+  parts_.push_back({std::move(shard.events_), machine_base, task_base});
+}
+
+std::size_t SpanLog::size() const {
+  std::size_t n = events_.size();
+  for (const Part& p : parts_) n += p.events.size();
+  return n;
+}
 
 void SpanLog::set_fingerprint(const std::string& key,
                               const std::string& value) {
@@ -171,8 +197,20 @@ void SpanLog::set_fingerprint(const std::string& key,
 }
 
 void SpanLog::write(std::ostream& os) const {
-  os << header_line(kJsonlSchemaVersion, fingerprint_) << "\n";
-  for (const SpanEvent& e : events_) os << event_line(e) << "\n";
+  JsonlBuffer out(os);
+  out.raw(header_line(fingerprint_)).end_line();
+  std::vector<std::size_t> sizes;
+  sizes.reserve(parts_.size());
+  for (const Part& p : parts_) sizes.push_back(p.events.size());
+  merge_by_stamp(
+      sizes,
+      [&](std::size_t p, std::size_t i) { return parts_[p].events[i].t0_s; },
+      [&](std::size_t p, std::size_t i) {
+        const Part& part = parts_[p];
+        write_span(out, part.events[i], part.machine_base, part.task_base);
+      });
+  for (const SpanEvent& e : events_) write_span(out, e, 0, 0);
+  out.flush();
 }
 
 std::string SpanLog::str() const {
@@ -216,17 +254,6 @@ SpanDoc parse_span_log(std::istream& in) {
 SpanDoc parse_span_log(const std::string& text) {
   std::istringstream in(text);
   return parse_span_log(in);
-}
-
-void write_span_log(std::ostream& os, const SpanDoc& doc) {
-  os << header_line(doc.version, doc.fingerprint) << "\n";
-  for (const SpanEvent& e : doc.events) os << event_line(e) << "\n";
-}
-
-std::string span_log_str(const SpanDoc& doc) {
-  std::ostringstream os;
-  write_span_log(os, doc);
-  return os.str();
 }
 
 }  // namespace tracon::obs

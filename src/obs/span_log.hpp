@@ -37,9 +37,14 @@
 //
 // Determinism contract (DESIGN.md §6i): timestamps come from the
 // virtual clock only, doubles go through the shortest round-trip
-// writer, and the sharded runner merges per-shard logs by re-indexing
-// machine/task ids and stable-sorting on span start — `--threads N`
-// writes byte-identical logs to `--threads 1`. Recording is gated on
+// writer, and the sharded runner moves each shard's log into the
+// caller's as a part carrying its machine and task id offsets, after
+// stable-sorting it on span start on the shard's own worker (spans are
+// recorded as they close). write() runs one k-way merge over the parts
+// on (start, shard), re-indexing ids as it formats: the order a
+// concatenation stable-sorted on start gives, so `--threads N` writes
+// byte-identical logs to `--threads 1`. A log without parts (a 1-shard
+// run) writes its spans in record order. Recording is gated on
 // enabled(): when off, every record call returns immediately and no
 // simulation output changes by a byte.
 #pragma once
@@ -105,31 +110,47 @@ class SpanLog {
   /// Appends one span. Zero-length segments are dropped (they carry no
   /// time) unless they are the `completed` marker; t1 < t0 is a
   /// contract violation.
-  void record(SpanEvent event);
+  void record(const SpanEvent& event);
 
-  /// Appends a pre-built span verbatim — the sharded merge path, after
-  /// re-indexing ids. Ignores the enabled gate and keeps zero-length
-  /// spans as given.
-  void append(SpanEvent event);
+  /// Appends a pre-built span verbatim, e.g. a parsed document's.
+  /// Ignores the enabled gate and keeps zero-length spans as given.
+  void append(const SpanEvent& event);
 
-  std::size_t size() const { return events_.size(); }
-  const std::vector<SpanEvent>& events() const { return events_; }
+  /// Stable-sorts the recorded spans on their start, which is the
+  /// order a merge part must have.
+  void sort_by_start();
+
+  /// Moves `shard`'s spans in as the next part of the merge that
+  /// write() runs: on (start, part) order, with the part's machine ids
+  /// shifted by `machine_base` and its task ids by `task_base`. Parts
+  /// go in shard order, each sorted by start (checked in paranoid
+  /// builds), before this log records anything itself; what it records
+  /// afterwards is written after the merged parts.
+  void append_part(SpanLog&& shard, std::size_t machine_base,
+                   std::uint64_t task_base);
+
+  std::size_t size() const;
 
   /// Reproducibility stamp emitted in the header line. Deliberately
   /// excludes the thread count so logs stay byte-comparable across
   /// `--threads` values.
   void set_fingerprint(const std::string& key, const std::string& value);
-  const std::map<std::string, std::string>& fingerprint() const {
-    return fingerprint_;
-  }
 
-  /// Header line plus one record per span, in append order.
+  /// Header line, then the merged parts, then this log's own spans in
+  /// record order.
   void write(std::ostream& os) const;
   std::string str() const;
 
  private:
+  struct Part {
+    std::vector<SpanEvent> events;
+    std::size_t machine_base = 0;
+    std::uint64_t task_base = 0;
+  };
+
   bool enabled_ = false;
   std::vector<SpanEvent> events_;
+  std::vector<Part> parts_;
   std::map<std::string, std::string> fingerprint_;
 };
 
@@ -145,12 +166,5 @@ struct SpanDoc {
 /// std::invalid_argument on a foreign schema or malformed records.
 SpanDoc parse_span_log(std::istream& in);
 SpanDoc parse_span_log(const std::string& text);
-
-/// Re-emits a parsed (or programmatically merged) document in the
-/// exact byte format SpanLog::write produces — the sharded runner
-/// publishes its merged log through this writer so the result is
-/// byte-comparable across thread counts.
-void write_span_log(std::ostream& os, const SpanDoc& doc);
-std::string span_log_str(const SpanDoc& doc);
 
 }  // namespace tracon::obs

@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -61,18 +60,24 @@ void record_decisions(obs::Telemetry* telemetry,
   const auto* ensemble =
       dynamic_cast<const ConfidenceWeightedPredictor*>(&predictor);
 
-  std::vector<std::string> families;
-  std::vector<double> weights;
+  // One scratch event serves every placement of the round: its
+  // strings and family and weight lists are set once, and its
+  // candidate list is refilled in place, keeping each candidate's
+  // by-family capacity.
+  obs::DecisionEvent event;
+  event.time_s = now_s;
+  event.scheduler = std::string(scheduler_name);
+  event.objective = objective == Objective::kRuntime ? "runtime" : "iops";
   if (ensemble != nullptr) {
     for (std::size_t f = 0; f < ensemble->num_families(); ++f) {
-      families.push_back(ensemble->family_name(f));
-      weights.push_back(objective == Objective::kRuntime
-                            ? ensemble->runtime_weight(f)
-                            : ensemble->iops_weight(f));
+      event.families.push_back(ensemble->family_name(f));
+      event.weights.push_back(objective == Objective::kRuntime
+                                  ? ensemble->runtime_weight(f)
+                                  : ensemble->iops_weight(f));
     }
   } else {
-    families.emplace_back("model");
-    weights.push_back(1.0);
+    event.families.emplace_back("model");
+    event.weights.push_back(1.0);
   }
 
   // Replay the round: each placement's candidate set is enumerated
@@ -89,20 +94,15 @@ void record_decisions(obs::Telemetry* telemetry,
     score_candidates(predictor, task.app, state, objective, true, &slots,
                      &scores);
 
-    obs::DecisionEvent event;
     event.task = task.id;
-    event.time_s = now_s;
     event.app = task.app;
-    event.scheduler = std::string(scheduler_name);
-    event.objective = objective == Objective::kRuntime ? "runtime" : "iops";
-    event.families = families;
-    event.weights = weights;
-
+    event.candidates.resize(slots.size());
     std::size_t chosen = slots.size();
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      obs::DecisionCandidate candidate;
+      obs::DecisionCandidate& candidate = event.candidates[i];
       candidate.neighbour = slots[i];
       candidate.score = scores[i];
+      candidate.by_family.clear();
       if (ensemble != nullptr) {
         for (std::size_t f = 0; f < ensemble->num_families(); ++f) {
           const Predictor& member = ensemble->family_predictor(f);
@@ -115,7 +115,6 @@ void record_decisions(obs::Telemetry* telemetry,
         candidate.by_family.push_back(scores[i]);
       }
       if (slots[i] == p.neighbour) chosen = i;
-      event.candidates.push_back(std::move(candidate));
     }
     TRACON_REQUIRE(chosen < slots.size(),
                    "committed placement's slot missing from candidate scan");
@@ -125,7 +124,7 @@ void record_decisions(obs::Telemetry* telemetry,
         predictor.predict_runtime(task.app, p.neighbour);
     event.predicted_iops = predictor.predict_iops(task.app, p.neighbour);
 
-    telemetry->decisions.record_decision(std::move(event));
+    telemetry->decisions.record_decision(event);
     state.place(task.app, p.neighbour);
   }
 }

@@ -264,7 +264,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         se.factor = speed;
       }
       se.t1_s = t1;
-      tel->spans.record(std::move(se));
+      tel->spans.record(se);
       t0 = t1;
     }
     t.span_open_s = now;
@@ -384,7 +384,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
           qs.app = app;
           qs.t0_s = queue[p.queue_pos].arrival_s;
           qs.t1_s = now;
-          tel->spans.record(std::move(qs));
+          tel->spans.record(qs);
         }
         m.slot[slot] = t;
         registry.set_key(mi, registry_key(m));
@@ -523,7 +523,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         de.copy_s = p.copy_s;
         de.cost_s = p.cost_s;
         de.margin = p.margin;
-        tel->decisions.record_migration(std::move(de));
+        tel->decisions.record_migration(de);
       }
     }
   };
@@ -630,7 +630,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         de.runtime_s = runtime;
         de.iops = mean_iops;
         de.solo_runtime_s = table.solo_runtime(departed);
-        tel->decisions.record_outcome(std::move(de));
+        tel->decisions.record_outcome(de);
       }
       if (spans_on) {
         // Close the departing task's final segment and the
@@ -645,7 +645,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         cm.t0_s = now;
         cm.t1_s = now;
         cm.solo_runtime_s = table.solo_runtime(departed);
-        tel->spans.record(std::move(cm));
+        tel->spans.record(cm);
       }
       m.slot[slot].reset();
       --busy_slots;
@@ -733,7 +733,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       qs.app = q.app;
       qs.t0_s = q.arrival_s;
       qs.t1_s = cfg.duration_s;
-      tel->spans.record(std::move(qs));
+      tel->spans.record(qs);
     }
   }
 

@@ -10,6 +10,7 @@
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/stamp_merge.hpp"
 #include "util/summary.hpp"
 
 namespace tracon::sim {
@@ -164,41 +165,6 @@ void route_root_stream(const PerfTable& table, const ShardedConfig& cfg,
   }
 }
 
-/// The one merge routine for per-shard record streams: concatenate in
-/// shard order (records are already time-ordered within a shard),
-/// re-index each record into the global machine and task-id space, then
-/// stable-sort by `stamp(record)` (a virtual time) — equal stamps keep
-/// (shard, record) order, independent of the thread count.
-/// `reindex(record, machine_base, task_base)` shifts one record: task
-/// ids are per-shard arrival indices, offset by the arrivals of the
-/// shards before it (`arrived` is a function of the shard seed alone,
-/// so the offsets are thread-independent).
-template <typename Record, typename Records, typename Reindex,
-          typename Stamp, typename Emit>
-void merge_records(const std::vector<ShardState>& states, Records records,
-                   Reindex reindex, Stamp stamp, Emit emit) {
-  std::vector<Record> all;
-  std::uint64_t task_base = 0;
-  for (const ShardState& s : states) {
-    for (Record r : records(s)) {
-      reindex(r, s.base, task_base);
-      all.push_back(std::move(r));
-    }
-    task_base += s.outcome.arrived;
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [&](const Record& a, const Record& b) {
-                     return stamp(a) < stamp(b);
-                   });
-  for (Record& r : all) emit(std::move(r));
-}
-
-/// Shifts a shard-local machine index (or its `none` sentinel, kept
-/// as is) into the global machine space.
-void shift_machine(std::size_t& machine, std::size_t none, std::size_t base) {
-  if (machine != none) machine += base;
-}
-
 }  // namespace
 
 ShardedOutcome run_dynamic_sharded(const PerfTable& table,
@@ -324,6 +290,10 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     ShardState& s = states[i];
     s.outcome = routed ? run_dynamic(table, *s.scheduler, s.cfg, s.arrivals)
                        : run_dynamic(table, *s.scheduler, s.cfg);
+    // Spans are recorded as they close, and a merge part is ordered by
+    // start. A task's starts never decrease, so its own spans stay in
+    // chronological order.
+    if (merge && spans_on) s.telemetry.spans.sort_by_start();
   });
 
   ShardedOutcome out;
@@ -363,52 +333,37 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     aggregate_gauges(cfg.telemetry->metrics, states, cfg.machines);
   }
 
+  // Each stream merges on (time, shard, record), re-indexed into the
+  // global machine and task-id space. Task ids are per-shard arrival
+  // indices, offset by the arrivals of the shards before (`arrived` is
+  // a function of the shard seed alone, so the offsets are
+  // thread-independent). The tracer merges here; the decision and span
+  // logs take each shard's log as a part and merge as they write.
   if (tracer_on) {
-    merge_records<obs::TraceEvent>(
-        states,
-        [](const ShardState& s) -> const auto& {
-          return s.telemetry.tracer.events();
+    std::vector<std::size_t> sizes;
+    for (const ShardState& s : states)
+      sizes.push_back(s.telemetry.tracer.events().size());
+    merge_by_stamp(
+        sizes,
+        [&](std::size_t p, std::size_t i) {
+          return states[p].telemetry.tracer.events()[i].time_s;
         },
-        [](obs::TraceEvent& ev, std::size_t machines, std::uint64_t) {
-          shift_machine(ev.machine, obs::TraceEvent::kNone, machines);
-        },
-        [](const obs::TraceEvent& ev) { return ev.time_s; },
-        [&](obs::TraceEvent&& ev) { cfg.telemetry->tracer.record(ev); });
-  }
-  if (decisions_on) {
-    merge_records<obs::DecisionEvent>(
-        states,
-        [](const ShardState& s) -> const auto& {
-          return s.telemetry.decisions.events();
-        },
-        [](obs::DecisionEvent& ev, std::size_t machines,
-           std::uint64_t tasks) {
-          shift_machine(ev.machine, obs::DecisionEvent::kNoMachine, machines);
-          shift_machine(ev.from_machine, obs::DecisionEvent::kNoMachine,
-                        machines);
-          ev.task += tasks;
-        },
-        [](const obs::DecisionEvent& ev) { return ev.time_s; },
-        [&](obs::DecisionEvent&& ev) {
-          cfg.telemetry->decisions.append(std::move(ev));
+        [&](std::size_t p, std::size_t i) {
+          obs::TraceEvent ev = states[p].telemetry.tracer.events()[i];
+          if (ev.machine != obs::TraceEvent::kNone)
+            ev.machine += states[p].base;
+          cfg.telemetry->tracer.record(ev);
         });
   }
-  if (spans_on) {
-    // Spans sort on their start: a task's starts are non-decreasing, so
-    // per-task chronological order survives the merge.
-    merge_records<obs::SpanEvent>(
-        states,
-        [](const ShardState& s) -> const auto& {
-          return s.telemetry.spans.events();
-        },
-        [](obs::SpanEvent& ev, std::size_t machines, std::uint64_t tasks) {
-          shift_machine(ev.machine, obs::SpanEvent::kNoMachine, machines);
-          ev.task += tasks;
-        },
-        [](const obs::SpanEvent& ev) { return ev.t0_s; },
-        [&](obs::SpanEvent&& ev) {
-          cfg.telemetry->spans.append(std::move(ev));
-        });
+  std::uint64_t task_base = 0;
+  for (ShardState& s : states) {
+    if (decisions_on)
+      cfg.telemetry->decisions.append_part(std::move(s.telemetry.decisions),
+                                           s.base, task_base);
+    if (spans_on)
+      cfg.telemetry->spans.append_part(std::move(s.telemetry.spans), s.base,
+                                       task_base);
+    task_base += s.outcome.arrived;
   }
 
   if (series_on) out.series = merge_series(states);

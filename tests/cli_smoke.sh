@@ -24,7 +24,15 @@
 #      (--events-jsonl) and the snapshot series (--series-out) of a
 #      small run, flat and on 2 shards, match tests/data/task_events_*
 #      and tests/data/series_* byte for byte. The 601 s interval never
-#      lands on a 5 s scheduling round, so no window closes on a tie.
+#      lands on a 5 s scheduling round, so no window closes on a tie;
+#   7. the decision and span logs of a small rebalancing
+#      confidence-weighted MIX run, flat and on 2 shards, match
+#      tests/data/decisions_* and tests/data/spans_* byte for byte
+#      after the header line (its fingerprint carries the build stamp).
+#      Together they hold every record kind of both logs;
+#   8. an export the disk cannot take (/dev/full, where it exists)
+#      fails the run: exit 1, a "cannot write" line per file and no
+#      "written to" line.
 set -euo pipefail
 
 TRACON=$1
@@ -200,5 +208,46 @@ for shape in flat:"" 2shards:"--threads 2 --shards 2"; do
   diff "events_$name.jsonl" "$DATA/task_events_$name.jsonl"
   diff "series_$name.jsonl" "$DATA/series_$name.jsonl"
 done
+
+echo "== decision and span logs keep their bytes =="
+for shape in flat:"" 2shards:"--threads 2 --shards 2"; do
+  name=${shape%%:*}
+  # shellcheck disable=SC2086
+  "$TRACON" dynamic --machines 8 --lambda 16 --hours 0.25 --rebalance \
+      --scheduler mix --confidence-weighting --seed 42 ${shape#*:} \
+      --decisions-out "decisions_$name.jsonl" \
+      --spans-out "spans_$name.jsonl" > "provenance_$name.log"
+  for log in decisions spans; do
+    diff <(tail -n +2 "${log}_$name.jsonl") \
+        <(tail -n +2 "$DATA/${log}_$name.jsonl")
+  done
+done
+
+echo "== a failed export write fails the run =="
+if [ -e /dev/full ]; then
+  rc=0
+  "$TRACON" dynamic --machines 8 --lambda 16 --hours 0.25 \
+      --decisions-out /dev/full --spans-out /dev/full \
+      --metrics-out /dev/full > full.log 2> full.err || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL: exit code $rc (want 1) writing exports to /dev/full"
+    cat full.log full.err
+    exit 1
+  fi
+  for what in "metrics JSON" "decision log" "span log"; do
+    grep -q "cannot write $what file '/dev/full'" full.err || {
+      echo "FAIL: no write error for the $what"
+      cat full.err
+      exit 1
+    }
+  done
+  if grep -q "written to" full.log; then
+    echo "FAIL: a failed write still reports success"
+    cat full.log
+    exit 1
+  fi
+else
+  echo "skipped: this system has no /dev/full"
+fi
 
 echo "cli_smoke: all checks passed"

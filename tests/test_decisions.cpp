@@ -10,6 +10,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "obs/attribution.hpp"
 #include "obs/telemetry.hpp"
@@ -130,8 +133,92 @@ TEST(DecisionLog, RoundTripsByteExactly) {
   ASSERT_EQ(doc.events[0].candidates.size(), 2u);
   EXPECT_FALSE(doc.events[0].candidates[0].neighbour.has_value());
   EXPECT_EQ(doc.events[0].candidates[1].neighbour, 2u);
-  // The re-emitter is byte-compatible with the recorder.
-  EXPECT_EQ(obs::decision_log_str(doc), bytes);
+  // The parsed records, appended to a fresh log, write the same bytes:
+  // the log's one formatter inverts the parser.
+  DecisionLog copy;
+  for (const auto& [key, value] : doc.fingerprint)
+    copy.set_fingerprint(key, value);
+  for (const DecisionEvent& e : doc.events) copy.append(e);
+  EXPECT_EQ(copy.str(), bytes);
+}
+
+// ---- the merge contract ------------------------------------------------
+
+/// The (time, task, machine) of every record, as written.
+std::vector<std::tuple<double, std::uint64_t, std::size_t>> written(
+    const DecisionLog& log) {
+  std::vector<std::tuple<double, std::uint64_t, std::size_t>> out;
+  for (const DecisionEvent& e : obs::parse_decision_log(log.str()).events)
+    out.emplace_back(e.time_s, e.task, e.machine);
+  return out;
+}
+
+TEST(DecisionLog, PartsMergeOnStampThenShardWithIdsReindexed) {
+  // Shard 0 owns machines 0-2 and tasks 0-1; shard 1 starts at machine
+  // 3 and task 2. Both decide at t=5, so equal stamps meet across
+  // shards, and shard 0's two decisions share a stamp within it.
+  DecisionLog s0;
+  s0.set_enabled(true);
+  s0.record_decision(make_decision(0, 5.0, 0, 100.0));
+  s0.bind_machine(0, 1);
+  s0.record_decision(make_decision(1, 5.0, 1, 100.0));
+  s0.bind_machine(1, 2);
+  DecisionEvent move;
+  move.task = 0;
+  move.time_s = 10.0;
+  move.machine = 0;
+  move.from_machine = 1;
+  s0.record_migration(move);
+  DecisionEvent done0 = make_outcome(0, 20.0, 0, std::nullopt, 15.0, 10.0);
+  done0.machine = 0;
+  s0.record_outcome(done0);
+  DecisionLog s1;
+  s1.set_enabled(true);
+  s1.record_decision(make_decision(0, 5.0, 2, 100.0));
+  s1.bind_machine(0, 0);
+  DecisionEvent done1 = make_outcome(0, 10.0, 2, 1, 5.0, 5.0);
+  done1.machine = 0;
+  s1.record_outcome(done1);
+
+  DecisionLog merged;
+  merged.append_part(std::move(s0), 0, 0);
+  merged.append_part(std::move(s1), 3, 2);
+  EXPECT_EQ(merged.size(), 6u);
+  using Row = std::tuple<double, std::uint64_t, std::size_t>;
+  const std::vector<Row> expected = {
+      {5.0, 0, 1}, {5.0, 1, 2}, {5.0, 2, 3},
+      {10.0, 0, 0}, {10.0, 2, 3}, {20.0, 0, 0}};
+  EXPECT_EQ(written(merged), expected);
+  const DecisionDoc doc = obs::parse_decision_log(merged.str());
+  EXPECT_EQ(doc.events[3].kind, DecisionEvent::Kind::kMigration);
+  EXPECT_EQ(doc.events[3].from_machine, 1u);
+  EXPECT_EQ(doc.events[4].kind, DecisionEvent::Kind::kOutcome);
+  // events() is the written stream.
+  const std::vector<DecisionEvent> events = merged.events();
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i)
+    EXPECT_EQ(Row(events[i].time_s, events[i].task, events[i].machine),
+              expected[i]);
+}
+
+TEST(DecisionLog, WithoutPartsRecordOrderIsWriteOrder) {
+  DecisionLog log;
+  log.set_enabled(true);
+  log.record_outcome(make_outcome(4, 9.0, 0, std::nullopt, 5.0, 5.0));
+  log.record_decision(make_decision(5, 3.0, 0, 10.0));
+  using Row = std::tuple<double, std::uint64_t, std::size_t>;
+  const std::vector<Row> expected = {{9.0, 4, DecisionEvent::kNoMachine},
+                                     {3.0, 5, DecisionEvent::kNoMachine}};
+  EXPECT_EQ(written(log), expected);
+}
+
+TEST(DecisionLog, PartsComeBeforeAnyRecordOfItsOwn) {
+  DecisionLog log;
+  log.set_enabled(true);
+  log.record_decision(make_decision(1, 0.0, 0, 10.0));
+  DecisionLog shard;
+  EXPECT_THROW(log.append_part(std::move(shard), 0, 0),
+               std::invalid_argument);
 }
 
 TEST(DecisionLog, ParserRejectsMalformedDocuments) {
@@ -295,7 +382,7 @@ TEST(DecisionSharding, FourThreadsByteIdenticalToOne) {
     EXPECT_FALSE(a.decisions.empty());
     DecisionDoc doc = obs::parse_decision_log(a.decisions);
     EXPECT_FALSE(doc.events.empty());
-    // Merged events are stable-sorted on virtual time and carry
+    // Merged events are in virtual-time order and carry
     // globally re-indexed machine ids within the 26-machine cluster.
     double prev_t = 0.0;
     for (const DecisionEvent& e : doc.events) {

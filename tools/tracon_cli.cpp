@@ -673,7 +673,7 @@ std::size_t fifo_completed(const core::Tracon& sys,
 }
 
 /// Writes every export file the flags name, with a "written to" line
-/// each. Returns false when a file cannot be opened.
+/// each. Returns false when a file cannot be opened or written in full.
 bool write_exports(const ArgParser& args, const Run& run,
                    const sim::ShardedOutcome& o) {
   auto write_file = [&](const char* flag, const char* what,
@@ -686,6 +686,12 @@ bool write_exports(const ArgParser& args, const Run& run,
       return false;
     }
     writer(f);
+    // A full disk may only show once the stream flushes on close.
+    if (f) f.close();
+    if (!f) {
+      std::fprintf(stderr, "cannot write %s file '%s'\n", what, path.c_str());
+      return false;
+    }
     std::printf("%s written to %s\n", what, path.c_str());
     return true;
   };
