@@ -5,12 +5,10 @@
 //      byte-identical across thread counts (asserted here via completed
 //      counts); only wall-clock changes, so the table reports the
 //      parallel speedup of the shard pool.
-//   2. batched-prediction microbench — a wide MIBS Min-Min batch over
-//      the same cluster, driven once through a predictor that only
-//      implements the scalar virtual calls (the base-class loop
-//      fallback) and once through TablePredictor's vectorized batch
-//      path, isolating what predict_*_batch buys the scheduler's
-//      candidate scan.
+//   2. large tiers and placement microbench — 10^5 and 10^6 machines
+//      through the flat candidate scan and through each scheduler's
+//      candidate index, and the per-decision cost of both at 8 and 64
+//      app classes.
 //   3. decision-log overhead — the 4096-machine run repeated with
 //      telemetry attached and decision recording off vs on, measuring
 //      what the provenance stream (DESIGN.md section 6g) costs when
@@ -54,29 +52,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
-
-/// Forwards the scalar predictions of `inner` but deliberately does NOT
-/// override the batch hooks, so every batch call takes the base-class
-/// per-query loop — the cost model of the pre-batching schedulers.
-class ScalarOnlyPredictor final : public sched::Predictor {
- public:
-  explicit ScalarOnlyPredictor(const sched::Predictor& inner)
-      : inner_(inner) {}
-  std::size_t num_apps() const override { return inner_.num_apps(); }
-  double predict_runtime(
-      std::size_t task,
-      const std::optional<std::size_t>& neighbour) const override {
-    return inner_.predict_runtime(task, neighbour);
-  }
-  double predict_iops(
-      std::size_t task,
-      const std::optional<std::size_t>& neighbour) const override {
-    return inner_.predict_iops(task, neighbour);
-  }
-
- private:
-  const sched::Predictor& inner_;
-};
 
 const sched::TablePredictor& shared_oracle() {
   static sched::TablePredictor p = table().oracle_predictor();
@@ -193,37 +168,11 @@ DecisionRow run_log(std::size_t machines, std::size_t threads, Log log,
   return row;
 }
 
-/// Microbench: repeated MIBS rounds with a 256-task Min-Min window over
-/// a half-occupied cluster; returns microseconds per scheduling round.
-/// The wide window (vs the paper's MIBS_8) stresses the candidate-2
-/// scan, whose cost is quadratic in the window and which the batched
-/// prediction API collapses into one virtual call per selection.
-double mibs_round_us(const sched::Predictor& pred, int rounds) {
-  const std::size_t apps = pred.num_apps();
-  sched::ClusterCounts counts(apps, 1024);
-  for (std::size_t m = 0; m < 512; ++m) counts.place(m % apps, std::nullopt);
-  std::vector<sched::QueuedTask> queue;
-  for (std::size_t i = 0; i < 256; ++i)
-    queue.push_back({i % apps, 0.0});
-  sched::PlacementPolicy policy;
-  policy.beneficial_joins_only = false;
-  // batch_every = 0: every call is a full Min-Min batch round.
-  sched::MibsScheduler mibs(pred, sched::Objective::kRuntime, 256, 0.0,
-                            policy);
-  std::size_t sink = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r)
-    sink += mibs.schedule(queue, counts, {0.0}).size();
-  double elapsed = seconds_since(start);
-  if (sink == 0) std::fprintf(stderr, "warn: microbench placed nothing\n");
-  return elapsed * 1e6 / rounds;
-}
-
 /// Deterministic many-class prediction table. The paper's testbed has
 /// only 8 application classes, where the flat candidate scan is already
-/// cheap; scaling the class count shows where the shortlist index takes
-/// over. Values follow a fixed formula, so the table (and the clusters
-/// derived from it) is identical on every run.
+/// cheap; scaling the class count shows how each path grows with it.
+/// Values follow a fixed formula, so the table is identical on every
+/// run.
 sched::TablePredictor synthetic_table(std::size_t classes) {
   stats::Matrix rt(classes, classes + 1);
   stats::Matrix io(classes, classes + 1);
@@ -247,13 +196,12 @@ struct PlacementMicro {
 
 /// Per-decision cost of the Algorithm 1 candidate scan over a
 /// half-occupied 4096-machine cluster: the flat scan over every class
-/// vs the cluster-shortlist index (identical placements by contract).
+/// vs the candidate index (identical placements by contract).
 PlacementMicro placement_micro(const sched::TablePredictor& pred,
                                int iters) {
   const std::size_t n = pred.num_apps();
   sched::CandidateIndex idx(pred, sched::Objective::kRuntime);
   sched::ClusterCounts counts(n, 4'096);
-  idx.attach(&counts);
   for (std::size_t m = 0; m < 2'048; ++m) counts.place(m % n, std::nullopt);
   sched::PlacementPolicy policy;  // strict beneficial-join admission
   PlacementMicro row;
@@ -285,7 +233,7 @@ PlacementMicro placement_micro(const sched::TablePredictor& pred,
 
 int main() {
   bench::print_header("Scaling",
-                      "sharded dynamic scenario and batched prediction");
+                      "sharded dynamic scenario and candidate index");
   std::printf("host threads: %zu\n\n", hardware_threads());
   bench::ThroughputReporter throughput("bench_scaling");
 
@@ -374,19 +322,6 @@ int main() {
                     fmt(p.indexed_ns, 1), fmt(p.speedup, 2)});
   pmicro.print(std::cout);
 
-  std::printf("\nMIBS batched-prediction microbench "
-              "(1024 machines, 256-task Min-Min window):\n");
-  sched::TablePredictor oracle = table().oracle_predictor();
-  ScalarOnlyPredictor scalar(oracle);
-  const int rounds = 200;
-  double scalar_us = mibs_round_us(scalar, rounds);
-  double batched_us = mibs_round_us(oracle, rounds);
-  double micro_speedup = scalar_us / batched_us;
-  TableWriter micro({"path", "us/round", "speedup"});
-  micro.add_row({"scalar loop", fmt(scalar_us, 1), "1.00"});
-  micro.add_row({"batched", fmt(batched_us, 1), fmt(micro_speedup, 2)});
-  micro.print(std::cout);
-
   const std::size_t dec_machines = 4'096;
   const std::size_t dec_threads = 4;
   std::printf("\ndecision-log overhead (%zu machines, %zu threads):\n",
@@ -465,11 +400,7 @@ int main() {
           << ", \"speedup\": " << fmt(p.speedup, 3) << "}"
           << (i + 1 < placement.size() ? "," : "") << "\n";
     }
-    out << "  ],\n  \"mibs_batch_microbench\": {\"scalar_us_per_round\": "
-        << fmt(scalar_us, 2)
-        << ", \"batched_us_per_round\": " << fmt(batched_us, 2)
-        << ", \"speedup\": " << fmt(micro_speedup, 3) << "},\n"
-        << "  \"decision_log\": {\"machines\": " << dec_machines
+    out << "  ],\n  \"decision_log\": {\"machines\": " << dec_machines
         << ", \"threads\": " << dec_threads
         << ", \"disabled_wall_s\": " << fmt(dec_off.wall_s, 4)
         << ", \"enabled_wall_s\": " << fmt(dec_on.wall_s, 4)

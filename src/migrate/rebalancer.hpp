@@ -13,8 +13,8 @@
 // alternative slot plus the full migration cost
 // (virt::MigrationCostModel) beats staying put by at least
 // `min_benefit_s`. Destination slots are scored through
-// sched::score_candidates, the same batched-predictor path the
-// schedulers and the decision-log probe use.
+// sched::score_candidates, the same scoring path the flat placement
+// scan and the decision-log probe use.
 //
 // Determinism: plan() is a pure function of the rebalancer's observed
 // completions, the inputs, and the config — maps iterate in key order,
@@ -89,7 +89,7 @@ struct RebalanceConfig {
 class Rebalancer {
  public:
   /// `predictor` is borrowed and must outlive the rebalancer; it is
-  /// only read, via the same batched calls the schedulers issue.
+  /// only read, via the same calls the flat placement scan issues.
   Rebalancer(const sched::Predictor& predictor, const RebalanceConfig& cfg);
 
   const RebalanceConfig& config() const { return cfg_; }

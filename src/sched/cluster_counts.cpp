@@ -41,13 +41,8 @@ void ClusterCounts::place(std::size_t task,
   if (!neighbour.has_value()) {
     --empty_;
     ++half_busy_[task];  // machine now half-busy running `task`
-    if (clustered()) {
-      --cluster_avail_[num_clusters_];
-      ++cluster_avail_[cluster_of_[task]];
-    }
   } else {
     --half_busy_[*neighbour];  // machine now full
-    if (clustered()) --cluster_avail_[cluster_of_[*neighbour]];
   }
 }
 
@@ -59,40 +54,12 @@ void ClusterCounts::depart(std::size_t app,
     TRACON_REQUIRE(half_busy_[app] > 0, "no half-busy machine to vacate");
     --half_busy_[app];
     ++empty_;
-    if (clustered()) {
-      --cluster_avail_[cluster_of_[app]];
-      ++cluster_avail_[num_clusters_];
-    }
   } else {
     // Its machine keeps running the neighbour and becomes half-busy.
     TRACON_REQUIRE(*neighbour < half_busy_.size(),
                    "neighbour class out of range");
     ++half_busy_[*neighbour];
-    if (clustered()) ++cluster_avail_[cluster_of_[*neighbour]];
   }
-}
-
-void ClusterCounts::attach_clusters(std::vector<std::size_t> class_cluster,
-                                    std::size_t num_clusters) {
-  TRACON_REQUIRE(class_cluster.size() == half_busy_.size(),
-                 "cluster mapping must cover every app class");
-  TRACON_REQUIRE(num_clusters > 0, "need at least one cluster");
-  for (std::size_t c : class_cluster)
-    TRACON_REQUIRE(c < num_clusters, "class mapped to out-of-range cluster");
-  cluster_of_ = std::move(class_cluster);
-  num_clusters_ = num_clusters;
-  // Seed availability from the current occupancy (attachment is legal
-  // mid-run, not just on a fresh cluster).
-  cluster_avail_.assign(num_clusters_ + 1, 0);
-  for (std::size_t a = 0; a < half_busy_.size(); ++a)
-    cluster_avail_[cluster_of_[a]] += half_busy_[a];
-  cluster_avail_[num_clusters_] = empty_;
-}
-
-std::size_t ClusterCounts::cluster_avail(std::size_t cluster) const {
-  TRACON_REQUIRE(clustered(), "cluster_avail requires attach_clusters");
-  TRACON_REQUIRE(cluster <= num_clusters_, "cluster index out of range");
-  return cluster_avail_[cluster];
 }
 
 }  // namespace tracon::sched

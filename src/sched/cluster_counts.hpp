@@ -45,10 +45,9 @@ class ClusterCounts {
   /// Appends every available slot class in the schedulers' canonical
   /// scan order — the empty-machine slot first (when `include_empty`
   /// and one exists), then each app class with a half-busy machine in
-  /// ascending class order. This is the enumeration the batched
-  /// prediction path feeds to Predictor::predict_*_batch; keeping it
-  /// here keeps the candidate order (and thus tie-breaking) in one
-  /// place.
+  /// ascending class order. This is the enumeration the flat scan
+  /// scores (sched::score_candidates); keeping it here keeps the
+  /// candidate order (and thus tie-breaking) in one place.
   void append_candidates(bool include_empty,
                          std::vector<std::optional<std::size_t>>* out) const;
 
@@ -62,31 +61,9 @@ class ClusterCounts {
   /// (neighbour slot idle) or half-busy running `neighbour`.
   void depart(std::size_t app, const std::optional<std::size_t>& neighbour);
 
-  /// Promotes the flat class view to a live cluster index: attaches a
-  /// class -> interference-profile-cluster mapping (from
-  /// sched::ClassClustering) and maintains, through every place/depart,
-  /// the number of available slots per cluster — plus one pseudo-cluster
-  /// (index `num_clusters`) for the empty-machine candidate. The
-  /// CandidateIndex skips whole clusters whose availability is zero in
-  /// O(1) instead of scanning their classes. Vectors are stored by
-  /// value, so the schedulers' hypothetical copies (MIBS/MIX state)
-  /// carry the index along and stay consistent under their own
-  /// hypothetical placements.
-  void attach_clusters(std::vector<std::size_t> class_cluster,
-                       std::size_t num_clusters);
-  bool clustered() const { return !cluster_of_.empty(); }
-  std::size_t num_clusters() const { return num_clusters_; }
-  /// Available slots in `cluster` (the empty pseudo-cluster is
-  /// `num_clusters()`). Requires clustered().
-  std::size_t cluster_avail(std::size_t cluster) const;
-
  private:
   std::size_t empty_ = 0;
   std::vector<std::size_t> half_busy_;
-  /// Cluster attachment (empty vectors when not clustered).
-  std::vector<std::size_t> cluster_of_;
-  std::vector<std::size_t> cluster_avail_;
-  std::size_t num_clusters_ = 0;
 };
 
 }  // namespace tracon::sched

@@ -17,16 +17,11 @@ void score_candidates(const Predictor& predictor, std::size_t app,
                  "score_candidates needs output vectors");
   slots->clear();
   cluster.append_candidates(include_empty, slots);
-  std::vector<PredictQuery> queries;
-  queries.reserve(slots->size());
+  scores->clear();
   for (const std::optional<std::size_t>& slot : *slots) {
-    queries.push_back({app, slot});
-  }
-  scores->assign(slots->size(), 0.0);
-  if (objective == Objective::kRuntime) {
-    predictor.predict_runtime_batch(queries, *scores);
-  } else {
-    predictor.predict_iops_batch(queries, *scores);
+    scores->push_back(objective == Objective::kRuntime
+                          ? predictor.predict_runtime(app, slot)
+                          : predictor.predict_iops(app, slot));
   }
 }
 

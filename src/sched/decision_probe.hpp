@@ -4,8 +4,8 @@
 // ensemble score and per-family prediction per candidate, the active
 // confidence weights, the chosen slot, and its winning margin.
 //
-// The probe only issues const Predictor calls (the same table lookups
-// the scheduler itself made, under stable in-round weights), so
+// The probe only issues const Predictor calls (the predictions the
+// flat scan makes, under stable in-round weights), so
 // recording perturbs nothing: with the log disabled it returns before
 // touching the predictor, and with it enabled the replayed predictions
 // are bit-identical to the values the scheduler acted on.
@@ -23,11 +23,12 @@
 namespace tracon::sched {
 
 /// Enumerates `cluster`'s free-slot classes in the schedulers'
-/// canonical append_candidates order and batch-predicts `app`'s value
-/// on each under `objective`. This is the one scoring path shared by
-/// the decision-log probe and the migrate::Rebalancer's re-placement
-/// scan, so recorded candidate sets and migration destinations are
-/// scored bit-identically to the schedulers' own decisions.
+/// canonical append_candidates order and predicts `app`'s value on
+/// each under `objective`. This is the one scoring path shared by the
+/// flat placement scan, the decision-log probe and the
+/// migrate::Rebalancer's re-placement scan, so recorded candidate sets
+/// and migration destinations are scored bit-identically to the
+/// schedulers' own decisions.
 void score_candidates(const Predictor& predictor, std::size_t app,
                       const ClusterCounts& cluster, Objective objective,
                       bool include_empty,

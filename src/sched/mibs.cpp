@@ -53,23 +53,15 @@ BatchOutcome mibs_batch(std::span<const QueuedTask> queue,
 
     // Candidate 2: the queued task with the least predicted interference
     // against candidate 1 (the first "Min" of Min-Min), scored exactly
-    // as Algorithm 2 writes it: Predict(t_i, t_1, Model). One batched
-    // call covers the whole remaining window; first-wins strict < keeps
-    // the tie-breaking identical to the scalar loop.
-    std::vector<PredictQuery> c2_queries(pending.size() - head);
-    for (std::size_t i = head; i < pending.size(); ++i)
-      c2_queries[i - head] = {queue[pending[i]].app, queue[c1].app};
-    std::vector<double> c2_pred(c2_queries.size());
-    if (objective == Objective::kRuntime) {
-      predictor.predict_runtime_batch(c2_queries, c2_pred);
-    } else {
-      predictor.predict_iops_batch(c2_queries, c2_pred);
-    }
+    // as Algorithm 2 writes it: Predict(t_i, t_1, Model); first wins
+    // ties.
     std::size_t best_i = head;
     double best_score = std::numeric_limits<double>::infinity();
     for (std::size_t i = head; i < pending.size(); ++i) {
-      double s = objective == Objective::kRuntime ? c2_pred[i - head]
-                                                  : -c2_pred[i - head];
+      const std::size_t app = queue[pending[i]].app;
+      double s = objective == Objective::kRuntime
+                     ? predictor.predict_runtime(app, queue[c1].app)
+                     : -predictor.predict_iops(app, queue[c1].app);
       if (s < best_score) {
         best_score = s;
         best_i = i;

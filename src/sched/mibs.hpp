@@ -25,8 +25,8 @@ struct BatchOutcome {
 
 /// Runs Algorithm 2 over the queue snapshot in the given order.
 /// `order` holds queue positions; placements refer to those positions.
-/// A non-null `index` routes the per-task slot scans through the
-/// candidate shortlist (bit-identical; see candidate_index.hpp).
+/// A non-null `index` answers the per-task slot scans through its
+/// sorted candidate lists (bit-identical; see candidate_index.hpp).
 BatchOutcome mibs_batch(std::span<const QueuedTask> queue,
                         std::span<const std::size_t> order,
                         const ClusterCounts& cluster,

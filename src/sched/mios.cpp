@@ -1,5 +1,6 @@
 #include "sched/mios.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -12,27 +13,41 @@ std::string objective_name(Objective o) {
   return o == Objective::kRuntime ? "RT" : "IO";
 }
 
-bool join_beneficial(std::size_t task, std::size_t neighbour,
-                     const Predictor& predictor, Objective objective,
-                     double margin) {
+namespace {
+
+/// `objective`'s prediction for `app` next to `neighbour`.
+double predict(const Predictor& predictor, Objective objective,
+               std::size_t app, const std::optional<std::size_t>& neighbour) {
+  return objective == Objective::kRuntime
+             ? predictor.predict_runtime(app, neighbour)
+             : predictor.predict_iops(app, neighbour);
+}
+
+}  // namespace
+
+JoinTest join_test(Objective objective, double t_solo, double t_pair,
+                   double n_solo, double n_pair) {
   if (objective == Objective::kRuntime) {
     // Progress rates relative to solo execution, per the model.
-    double t_solo = predictor.predict_runtime(task, std::nullopt);
-    double t_pair = predictor.predict_runtime(task, neighbour);
-    double n_solo = predictor.predict_runtime(neighbour, std::nullopt);
-    double n_pair = predictor.predict_runtime(neighbour, task);
-    if (t_pair <= 0.0 || n_pair <= 0.0) return false;
-    double gained = t_solo / t_pair;          // the joiner's progress rate
-    double lost = 1.0 - n_solo / n_pair;      // the resident's lost rate
-    return gained - lost > margin;
+    if (t_pair <= 0.0 || n_pair <= 0.0)
+      return {-std::numeric_limits<double>::infinity(), 1.0};
+    double gained = t_solo / t_pair;      // the joiner's progress rate
+    double lost = 1.0 - n_solo / n_pair;  // the resident's lost rate
+    return {gained - lost, 1.0};
   }
   // IOPS objective: the pair must deliver more aggregate throughput
   // than the resident alone.
-  double added = predictor.predict_iops(task, neighbour);
-  double resident_before = predictor.predict_iops(neighbour, std::nullopt);
-  double resident_after = predictor.predict_iops(neighbour, task);
-  return added - (resident_before - resident_after) >
-         margin * std::max(resident_before, 1e-9);
+  return {t_pair - (n_solo - n_pair), std::max(n_solo, 1e-9)};
+}
+
+bool join_beneficial(std::size_t task, std::size_t neighbour,
+                     const Predictor& predictor, Objective objective,
+                     double margin) {
+  return join_test(objective, predict(predictor, objective, task, {}),
+                   predict(predictor, objective, task, neighbour),
+                   predict(predictor, objective, neighbour, {}),
+                   predict(predictor, objective, neighbour, task))
+      .beneficial(margin);
 }
 
 std::optional<std::optional<std::size_t>> mios_best_slot(
@@ -40,14 +55,13 @@ std::optional<std::optional<std::size_t>> mios_best_slot(
     const Predictor& predictor, Objective objective,
     const PlacementPolicy& policy, bool exclude_empty,
     const CandidateIndex* index) {
-  // Indexed fast path: per-cluster shortlist lookup, bit-identical to
-  // the flat scan below (see candidate_index.hpp). The paranoid tier
-  // re-derives every indexed answer through the reference scan.
-  if (index != nullptr && cluster.clustered()) {
+  if (index != nullptr) {
     TRACON_REQUIRE(
         &index->predictor() == &predictor && index->objective() == objective,
         "the candidate index scores a different predictor or objective");
     auto slot = index->best_slot(task, cluster, policy, exclude_empty);
+    // The paranoid tier re-derives every indexed answer through the
+    // reference scan below.
     if constexpr (kParanoidChecksEnabled) {
       TRACON_DCHECK(slot == mios_best_slot(task, cluster, predictor,
                                            objective, policy, exclude_empty,
@@ -56,86 +70,33 @@ std::optional<std::optional<std::size_t>> mios_best_slot(
     }
     return slot;
   }
-  // Candidate slot classes in canonical scan order (empty machine
-  // first, then occupied classes ascending), scored through the batched
-  // prediction API: one virtual call covers every candidate, and one
-  // more covers the beneficial-join inputs — instead of up to five
-  // scalar predictor calls per candidate. The arithmetic below uses the
-  // exact formulas and comparison order of the scalar join_beneficial /
-  // argmin path, so placements are bit-identical to the scalar
-  // implementation (tested in test_schedulers/test_predictor).
-  std::vector<std::optional<std::size_t>> candidates;
-  candidates.reserve(cluster.num_apps() + 1);
-  cluster.append_candidates(/*include_empty=*/!exclude_empty, &candidates);
+  // The flat scan: every free slot class in canonical order (empty
+  // machine first, then occupied classes ascending), scored through
+  // score_candidates; each occupied class faces the beneficial-join
+  // rule, and the argmin wins, the first of equal scores.
+  std::vector<std::optional<std::size_t>> slots;
+  std::vector<double> pred;
+  score_candidates(predictor, task, cluster, objective,
+                   /*include_empty=*/!exclude_empty, &slots, &pred);
+  const double t_solo = policy.beneficial_joins_only
+                            ? predict(predictor, objective, task, {})
+                            : 0.0;
 
   std::optional<std::optional<std::size_t>> best;
-  if (!candidates.empty()) {
-    std::vector<PredictQuery> queries(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      queries[i] = {task, candidates[i]};
-    std::vector<double> pred(candidates.size());
-    if (objective == Objective::kRuntime) {
-      predictor.predict_runtime_batch(queries, pred);
-    } else {
-      predictor.predict_iops_batch(queries, pred);
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].has_value() && policy.beneficial_joins_only) {
+      const std::size_t a = *slots[i];
+      if (!join_test(objective, t_solo, pred[i],
+                     predict(predictor, objective, a, {}),
+                     predict(predictor, objective, a, task))
+               .beneficial(policy.join_margin))
+        continue;
     }
-
-    // Join-policy inputs for the occupied-class candidates, batched.
-    // Runtime layout: [task solo, a0 solo, a0 next-to-task, a1 solo,
-    // a1 next-to-task, ...]; IOPS layout drops the leading task-solo
-    // entry (the IOPS rule never consults it).
-    const std::size_t first_app =
-        !candidates.front().has_value() ? 1 : 0;
-    const std::size_t num_app_cands = candidates.size() - first_app;
-    std::vector<double> join;
-    if (policy.beneficial_joins_only && num_app_cands > 0) {
-      std::vector<PredictQuery> jq;
-      const bool runtime_obj = objective == Objective::kRuntime;
-      jq.reserve(2 * num_app_cands + (runtime_obj ? 1 : 0));
-      if (runtime_obj) jq.push_back({task, std::nullopt});
-      for (std::size_t i = first_app; i < candidates.size(); ++i) {
-        std::size_t a = *candidates[i];
-        jq.push_back({a, std::nullopt});
-        jq.push_back({a, task});
-      }
-      join.resize(jq.size());
-      if (runtime_obj) {
-        predictor.predict_runtime_batch(jq, join);
-      } else {
-        predictor.predict_iops_batch(jq, join);
-      }
-    }
-
-    double best_score = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const std::optional<std::size_t>& cand = candidates[i];
-      if (cand.has_value() && policy.beneficial_joins_only) {
-        const std::size_t j = i - first_app;
-        bool beneficial = false;
-        if (objective == Objective::kRuntime) {
-          double t_solo = join[0];
-          double t_pair = pred[i];
-          double n_solo = join[1 + 2 * j];
-          double n_pair = join[2 + 2 * j];
-          if (t_pair > 0.0 && n_pair > 0.0) {
-            double gained = t_solo / t_pair;      // the joiner's progress rate
-            double lost = 1.0 - n_solo / n_pair;  // the resident's lost rate
-            beneficial = gained - lost > policy.join_margin;
-          }
-        } else {
-          double added = pred[i];
-          double resident_before = join[2 * j];
-          double resident_after = join[2 * j + 1];
-          beneficial = added - (resident_before - resident_after) >
-                       policy.join_margin * std::max(resident_before, 1e-9);
-        }
-        if (!beneficial) continue;
-      }
-      double s = objective == Objective::kRuntime ? pred[i] : -pred[i];
-      if (s < best_score) {
-        best = cand;
-        best_score = s;
-      }
+    double s = objective == Objective::kRuntime ? pred[i] : -pred[i];
+    if (s < best_score) {
+      best = slots[i];
+      best_score = s;
     }
   }
   if (!best.has_value() && exclude_empty && cluster.has_slot(std::nullopt)) {
@@ -159,10 +120,7 @@ std::vector<Placement> MiosScheduler::schedule(
     if (!slot.has_value()) continue;  // no acceptable slot; task waits
     TRACON_DCHECK(state.has_slot(*slot),
                   "MIOS selected an infeasible placement slot");
-    predicted_cost +=
-        objective_ == Objective::kRuntime
-            ? predictor_.predict_runtime(queue[pos].app, *slot)
-            : predictor_.predict_iops(queue[pos].app, *slot);
+    predicted_cost += predict(predictor_, objective_, queue[pos].app, *slot);
     state.place(queue[pos].app, *slot);
     out.push_back({pos, *slot});
   }

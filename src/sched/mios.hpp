@@ -15,6 +15,7 @@ namespace tracon::sched {
 /// True when placing `task` next to a running app of class `neighbour`
 /// is predicted to add net progress: the task's own predicted speed
 /// minus the slowdown inflicted on the neighbour must exceed the margin.
+/// join_test over the four predictions the rule reads.
 bool join_beneficial(std::size_t task, std::size_t neighbour,
                      const Predictor& predictor, Objective objective,
                      double margin);
@@ -26,12 +27,10 @@ bool join_beneficial(std::size_t task, std::size_t neighbour,
 /// class. With `exclude_empty`, empty machines are only used as a last
 /// resort — MIBS uses this for candidate 2 when the batch cannot fit on
 /// empty machines anyway, so that the chosen partner actually
-/// co-locates. When `index` is non-null and `cluster` carries its
-/// clustering, the indexed lookup answers (bit-identical placements;
-/// see candidate_index.hpp); `index` must be built over `predictor`
-/// for `objective`.
-/// nullptr selects the flat candidate scan, the reference
-/// implementation.
+/// co-locates. A non-null `index` answers through its sorted candidate
+/// lists (bit-identical placements; see candidate_index.hpp) and must
+/// be built over `predictor` for `objective`. nullptr selects the flat
+/// candidate scan, the reference implementation.
 std::optional<std::optional<std::size_t>> mios_best_slot(
     std::size_t task, const ClusterCounts& cluster,
     const Predictor& predictor, Objective objective,

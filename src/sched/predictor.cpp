@@ -1,28 +1,11 @@
 #include "sched/predictor.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace tracon::sched {
-
-void Predictor::predict_runtime_batch(std::span<const PredictQuery> queries,
-                                      std::span<double> out) const {
-  TRACON_REQUIRE(queries.size() == out.size(),
-                 "batch output span size mismatch");
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    out[i] = predict_runtime(queries[i].task, queries[i].neighbour);
-}
-
-void Predictor::predict_iops_batch(std::span<const PredictQuery> queries,
-                                   std::span<double> out) const {
-  TRACON_REQUIRE(queries.size() == out.size(),
-                 "batch output span size mismatch");
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    out[i] = predict_iops(queries[i].task, queries[i].neighbour);
-}
 
 TablePredictor::TablePredictor(stats::Matrix runtime, stats::Matrix iops)
     : runtime_(std::move(runtime)), iops_(std::move(iops)) {
@@ -52,39 +35,6 @@ double TablePredictor::predict_iops(
   TRACON_CHECK_FINITE(iops_(task, col), "predicted IOPS");
   TRACON_DCHECK(iops_(task, col) >= 0.0, "negative predicted IOPS");
   return iops_(task, col);
-}
-
-namespace {
-
-/// Shared body of the two table batch lookups: one bounds check per
-/// query, then a direct dense-matrix read.
-void table_batch(const stats::Matrix& table,
-                 std::span<const PredictQuery> queries, std::span<double> out,
-                 const char* what) {
-  TRACON_REQUIRE(queries.size() == out.size(),
-                 "batch output span size mismatch");
-  const std::size_t n = table.rows();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    TRACON_REQUIRE(queries[i].task < n, "task class out of range");
-    std::size_t col = queries[i].neighbour.value_or(n);
-    TRACON_REQUIRE(col < table.cols(), "neighbour class out of range");
-    double v = table(queries[i].task, col);
-    TRACON_CHECK_FINITE(v, what);
-    TRACON_DCHECK(v >= 0.0, "negative table prediction");
-    out[i] = v;
-  }
-}
-
-}  // namespace
-
-void TablePredictor::predict_runtime_batch(
-    std::span<const PredictQuery> queries, std::span<double> out) const {
-  table_batch(runtime_, queries, out, "predicted runtime");
-}
-
-void TablePredictor::predict_iops_batch(std::span<const PredictQuery> queries,
-                                        std::span<double> out) const {
-  table_batch(iops_, queries, out, "predicted IOPS");
 }
 
 TablePredictor TablePredictor::from_models(
@@ -164,56 +114,6 @@ double ConfidenceWeightedPredictor::predict_iops(
   }
   TRACON_CHECK_FINITE(blended, "blended predicted IOPS");
   return blended;
-}
-
-namespace {
-
-/// Weighted accumulate shared by the two ensemble batch paths. The
-/// family loop is outermost and the per-query additions happen in
-/// family order with the exact same operands as the scalar path, so
-/// batched and scalar blends are bit-identical.
-template <typename BatchFn>
-void blend_batch(std::span<const PredictQuery> queries, std::span<double> out,
-                 const std::vector<double>& weights, std::size_t families,
-                 std::vector<double>& scratch, const BatchFn& family_batch,
-                 const char* what) {
-  TRACON_REQUIRE(queries.size() == out.size(),
-                 "batch output span size mismatch");
-  std::fill(out.begin(), out.end(), 0.0);
-  scratch.resize(queries.size());
-  for (std::size_t f = 0; f < families; ++f) {
-    if (weights[f] <= 0.0) continue;
-    family_batch(f, queries, std::span<double>(scratch));
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      out[i] += weights[f] * scratch[i];
-  }
-  for (double v : out) TRACON_CHECK_FINITE(v, what);
-}
-
-}  // namespace
-
-void ConfidenceWeightedPredictor::predict_runtime_batch(
-    std::span<const PredictQuery> queries, std::span<double> out) const {
-  refresh();
-  blend_batch(
-      queries, out, runtime_weights_, families_.size(), batch_scratch_,
-      [&](std::size_t f, std::span<const PredictQuery> q,
-          std::span<double> o) {
-        families_[f].predictor->predict_runtime_batch(q, o);
-      },
-      "blended predicted runtime");
-}
-
-void ConfidenceWeightedPredictor::predict_iops_batch(
-    std::span<const PredictQuery> queries, std::span<double> out) const {
-  refresh();
-  blend_batch(
-      queries, out, iops_weights_, families_.size(), batch_scratch_,
-      [&](std::size_t f, std::span<const PredictQuery> q,
-          std::span<double> o) {
-        families_[f].predictor->predict_iops_batch(q, o);
-      },
-      "blended predicted IOPS");
 }
 
 void ConfidenceWeightedPredictor::begin_round(double now_s) const {

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -24,15 +23,6 @@ class MetricsRegistry;
 
 namespace tracon::sched {
 
-/// One element of a batched prediction request: task class placed next
-/// to `neighbour` (nullopt = idle machine). The schedulers' inner loops
-/// build spans of these over the class-level cluster view instead of
-/// issuing one virtual call per (task, slot) pair.
-struct PredictQuery {
-  std::size_t task = 0;
-  std::optional<std::size_t> neighbour;
-};
-
 /// Predicts a task's performance when co-located with a neighbour
 /// application class (nullopt = idle neighbour). App classes index a
 /// fixed application set shared with the cluster simulator.
@@ -44,19 +34,6 @@ class Predictor {
       std::size_t task, const std::optional<std::size_t>& neighbour) const = 0;
   virtual double predict_iops(
       std::size_t task, const std::optional<std::size_t>& neighbour) const = 0;
-
-  /// Batched prediction over `queries.size()` (task, neighbour) pairs;
-  /// `out` must be the same length. Implementations MUST produce
-  /// bit-identical values to the scalar calls in query order — the
-  /// schedulers' placements (and therefore the determinism contract)
-  /// depend on it. The default is the scalar loop; table-backed
-  /// predictors override it to skip the per-call virtual dispatch, and
-  /// ensembles hoist their per-round weight computation out of the
-  /// loop.
-  virtual void predict_runtime_batch(std::span<const PredictQuery> queries,
-                                     std::span<double> out) const;
-  virtual void predict_iops_batch(std::span<const PredictQuery> queries,
-                                  std::span<double> out) const;
 
   /// Round boundary hook: batch schedulers (MIX) call this once per
   /// scheduling round before issuing the round's predictions, so
@@ -101,13 +78,6 @@ class TablePredictor final : public Predictor {
   double predict_iops(
       std::size_t task,
       const std::optional<std::size_t>& neighbour) const override;
-
-  /// Vectorized table lookups: one range check per query, no virtual
-  /// dispatch inside the loop.
-  void predict_runtime_batch(std::span<const PredictQuery> queries,
-                             std::span<double> out) const override;
-  void predict_iops_batch(std::span<const PredictQuery> queries,
-                          std::span<double> out) const override;
 
   /// Builds the table by evaluating trained per-application models on
   /// the application profiles (models[i] predicts application i).
@@ -167,15 +137,6 @@ class ConfidenceWeightedPredictor final : public Predictor,
       std::size_t task,
       const std::optional<std::size_t>& neighbour) const override;
 
-  /// Batched blend: the per-round weight refresh happens once per call
-  /// instead of once per query, and each family's table is walked in
-  /// one pass. Accumulation order matches the scalar path family by
-  /// family, so results are bit-identical to per-query calls.
-  void predict_runtime_batch(std::span<const PredictQuery> queries,
-                             std::span<double> out) const override;
-  void predict_iops_batch(std::span<const PredictQuery> queries,
-                          std::span<double> out) const override;
-
   /// Recomputes cached weights from the current windows and, when a
   /// registry is attached, stamps `sched.confidence.<family>.
   /// {runtime_weight,iops_weight}` gauges for the round.
@@ -232,9 +193,6 @@ class ConfidenceWeightedPredictor final : public Predictor,
   mutable std::vector<double> iops_weights_;
   mutable bool stale_ = true;
   std::uint64_t epoch_ = 0;
-  /// Per-family scratch for the batch accumulate; reused across calls
-  /// so steady-state batching allocates nothing.
-  mutable std::vector<double> batch_scratch_;
 };
 
 }  // namespace tracon::sched

@@ -48,6 +48,25 @@ struct PlacementPolicy {
   double join_margin = 0.15;
 };
 
+/// The beneficial-join rule for a task joining a resident's machine,
+/// as two numbers: the join is beneficial at margin m iff
+/// `lhs > m * scale`.
+struct JoinTest {
+  double lhs = 0.0;
+  double scale = 1.0;
+  bool beneficial(double margin) const { return lhs > margin * scale; }
+};
+
+/// The rule's arithmetic over the objective's four predictions: the
+/// task alone (`t_solo`) and next to the resident (`t_pair`), the
+/// resident alone (`n_solo`) and next to the task (`n_pair`). Runtime:
+/// the joiner's progress rate minus the resident's lost rate, scale 1
+/// (never beneficial when a paired runtime is not positive). IOPS: the
+/// pair's added throughput net of the resident's loss, scaled by the
+/// resident's solo IOPS (`t_solo` unused).
+JoinTest join_test(Objective objective, double t_solo, double t_pair,
+                   double n_solo, double n_pair);
+
 struct QueuedTask {
   std::size_t app = 0;      ///< application class
   double arrival_s = 0.0;   ///< arrival time (for batch timeouts)
@@ -92,16 +111,16 @@ class Scheduler {
   /// Attaches (or detaches, with nullptr) the telemetry sinks. The
   /// scheduler does not own the bundle; the caller keeps it alive for
   /// the scheduler's lifetime.
-  void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
+  void set_telemetry(obs::Telemetry* telemetry) {
+    telemetry_ = telemetry;
+    round_metrics_ = {};
+  }
   obs::Telemetry* telemetry() const { return telemetry_; }
 
-  /// The candidate shortlist index the slot scans go through (not
-  /// owned). Each TRACON scheduler builds one over the predictor it
-  /// scores with and points this at it; the simulators attach its
-  /// clustering to their ClusterCounts, and the scans use it whenever
-  /// the cluster view carries that clustering. nullptr (FIFO, or a
-  /// scheduler reset to the reference path) selects the flat scan,
-  /// which places identically.
+  /// The candidate index the slot scans go through (not owned). Each
+  /// TRACON scheduler builds one over the predictor it scores with and
+  /// points this at it. nullptr (FIFO, or a scheduler reset to the
+  /// reference path) selects the flat scan, which places identically.
   void set_candidate_index(const CandidateIndex* index) {
     candidate_index_ = index;
   }
@@ -116,13 +135,23 @@ class Scheduler {
                   double predicted_cost, double now_s) {
     if (telemetry_ == nullptr) return;
     obs::MetricsRegistry& m = telemetry_->metrics;
-    m.counter("sched.rounds").inc();
-    m.gauge("sched.queue_length").set(static_cast<double>(queue_len));
+    RoundMetrics& r = round_metrics_;
+    if (r.rounds == nullptr) {
+      r.rounds = &m.counter("sched.rounds");
+      r.queue_length = &m.gauge("sched.queue_length");
+    }
+    r.rounds->inc();
+    r.queue_length->set(static_cast<double>(queue_len));
     if (placed > 0) {
-      m.counter("sched.decisions").inc();
-      m.counter("sched.placements").inc(placed);
-      m.histogram("sched.batch.placed", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0})
-          .observe(static_cast<double>(placed));
+      if (r.decisions == nullptr) {
+        r.decisions = &m.counter("sched.decisions");
+        r.placements = &m.counter("sched.placements");
+        r.placed = &m.histogram("sched.batch.placed",
+                                {1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
+      }
+      r.decisions->inc();
+      r.placements->inc(placed);
+      r.placed->observe(static_cast<double>(placed));
     }
     obs::TraceEvent ev;
     ev.time_s = now_s;
@@ -134,7 +163,21 @@ class Scheduler {
   }
 
  private:
+  /// note_round's metrics in `telemetry_`'s registry, whose nodes are
+  /// stable. Each group is resolved where a by-name lookup would first
+  /// register it (the first round; the first round that places), so
+  /// the metrics and series bytes do not depend on the caching.
+  /// set_telemetry clears them.
+  struct RoundMetrics {
+    obs::Counter* rounds = nullptr;
+    obs::Gauge* queue_length = nullptr;
+    obs::Counter* decisions = nullptr;
+    obs::Counter* placements = nullptr;
+    obs::Histogram* placed = nullptr;
+  };
+
   obs::Telemetry* telemetry_ = nullptr;
+  RoundMetrics round_metrics_;
   const CandidateIndex* candidate_index_ = nullptr;
 };
 

@@ -12,7 +12,6 @@
 #include "obs/accuracy.hpp"
 #include "obs/kvlog.hpp"
 #include "obs/span_log.hpp"
-#include "sched/candidate_index.hpp"
 #include "sim/completion_heap.hpp"
 #include "sim/slot_registry.hpp"
 #include "util/error.hpp"
@@ -112,10 +111,6 @@ DynamicOutcome run_dynamic(const PerfTable& table,
 
   std::vector<Machine> fleet(cfg.machines);
   sched::ClusterCounts counts(n, cfg.machines);
-  // The scheduler's own index (none for FIFO) clusters the live view;
-  // its slot scans then walk per-cluster shortlists.
-  if (const sched::CandidateIndex* index = scheduler.candidate_index())
-    index->attach(&counts);
   SlotRegistry registry(cfg.machines, n);
   for (std::size_t m = 0; m < cfg.machines; ++m)
     registry.set_key(m, 0);

@@ -4,7 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include "sched/candidate_index.hpp"
 #include "util/error.hpp"
 
 namespace tracon::sim {
@@ -58,8 +57,6 @@ StaticOutcome run_static(const PerfTable& table, sched::Scheduler& scheduler,
   // Let the scheduler place the whole batch; loop until it makes no
   // further progress (a batch scheduler may need several rounds).
   sched::ClusterCounts counts(n, machines);
-  if (const sched::CandidateIndex* index = scheduler.candidate_index())
-    index->attach(&counts);
   // Concrete machine assignment mirrors the class-level decisions.
   struct Machine {
     std::optional<std::size_t> a, b;

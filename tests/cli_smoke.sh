@@ -32,7 +32,14 @@
 #      Together they hold every record kind of both logs;
 #   8. an export the disk cannot take (/dev/full, where it exists)
 #      fails the run: exit 1, a "cannot write" line per file and no
-#      "written to" line.
+#      "written to" line;
+#   9. `timeline`, `attribution` and `breakdown` name what their log
+#      source lacks: exit 1 for a file they cannot open, an unknown run
+#      id or a stored run without the log, exit 2 with the usage line
+#      when no source is given;
+#  10. `timeline --json` prints accuracy counts as the integers the
+#      series file stores (a total past 10^6 included) and its other
+#      numbers as they round-trip.
 set -euo pipefail
 
 TRACON=$1
@@ -43,21 +50,28 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
-expect_error() {  # MESSAGE CMD...: exit 1 and an error containing MESSAGE
-  local message=$1
-  shift
+expect_failure() {  # CODE MESSAGE CMD...: exit CODE, an error with MESSAGE
+  local code=$1
+  local message=$2
+  shift 2
   local rc=0
-  "$TRACON" "$@" --host bogus > out.log 2> err.log || rc=$?
-  if [ "$rc" -ne 1 ]; then
-    echo "FAIL: exit code $rc (want 1): tracon $*"
+  "$TRACON" "$@" > out.log 2> err.log || rc=$?
+  if [ "$rc" -ne "$code" ]; then
+    echo "FAIL: exit code $rc (want $code): tracon $*"
     cat err.log
     exit 1
   fi
-  grep -q -- "$message" err.log || {
+  grep -qF -- "$message" err.log || {
     echo "FAIL: error lacks '$message': tracon $*"
     cat err.log
     exit 1
   }
+}
+
+expect_error() {  # MESSAGE CMD...: exit 1 and an error containing MESSAGE
+  local message=$1
+  shift
+  expect_failure 1 "$message" "$@" --host bogus
 }
 
 expect_rejected() {  # FLAG CMD...: exit 1 and a message naming --FLAG
@@ -249,5 +263,53 @@ if [ -e /dev/full ]; then
 else
   echo "skipped: this system has no /dev/full"
 fi
+
+echo "== the log readers name what their source lacks =="
+"$TRACON" record --machines 4 --lambda 6 --hours 0.01 --out bare.jsonl \
+    --store runs > bare.log
+bare=$(sed -n 's/^stored run //p' bare.log)
+[ -n "$bare" ] || {
+  echo "FAIL: record printed no run id"
+  cat bare.log
+  exit 1
+}
+for cmd in timeline attribution breakdown; do
+  expect_failure 1 "no run matches id prefix 'nope' in store 'runs'" \
+      $cmd nope --store runs
+done
+expect_failure 1 "cannot open series file 'missing.jsonl'" \
+    timeline --series missing.jsonl
+expect_failure 1 "cannot open decision log 'missing.jsonl'" \
+    attribution --decisions missing.jsonl
+expect_failure 1 "cannot open span log 'missing.jsonl'" \
+    breakdown --spans missing.jsonl
+expect_failure 1 "run $bare has no stored metrics series (record it with \
+--snapshot-interval)" timeline "$bare" --store runs
+expect_failure 1 "run $bare has no stored decision log (record it with \
+--decisions)" attribution "$bare" --store runs
+expect_failure 1 "run $bare has no stored span log (record it with --spans)" \
+    breakdown "$bare" --store runs
+expect_failure 2 "usage: tracon timeline (--series FILE | <run-id-prefix>" \
+    timeline
+expect_failure 2 "usage: tracon attribution (--decisions FILE |" attribution
+expect_failure 2 "usage: tracon breakdown (--spans FILE |" breakdown
+
+echo "== timeline --json prints counts as integers =="
+sed '2s/"total": 29,/"total": 1234567,/' "$DATA/series_flat.jsonl" \
+    > crafted.jsonl
+grep -q '"total": 1234567,' crafted.jsonl || {
+  echo "FAIL: the crafted series lacks its window-0 total"
+  exit 1
+}
+"$TRACON" timeline --series crafted.jsonl --metric model.nlm.iops --json \
+    > timeline.json
+for field in '"count": 29, "total": 1234567,' \
+    '"mean_abs": 0.16527868369497292,' '"interval_s": 601,'; do
+  grep -qF -- "$field" timeline.json || {
+    echo "FAIL: timeline --json lacks $field"
+    cat timeline.json
+    exit 1
+  }
+done
 
 echo "cli_smoke: all checks passed"

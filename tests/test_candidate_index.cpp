@@ -54,103 +54,107 @@ const sim::PerfTable& paper_table() {
   return t;
 }
 
-TEST(ClassClustering, CoversEveryClass) {
-  TablePredictor pred = crafted_predictor();
-  ClassClustering c = ClassClustering::build(pred);
-  ASSERT_EQ(c.num_apps(), 3u);
-  EXPECT_GE(c.num_clusters(), 1u);
-  EXPECT_LE(c.num_clusters(), 3u);
-  for (std::size_t cl : c.cluster_of()) EXPECT_LT(cl, c.num_clusters());
+/// bench_scaling's many-class table: a fixed formula over `classes`
+/// app classes, whose rows repeat every 23 neighbours (many ties).
+TablePredictor synthetic_predictor(std::size_t classes) {
+  stats::Matrix rt(classes, classes + 1);
+  stats::Matrix io(classes, classes + 1);
+  for (std::size_t i = 0; i < classes; ++i) {
+    for (std::size_t j = 0; j <= classes; ++j) {
+      rt(i, j) = 60.0 + 3.0 * static_cast<double>(i) +
+                 static_cast<double>((i * 7 + j * 13) % 23);
+      io(i, j) = 40.0 + 2.0 * static_cast<double>(i) +
+                 static_cast<double>((i * 11 + j * 5) % 19);
+    }
+  }
+  return TablePredictor(rt, io);
 }
 
-TEST(ClassClustering, DeterministicAcrossBuilds) {
-  TablePredictor pred = paper_table().oracle_predictor();
-  ClassClustering a = ClassClustering::build(pred);
-  ClassClustering b = ClassClustering::build(pred);
-  EXPECT_EQ(a.cluster_of(), b.cluster_of());
-  EXPECT_EQ(a.num_clusters(), b.num_clusters());
-}
-
-/// Exhaustive equivalence: drive one clustered ClusterCounts through a
+/// Exhaustive equivalence: drive one ClusterCounts through a
 /// deterministic churn of placements and departures, and at every step
 /// compare the indexed lookup against the flat scan for every task,
-/// objective, admission policy, and exclude_empty combination.
+/// objective, admission policy, and exclude_empty combination. Over the
+/// paper's 8 classes, and over 64 synthetic ones: with at most 6 of
+/// them live on the 6 machines, the sorted walk skips long runs of
+/// unavailable entries and ties.
 TEST(CandidateIndex, BestSlotMatchesFlatScanUnderChurn) {
-  TablePredictor pred = paper_table().oracle_predictor();
-  const std::size_t n = pred.num_apps();
-  // One index per objective; both cluster the same predictor alike.
-  const CandidateIndex indexes[] = {CandidateIndex(pred, Objective::kRuntime),
-                                    CandidateIndex(pred, Objective::kIops)};
-  ClusterCounts counts(n, 6);
-  indexes[0].attach(&counts);
+  const TablePredictor predictors[] = {paper_table().oracle_predictor(),
+                                       synthetic_predictor(64)};
+  for (const TablePredictor& pred : predictors) {
+    const std::size_t n = pred.num_apps();
+    // One index per objective.
+    const CandidateIndex indexes[] = {CandidateIndex(pred, Objective::kRuntime),
+                                      CandidateIndex(pred, Objective::kIops)};
+    ClusterCounts counts(n, 6);
 
-  PlacementPolicy strict;                    // beneficial joins only
-  PlacementPolicy open;
-  open.beneficial_joins_only = false;
-  const PlacementPolicy policies[] = {strict, open};
+    PlacementPolicy strict;                    // beneficial joins only
+    PlacementPolicy open;
+    open.beneficial_joins_only = false;
+    const PlacementPolicy policies[] = {strict, open};
 
-  std::uint64_t state = 12345;
-  auto next = [&state]() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<std::size_t>(state >> 33);
-  };
-  // Explicit fleet mirror (each machine holds <=2 apps), so departures
-  // always report the CURRENT co-resident — a neighbour recorded at
-  // placement time goes stale once a later task joins the machine.
-  std::vector<std::vector<std::size_t>> fleet(6);
-  auto machine_with = [&fleet](std::optional<std::size_t> cls) {
-    for (std::size_t m = 0; m < fleet.size(); ++m) {
-      if (!cls.has_value() && fleet[m].empty()) return m;
-      if (cls.has_value() && fleet[m].size() == 1 && fleet[m][0] == *cls)
-        return m;
-    }
-    throw std::logic_error("no machine in the requested class");
-  };
-  for (int step = 0; step < 400; ++step) {
-    // Mutate: mostly place (greedily, onto the flat scan's choice so
-    // the states visited are scheduler-realistic), sometimes depart.
-    std::size_t occupied = 0;
-    for (const auto& m : fleet) occupied += m.size();
-    if (occupied > 0 && next() % 3 == 0) {
-      std::size_t victim = next() % occupied;
-      for (auto& m : fleet) {
-        if (victim >= m.size()) {
-          victim -= m.size();
-          continue;
+    std::uint64_t state = 12345;
+    auto next = [&state]() {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<std::size_t>(state >> 33);
+    };
+    // Explicit fleet mirror (each machine holds <=2 apps), so departures
+    // always report the CURRENT co-resident — a neighbour recorded at
+    // placement time goes stale once a later task joins the machine.
+    std::vector<std::vector<std::size_t>> fleet(6);
+    auto machine_with = [&fleet](std::optional<std::size_t> cls) {
+      for (std::size_t m = 0; m < fleet.size(); ++m) {
+        if (!cls.has_value() && fleet[m].empty()) return m;
+        if (cls.has_value() && fleet[m].size() == 1 && fleet[m][0] == *cls)
+          return m;
+      }
+      throw std::logic_error("no machine in the requested class");
+    };
+    for (int step = 0; step < 400; ++step) {
+      // Mutate: mostly place (greedily, onto the flat scan's choice so
+      // the states visited are scheduler-realistic), sometimes depart.
+      std::size_t occupied = 0;
+      for (const auto& m : fleet) occupied += m.size();
+      if (occupied > 0 && next() % 3 == 0) {
+        std::size_t victim = next() % occupied;
+        for (auto& m : fleet) {
+          if (victim >= m.size()) {
+            victim -= m.size();
+            continue;
+          }
+          std::size_t app = m[victim];
+          m.erase(m.begin() + static_cast<long>(victim));
+          counts.depart(app, m.empty() ? std::nullopt
+                                       : std::optional<std::size_t>{m[0]});
+          break;
         }
-        std::size_t app = m[victim];
-        m.erase(m.begin() + static_cast<long>(victim));
-        counts.depart(app, m.empty() ? std::nullopt
-                                     : std::optional<std::size_t>{m[0]});
-        break;
+      } else {
+        std::size_t app = next() % n;
+        auto slot = mios_best_slot(app, counts, pred, Objective::kRuntime,
+                                   open);
+        if (slot.has_value()) {
+          counts.place(app, *slot);
+          fleet[machine_with(*slot)].push_back(app);
+        }
       }
-    } else {
-      std::size_t app = next() % n;
-      auto slot = mios_best_slot(app, counts, pred, Objective::kRuntime,
-                                 open);
-      if (slot.has_value()) {
-        counts.place(app, *slot);
-        fleet[machine_with(*slot)].push_back(app);
-      }
-    }
-    for (std::size_t task = 0; task < n; ++task) {
-      for (Objective obj : {Objective::kRuntime, Objective::kIops}) {
-        for (const PlacementPolicy& pol : policies) {
-          for (bool excl : {false, true}) {
-            auto exact = mios_best_slot(task, counts, pred, obj, pol, excl);
-            auto fast = mios_best_slot(task, counts, pred, obj, pol, excl,
-                                       &indexes[static_cast<int>(obj)]);
-            ASSERT_EQ(exact, fast)
-                << "step " << step << " task " << task << " obj "
-                << static_cast<int>(obj) << " strict "
-                << pol.beneficial_joins_only << " excl " << excl;
+      for (std::size_t task = 0; task < n; ++task) {
+        for (Objective obj : {Objective::kRuntime, Objective::kIops}) {
+          for (const PlacementPolicy& pol : policies) {
+            for (bool excl : {false, true}) {
+              auto exact = mios_best_slot(task, counts, pred, obj, pol, excl);
+              auto fast = mios_best_slot(task, counts, pred, obj, pol, excl,
+                                         &indexes[static_cast<int>(obj)]);
+              ASSERT_EQ(exact, fast)
+                  << n << " classes, step " << step << " task " << task
+                  << " obj " << static_cast<int>(obj) << " strict "
+                  << pol.beneficial_joins_only << " excl " << excl;
+            }
           }
         }
       }
     }
+    for (const CandidateIndex& index : indexes)
+      EXPECT_EQ(index.rebuilds(), 0u);  // table predictor: epoch never moves
   }
-  for (const CandidateIndex& index : indexes)
-    EXPECT_EQ(index.rebuilds(), 0u);  // table predictor: epoch never moves
 }
 
 /// `pred` with every runtime scaled by `runtime` and every IOPS by
@@ -326,7 +330,6 @@ TEST(CandidateIndex, RebuildsWhenTheModelEpochAdvances) {
   const CandidateIndex indexes[] = {CandidateIndex(base, Objective::kRuntime),
                                     CandidateIndex(base, Objective::kIops)};
   ClusterCounts counts(base.num_apps(), 4);
-  indexes[0].attach(&counts);
   counts.place(0, std::nullopt);
   counts.place(1, std::nullopt);
 

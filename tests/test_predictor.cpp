@@ -171,91 +171,6 @@ TEST(ConfidencePredictor, AdaptOffFreezesEqualWeights) {
   EXPECT_EQ(p.runtime_window(1).size(), 8u);  // windows still fed
 }
 
-std::vector<PredictQuery> all_queries(const Predictor& p) {
-  std::vector<PredictQuery> qs;
-  for (std::size_t t = 0; t < p.num_apps(); ++t) {
-    qs.push_back({t, std::nullopt});
-    for (std::size_t n = 0; n < p.num_apps(); ++n) qs.push_back({t, n});
-  }
-  return qs;
-}
-
-/// The batch API's contract is BIT-identical results to the scalar
-/// calls in query order (the schedulers' argmin tie-breaking — and thus
-/// the determinism contract — depends on it), so these use EXPECT_EQ on
-/// doubles, not EXPECT_NEAR.
-void expect_batch_matches_scalar(const Predictor& p) {
-  std::vector<PredictQuery> qs = all_queries(p);
-  std::vector<double> rt(qs.size()), io(qs.size());
-  p.predict_runtime_batch(qs, rt);
-  p.predict_iops_batch(qs, io);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(rt[i], p.predict_runtime(qs[i].task, qs[i].neighbour));
-    EXPECT_EQ(io[i], p.predict_iops(qs[i].task, qs[i].neighbour));
-  }
-}
-
-TEST(PredictorBatch, TableBatchBitIdenticalToScalar) {
-  TablePredictor p = small_table();
-  expect_batch_matches_scalar(p);
-}
-
-TEST(PredictorBatch, DefaultBatchFallsBackToScalarLoop) {
-  // A predictor that does NOT override the batch hooks exercises the
-  // base-class loop.
-  class Scaled final : public Predictor {
-   public:
-    std::size_t num_apps() const override { return 2; }
-    double predict_runtime(
-        std::size_t task,
-        const std::optional<std::size_t>& n) const override {
-      return 10.0 * static_cast<double>(task + 1) +
-             (n.has_value() ? static_cast<double>(*n) : 0.5);
-    }
-    double predict_iops(std::size_t task,
-                        const std::optional<std::size_t>& n) const override {
-      return 100.0 / static_cast<double>(task + 1) -
-             (n.has_value() ? static_cast<double>(*n) : 0.25);
-    }
-  };
-  Scaled p;
-  expect_batch_matches_scalar(p);
-}
-
-TEST(PredictorBatch, BatchValidatesSpanSizes) {
-  TablePredictor p = small_table();
-  std::vector<PredictQuery> qs = {{0, std::nullopt}};
-  std::vector<double> wrong(2);
-  EXPECT_THROW(p.predict_runtime_batch(qs, wrong), std::invalid_argument);
-  EXPECT_THROW(p.predict_iops_batch(qs, wrong), std::invalid_argument);
-}
-
-TEST(PredictorBatch, BatchRangeChecksEveryQuery) {
-  TablePredictor p = small_table();
-  std::vector<PredictQuery> qs = {{0, std::nullopt}, {5, std::nullopt}};
-  std::vector<double> out(2);
-  EXPECT_THROW(p.predict_runtime_batch(qs, out), std::invalid_argument);
-}
-
-TEST(PredictorBatch, EmptyBatchIsANoOp) {
-  TablePredictor p = small_table();
-  p.predict_runtime_batch({}, {});
-  p.predict_iops_batch({}, {});
-}
-
-TEST(PredictorBatch, ConfidenceBatchBitIdenticalAcrossWeightStates) {
-  TablePredictor a = small_table();
-  TablePredictor b = scaled_table(4.0);
-  ConfidenceWeightedPredictor p({{"good", &a}, {"bad", &b}}, test_cfg());
-  // Warmup phase: equal default weights.
-  expect_batch_matches_scalar(p);
-  // Adapted phase: family "bad" disqualified, weights {1, 0}.
-  for (int i = 0; i < 4; ++i) {
-    p.on_completion(0, std::optional<std::size_t>(1), 150.0, 30.0);
-  }
-  expect_batch_matches_scalar(p);
-}
-
 TEST(ConfidencePredictor, BeginRoundStampsWeightGauges) {
   TablePredictor a = small_table();
   TablePredictor b = scaled_table(4.0);

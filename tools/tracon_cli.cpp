@@ -958,46 +958,84 @@ int cmd_report(const ArgParser& args) {
   return 0;
 }
 
+/// One log a command renders, and where a stored run keeps it.
+struct LogKind {
+  const char* flag;         ///< `--FLAG FILE` names the log directly
+  const char* file_noun;    ///< "cannot open <file_noun> '<path>'"
+  const char* stored_noun;  ///< "run <id> has no stored <stored_noun>"
+  const char* record_flag;  ///< the run flag that stores the object
+  bool (runstore::RunRecord::*stored)() const;
+  std::string (runstore::RunStore::*read)(const runstore::RunRecord&) const;
+};
+
+const LogKind kSeriesLog = {"series", "series file", "metrics series",
+                            "--snapshot-interval",
+                            &runstore::RunRecord::has_series,
+                            &runstore::RunStore::read_series};
+const LogKind kDecisionLog = {"decisions", "decision log", "decision log",
+                              "--decisions",
+                              &runstore::RunRecord::has_decisions,
+                              &runstore::RunStore::read_decisions};
+const LogKind kSpanLog = {"spans", "span log", "span log", "--spans",
+                          &runstore::RunRecord::has_spans,
+                          &runstore::RunStore::read_spans};
+
+/// Reads the `kind` log a command renders: `--FLAG FILE`, or the object
+/// the stored run at positional `idx` holds (a run-id prefix, resolved
+/// against --store). Returns 0 and fills content/label; 1 after
+/// printing an error (a file it cannot open, an unknown id, a run
+/// without the object); 2 when neither source was given (the caller
+/// prints its usage line). With `optional`, a run without the object
+/// is no error: 0, with `label` left empty.
+int read_log(const ArgParser& args, const LogKind& kind, std::size_t idx,
+             std::string* content, std::string* label,
+             bool optional = false) {
+  if (args.has(kind.flag)) {
+    const std::string path = args.get(kind.flag);
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+      std::fprintf(stderr, "cannot open %s '%s'\n", kind.file_noun,
+                   path.c_str());
+      return 1;
+    }
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    *content = buf.str();
+    *label = path;
+    return 0;
+  }
+  if (args.positional().size() <= idx) return 2;
+  const std::string store_dir = args.get("store", "runs");
+  runstore::RunStore store(store_dir);
+  auto rec = store.find(args.positional()[idx]);
+  if (!rec.has_value()) {
+    std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
+                 args.positional()[idx].c_str(), store_dir.c_str());
+    return 1;
+  }
+  if (!((*rec).*kind.stored)()) {
+    if (optional) return 0;
+    std::fprintf(stderr, "run %s has no stored %s (record it with %s)\n",
+                 rec->id.c_str(), kind.stored_noun, kind.record_flag);
+    return 1;
+  }
+  *content = (store.*kind.read)(*rec);
+  *label = rec->id;
+  return 0;
+}
+
 /// Renders a tracon.metrics_series document. The series comes either
 /// from a file (--series FILE) or from a stored run's series object
 /// (positional run-id prefix, resolved against --store).
 int cmd_timeline(const ArgParser& args) {
   std::string content;
   std::string label;
-  if (args.has("series")) {
-    const std::string path = args.get("series");
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open series file '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    content = buf.str();
-    label = path;
-  } else if (args.positional().size() >= 2) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[1]);
-    if (!rec.has_value()) {
-      std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
-                   args.positional()[1].c_str(),
-                   args.get("store", "runs").c_str());
-      return 1;
-    }
-    if (!rec->has_series()) {
+  if (int rc = read_log(args, kSeriesLog, 1, &content, &label); rc != 0) {
+    if (rc == 2)
       std::fprintf(stderr,
-                   "run %s has no stored metrics series (record it with "
-                   "--snapshot-interval)\n",
-                   rec->id.c_str());
-      return 1;
-    }
-    content = store.read_series(*rec);
-    label = rec->id;
-  } else {
-    std::fprintf(stderr,
-                 "usage: tracon timeline (--series FILE | <run-id-prefix> "
-                 "[--store DIR]) [--metric SUBSTR] [--json]\n");
-    return 2;
+                   "usage: tracon timeline (--series FILE | <run-id-prefix> "
+                   "[--store DIR]) [--metric SUBSTR] [--json]\n");
+    return rc;
   }
 
   obs::MetricsSeries series = obs::parse_metrics_series(content);
@@ -1019,13 +1057,13 @@ int cmd_timeline(const ArgParser& args) {
     std::ostream& os = std::cout;
     os << "{\n  \"schema\": \"" << obs::kMetricsSeriesSchema
        << "\", \"version\": " << series.version
-       << ", \"interval_s\": " << obs::format_double(series.interval_s)
+       << ", \"interval_s\": " << obs::json_number(series.interval_s)
        << ",\n  \"windows\": [";
     bool first_window = true;
     for (const obs::SeriesWindow& w : series.windows) {
       os << (first_window ? "\n" : ",\n") << "    {\"window\": " << w.index
-         << ", \"t_start\": " << obs::format_double(w.t_start)
-         << ", \"t_end\": " << obs::format_double(w.t_end);
+         << ", \"t_start\": " << obs::json_number(w.t_start)
+         << ", \"t_end\": " << obs::json_number(w.t_end);
       first_window = false;
       auto scalar_map = [&](const char* key,
                             const std::map<std::string, double>& m) {
@@ -1034,7 +1072,7 @@ int cmd_timeline(const ArgParser& args) {
         for (const auto& [name, value] : m) {
           if (!keep(name)) continue;
           os << (first ? "" : ", ") << "\"" << obs::json_escape(name)
-             << "\": " << obs::format_double(value);
+             << "\": " << obs::json_number(value);
           first = false;
         }
         os << "}";
@@ -1046,10 +1084,11 @@ int cmd_timeline(const ArgParser& args) {
       for (const auto& [name, acc] : w.accuracy) {
         if (!keep(name)) continue;
         os << (first_acc ? "" : ", ") << "\"" << obs::json_escape(name)
-           << "\": {\"count\": " << acc.count << ", \"total\": " << acc.total
-           << ", \"mean_abs\": " << obs::format_double(acc.mean_abs)
-           << ", \"p50\": " << obs::format_double(acc.p50)
-           << ", \"p90\": " << obs::format_double(acc.p90) << "}";
+           << "\": {\"count\": " << fmt(acc.count, 0)
+           << ", \"total\": " << fmt(acc.total, 0)
+           << ", \"mean_abs\": " << obs::json_number(acc.mean_abs)
+           << ", \"p50\": " << obs::json_number(acc.p50)
+           << ", \"p90\": " << obs::json_number(acc.p90) << "}";
         first_acc = false;
       }
       os << "}}";
@@ -1090,92 +1129,6 @@ int cmd_timeline(const ArgParser& args) {
   return 0;
 }
 
-/// Shared source resolution for `explain` and `attribution`: the
-/// decision log comes either from a file (--decisions FILE) or from a
-/// stored run's decisions object (run-id prefix at positional `idx`,
-/// resolved against --store). Returns 0 and fills doc/label, 1 after
-/// printing an error, or 2 when neither source was given (the caller
-/// prints its usage line).
-int load_decision_doc(const ArgParser& args, std::size_t idx,
-                      obs::DecisionDoc* doc, std::string* label) {
-  std::string content;
-  if (args.has("decisions")) {
-    const std::string path = args.get("decisions");
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open decision log '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    content = buf.str();
-    *label = path;
-  } else if (args.positional().size() > idx) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[idx]);
-    if (!rec.has_value()) {
-      std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
-                   args.positional()[idx].c_str(),
-                   args.get("store", "runs").c_str());
-      return 1;
-    }
-    if (!rec->has_decisions()) {
-      std::fprintf(stderr,
-                   "run %s has no stored decision log (record it with "
-                   "--decisions)\n",
-                   rec->id.c_str());
-      return 1;
-    }
-    content = store.read_decisions(*rec);
-    *label = rec->id;
-  } else {
-    return 2;
-  }
-  *doc = obs::parse_decision_log(content);
-  return 0;
-}
-
-/// Same resolution for the span log (`breakdown`, `critical-path`):
-/// --spans FILE, or a stored run's spans object (run-id prefix at
-/// positional `idx`). Same return convention as load_decision_doc.
-int load_span_doc(const ArgParser& args, std::size_t idx, obs::SpanDoc* doc,
-                  std::string* label) {
-  std::string content;
-  if (args.has("spans")) {
-    const std::string path = args.get("spans");
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open span log '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    content = buf.str();
-    *label = path;
-  } else if (args.positional().size() > idx) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[idx]);
-    if (!rec.has_value()) {
-      std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
-                   args.positional()[idx].c_str(),
-                   args.get("store", "runs").c_str());
-      return 1;
-    }
-    if (!rec->has_spans()) {
-      std::fprintf(stderr,
-                   "run %s has no stored span log (record it with --spans)\n",
-                   rec->id.c_str());
-      return 1;
-    }
-    content = store.read_spans(*rec);
-    *label = rec->id;
-  } else {
-    return 2;
-  }
-  *doc = obs::parse_span_log(content);
-  return 0;
-}
-
 /// `tracon explain <task-id>`: renders one task's decision record —
 /// every candidate slot the scheduler scanned, what each model family
 /// predicted for it, the confidence weights in force, and the margin —
@@ -1199,12 +1152,13 @@ int cmd_explain(const ArgParser& args) {
                  args.positional()[1].c_str());
     return 2;
   }
-  obs::DecisionDoc doc;
+  std::string content;
   std::string label;
-  if (int rc = load_decision_doc(args, 2, &doc, &label); rc != 0) {
+  if (int rc = read_log(args, kDecisionLog, 2, &content, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
+  const obs::DecisionDoc doc = obs::parse_decision_log(content);
 
   // Last record wins, matching the attribution engine's join: a task
   // id appears once per run, but a merged or hand-edited log should
@@ -1298,24 +1252,16 @@ int cmd_explain(const ArgParser& args) {
   // once the placement was made. Loaded when a span source is at hand —
   // --spans FILE, or the same stored run carrying a spans object;
   // silently absent otherwise (the decision record stands alone).
-  obs::SpanDoc spans;
-  bool have_spans = false;
-  if (args.has("spans")) {
-    std::string span_label;
-    if (int rc = load_span_doc(args, args.positional().size(), &spans,
-                               &span_label);
+  std::string span_content;
+  std::string span_label;
+  if (args.has("spans") || !args.has("decisions")) {
+    if (int rc = read_log(args, kSpanLog, 2, &span_content, &span_label,
+                          /*optional=*/true);
         rc != 0)
       return rc;
-    have_spans = true;
-  } else if (!args.has("decisions") && args.positional().size() > 2) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[2]);
-    if (rec.has_value() && rec->has_spans()) {
-      spans = obs::parse_span_log(store.read_spans(*rec));
-      have_spans = true;
-    }
   }
-  if (have_spans) {
+  if (!span_label.empty()) {
+    const obs::SpanDoc spans = obs::parse_span_log(span_content);
     obs::SpanDoc mine;
     mine.version = spans.version;
     for (const obs::SpanEvent& e : spans.events)
@@ -1361,13 +1307,14 @@ int cmd_attribution(const ArgParser& args) {
       "usage: tracon attribution (--decisions FILE | <run-id-prefix> "
       "[--store DIR]) [--top N] [--json]\n";
   const std::size_t top = args.get_count("top", 10);
-  obs::DecisionDoc doc;
+  std::string content;
   std::string label;
-  if (int rc = load_decision_doc(args, 1, &doc, &label); rc != 0) {
+  if (int rc = read_log(args, kDecisionLog, 1, &content, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
-  obs::AttributionReport report = obs::attribute(doc);
+  obs::AttributionReport report =
+      obs::attribute(obs::parse_decision_log(content));
   const std::size_t shown = std::min(top, report.mispredict_order.size());
 
   if (args.has("json")) {
@@ -1480,13 +1427,14 @@ int cmd_breakdown(const ArgParser& args) {
       "[--store DIR]) [--window S] [--json]\n";
   const double window_s = args.get_in_range(
       "window", 0.0, 0.0, std::numeric_limits<double>::infinity());
-  obs::SpanDoc doc;
+  std::string content;
   std::string label;
-  if (int rc = load_span_doc(args, 1, &doc, &label); rc != 0) {
+  if (int rc = read_log(args, kSpanLog, 1, &content, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
-  obs::BreakdownReport report = obs::breakdown(doc, window_s);
+  obs::BreakdownReport report =
+      obs::breakdown(obs::parse_span_log(content), window_s);
 
   if (args.has("json")) {
     std::ostream& os = std::cout;
@@ -1589,13 +1537,14 @@ int cmd_critical_path(const ArgParser& args) {
   const char* kUsage =
       "usage: tracon critical-path (--spans FILE | <run-id-prefix> "
       "[--store DIR]) [--json]\n";
-  obs::SpanDoc doc;
+  std::string content;
   std::string label;
-  if (int rc = load_span_doc(args, 1, &doc, &label); rc != 0) {
+  if (int rc = read_log(args, kSpanLog, 1, &content, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
-  std::vector<obs::CriticalPathEntry> chain = obs::critical_path(doc);
+  std::vector<obs::CriticalPathEntry> chain =
+      obs::critical_path(obs::parse_span_log(content));
 
   if (args.has("json")) {
     std::ostream& os = std::cout;
