@@ -90,9 +90,9 @@ std::optional<std::size_t> neighbour_field(const JsonValue& obj,
     return std::nullopt;
   }
   if (v != nullptr && v->is_number()) {
-    return static_cast<std::size_t>(v->as_number());
+    return index_field(obj, "neighbour", what);
   }
-  throw std::invalid_argument(std::string("decision log ") + what +
+  throw std::invalid_argument(std::string(what) +
                               " \"neighbour\" must be \"empty\" or a number");
 }
 
@@ -119,14 +119,11 @@ std::vector<double> number_array_field(const JsonValue& obj,
 DecisionEvent parse_event(const JsonValue& obj) {
   DecisionEvent e;
   const std::string kind = string_field(obj, "kind", "record");
-  e.task = static_cast<std::uint64_t>(number_field(obj, "task", "record"));
+  e.task = count_field(obj, "task", "decision log record");
   e.time_s = number_field(obj, "t", "record");
-  e.app = static_cast<std::size_t>(number_field(obj, "app", "record"));
-  if (const JsonValue* m = obj.find("machine"); m != nullptr) {
-    if (!m->is_number()) {
-      throw std::invalid_argument("decision log \"machine\" is not a number");
-    }
-    e.machine = static_cast<std::size_t>(m->as_number());
+  e.app = index_field(obj, "app", "decision log record");
+  if (obj.find("machine") != nullptr) {
+    e.machine = index_field(obj, "machine", "decision log record");
   }
   if (kind == "decision") {
     e.kind = DecisionEvent::Kind::kDecision;
@@ -150,13 +147,12 @@ DecisionEvent parse_event(const JsonValue& obj) {
     }
     for (const auto& entry : candidates->as_array()) {
       DecisionCandidate c;
-      c.neighbour = neighbour_field(*entry, "candidate");
+      c.neighbour = neighbour_field(*entry, "decision log candidate");
       c.score = number_field(*entry, "score", "candidate");
       c.by_family = number_array_field(*entry, "by_family", "candidate");
       e.candidates.push_back(std::move(c));
     }
-    e.chosen =
-        static_cast<std::size_t>(number_field(obj, "chosen", "decision"));
+    e.chosen = index_field(obj, "chosen", "decision log decision");
     if (e.chosen >= e.candidates.size()) {
       throw std::invalid_argument(
           "decision record \"chosen\" is out of candidate range");
@@ -167,20 +163,20 @@ DecisionEvent parse_event(const JsonValue& obj) {
     e.predicted_iops = number_field(obj, "predicted_iops", "decision");
   } else if (kind == "migration") {
     e.kind = DecisionEvent::Kind::kMigration;
-    e.from_machine =
-        static_cast<std::size_t>(number_field(obj, "from_machine", "migration"));
+    e.from_machine = index_field(obj, "from_machine", "decision log migration");
     const JsonValue* from_nb = obj.find("from_neighbour");
     if (from_nb != nullptr && from_nb->is_string() &&
         from_nb->as_string() == "empty") {
       e.from_neighbour = std::nullopt;
     } else if (from_nb != nullptr && from_nb->is_number()) {
-      e.from_neighbour = static_cast<std::size_t>(from_nb->as_number());
+      e.from_neighbour =
+          index_field(obj, "from_neighbour", "decision log migration");
     } else {
       throw std::invalid_argument(
           "decision log migration \"from_neighbour\" must be \"empty\" or a "
           "number");
     }
-    e.neighbour = neighbour_field(obj, "migration");
+    e.neighbour = neighbour_field(obj, "decision log migration");
     e.predicted_stay_s = number_field(obj, "predicted_stay_s", "migration");
     e.predicted_move_s = number_field(obj, "predicted_move_s", "migration");
     e.downtime_s = number_field(obj, "downtime_s", "migration");
@@ -189,7 +185,7 @@ DecisionEvent parse_event(const JsonValue& obj) {
     e.margin = number_field(obj, "margin", "migration");
   } else if (kind == "outcome") {
     e.kind = DecisionEvent::Kind::kOutcome;
-    e.neighbour = neighbour_field(obj, "outcome");
+    e.neighbour = neighbour_field(obj, "decision log outcome");
     e.runtime_s = number_field(obj, "runtime_s", "outcome");
     e.iops = number_field(obj, "iops", "outcome");
     e.solo_runtime_s = number_field(obj, "solo_runtime_s", "outcome");

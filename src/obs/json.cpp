@@ -39,8 +39,14 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 namespace {
 
 struct Parser {
+  /// Deepest nesting accepted. The tree writes at most a handful of
+  /// levels; the bound keeps parse_value's recursion off the stack limit
+  /// on hostile input.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text;
   std::size_t pos = 0;
+  int depth = 0;
 
   [[noreturn]] void fail(const char* what) const {
     throw std::invalid_argument(std::string("json parse error at offset ") +
@@ -125,53 +131,62 @@ struct Parser {
     return out;
   }
 
+  JsonValue parse_object() {
+    ++pos;
+    JsonValue v;
+    v.kind_ = JsonValue::Kind::kObject;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos;
+      return v;
+    }
+    while (true) {
+      skip_ws();
+      std::string key = parse_string_body();
+      skip_ws();
+      expect(':');
+      v.object_[key] = std::make_shared<JsonValue>(parse_value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos;
+        continue;
+      }
+      expect('}');
+      return v;
+    }
+  }
+
+  JsonValue parse_array() {
+    ++pos;
+    JsonValue v;
+    v.kind_ = JsonValue::Kind::kArray;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos;
+      return v;
+    }
+    while (true) {
+      v.array_.push_back(std::make_shared<JsonValue>(parse_value()));
+      skip_ws();
+      if (peek() == ',') {
+        ++pos;
+        continue;
+      }
+      expect(']');
+      return v;
+    }
+  }
+
   JsonValue parse_value() {
     skip_ws();
     if (at_end()) fail("unexpected end of input");
     JsonValue v;
     char c = peek();
-    if (c == '{') {
-      ++pos;
-      v.kind_ = JsonValue::Kind::kObject;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos;
-        return v;
-      }
-      while (true) {
-        skip_ws();
-        std::string key = parse_string_body();
-        skip_ws();
-        expect(':');
-        v.object_[key] = std::make_shared<JsonValue>(parse_value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos;
-          continue;
-        }
-        expect('}');
-        break;
-      }
-      return v;
-    }
-    if (c == '[') {
-      ++pos;
-      v.kind_ = JsonValue::Kind::kArray;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos;
-        return v;
-      }
-      while (true) {
-        v.array_.push_back(std::make_shared<JsonValue>(parse_value()));
-        skip_ws();
-        if (peek() == ',') {
-          ++pos;
-          continue;
-        }
-        expect(']');
-        break;
-      }
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) fail("nesting deeper than 256 levels");
+      ++depth;
+      v = c == '{' ? parse_object() : parse_array();
+      --depth;
       return v;
     }
     if (c == '"') {

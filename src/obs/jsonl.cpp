@@ -1,6 +1,7 @@
 #include "obs/jsonl.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
@@ -131,16 +132,36 @@ int require_schema(const JsonValue& header, std::string_view schema) {
     throw std::invalid_argument("jsonl header schema mismatch: expected \"" +
                                 std::string(schema) + "\"");
   }
-  const JsonValue* v = header.find("version");
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument("jsonl header missing integer version");
-  }
-  int version = static_cast<int>(v->as_number());
+  const std::uint64_t version = count_field(header, "version", "jsonl header");
   if (version < 1 || version > kJsonlSchemaVersion) {
     throw std::invalid_argument("unsupported jsonl schema version " +
                                 std::to_string(version));
   }
-  return version;
+  return static_cast<int>(version);
+}
+
+std::uint64_t count_field(const JsonValue& obj, std::string_view key,
+                          std::string_view what) {
+  const JsonValue* v = obj.find(std::string(key));
+  if (v == nullptr || !v->is_number()) {
+    throw std::invalid_argument(std::string(what) + " lacks numeric \"" +
+                                std::string(key) + "\"");
+  }
+  const double x = v->as_number();
+  // 2^64 is the first double out of range; NaN fails every comparison.
+  if (!(x >= 0.0 && x < 18446744073709551616.0 && x == std::floor(x))) {
+    throw std::invalid_argument(std::string(what) + " \"" + std::string(key) +
+                                "\" is not a non-negative integer: " +
+                                json_number(x));
+  }
+  return static_cast<std::uint64_t>(x);
+}
+
+std::size_t index_field(const JsonValue& obj, std::string_view key,
+                        std::string_view what) {
+  static_assert(sizeof(std::size_t) >= sizeof(std::uint64_t),
+                "every count must fit an index");
+  return static_cast<std::size_t>(count_field(obj, key, what));
 }
 
 }  // namespace tracon::obs

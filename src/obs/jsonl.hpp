@@ -94,4 +94,17 @@ class JsonlBuffer {
 /// std::invalid_argument otherwise.
 int require_schema(const JsonValue& header, std::string_view schema);
 
+/// Reads member `key` of `obj` as a count: a finite, integral, non-negative
+/// number that std::uint64_t holds. Every reader converts parsed numbers
+/// to integers through this pair, never by a bare cast, which is
+/// undefined behaviour out of range. Throws std::invalid_argument naming
+/// `what` and `key` when the member is missing, not a number, or not
+/// such an integer.
+std::uint64_t count_field(const JsonValue& obj, std::string_view key,
+                          std::string_view what);
+
+/// count_field for a std::size_t (an index, or a size).
+std::size_t index_field(const JsonValue& obj, std::string_view key,
+                        std::string_view what);
+
 }  // namespace tracon::obs

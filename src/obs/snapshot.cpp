@@ -104,8 +104,7 @@ MetricsSeries parse_metrics_series(std::istream& in) {
       continue;
     }
     SeriesWindow window;
-    window.index =
-        static_cast<std::uint64_t>(number_field(obj, "window", "record"));
+    window.index = count_field(obj, "window", "metrics series record");
     window.t_start = number_field(obj, "t_start", "record");
     window.t_end = number_field(obj, "t_end", "record");
     read_number_map(obj, "counters", &window.counters);

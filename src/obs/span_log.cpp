@@ -110,17 +110,17 @@ std::optional<std::size_t> neighbour_field(const JsonValue& obj,
     return std::nullopt;
   }
   if (v != nullptr && v->is_number()) {
-    return static_cast<std::size_t>(v->as_number());
+    return index_field(obj, "neighbour", what);
   }
-  throw std::invalid_argument(std::string("span log ") + what +
+  throw std::invalid_argument(std::string(what) +
                               " \"neighbour\" must be \"empty\" or a number");
 }
 
 SpanEvent parse_event(const JsonValue& obj) {
   SpanEvent e;
   const std::string kind = string_field(obj, "kind", "record");
-  e.task = static_cast<std::uint64_t>(number_field(obj, "task", "record"));
-  e.app = static_cast<std::size_t>(number_field(obj, "app", "record"));
+  e.task = count_field(obj, "task", "span log record");
+  e.app = index_field(obj, "app", "span log record");
   if (kind == "completed") {
     e.kind = SpanEvent::Kind::kCompleted;
     e.t0_s = number_field(obj, "t", "completed");
@@ -136,11 +136,11 @@ SpanEvent parse_event(const JsonValue& obj) {
     e.kind = SpanEvent::Kind::kQueued;
     return e;
   }
-  e.machine = static_cast<std::size_t>(number_field(obj, "machine", kind.c_str()));
+  e.machine = index_field(obj, "machine", "span log record");
   if (kind == "running" || kind == "migration_copy") {
     e.kind = kind == "running" ? SpanEvent::Kind::kRunning
                                : SpanEvent::Kind::kMigrationCopy;
-    e.neighbour = neighbour_field(obj, kind.c_str());
+    e.neighbour = neighbour_field(obj, "span log record");
     e.factor = number_field(obj, "factor", kind.c_str());
     if (kind == "migration_copy") {
       e.copy_factor = number_field(obj, "copy_factor", "migration_copy");

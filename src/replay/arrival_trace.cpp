@@ -14,13 +14,17 @@ namespace tracon::replay {
 
 namespace {
 
+/// Names a line of the trace in error messages.
+std::string where(std::size_t line_no) {
+  return "arrival trace line " + std::to_string(line_no);
+}
+
 double req_number(const obs::JsonValue& obj, const std::string& key,
                   std::size_t line_no) {
   const obs::JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument("arrival trace line " +
-                                std::to_string(line_no) +
-                                ": missing numeric field \"" + key + "\"");
+    throw std::invalid_argument(where(line_no) + " lacks numeric \"" + key +
+                                "\"");
   }
   return v->as_number();
 }
@@ -29,9 +33,8 @@ std::string req_string(const obs::JsonValue& obj, const std::string& key,
                        std::size_t line_no) {
   const obs::JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_string()) {
-    throw std::invalid_argument("arrival trace line " +
-                                std::to_string(line_no) +
-                                ": missing string field \"" + key + "\"");
+    throw std::invalid_argument(where(line_no) + " lacks string \"" + key +
+                                "\"");
   }
   return v->as_string();
 }
@@ -90,26 +93,25 @@ ArrivalTrace load_arrival_trace(std::istream& is) {
     obs::JsonValue obj = obs::parse_json(line);
     if (!have_header) {
       trace.header.version = obs::require_schema(obj, kArrivalTraceSchema);
-      trace.header.seed =
-          static_cast<std::uint64_t>(req_number(obj, "seed", line_no));
+      trace.header.seed = obs::count_field(obj, "seed", where(line_no));
       trace.header.host = req_string(obj, "host", line_no);
       trace.header.model = req_string(obj, "model", line_no);
       trace.header.mix = req_string(obj, "mix", line_no);
       trace.header.lambda_per_min = req_number(obj, "lambda_per_min", line_no);
       trace.header.duration_s = req_number(obj, "duration_s", line_no);
       trace.header.machines =
-          static_cast<std::size_t>(req_number(obj, "machines", line_no));
+          obs::index_field(obj, "machines", where(line_no));
       trace.header.queue_capacity =
-          static_cast<std::size_t>(req_number(obj, "queue_capacity", line_no));
+          obs::index_field(obj, "queue_capacity", where(line_no));
       trace.header.num_apps =
-          static_cast<std::size_t>(req_number(obj, "num_apps", line_no));
+          obs::index_field(obj, "num_apps", where(line_no));
       validate_header(trace.header);
       have_header = true;
       continue;
     }
     TraceArrival a;
     a.time_s = req_number(obj, "time_s", line_no);
-    a.app = static_cast<std::size_t>(req_number(obj, "app", line_no));
+    a.app = obs::index_field(obj, "app", where(line_no));
     a.demand_s = req_number(obj, "demand_s", line_no);
     if (a.app >= trace.header.num_apps) {
       throw std::invalid_argument(

@@ -39,7 +39,10 @@
 #      when no source is given;
 #  10. `timeline --json` prints accuracy counts as the integers the
 #      series file stores (a total past 10^6 included) and its other
-#      numbers as they round-trip.
+#      numbers as they round-trip;
+#  11. the log readers refuse, with exit 1 and a message, a line nested
+#      200,000 levels deep, a negative series window and a decision
+#      record whose app index no integer type holds.
 set -euo pipefail
 
 TRACON=$1
@@ -311,5 +314,24 @@ for field in '"count": 29, "total": 1234567,' \
     exit 1
   }
 done
+
+echo "== the log readers refuse malformed nesting and numbers =="
+{
+  head -n 1 "$DATA/series_flat.jsonl"
+  printf '%*s\n' 200000 '' | tr ' ' '['
+} > deep.jsonl
+expect_failure 1 "nesting deeper than 256 levels" timeline --series deep.jsonl
+sed '2s/"window": 0,/"window": -1,/' "$DATA/series_flat.jsonl" \
+    > negative.jsonl
+sed '2s/"app": [0-9]*,/"app": 1e300,/' "$DATA/decisions_flat.jsonl" \
+    > huge.jsonl
+grep -q '"window": -1,' negative.jsonl && grep -q '"app": 1e300,' huge.jsonl || {
+  echo "FAIL: the crafted logs lack their malformed numbers"
+  exit 1
+}
+expect_failure 1 '"window" is not a non-negative integer: -1' \
+    timeline --series negative.jsonl
+expect_failure 1 '"app" is not a non-negative integer: 1e+300' \
+    attribution --decisions huge.jsonl
 
 echo "cli_smoke: all checks passed"

@@ -11,6 +11,7 @@
 
 #include "obs/accuracy.hpp"
 #include "obs/json.hpp"
+#include "obs/jsonl.hpp"
 
 namespace {
 
@@ -285,6 +286,42 @@ TEST(Json, ParserHandlesEscapesAndRejectsGarbage) {
   EXPECT_THROW(parse_json("{"), std::invalid_argument);
   EXPECT_THROW(parse_json("{} trailing"), std::invalid_argument);
   EXPECT_THROW(parse_json("nope"), std::invalid_argument);
+}
+
+TEST(Json, NestingIsBoundedWellAboveWhatTheTreeWrites) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse_json(nested(256)).is_array());
+  EXPECT_THROW(parse_json(nested(257)), std::invalid_argument);
+  // Far past the bound: an error, not a stack overflow.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), std::invalid_argument);
+}
+
+TEST(Json, CountAndIndexFieldsTakeOnlyRepresentableIntegers) {
+  JsonValue v = parse_json(
+      R"({"zero": 0, "big": 18446744073709549568, "frac": 1.5, "neg": -1,)"
+      R"( "huge": 1e300, "inf": 1e400, "two64": 18446744073709551616,)"
+      R"( "text": "3"})");
+  EXPECT_EQ(count_field(v, "zero", "doc"), 0u);
+  EXPECT_EQ(count_field(v, "big", "doc"), 18446744073709549568ull);
+  EXPECT_EQ(index_field(v, "zero", "doc"), std::size_t{0});
+  for (const char* key : {"frac", "neg", "huge", "inf", "two64"}) {
+    EXPECT_THROW(count_field(v, key, "doc"), std::invalid_argument) << key;
+    EXPECT_THROW(index_field(v, key, "doc"), std::invalid_argument) << key;
+  }
+  for (const char* key : {"text", "missing"}) {
+    EXPECT_THROW(count_field(v, key, "doc"), std::invalid_argument) << key;
+  }
+  try {
+    count_field(v, "neg", "metrics series record");
+    ADD_FAILURE() << "negative count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "metrics series record \"neg\" is not a non-negative "
+                 "integer: -1");
+  }
 }
 
 }  // namespace
