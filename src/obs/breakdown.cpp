@@ -1,6 +1,7 @@
 #include "obs/breakdown.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -87,6 +88,13 @@ BreakdownReport breakdown(const SpanDoc& doc, double window_s) {
     if (!row.completed) {
       report.incomplete += 1;
       continue;
+    }
+    const double accounted =
+        row.wait_s + row.solo_s + row.interference_s + row.migration_s;
+    if (std::abs(accounted - row.end_to_end_s()) > 1e-9) {
+      throw std::invalid_argument(
+          "span log task " + std::to_string(task) +
+          " components do not sum to its end-to-end latency within 1e-9");
     }
     fold_cell(row, &report.total);
     fold_cell(row, &report.by_app[row.app]);

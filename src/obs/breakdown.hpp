@@ -2,7 +2,7 @@
 // wait + solo runtime + interference penalty + migration overhead from
 // the span log, using the per-kind arithmetic fixed in span_log.hpp —
 // the four components tile [enqueue, complete] exactly (within
-// floating-point rounding; the validator enforces 1e-9). On top of the
+// floating-point rounding; breakdown() enforces 1e-9). On top of the
 // per-task rows it aggregates overall, per app class, and per
 // completion-time window, and extracts the makespan critical path: the
 // chain of task spans and host busy intervals that bounds the last
@@ -74,7 +74,9 @@ struct BreakdownReport {
 
 /// Builds the report. `window_s > 0` adds the per-window aggregation.
 /// Throws std::invalid_argument when a task's spans do not form a
-/// monotone contiguous chain (the validator's tiling contract).
+/// contiguous chain (a gap, an overlap, or a span after the completed
+/// marker), or when a completed task's four components miss its
+/// end-to-end latency by more than 1e-9.
 BreakdownReport breakdown(const SpanDoc& doc, double window_s = 0.0);
 
 /// One link of the makespan critical path.

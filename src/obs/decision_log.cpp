@@ -1,8 +1,8 @@
 #include "obs/decision_log.hpp"
 
-#include <istream>
 #include <iterator>
 #include <ostream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -63,52 +63,19 @@ std::span<const ValueField> value_fields(DecisionEvent::Kind kind) {
   return {};
 }
 
-double number_field(const JsonValue& obj, const std::string& key,
-                    const char* what) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument(std::string("decision log ") + what +
-                                " lacks numeric \"" + key + "\"");
-  }
-  return v->as_number();
-}
-
-std::string string_field(const JsonValue& obj, const std::string& key,
-                         const char* what) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) {
-    throw std::invalid_argument(std::string("decision log ") + what +
-                                " lacks string \"" + key + "\"");
-  }
-  return v->as_string();
-}
-
-std::optional<std::size_t> neighbour_field(const JsonValue& obj,
-                                           const char* what) {
-  const JsonValue* v = obj.find("neighbour");
-  if (v != nullptr && v->is_string() && v->as_string() == "empty") {
-    return std::nullopt;
-  }
-  if (v != nullptr && v->is_number()) {
-    return index_field(obj, "neighbour", what);
-  }
-  throw std::invalid_argument(std::string(what) +
-                              " \"neighbour\" must be \"empty\" or a number");
-}
-
 std::vector<double> number_array_field(const JsonValue& obj,
                                        const std::string& key,
                                        const char* what) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_array()) {
-    throw std::invalid_argument(std::string("decision log ") + what +
-                                " lacks array \"" + key + "\"");
+    throw std::invalid_argument(std::string(what) + " lacks array \"" + key +
+                                "\"");
   }
   std::vector<double> out;
   out.reserve(v->as_array().size());
   for (const auto& entry : v->as_array()) {
     if (!entry->is_number()) {
-      throw std::invalid_argument("decision log " + key +
+      throw std::invalid_argument(std::string(what) + " " + key +
                                   " entry is not a number");
     }
     out.push_back(entry->as_number());
@@ -118,20 +85,20 @@ std::vector<double> number_array_field(const JsonValue& obj,
 
 DecisionEvent parse_event(const JsonValue& obj) {
   DecisionEvent e;
-  const std::string kind = string_field(obj, "kind", "record");
-  e.task = count_field(obj, "task", "decision log record");
-  e.time_s = number_field(obj, "t", "record");
-  e.app = index_field(obj, "app", "decision log record");
+  const std::string& kind = text_field(obj, "kind", "record");
+  e.task = count_field(obj, "task", "record");
+  e.time_s = double_field(obj, "t", "record");
+  e.app = index_field(obj, "app", "record");
   if (obj.find("machine") != nullptr) {
-    e.machine = index_field(obj, "machine", "decision log record");
+    e.machine = index_field(obj, "machine", "record");
   }
   if (kind == "decision") {
     e.kind = DecisionEvent::Kind::kDecision;
-    e.scheduler = string_field(obj, "scheduler", "decision");
-    e.objective = string_field(obj, "objective", "decision");
+    e.scheduler = text_field(obj, "scheduler", "decision");
+    e.objective = text_field(obj, "objective", "decision");
     const JsonValue* families = obj.find("families");
     if (families == nullptr || !families->is_array()) {
-      throw std::invalid_argument("decision record lacks \"families\" array");
+      throw std::invalid_argument("decision lacks array \"families\"");
     }
     for (const auto& name : families->as_array()) {
       if (!name->is_string()) {
@@ -142,58 +109,97 @@ DecisionEvent parse_event(const JsonValue& obj) {
     e.weights = number_array_field(obj, "weights", "decision");
     const JsonValue* candidates = obj.find("candidates");
     if (candidates == nullptr || !candidates->is_array()) {
-      throw std::invalid_argument(
-          "decision record lacks \"candidates\" array");
+      throw std::invalid_argument("decision lacks array \"candidates\"");
     }
     for (const auto& entry : candidates->as_array()) {
       DecisionCandidate c;
-      c.neighbour = neighbour_field(*entry, "decision log candidate");
-      c.score = number_field(*entry, "score", "candidate");
+      c.neighbour = corunner_field(*entry, "neighbour", "candidate");
+      c.score = double_field(*entry, "score", "candidate");
       c.by_family = number_array_field(*entry, "by_family", "candidate");
       e.candidates.push_back(std::move(c));
     }
-    e.chosen = index_field(obj, "chosen", "decision log decision");
+    e.chosen = index_field(obj, "chosen", "decision");
     if (e.chosen >= e.candidates.size()) {
       throw std::invalid_argument(
-          "decision record \"chosen\" is out of candidate range");
+          "decision \"chosen\" is out of candidate range");
     }
-    e.margin = number_field(obj, "margin", "decision");
+    e.margin = double_field(obj, "margin", "decision");
     e.predicted_runtime_s =
-        number_field(obj, "predicted_runtime_s", "decision");
-    e.predicted_iops = number_field(obj, "predicted_iops", "decision");
+        double_field(obj, "predicted_runtime_s", "decision");
+    e.predicted_iops = double_field(obj, "predicted_iops", "decision");
   } else if (kind == "migration") {
     e.kind = DecisionEvent::Kind::kMigration;
-    e.from_machine = index_field(obj, "from_machine", "decision log migration");
-    const JsonValue* from_nb = obj.find("from_neighbour");
-    if (from_nb != nullptr && from_nb->is_string() &&
-        from_nb->as_string() == "empty") {
-      e.from_neighbour = std::nullopt;
-    } else if (from_nb != nullptr && from_nb->is_number()) {
-      e.from_neighbour =
-          index_field(obj, "from_neighbour", "decision log migration");
-    } else {
-      throw std::invalid_argument(
-          "decision log migration \"from_neighbour\" must be \"empty\" or a "
-          "number");
-    }
-    e.neighbour = neighbour_field(obj, "decision log migration");
-    e.predicted_stay_s = number_field(obj, "predicted_stay_s", "migration");
-    e.predicted_move_s = number_field(obj, "predicted_move_s", "migration");
-    e.downtime_s = number_field(obj, "downtime_s", "migration");
-    e.copy_s = number_field(obj, "copy_s", "migration");
-    e.cost_s = number_field(obj, "cost_s", "migration");
-    e.margin = number_field(obj, "margin", "migration");
+    e.from_machine = index_field(obj, "from_machine", "migration");
+    e.from_neighbour = corunner_field(obj, "from_neighbour", "migration");
+    e.neighbour = corunner_field(obj, "neighbour", "migration");
+    e.predicted_stay_s = double_field(obj, "predicted_stay_s", "migration");
+    e.predicted_move_s = double_field(obj, "predicted_move_s", "migration");
+    e.downtime_s = double_field(obj, "downtime_s", "migration");
+    e.copy_s = double_field(obj, "copy_s", "migration");
+    e.cost_s = double_field(obj, "cost_s", "migration");
+    e.margin = double_field(obj, "margin", "migration");
   } else if (kind == "outcome") {
     e.kind = DecisionEvent::Kind::kOutcome;
-    e.neighbour = neighbour_field(obj, "decision log outcome");
-    e.runtime_s = number_field(obj, "runtime_s", "outcome");
-    e.iops = number_field(obj, "iops", "outcome");
-    e.solo_runtime_s = number_field(obj, "solo_runtime_s", "outcome");
+    e.neighbour = corunner_field(obj, "neighbour", "outcome");
+    e.runtime_s = double_field(obj, "runtime_s", "outcome");
+    e.iops = double_field(obj, "iops", "outcome");
+    e.solo_runtime_s = double_field(obj, "solo_runtime_s", "outcome");
   } else {
-    throw std::invalid_argument("decision log record has unknown kind \"" +
-                                kind + "\"");
+    throw std::invalid_argument("record has unknown kind \"" + kind + "\"");
   }
   return e;
+}
+
+/// The structural rules a record must keep, given the records read
+/// before it: times never run backwards (from 0); a decision names at
+/// least one model family and carries one weight and, per candidate,
+/// one prediction per family; a migration moves a task between two
+/// distinct machines at non-negative cost; and a migration or outcome
+/// joins to an earlier decision, unless the log had recorded none yet
+/// (a FIFO-style run). `decided` holds the tasks decided so far.
+void check_event(const DecisionEvent& e, double prev_time_s,
+                 std::set<std::uint64_t>* decided) {
+  if (e.time_s < prev_time_s) {
+    throw std::invalid_argument("record time runs backwards: t " +
+                                json_number(e.time_s) + " after " +
+                                json_number(prev_time_s));
+  }
+  if (e.kind == DecisionEvent::Kind::kDecision) {
+    if (e.families.empty()) {
+      throw std::invalid_argument("decision names no model family");
+    }
+    bool aligned = e.weights.size() == e.families.size();
+    for (const DecisionCandidate& c : e.candidates)
+      aligned = aligned && c.by_family.size() == e.families.size();
+    if (!aligned) {
+      throw std::invalid_argument(
+          "decision's weights and by_family arrays do not match its "
+          "families");
+    }
+    decided->insert(e.task);
+    return;
+  }
+  const bool migration = e.kind == DecisionEvent::Kind::kMigration;
+  if (migration) {
+    if (e.machine == DecisionEvent::kNoMachine ||
+        e.machine == e.from_machine) {
+      throw std::invalid_argument(
+          "migration does not name two distinct machines");
+    }
+    for (const auto& [name, value] :
+         {std::pair{"downtime_s", e.downtime_s}, std::pair{"copy_s", e.copy_s},
+          std::pair{"cost_s", e.cost_s}}) {
+      if (value < 0.0) {
+        throw std::invalid_argument(std::string("migration cost \"") + name +
+                                    "\" is negative");
+      }
+    }
+  }
+  if (!decided->empty() && decided->count(e.task) == 0) {
+    throw std::invalid_argument(
+        std::string(migration ? "migration" : "outcome") + " for task " +
+        std::to_string(e.task) + " joins no earlier decision");
+  }
 }
 
 }  // namespace
@@ -493,41 +499,22 @@ std::string DecisionLog::str() const {
   return os.str();
 }
 
-DecisionDoc parse_decision_log(std::istream& in) {
+DecisionDoc parse_decision_log(std::string_view text) {
   DecisionDoc doc;
-  std::string line;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue obj = parse_json(line);
-    if (!have_header) {
-      doc.version = require_schema(obj, kDecisionLogSchema);
-      const JsonValue* fingerprint = obj.find("fingerprint");
-      if (fingerprint == nullptr || !fingerprint->is_object()) {
-        throw std::invalid_argument(
-            "decision log header lacks \"fingerprint\" object");
-      }
-      for (const auto& [key, value] : fingerprint->as_object()) {
-        if (!value->is_string()) {
-          throw std::invalid_argument("decision log fingerprint entry \"" +
-                                      key + "\" is not a string");
-        }
-        doc.fingerprint[key] = value->as_string();
-      }
-      have_header = true;
-      continue;
-    }
-    doc.events.push_back(parse_event(obj));
-  }
-  if (!have_header) {
-    throw std::invalid_argument("decision log document has no header line");
-  }
+  double prev_time_s = 0.0;
+  std::set<std::uint64_t> decided;
+  doc.version = read_jsonl(
+      text, kDecisionLogSchema, "decision log",
+      [&](const JsonValue& header) {
+        doc.fingerprint = string_map_field(header, "fingerprint", "header");
+      },
+      [&](const JsonValue& record) {
+        DecisionEvent e = parse_event(record);
+        check_event(e, prev_time_s, &decided);
+        prev_time_s = e.time_s;
+        doc.events.push_back(std::move(e));
+      });
   return doc;
-}
-
-DecisionDoc parse_decision_log(const std::string& text) {
-  std::istringstream in(text);
-  return parse_decision_log(in);
 }
 
 }  // namespace tracon::obs

@@ -52,7 +52,6 @@
 
 namespace tracon::obs {
 
-class JsonValue;
 class JsonlBuffer;
 
 inline constexpr std::string_view kDecisionLogSchema = "tracon.decision_log";
@@ -255,16 +254,24 @@ class DecisionLog {
 };
 
 /// Parsed decision-log document, as read back by the attribution
-/// engine, `tracon explain`, and telemetry_check.
+/// engine, `tracon explain`, the report diff and telemetry_check. A
+/// document parse_decision_log returns keeps every structural rule of
+/// the schema.
 struct DecisionDoc {
   int version = 0;
   std::map<std::string, std::string> fingerprint;
   std::vector<DecisionEvent> events;
 };
 
-/// Parses a document as written by DecisionLog::write. Throws
-/// std::invalid_argument on a foreign schema or malformed records.
-DecisionDoc parse_decision_log(std::istream& in);
-DecisionDoc parse_decision_log(const std::string& text);
+/// Parses a document as written by DecisionLog::write, and enforces its
+/// structure: record times never run backwards (from 0); a decision's
+/// chosen index addresses one of its candidates, and its families
+/// (at least one), weights and every candidate's by_family line up; a
+/// migration moves between two distinct machines at non-negative
+/// downtime, copy and cost; a migration or outcome joins to an earlier
+/// decision unless none was recorded before it. Throws
+/// std::invalid_argument, naming the line, on a foreign schema or a
+/// record that breaks a rule.
+DecisionDoc parse_decision_log(std::string_view text);
 
 }  // namespace tracon::obs

@@ -1,5 +1,6 @@
-// Minimal JSON reader used by tests and tools/telemetry_check to parse
-// back what the obs exporters write. Supports the full JSON grammar we
+// Minimal JSON reader used by every reader of the tracon exports (the
+// JSONL logs through obs::read_jsonl, the metrics and trace documents
+// whole) to parse back what they write. Supports the full JSON grammar we
 // emit (objects, arrays, strings with standard escapes, numbers, bools,
 // null); it is NOT a general-purpose parser — no streaming, no \u
 // surrogate pairs beyond the BMP, whole document held in memory.

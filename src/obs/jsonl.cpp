@@ -1,5 +1,6 @@
 #include "obs/jsonl.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -140,14 +141,32 @@ int require_schema(const JsonValue& header, std::string_view schema) {
   return static_cast<int>(version);
 }
 
-std::uint64_t count_field(const JsonValue& obj, std::string_view key,
-                          std::string_view what) {
+namespace {
+
+/// Member `key` of `obj` when it has kind `kind`; throws "<what> lacks
+/// <noun> "<key>"" otherwise.
+const JsonValue& typed_member(const JsonValue& obj, std::string_view key,
+                              std::string_view what, JsonValue::Kind kind,
+                              const char* noun) {
   const JsonValue* v = obj.find(std::string(key));
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument(std::string(what) + " lacks numeric \"" +
+  if (v == nullptr || v->kind() != kind) {
+    throw std::invalid_argument(std::string(what) + " lacks " + noun + " \"" +
                                 std::string(key) + "\"");
   }
-  const double x = v->as_number();
+  return *v;
+}
+
+}  // namespace
+
+double double_field(const JsonValue& obj, std::string_view key,
+                    std::string_view what) {
+  return typed_member(obj, key, what, JsonValue::Kind::kNumber, "numeric")
+      .as_number();
+}
+
+std::uint64_t count_field(const JsonValue& obj, std::string_view key,
+                          std::string_view what) {
+  const double x = double_field(obj, key, what);
   // 2^64 is the first double out of range; NaN fails every comparison.
   if (!(x >= 0.0 && x < 18446744073709551616.0 && x == std::floor(x))) {
     throw std::invalid_argument(std::string(what) + " \"" + std::string(key) +
@@ -162,6 +181,87 @@ std::size_t index_field(const JsonValue& obj, std::string_view key,
   static_assert(sizeof(std::size_t) >= sizeof(std::uint64_t),
                 "every count must fit an index");
   return static_cast<std::size_t>(count_field(obj, key, what));
+}
+
+const std::string& text_field(const JsonValue& obj, std::string_view key,
+                              std::string_view what) {
+  return typed_member(obj, key, what, JsonValue::Kind::kString, "string")
+      .as_string();
+}
+
+std::optional<std::size_t> corunner_field(const JsonValue& obj,
+                                          std::string_view key,
+                                          std::string_view what) {
+  const JsonValue* v = obj.find(std::string(key));
+  if (v != nullptr && v->is_string() && v->as_string() == "empty") {
+    return std::nullopt;
+  }
+  if (v != nullptr && v->is_number()) return index_field(obj, key, what);
+  throw std::invalid_argument(std::string(what) + " \"" + std::string(key) +
+                              "\" must be \"empty\" or a number");
+}
+
+std::map<std::string, double> number_map_field(const JsonValue& obj,
+                                               std::string_view key,
+                                               std::string_view what) {
+  std::map<std::string, double> out;
+  for (const auto& [name, value] :
+       typed_member(obj, key, what, JsonValue::Kind::kObject, "object")
+           .as_object()) {
+    if (!value->is_number()) {
+      throw std::invalid_argument(std::string(what) + " " + std::string(key) +
+                                  " entry \"" + name + "\" is not a number");
+    }
+    out.emplace(name, value->as_number());
+  }
+  return out;
+}
+
+std::map<std::string, std::string> string_map_field(const JsonValue& obj,
+                                                    std::string_view key,
+                                                    std::string_view what) {
+  std::map<std::string, std::string> out;
+  for (const auto& [name, value] :
+       typed_member(obj, key, what, JsonValue::Kind::kObject, "object")
+           .as_object()) {
+    if (!value->is_string()) {
+      throw std::invalid_argument(std::string(what) + " " + std::string(key) +
+                                  " entry \"" + name + "\" is not a string");
+    }
+    out.emplace(name, value->as_string());
+  }
+  return out;
+}
+
+int read_jsonl(std::string_view text, std::string_view schema,
+               std::string_view doc,
+               const std::function<void(const JsonValue&)>& on_header,
+               const std::function<void(const JsonValue&)>& on_record) {
+  int version = 0;
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    try {
+      const JsonValue obj = parse_json(line);
+      if (version == 0) {
+        version = require_schema(obj, schema);
+        on_header(obj);
+      } else {
+        on_record(obj);
+      }
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(doc) + " line " +
+                                  std::to_string(line_no) + ": " + e.what());
+    }
+  }
+  if (version == 0) {
+    throw std::invalid_argument(std::string(doc) + " has no header line");
+  }
+  return version;
 }
 
 }  // namespace tracon::obs

@@ -1,11 +1,13 @@
-// Deterministic single-line JSON writing plus the shared schema-version
+// Deterministic single-line JSON writing, the shared schema-version
 // header used by every JSONL file format in the tree (arrival traces,
-// task-event logs, the runstore index).
+// task-event logs, the runstore index, the series, decision and span
+// logs), and the one loop and field readers every reader of them uses.
 //
 // A JSONL file opens with one header object
 //   {"schema": "<format name>", "version": N, ...format fields}
-// followed by one record object per line. Readers call require_schema()
-// on the parsed header line to reject foreign or future files early.
+// followed by one record object per line. read_jsonl() walks such a
+// document: it checks the header with require_schema() to reject
+// foreign or future files early, and names the line in every error.
 //
 // JsonLineWriter emits fields in insertion order and formats doubles as
 // their shortest round-trip representation (std::to_chars), so
@@ -15,7 +17,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -106,5 +111,48 @@ std::uint64_t count_field(const JsonValue& obj, std::string_view key,
 /// count_field for a std::size_t (an index, or a size).
 std::size_t index_field(const JsonValue& obj, std::string_view key,
                         std::string_view what);
+
+// The other field readers. Each throws std::invalid_argument naming
+// `what` and `key` when the member is missing or of the wrong type.
+
+/// Member `key` of `obj` as a number.
+double double_field(const JsonValue& obj, std::string_view key,
+                    std::string_view what);
+
+/// Member `key` of `obj` as a string.
+const std::string& text_field(const JsonValue& obj, std::string_view key,
+                              std::string_view what);
+
+/// A co-runner column: the string "empty" (an empty machine, nullopt)
+/// or an app class index, read as index_field reads it.
+std::optional<std::size_t> corunner_field(const JsonValue& obj,
+                                          std::string_view key,
+                                          std::string_view what);
+
+/// Member `key` of `obj` as an object of numbers, by name.
+std::map<std::string, double> number_map_field(const JsonValue& obj,
+                                               std::string_view key,
+                                               std::string_view what);
+
+/// Member `key` of `obj` as an object of strings, by name. An entry
+/// that is not a string throws: no entry is skipped.
+std::map<std::string, std::string> string_map_field(const JsonValue& obj,
+                                                    std::string_view key,
+                                                    std::string_view what);
+
+/// Walks the JSONL document `text` in place, line by line (each line
+/// ends at '\n'; empty lines are skipped). The first non-empty line is
+/// the header: it goes through require_schema(`schema`), then to
+/// `on_header`. Every later non-empty line goes to `on_record`. Returns
+/// the header's version.
+///
+/// Every error — the JSON parser's, require_schema's, a field reader's
+/// or a callback's std::invalid_argument — is rethrown as
+/// std::invalid_argument "<doc> line N: <message>", N counting from 1.
+/// A document without a header line throws "<doc> has no header line".
+int read_jsonl(std::string_view text, std::string_view schema,
+               std::string_view doc,
+               const std::function<void(const JsonValue&)>& on_header,
+               const std::function<void(const JsonValue&)>& on_record);
 
 }  // namespace tracon::obs

@@ -1,6 +1,5 @@
 #include "obs/snapshot.hpp"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -62,78 +61,76 @@ std::string SnapshotSeries::str() const { return metrics_series_str(series_); }
 
 namespace {
 
-double number_field(const JsonValue& obj, const std::string& key,
-                    const char* what) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument(std::string("metrics series ") + what +
-                                " lacks numeric \"" + key + "\"");
+/// The structural rules a series record must keep, given the windows
+/// read before it: indices run from 0 without a gap, windows tile the
+/// clock from 0 (each starts where the previous one ended, and ends
+/// after it starts), none spans more than one interval (up to rounding;
+/// the last may be shorter, at the horizon), counter deltas are
+/// non-negative and no accuracy window holds more samples than its
+/// lifetime total.
+void check_window(const MetricsSeries& series, const SeriesWindow& w) {
+  auto fail = [&](const std::string& what) {
+    throw std::invalid_argument("window " + std::to_string(w.index) + " " +
+                                what);
+  };
+  if (w.index != series.windows.size()) {
+    fail("is out of order: window indices run consecutively from 0");
   }
-  return v->as_number();
-}
-
-void read_number_map(const JsonValue& record, const std::string& key,
-                     std::map<std::string, double>* out) {
-  const JsonValue* section = record.find(key);
-  if (section == nullptr || !section->is_object()) {
-    throw std::invalid_argument("metrics series record lacks \"" + key +
-                                "\" object");
+  const double prev_end =
+      series.windows.empty() ? 0.0 : series.windows.back().t_end;
+  if (w.t_start != prev_end) {
+    fail("does not tile: t_start " + json_number(w.t_start) +
+         " is not the previous window's t_end " + json_number(prev_end));
   }
-  for (const auto& [name, value] : section->as_object()) {
-    if (!value->is_number()) {
-      throw std::invalid_argument("metrics series " + key + " entry \"" +
-                                  name + "\" is not a number");
+  if (!(w.t_start < w.t_end)) fail("does not end after it starts");
+  if (w.t_end - w.t_start > series.interval_s * (1.0 + 1e-9)) {
+    fail("spans more than interval_s");
+  }
+  for (const auto& [name, delta] : w.counters) {
+    if (delta < 0.0) fail("counter \"" + name + "\" has a negative delta");
+  }
+  for (const auto& [name, stats] : w.accuracy) {
+    if (stats.count > stats.total) {
+      fail("accuracy \"" + name + "\" count exceeds its lifetime total");
     }
-    (*out)[name] = value->as_number();
   }
 }
 
 }  // namespace
 
-MetricsSeries parse_metrics_series(std::istream& in) {
+MetricsSeries parse_metrics_series(std::string_view text) {
   MetricsSeries series;
-  std::string line;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue obj = parse_json(line);
-    if (!have_header) {
-      series.version = require_schema(obj, kMetricsSeriesSchema);
-      series.interval_s = number_field(obj, "interval_s", "header");
-      have_header = true;
-      continue;
-    }
-    SeriesWindow window;
-    window.index = count_field(obj, "window", "metrics series record");
-    window.t_start = number_field(obj, "t_start", "record");
-    window.t_end = number_field(obj, "t_end", "record");
-    read_number_map(obj, "counters", &window.counters);
-    read_number_map(obj, "gauges", &window.gauges);
-    const JsonValue* accuracy = obj.find("accuracy");
-    if (accuracy == nullptr || !accuracy->is_object()) {
-      throw std::invalid_argument(
-          "metrics series record lacks \"accuracy\" object");
-    }
-    for (const auto& [name, value] : accuracy->as_object()) {
-      SeriesWindow::Accuracy stats;
-      stats.count = number_field(*value, "count", "accuracy entry");
-      stats.total = number_field(*value, "total", "accuracy entry");
-      stats.mean_abs = number_field(*value, "mean_abs", "accuracy entry");
-      stats.p50 = number_field(*value, "p50", "accuracy entry");
-      stats.p90 = number_field(*value, "p90", "accuracy entry");
-      window.accuracy[name] = stats;
-    }
-    series.windows.push_back(std::move(window));
-  }
-  if (!have_header) {
-    throw std::invalid_argument("metrics series document has no header line");
-  }
+  series.version = read_jsonl(
+      text, kMetricsSeriesSchema, "metrics series",
+      [&](const JsonValue& header) {
+        series.interval_s = double_field(header, "interval_s", "header");
+        if (!(series.interval_s > 0.0)) {
+          throw std::invalid_argument("header \"interval_s\" is not positive");
+        }
+      },
+      [&](const JsonValue& record) {
+        SeriesWindow window;
+        window.index = count_field(record, "window", "record");
+        window.t_start = double_field(record, "t_start", "record");
+        window.t_end = double_field(record, "t_end", "record");
+        window.counters = number_map_field(record, "counters", "record");
+        window.gauges = number_map_field(record, "gauges", "record");
+        const JsonValue* accuracy = record.find("accuracy");
+        if (accuracy == nullptr || !accuracy->is_object()) {
+          throw std::invalid_argument("record lacks object \"accuracy\"");
+        }
+        for (const auto& [name, value] : accuracy->as_object()) {
+          SeriesWindow::Accuracy& stats = window.accuracy[name];
+          stats.count = double_field(*value, "count", "accuracy entry");
+          stats.total = double_field(*value, "total", "accuracy entry");
+          stats.mean_abs = double_field(*value, "mean_abs", "accuracy entry");
+          stats.p50 = double_field(*value, "p50", "accuracy entry");
+          stats.p90 = double_field(*value, "p90", "accuracy entry");
+        }
+        check_window(series, window);
+        series.windows.push_back(std::move(window));
+      });
   return series;
-}
-
-MetricsSeries parse_metrics_series(const std::string& text) {
-  std::istringstream in(text);
-  return parse_metrics_series(in);
 }
 
 void write_metrics_series(std::ostream& os, const MetricsSeries& series) {

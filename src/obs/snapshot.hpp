@@ -28,8 +28,6 @@
 
 namespace tracon::obs {
 
-class JsonValue;
-
 inline constexpr std::string_view kMetricsSeriesSchema =
     "tracon.metrics_series";
 
@@ -90,11 +88,13 @@ class SnapshotSeries {
   MetricsSeries series_;
 };
 
-/// Parses a series document as written by write_metrics_series.
-/// Throws std::invalid_argument on a foreign schema or malformed
-/// records.
-MetricsSeries parse_metrics_series(std::istream& in);
-MetricsSeries parse_metrics_series(const std::string& text);
+/// Parses a series document as written by write_metrics_series, and
+/// enforces its structure: consecutive window indices from 0, windows
+/// that tile the clock from 0 and span at most one (positive)
+/// interval_s each, non-negative counter deltas, and accuracy counts no
+/// larger than their lifetime totals. Throws std::invalid_argument,
+/// naming the line, on a foreign schema or a record that breaks a rule.
+MetricsSeries parse_metrics_series(std::string_view text);
 
 /// Writes a series — sampled, merged across shards, or parsed — as
 /// JSONL: the header, then one record per window with maps in name

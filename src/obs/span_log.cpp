@@ -1,7 +1,6 @@
 #include "obs/span_log.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -83,75 +82,52 @@ void write_span(JsonlBuffer& out, const SpanEvent& e,
   out.raw("}").end_line();
 }
 
-double number_field(const JsonValue& obj, const std::string& key,
-                    const char* what) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument(std::string("span log ") + what +
-                                " lacks numeric \"" + key + "\"");
-  }
-  return v->as_number();
-}
-
-std::string string_field(const JsonValue& obj, const std::string& key,
-                         const char* what) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) {
-    throw std::invalid_argument(std::string("span log ") + what +
-                                " lacks string \"" + key + "\"");
-  }
-  return v->as_string();
-}
-
-std::optional<std::size_t> neighbour_field(const JsonValue& obj,
-                                           const char* what) {
-  const JsonValue* v = obj.find("neighbour");
-  if (v != nullptr && v->is_string() && v->as_string() == "empty") {
-    return std::nullopt;
-  }
-  if (v != nullptr && v->is_number()) {
-    return index_field(obj, "neighbour", what);
-  }
-  throw std::invalid_argument(std::string(what) +
-                              " \"neighbour\" must be \"empty\" or a number");
-}
-
+/// Reads one span and checks its speeds: a running or migration_copy
+/// span progresses (factor > 0; above 1 is legitimate, a pairing can
+/// slightly outpace solo), and a copy window slows it by a fraction
+/// (copy_factor in (0, 1], up to rounding).
 SpanEvent parse_event(const JsonValue& obj) {
   SpanEvent e;
-  const std::string kind = string_field(obj, "kind", "record");
-  e.task = count_field(obj, "task", "span log record");
-  e.app = index_field(obj, "app", "span log record");
+  const std::string& kind = text_field(obj, "kind", "record");
+  e.task = count_field(obj, "task", "record");
+  e.app = index_field(obj, "app", "record");
   if (kind == "completed") {
     e.kind = SpanEvent::Kind::kCompleted;
-    e.t0_s = number_field(obj, "t", "completed");
+    e.t0_s = double_field(obj, "t", "completed");
     e.t1_s = e.t0_s;
   } else {
-    e.t0_s = number_field(obj, "t0", "record");
-    e.t1_s = number_field(obj, "t1", "record");
+    e.t0_s = double_field(obj, "t0", "record");
+    e.t1_s = double_field(obj, "t1", "record");
     if (e.t1_s < e.t0_s) {
-      throw std::invalid_argument("span log record runs backwards (t1 < t0)");
+      throw std::invalid_argument("record runs backwards (t1 < t0)");
     }
   }
   if (kind == "queued") {
     e.kind = SpanEvent::Kind::kQueued;
     return e;
   }
-  e.machine = index_field(obj, "machine", "span log record");
+  e.machine = index_field(obj, "machine", "record");
   if (kind == "running" || kind == "migration_copy") {
     e.kind = kind == "running" ? SpanEvent::Kind::kRunning
                                : SpanEvent::Kind::kMigrationCopy;
-    e.neighbour = neighbour_field(obj, "span log record");
-    e.factor = number_field(obj, "factor", kind.c_str());
-    if (kind == "migration_copy") {
-      e.copy_factor = number_field(obj, "copy_factor", "migration_copy");
+    e.neighbour = corunner_field(obj, "neighbour", kind);
+    e.factor = double_field(obj, "factor", kind);
+    if (!(e.factor > 0.0)) {
+      throw std::invalid_argument(kind + " \"factor\" is not positive");
+    }
+    if (e.kind == SpanEvent::Kind::kMigrationCopy) {
+      e.copy_factor = double_field(obj, "copy_factor", kind);
+      if (!(e.copy_factor > 0.0 && e.copy_factor <= 1.0 + 1e-9)) {
+        throw std::invalid_argument(
+            "migration_copy \"copy_factor\" is not in (0, 1]");
+      }
     }
   } else if (kind == "migration_freeze") {
     e.kind = SpanEvent::Kind::kMigrationFreeze;
   } else if (kind == "completed") {
-    e.solo_runtime_s = number_field(obj, "solo_runtime_s", "completed");
+    e.solo_runtime_s = double_field(obj, "solo_runtime_s", "completed");
   } else {
-    throw std::invalid_argument("span log record has unknown kind \"" + kind +
-                                "\"");
+    throw std::invalid_argument("record has unknown kind \"" + kind + "\"");
   }
   return e;
 }
@@ -219,41 +195,17 @@ std::string SpanLog::str() const {
   return os.str();
 }
 
-SpanDoc parse_span_log(std::istream& in) {
+SpanDoc parse_span_log(std::string_view text) {
   SpanDoc doc;
-  std::string line;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue obj = parse_json(line);
-    if (!have_header) {
-      doc.version = require_schema(obj, kSpanLogSchema);
-      const JsonValue* fingerprint = obj.find("fingerprint");
-      if (fingerprint == nullptr || !fingerprint->is_object()) {
-        throw std::invalid_argument(
-            "span log header lacks \"fingerprint\" object");
-      }
-      for (const auto& [key, value] : fingerprint->as_object()) {
-        if (!value->is_string()) {
-          throw std::invalid_argument("span log fingerprint entry \"" + key +
-                                      "\" is not a string");
-        }
-        doc.fingerprint[key] = value->as_string();
-      }
-      have_header = true;
-      continue;
-    }
-    doc.events.push_back(parse_event(obj));
-  }
-  if (!have_header) {
-    throw std::invalid_argument("span log document has no header line");
-  }
+  doc.version = read_jsonl(
+      text, kSpanLogSchema, "span log",
+      [&](const JsonValue& header) {
+        doc.fingerprint = string_map_field(header, "fingerprint", "header");
+      },
+      [&](const JsonValue& record) {
+        doc.events.push_back(parse_event(record));
+      });
   return doc;
-}
-
-SpanDoc parse_span_log(const std::string& text) {
-  std::istringstream in(text);
-  return parse_span_log(in);
 }
 
 }  // namespace tracon::obs

@@ -32,8 +32,8 @@
 //                     migration    += d * factor * (1 - copy_factor)
 //   migration_freeze: migration    += d
 // Summing over a task's spans, wait + solo + interference + migration
-// equals complete - enqueue up to floating-point rounding (the
-// validator enforces 1e-9).
+// equals complete - enqueue up to floating-point rounding
+// (obs::breakdown enforces 1e-9 per completed task).
 //
 // Determinism contract (DESIGN.md §6i): timestamps come from the
 // virtual clock only, doubles go through the shortest round-trip
@@ -155,16 +155,21 @@ class SpanLog {
 };
 
 /// Parsed span-log document, as read back by obs::breakdown, `tracon
-/// explain`, and telemetry_check.
+/// explain` and telemetry_check. Each span parse_span_log returns keeps
+/// the schema's per-record rules; the rules across a task's spans (the
+/// chain tiles [enqueue, complete] and its components sum to the
+/// latency) are obs::breakdown's to enforce.
 struct SpanDoc {
   int version = 0;
   std::map<std::string, std::string> fingerprint;
   std::vector<SpanEvent> events;
 };
 
-/// Parses a document as written by SpanLog::write. Throws
-/// std::invalid_argument on a foreign schema or malformed records.
-SpanDoc parse_span_log(std::istream& in);
-SpanDoc parse_span_log(const std::string& text);
+/// Parses a document as written by SpanLog::write, and enforces each
+/// span's rules: t1 >= t0, a positive speed factor on running and
+/// migration_copy spans, and a copy_factor in (0, 1] on migration_copy
+/// spans. Throws std::invalid_argument, naming the line, on a foreign
+/// schema or a record that breaks a rule.
+SpanDoc parse_span_log(std::string_view text);
 
 }  // namespace tracon::obs

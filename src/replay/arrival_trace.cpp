@@ -3,6 +3,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -13,31 +14,6 @@
 namespace tracon::replay {
 
 namespace {
-
-/// Names a line of the trace in error messages.
-std::string where(std::size_t line_no) {
-  return "arrival trace line " + std::to_string(line_no);
-}
-
-double req_number(const obs::JsonValue& obj, const std::string& key,
-                  std::size_t line_no) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument(where(line_no) + " lacks numeric \"" + key +
-                                "\"");
-  }
-  return v->as_number();
-}
-
-std::string req_string(const obs::JsonValue& obj, const std::string& key,
-                       std::size_t line_no) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) {
-    throw std::invalid_argument(where(line_no) + " lacks string \"" + key +
-                                "\"");
-  }
-  return v->as_string();
-}
 
 void validate_header(const ArrivalTraceHeader& h) {
   TRACON_REQUIRE(h.num_apps > 0, "arrival trace needs at least one app class");
@@ -83,51 +59,42 @@ void write_arrival_trace(std::ostream& os, const ArrivalTrace& trace) {
 }
 
 ArrivalTrace load_arrival_trace(std::istream& is) {
+  std::ostringstream text;
+  text << is.rdbuf();
   ArrivalTrace trace;
-  std::string line;
-  std::size_t line_no = 0;
-  bool have_header = false;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    obs::JsonValue obj = obs::parse_json(line);
-    if (!have_header) {
-      trace.header.version = obs::require_schema(obj, kArrivalTraceSchema);
-      trace.header.seed = obs::count_field(obj, "seed", where(line_no));
-      trace.header.host = req_string(obj, "host", line_no);
-      trace.header.model = req_string(obj, "model", line_no);
-      trace.header.mix = req_string(obj, "mix", line_no);
-      trace.header.lambda_per_min = req_number(obj, "lambda_per_min", line_no);
-      trace.header.duration_s = req_number(obj, "duration_s", line_no);
-      trace.header.machines =
-          obs::index_field(obj, "machines", where(line_no));
-      trace.header.queue_capacity =
-          obs::index_field(obj, "queue_capacity", where(line_no));
-      trace.header.num_apps =
-          obs::index_field(obj, "num_apps", where(line_no));
-      validate_header(trace.header);
-      have_header = true;
-      continue;
-    }
-    TraceArrival a;
-    a.time_s = req_number(obj, "time_s", line_no);
-    a.app = obs::index_field(obj, "app", where(line_no));
-    a.demand_s = req_number(obj, "demand_s", line_no);
-    if (a.app >= trace.header.num_apps) {
-      throw std::invalid_argument(
-          "arrival trace line " + std::to_string(line_no) +
-          ": app index out of range for the header's num_apps");
-    }
-    if (!trace.arrivals.empty() && a.time_s < trace.arrivals.back().time_s) {
-      throw std::invalid_argument("arrival trace line " +
-                                  std::to_string(line_no) +
-                                  ": arrivals not sorted by time");
-    }
-    trace.arrivals.push_back(a);
-  }
-  if (!have_header) {
-    throw std::invalid_argument("arrival trace has no header line");
-  }
+  trace.header.version = obs::read_jsonl(
+      text.str(), kArrivalTraceSchema, "arrival trace",
+      [&](const obs::JsonValue& obj) {
+        ArrivalTraceHeader& h = trace.header;
+        h.seed = obs::count_field(obj, "seed", "header");
+        h.host = obs::text_field(obj, "host", "header");
+        h.model = obs::text_field(obj, "model", "header");
+        h.mix = obs::text_field(obj, "mix", "header");
+        h.lambda_per_min = obs::double_field(obj, "lambda_per_min", "header");
+        h.duration_s = obs::double_field(obj, "duration_s", "header");
+        h.machines = obs::index_field(obj, "machines", "header");
+        h.queue_capacity = obs::index_field(obj, "queue_capacity", "header");
+        h.num_apps = obs::index_field(obj, "num_apps", "header");
+        validate_header(h);
+      },
+      [&](const obs::JsonValue& obj) {
+        TraceArrival a;
+        a.time_s = obs::double_field(obj, "time_s", "arrival");
+        a.app = obs::index_field(obj, "app", "arrival");
+        a.demand_s = obs::double_field(obj, "demand_s", "arrival");
+        if (a.app >= trace.header.num_apps) {
+          throw std::invalid_argument(
+              "app index out of range for the header's num_apps");
+        }
+        if (!(a.time_s >= 0.0)) {
+          throw std::invalid_argument("arrival time_s is negative");
+        }
+        if (!trace.arrivals.empty() &&
+            a.time_s < trace.arrivals.back().time_s) {
+          throw std::invalid_argument("arrivals not sorted by time");
+        }
+        trace.arrivals.push_back(a);
+      });
   return trace;
 }
 

@@ -82,8 +82,9 @@ class TraceWriter {
 void write_arrival_trace(std::ostream& os, const ArrivalTrace& trace);
 
 /// Parses a trace written by TraceWriter/write_arrival_trace. Throws
-/// std::invalid_argument on schema mismatch, malformed lines, missing
-/// fields, unsorted times, or out-of-range app indices.
+/// std::invalid_argument, naming the line, on schema mismatch,
+/// malformed lines, missing fields, negative or unsorted times, or
+/// out-of-range app indices.
 ArrivalTrace load_arrival_trace(std::istream& is);
 
 /// Replays a loaded trace through run_dynamic: returns the recorded

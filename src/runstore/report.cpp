@@ -26,32 +26,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-void read_scalar_section(const obs::JsonValue& doc, const std::string& key,
-                         std::map<std::string, double>* out) {
-  const obs::JsonValue* section = doc.find(key);
-  if (section == nullptr || !section->is_object()) {
-    throw std::invalid_argument("metrics document has no \"" + key +
-                                "\" object");
-  }
-  for (const auto& [name, value] : section->as_object()) {
-    if (!value->is_number()) {
-      throw std::invalid_argument("metrics " + key + " entry \"" + name +
-                                  "\" is not a number");
-    }
-    (*out)[name] = value->as_number();
-  }
-}
-
-double hist_field(const obs::JsonValue& hist, const std::string& name,
-                  const std::string& field) {
-  const obs::JsonValue* v = hist.find(field);
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument("metrics histogram \"" + name +
-                                "\" lacks numeric \"" + field + "\"");
-  }
-  return v->as_number();
-}
-
 /// Union of the key sets of two maps, sorted.
 template <typename Map>
 std::set<std::string> key_union(const Map& a, const Map& b) {
@@ -78,25 +52,22 @@ ReportSection scalar_section(const std::string& title,
 
 MetricsSummary summarize_metrics(const obs::JsonValue& doc) {
   MetricsSummary out;
-  if (const obs::JsonValue* fp = doc.find("fingerprint");
-      fp != nullptr && fp->is_object()) {
-    for (const auto& [key, value] : fp->as_object()) {
-      if (value->is_string()) out.fingerprint[key] = value->as_string();
-    }
+  if (doc.find("fingerprint") != nullptr) {
+    out.fingerprint = obs::string_map_field(doc, "fingerprint", "metrics");
   }
-  read_scalar_section(doc, "counters", &out.counters);
-  read_scalar_section(doc, "gauges", &out.gauges);
+  out.counters = obs::number_map_field(doc, "counters", "metrics");
+  out.gauges = obs::number_map_field(doc, "gauges", "metrics");
   const obs::JsonValue* hists = doc.find("histograms");
   if (hists == nullptr || !hists->is_object()) {
     throw std::invalid_argument("metrics document has no histograms object");
   }
   for (const auto& [name, value] : hists->as_object()) {
-    MetricsSummary::HistStats stats;
-    stats.count = hist_field(*value, name, "count");
-    stats.sum = hist_field(*value, name, "sum");
-    stats.min = hist_field(*value, name, "min");
-    stats.max = hist_field(*value, name, "max");
-    out.histograms[name] = stats;
+    const std::string what = "metrics histogram \"" + name + "\"";
+    MetricsSummary::HistStats& stats = out.histograms[name];
+    stats.count = obs::double_field(*value, "count", what);
+    stats.sum = obs::double_field(*value, "sum", what);
+    stats.min = obs::double_field(*value, "min", what);
+    stats.max = obs::double_field(*value, "max", what);
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unistd.h>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
@@ -185,38 +186,22 @@ RunStore::LoadResult RunStore::load() const {
         have_header = true;
         continue;
       }
-      const obs::JsonValue* id = obj.find("id");
-      const obs::JsonValue* scheduler = obj.find("scheduler");
-      const obs::JsonValue* source = obj.find("source");
-      const obs::JsonValue* metrics = obj.find("metrics");
-      if (id == nullptr || !id->is_string() || scheduler == nullptr ||
-          !scheduler->is_string() || source == nullptr ||
-          !source->is_string() || metrics == nullptr ||
-          !metrics->is_string()) {
-        throw std::invalid_argument("missing id/scheduler/source/metrics");
-      }
       RunRecord rec;
-      rec.id = id->as_string();
-      rec.scheduler = scheduler->as_string();
-      rec.source = source->as_string();
-      rec.metrics_rel = metrics->as_string();
-      if (const obs::JsonValue* series = obj.find("series");
-          series != nullptr && series->is_string()) {
-        rec.series_rel = series->as_string();
-      }
-      if (const obs::JsonValue* decisions = obj.find("decisions");
-          decisions != nullptr && decisions->is_string()) {
-        rec.decisions_rel = decisions->as_string();
-      }
-      if (const obs::JsonValue* spans = obj.find("spans");
-          spans != nullptr && spans->is_string()) {
-        rec.spans_rel = spans->as_string();
-      }
-      if (const obs::JsonValue* fp = obj.find("fingerprint");
-          fp != nullptr && fp->is_object()) {
-        for (const auto& [key, value] : fp->as_object()) {
-          if (value->is_string()) rec.fingerprint[key] = value->as_string();
+      rec.id = obs::text_field(obj, "id", "record");
+      rec.scheduler = obs::text_field(obj, "scheduler", "record");
+      rec.source = obs::text_field(obj, "source", "record");
+      rec.metrics_rel = obs::text_field(obj, "metrics", "record");
+      // The log objects and the fingerprint are optional; present, they
+      // must have their type.
+      for (auto [key, rel] : {std::pair{"series", &rec.series_rel},
+                              std::pair{"decisions", &rec.decisions_rel},
+                              std::pair{"spans", &rec.spans_rel}}) {
+        if (obj.find(key) != nullptr) {
+          *rel = obs::text_field(obj, key, "record");
         }
+      }
+      if (obj.find("fingerprint") != nullptr) {
+        rec.fingerprint = obs::string_map_field(obj, "fingerprint", "record");
       }
       bool duplicate = false;
       for (const RunRecord& seen : result.runs) {
@@ -249,55 +234,40 @@ std::optional<RunRecord> RunStore::find(const std::string& id_prefix) const {
   return match;
 }
 
-std::string RunStore::read_metrics(const RunRecord& record) const {
-  std::ifstream in(dir_ / record.metrics_rel, std::ios::binary);
+std::string RunStore::read_object(const RunRecord& record,
+                                  const std::string& rel,
+                                  const char* what) const {
+  std::ifstream in(dir_ / rel, std::ios::binary);
   if (!in) {
-    throw std::runtime_error("runstore: cannot open metrics object for run " +
-                             record.id);
+    throw std::runtime_error(std::string("runstore: cannot open ") + what +
+                             " object for run " + record.id);
   }
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+std::string RunStore::read_metrics(const RunRecord& record) const {
+  return read_object(record, record.metrics_rel, "metrics");
 }
 
 std::string RunStore::read_series(const RunRecord& record) const {
   TRACON_REQUIRE(record.has_series(),
                  "run stored no snapshot series (record with --snapshot-"
                  "interval)");
-  std::ifstream in(dir_ / record.series_rel, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("runstore: cannot open series object for run " +
-                             record.id);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return read_object(record, record.series_rel, "series");
 }
 
 std::string RunStore::read_decisions(const RunRecord& record) const {
   TRACON_REQUIRE(record.has_decisions(),
                  "run stored no decision log (record with --decisions)");
-  std::ifstream in(dir_ / record.decisions_rel, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(
-        "runstore: cannot open decisions object for run " + record.id);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return read_object(record, record.decisions_rel, "decisions");
 }
 
 std::string RunStore::read_spans(const RunRecord& record) const {
   TRACON_REQUIRE(record.has_spans(),
                  "run stored no span log (record with --spans)");
-  std::ifstream in(dir_ / record.spans_rel, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("runstore: cannot open spans object for run " +
-                             record.id);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return read_object(record, record.spans_rel, "spans");
 }
 
 }  // namespace tracon::runstore

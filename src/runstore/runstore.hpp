@@ -118,6 +118,11 @@ class RunStore {
   static std::string content_id(std::string_view content);
 
  private:
+  /// The object at `rel` (relative to the store dir) for `record`;
+  /// throws std::runtime_error naming `what` when it cannot be opened.
+  std::string read_object(const RunRecord& record, const std::string& rel,
+                          const char* what) const;
+
   std::filesystem::path dir_;
 };
 

@@ -103,6 +103,8 @@ DynamicOutcome run_dynamic(const PerfTable& table,
                            std::span<const Arrival> arrivals) {
   TRACON_REQUIRE(cfg.machines > 0, "need at least one machine");
   TRACON_REQUIRE(cfg.duration_s > 0.0, "duration must be positive");
+  TRACON_REQUIRE(arrivals.empty() || arrivals.front().time_s >= 0.0,
+                 "arrivals must not precede t = 0");
   for (std::size_t i = 1; i < arrivals.size(); ++i)
     TRACON_REQUIRE(arrivals[i - 1].time_s <= arrivals[i].time_s,
                    "arrivals must be sorted by time");

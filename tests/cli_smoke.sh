@@ -42,7 +42,9 @@
 #      numbers as they round-trip;
 #  11. the log readers refuse, with exit 1 and a message, a line nested
 #      200,000 levels deep, a negative series window and a decision
-#      record whose app index no integer type holds.
+#      record whose app index no integer type holds;
+#  12. `replay` refuses, naming the line, a trace whose first arrival
+#      precedes t = 0.
 set -euo pipefail
 
 TRACON=$1
@@ -333,5 +335,14 @@ expect_failure 1 '"window" is not a non-negative integer: -1' \
     timeline --series negative.jsonl
 expect_failure 1 '"app" is not a non-negative integer: 1e+300' \
     attribution --decisions huge.jsonl
+
+echo "== a replayed arrival before t = 0 is refused =="
+sed -E '2s/"time_s": [0-9.e+-]+/"time_s": -500/' "$GOLDEN" > early.jsonl
+grep -q '"time_s": -500,' early.jsonl || {
+  echo "FAIL: the crafted trace lacks its negative arrival"
+  exit 1
+}
+expect_failure 1 "arrival trace line 2: arrival time_s is negative" \
+    replay --trace early.jsonl --store runs
 
 echo "cli_smoke: all checks passed"

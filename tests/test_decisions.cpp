@@ -209,7 +209,12 @@ TEST(DecisionLog, WithoutPartsRecordOrderIsWriteOrder) {
   using Row = std::tuple<double, std::uint64_t, std::size_t>;
   const std::vector<Row> expected = {{9.0, 4, DecisionEvent::kNoMachine},
                                      {3.0, 5, DecisionEvent::kNoMachine}};
-  EXPECT_EQ(written(log), expected);
+  // Time runs backwards here, which the reader refuses; events() is
+  // the written stream, read without the reader's rules.
+  std::vector<Row> recorded;
+  for (const DecisionEvent& e : log.events())
+    recorded.emplace_back(e.time_s, e.task, e.machine);
+  EXPECT_EQ(recorded, expected);
 }
 
 TEST(DecisionLog, PartsComeBeforeAnyRecordOfItsOwn) {
@@ -249,6 +254,63 @@ TEST(DecisionLog, ParserRejectsMalformedDocuments) {
                    "{\"schema\": \"tracon.metrics_series\", \"version\": 1, "
                    "\"fingerprint\": {}}\n")),
                std::invalid_argument);
+
+  // Each structural rule, broken once by an otherwise valid log.
+  auto decision = [](int task, int t, const std::string& families = "[\"m\"]",
+                     const std::string& weights = "[1]",
+                     const std::string& by_family = "[1]") {
+    return "{\"kind\": \"decision\", \"task\": " + std::to_string(task) +
+           ", \"t\": " + std::to_string(t) +
+           ", \"app\": 0, \"scheduler\": \"s\", \"objective\": "
+           "\"runtime\", \"families\": " + families + ", \"weights\": " +
+           weights + ", \"candidates\": [{\"neighbour\": \"empty\", "
+           "\"score\": 1, \"by_family\": " + by_family +
+           "}], \"chosen\": 0, \"margin\": 0, \"predicted_runtime_s\": 1, "
+           "\"predicted_iops\": 1}\n";
+  };
+  auto migration = [](int task, int from, int to,
+                      const std::string& copy_s = "1") {
+    return "{\"kind\": \"migration\", \"task\": " + std::to_string(task) +
+           ", \"t\": 5, \"app\": 0, \"from_machine\": " +
+           std::to_string(from) + ", \"from_neighbour\": \"empty\", "
+           "\"machine\": " + std::to_string(to) +
+           ", \"neighbour\": \"empty\", \"predicted_stay_s\": 3, "
+           "\"predicted_move_s\": 2, \"downtime_s\": 0.5, \"copy_s\": " +
+           copy_s + ", \"cost_s\": 1, \"margin\": 1}\n";
+  };
+  auto outcome = [](int task) {
+    return "{\"kind\": \"outcome\", \"task\": " + std::to_string(task) +
+           ", \"t\": 10, \"app\": 0, \"neighbour\": \"empty\", "
+           "\"runtime_s\": 9, \"iops\": 1, \"solo_runtime_s\": 8}\n";
+  };
+  auto expect_refused = [&](const std::string& records,
+                            const std::string& rule) {
+    try {
+      obs::parse_decision_log(header + records);
+      ADD_FAILURE() << "accepted a log that breaks: " << rule;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
+          << e.what();
+    }
+  };
+  EXPECT_NO_THROW(obs::parse_decision_log(header + decision(1, 0) +
+                                          migration(1, 0, 1) + outcome(1)));
+  // Outcomes with no decision at all are a FIFO-style run.
+  EXPECT_NO_THROW(obs::parse_decision_log(header + outcome(1) + outcome(2)));
+  expect_refused(decision(1, 5) + decision(2, 3), "time runs backwards");
+  expect_refused(decision(1, 0, "[]", "[]", "[]"), "names no model family");
+  expect_refused(decision(1, 0, "[\"m\"]", "[1, 1]"),
+                 "do not match its families");
+  expect_refused(decision(1, 0, "[\"m\", \"n\"]", "[1, 1]", "[1]"),
+                 "do not match its families");
+  expect_refused(decision(1, 0) + migration(1, 2, 2),
+                 "does not name two distinct machines");
+  expect_refused(decision(1, 0) + migration(1, 0, 1, "-1"),
+                 "cost \"copy_s\" is negative");
+  expect_refused(decision(1, 0) + migration(2, 0, 1),
+                 "migration for task 2 joins no earlier decision");
+  expect_refused(decision(1, 0) + outcome(2),
+                 "outcome for task 2 joins no earlier decision");
 }
 
 TEST(DecisionLog, DisabledGateDropsRecordsButNotAppends) {

@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sched/fifo.hpp"
 #include "sim/dynamic_scenario.hpp"
@@ -244,6 +245,30 @@ TEST_F(ReplayedDynamic, ReplayMatchesLiveRunUnderSameScheduler) {
   EXPECT_EQ(replayed.completed, live.completed);
   EXPECT_DOUBLE_EQ(replayed.total_runtime, live.total_runtime);
   EXPECT_DOUBLE_EQ(replayed.mean_wait_s, live.mean_wait_s);
+}
+
+TEST_F(ReplayedDynamic, ArrivalsBeforeTimeZeroAreRefused) {
+  ArrivalTrace t = small_trace();
+  t.arrivals.front().time_s = -500.0;
+  std::ostringstream os;
+  write_arrival_trace(os, t);
+  std::istringstream in(os.str());
+  try {
+    load_arrival_trace(in);
+    FAIL() << "a trace arriving at t = -500 loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("arrival trace line 2: "),
+              std::string::npos)
+        << e.what();
+  }
+  // The engine refuses them too, whatever source hands them over.
+  TraceArrivalSource source(t);
+  sim::DynamicConfig cfg;
+  cfg.machines = 4;
+  cfg.duration_s = 600.0;
+  cfg.arrival_source = &source;
+  sched::FifoScheduler fifo(9);
+  EXPECT_THROW(sim::run_dynamic(table(), fifo, cfg), std::invalid_argument);
 }
 
 TEST_F(ReplayedDynamic, PoissonSourceMatchesGenerateArrivals) {

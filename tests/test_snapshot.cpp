@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "obs/accuracy.hpp"
@@ -119,6 +120,43 @@ TEST(SnapshotSeriesTest, ParserRejectsForeignOrMalformedDocuments) {
                    "{\"schema\": \"tracon.metrics_series\", \"version\": "
                    "999, \"interval_s\": 5}\n"),
                std::invalid_argument);
+
+  // Each structural rule, broken once by an otherwise valid series.
+  auto header = [](const std::string& interval_s) {
+    return "{\"schema\": \"tracon.metrics_series\", \"version\": 2, "
+           "\"interval_s\": " + interval_s + "}\n";
+  };
+  auto window = [](const std::string& index, const std::string& t_start,
+                   const std::string& t_end, const std::string& delta = "1",
+                   const std::string& count = "1") {
+    return "{\"window\": " + index + ", \"t_start\": " + t_start +
+           ", \"t_end\": " + t_end + ", \"counters\": {\"sim.tasks\": " +
+           delta + "}, \"gauges\": {}, \"accuracy\": {\"model.m\": "
+           "{\"count\": " + count + ", \"total\": 2, \"mean_abs\": 0, "
+           "\"p50\": 0, \"p90\": 0}}}\n";
+  };
+  auto expect_refused = [](const std::string& text, const std::string& rule) {
+    try {
+      obs::parse_metrics_series(text);
+      ADD_FAILURE() << "accepted a series that breaks: " << rule;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string h = header("10");
+  EXPECT_NO_THROW(obs::parse_metrics_series(h + window("0", "0", "10") +
+                                            window("1", "10", "15")));
+  expect_refused(header("0"), "\"interval_s\" is not positive");
+  expect_refused(h + window("1", "0", "10"), "window indices run");
+  expect_refused(h + window("0", "0", "10") + window("1", "11", "20"),
+                 "does not tile");
+  expect_refused(h + window("0", "5", "10"), "does not tile");
+  expect_refused(h + window("0", "0", "0"), "does not end after it starts");
+  expect_refused(h + window("0", "0", "11"), "spans more than interval_s");
+  expect_refused(h + window("0", "0", "10", "-1"), "has a negative delta");
+  expect_refused(h + window("0", "0", "10", "1", "3"),
+                 "count exceeds its lifetime total");
 }
 
 const sim::PerfTable& table() {

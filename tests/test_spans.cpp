@@ -219,6 +219,29 @@ TEST(SpanLog, ParserRejectsMalformedDocuments) {
                    "{\"schema\": \"tracon.decision_log\", \"version\": 2, "
                    "\"fingerprint\": {}}\n")),
                std::invalid_argument);
+
+  // Each speed rule, broken once by an otherwise valid span.
+  auto copy_span = [&](const std::string& factor,
+                       const std::string& copy_factor) {
+    return header +
+           "{\"kind\": \"migration_copy\", \"task\": 1, \"t0\": 0, "
+           "\"t1\": 1, \"app\": 0, \"machine\": 0, \"neighbour\": "
+           "\"empty\", \"factor\": " + factor + ", \"copy_factor\": " +
+           copy_factor + "}\n";
+  };
+  auto expect_refused = [](const std::string& text, const std::string& rule) {
+    try {
+      obs::parse_span_log(text);
+      ADD_FAILURE() << "accepted a span that breaks: " << rule;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos)
+          << e.what();
+    }
+  };
+  EXPECT_NO_THROW(obs::parse_span_log(copy_span("1.05", "1")));
+  expect_refused(copy_span("0", "0.5"), "\"factor\" is not positive");
+  expect_refused(copy_span("0.5", "0"), "\"copy_factor\" is not in (0, 1]");
+  expect_refused(copy_span("0.5", "1.5"), "\"copy_factor\" is not in (0, 1]");
 }
 
 TEST(SpanLog, GateAndZeroLengthSuppression) {
@@ -304,6 +327,21 @@ TEST(Breakdown, RejectsNonTilingChains) {
   after_complete.events.push_back(
       make_span(SpanEvent::Kind::kRunning, 1, 10.0, 20.0, 0, 2));
   EXPECT_THROW(obs::breakdown(after_complete), std::invalid_argument);
+}
+
+TEST(Breakdown, RejectsComponentsThatMissTheLatency) {
+  // At a speed of 1e17, d * factor + d * (1 - factor) rounds to 0: the
+  // one-second span accounts for no time at all.
+  SpanDoc doc;
+  doc.version = 2;
+  SpanEvent run = make_span(SpanEvent::Kind::kRunning, 1, 0.0, 1.0, 0, 0);
+  run.factor = 1e17;
+  doc.events = {run, make_span(SpanEvent::Kind::kCompleted, 1, 1.0, 1.0, 0, 0)};
+  EXPECT_THROW(obs::breakdown(doc), std::invalid_argument);
+  // Without the completed marker the task is not accounted, so not
+  // checked.
+  doc.events.pop_back();
+  EXPECT_EQ(obs::breakdown(doc).incomplete, 1u);
 }
 
 TEST(Breakdown, WindowAggregationBucketsByCompletionTime) {

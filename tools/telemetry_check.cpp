@@ -20,38 +20,22 @@
 //     fingerprint's "threads" entry. This is how CI enforces DESIGN.md
 //     §7's determinism contract: a --threads 4 run must match the
 //     --threads 1 run everywhere that isn't the thread-count stamp.
-//   series: parses as tracon.metrics_series JSONL (schema + supported
-//     version enforced by the parser); window indices are consecutive
-//     from 0; window timestamps tile monotonically (t_start < t_end,
-//     each t_start equal to the previous t_end, spans bounded by the
-//     declared interval); every counter delta is non-negative; every
-//     accuracy entry's window count never exceeds its lifetime total.
-//   decisions: parses as tracon.decision_log JSONL (schema + chosen
-//     index in range enforced by the parser); the header carries a
-//     fingerprint block with the core identity keys but no thread
-//     count (the log must stay byte-comparable across --threads);
-//     record times are monotonically non-decreasing; every decision
-//     has a non-empty candidate set with matching family/weight
-//     arrays; every outcome's task id was first seen as a decision or
-//     belongs to a FIFO-style run with no decisions at all.
-//   spans: parses as tracon.spans JSONL (schema + per-record field
-//     presence and unknown-kind rejection enforced by the parser); the
-//     header carries the core fingerprint keys but no thread count
-//     (the log must stay byte-comparable across --threads); each
-//     task's spans form a monotone, non-overlapping, contiguous chain
-//     tiling [enqueue, complete]; every span after the first joins to
-//     a task the log already introduced; and for every completed task
-//     wait + solo + interference + migration equals the end-to-end
-//     latency to 1e-9 (DESIGN.md §6i's accounting contract).
+//   series, decisions, spans: each log is read by its schema's reader
+//     (obs::parse_metrics_series, parse_decision_log, parse_span_log),
+//     which refuses any record that breaks the schema's structure, and
+//     the spans fold through obs::breakdown, which refuses a task chain
+//     that does not tile or account for its latency (DESIGN.md §6e,
+//     §6g, §6i). On top, this driver checks what a run, not the
+//     schema, promises: every log holds at least one window, record or
+//     span, and the decision and span fingerprints carry the core
+//     identity keys but no thread or shard count (the logs must stay
+//     byte-comparable across --threads).
 //
 // Used by CI after an instrumented example/CLI run; kept dependency-free
 // via the in-tree obs JSON reader.
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -233,188 +217,17 @@ void check_trace(const JsonValue& doc) {
   check(has_slice, "trace contains at least one X duration slice");
 }
 
-void check_series(const tracon::obs::MetricsSeries& series) {
-  check(series.interval_s > 0, "series declares a positive interval_s");
-  check(!series.windows.empty(), "series contains at least one window");
-
-  bool indices_ok = true;
-  bool times_ok = true;
-  bool spans_ok = true;
-  bool deltas_ok = true;
-  bool accuracy_ok = true;
-  double prev_end = 0.0;
-  for (std::size_t w = 0; w < series.windows.size(); ++w) {
-    const tracon::obs::SeriesWindow& win = series.windows[w];
-    if (win.index != w) indices_ok = false;
-    if (!(win.t_start < win.t_end) || win.t_start != prev_end) {
-      times_ok = false;
-    }
-    // Every window spans at most one interval; only rounding slack is
-    // tolerated (the final window may be shorter at the horizon).
-    if (win.t_end - win.t_start > series.interval_s * (1.0 + 1e-9)) {
-      spans_ok = false;
-    }
-    prev_end = win.t_end;
-    for (const auto& [name, delta] : win.counters) {
-      (void)name;
-      if (delta < 0) deltas_ok = false;
-    }
-    for (const auto& [name, acc] : win.accuracy) {
-      (void)name;
-      if (acc.count > acc.total) accuracy_ok = false;
-    }
-  }
-  check(indices_ok, "series window indices are consecutive from 0");
-  check(times_ok,
-        "series windows tile monotonically (t_start == previous t_end)");
-  check(spans_ok, "every series window spans at most interval_s");
-  check(deltas_ok, "every series counter delta is non-negative");
-  check(accuracy_ok, "every accuracy window count is <= its lifetime total");
-}
-
-void check_decisions(const tracon::obs::DecisionDoc& doc) {
-  using tracon::obs::DecisionEvent;
-  check(!doc.fingerprint.empty(), "decision log carries a fingerprint block");
+/// The run-level expectations on a decision or span log's fingerprint:
+/// the core identity keys, and no execution shape.
+void check_fingerprint(const std::map<std::string, std::string>& fingerprint,
+                       const std::string& log) {
   for (const char* key : {"seed", "scheduler", "machines", "mix"}) {
-    auto it = doc.fingerprint.find(key);
-    check(it != doc.fingerprint.end() && !it->second.empty(),
-          std::string("decision fingerprint carries a non-empty ") + key);
+    auto it = fingerprint.find(key);
+    check(it != fingerprint.end() && !it->second.empty(),
+          log + " fingerprint carries a non-empty " + key);
   }
-  // DESIGN.md §6g: the log is byte-identical across --threads, so its
-  // fingerprint must not record the execution shape.
-  check(doc.fingerprint.count("threads") == 0 &&
-            doc.fingerprint.count("shards") == 0,
-        "decision fingerprint excludes threads/shards");
-
-  bool times_ok = true;
-  bool candidates_ok = true;
-  bool families_ok = true;
-  bool joins_ok = true;
-  bool hosts_ok = true;
-  bool costs_ok = true;
-  std::size_t decisions = 0;
-  std::size_t migrations = 0;
-  std::size_t outcomes = 0;
-  double prev_t = 0.0;
-  std::set<std::uint64_t> decided;
-  for (const DecisionEvent& e : doc.events) {
-    if (e.time_s < prev_t) times_ok = false;
-    prev_t = e.time_s;
-    if (e.kind == DecisionEvent::Kind::kDecision) {
-      ++decisions;
-      decided.insert(e.task);
-      // chosen < candidates.size() is enforced by the parser; the
-      // structural invariants left to check are non-emptiness and the
-      // per-candidate family arrays lining up with the declared
-      // families (and weights with them).
-      if (e.candidates.empty()) candidates_ok = false;
-      if (e.families.empty() || e.weights.size() != e.families.size())
-        families_ok = false;
-      for (const auto& c : e.candidates)
-        if (c.by_family.size() != e.families.size()) families_ok = false;
-    } else if (e.kind == DecisionEvent::Kind::kMigration) {
-      ++migrations;
-      // A migration must name both hosts, actually move (the event
-      // loop never migrates a task onto its own machine), and carry a
-      // physically sensible cost decomposition.
-      if (e.machine == DecisionEvent::kNoMachine ||
-          e.from_machine == DecisionEvent::kNoMachine ||
-          e.machine == e.from_machine)
-        hosts_ok = false;
-      if (e.downtime_s < 0.0 || e.copy_s < 0.0 || e.cost_s < 0.0)
-        costs_ok = false;
-      if (!decided.empty() && decided.count(e.task) == 0) joins_ok = false;
-    } else {
-      ++outcomes;
-      if (!decided.empty() && decided.count(e.task) == 0) joins_ok = false;
-    }
-  }
-  check(decisions + migrations + outcomes > 0,
-        "decision log contains at least one record");
-  check(times_ok, "decision-log times are monotonically non-decreasing");
-  check(candidates_ok, "every decision has a non-empty candidate set");
-  check(families_ok,
-        "family/weight/by_family arrays agree on every decision");
-  check(joins_ok,
-        "every migration/outcome joins to a decision (or the run "
-        "recorded none)");
-  check(hosts_ok,
-        "every migration names distinct source/destination machines");
-  check(costs_ok,
-        "every migration carries non-negative downtime/copy/cost fields");
-}
-
-void check_spans(const tracon::obs::SpanDoc& doc) {
-  using tracon::obs::SpanEvent;
-  check(!doc.fingerprint.empty(), "span log carries a fingerprint block");
-  for (const char* key : {"seed", "scheduler", "machines", "mix"}) {
-    auto it = doc.fingerprint.find(key);
-    check(it != doc.fingerprint.end() && !it->second.empty(),
-          std::string("span fingerprint carries a non-empty ") + key);
-  }
-  // DESIGN.md §6i: the log is byte-identical across --threads, so its
-  // fingerprint must not record the execution shape.
-  check(doc.fingerprint.count("threads") == 0 &&
-            doc.fingerprint.count("shards") == 0,
-        "span fingerprint excludes threads/shards");
-  check(!doc.events.empty(), "span log contains at least one span");
-
-  // Per-task chain state: the end of the last span seen, and whether
-  // the completed marker already closed the chain.
-  struct Chain {
-    double cursor = 0.0;
-    bool completed = false;
-  };
-  std::map<std::uint64_t, Chain> chains;
-  bool monotone_ok = true;
-  bool contiguous_ok = true;
-  bool closed_ok = true;
-  bool factors_ok = true;
-  for (const SpanEvent& e : doc.events) {
-    if (e.t1_s < e.t0_s) monotone_ok = false;
-    // Speed factors above 1 are legitimate (a pairing can slightly
-    // outpace solo); zero or negative progress rates are not, and the
-    // copy slowdown is a fraction by construction.
-    if (e.factor <= 0.0 || e.copy_factor <= 0.0 ||
-        e.copy_factor > 1.0 + 1e-9)
-      factors_ok = false;
-    auto [it, fresh] = chains.try_emplace(e.task);
-    Chain& c = it->second;
-    if (!fresh) {
-      // Non-overlap and contiguity in one condition: each span must
-      // start exactly where the previous one ended.
-      if (e.t0_s != c.cursor) contiguous_ok = false;
-      if (c.completed) closed_ok = false;
-    }
-    c.cursor = e.t1_s;
-    if (e.kind == SpanEvent::Kind::kCompleted) c.completed = true;
-  }
-  check(monotone_ok, "every span is monotone (t1 >= t0)");
-  check(contiguous_ok,
-        "every task's spans tile contiguously (no gap, no overlap)");
-  check(closed_ok, "no span follows a task's completed marker");
-  check(factors_ok,
-        "every speed factor is positive and every copy factor is in (0, 1]");
-
-  // The accounting contract: obs::breakdown folds the per-kind
-  // arithmetic; re-verify the sum against the chain extent per task.
-  try {
-    tracon::obs::BreakdownReport report = tracon::obs::breakdown(doc);
-    bool sums_ok = true;
-    for (const tracon::obs::TaskBreakdown& row : report.rows) {
-      const double sum =
-          row.wait_s + row.solo_s + row.interference_s + row.migration_s;
-      if (std::abs(sum - row.end_to_end_s()) > 1e-9) sums_ok = false;
-    }
-    check(sums_ok,
-          "wait + solo + interference + migration equals end-to-end "
-          "latency within 1e-9 for every completed task");
-    check(report.rows.size() + report.incomplete == chains.size(),
-          "every span joins to a known task");
-  } catch (const std::exception& e) {
-    check(false, std::string("span breakdown folds cleanly (") + e.what() +
-                     ")");
-  }
+  check(fingerprint.count("threads") == 0 && fingerprint.count("shards") == 0,
+        log + " fingerprint excludes threads/shards");
 }
 
 }  // namespace
@@ -443,14 +256,22 @@ int main(int argc, char** argv) {
       check_trace(tracon::obs::parse_json(slurp(args.get("trace"))));
     }
     if (args.has("series")) {
-      check_series(tracon::obs::parse_metrics_series(slurp(args.get("series"))));
+      const tracon::obs::MetricsSeries series =
+          tracon::obs::parse_metrics_series(slurp(args.get("series")));
+      check(!series.windows.empty(), "series contains at least one window");
     }
     if (args.has("decisions")) {
-      check_decisions(
-          tracon::obs::parse_decision_log(slurp(args.get("decisions"))));
+      const tracon::obs::DecisionDoc doc =
+          tracon::obs::parse_decision_log(slurp(args.get("decisions")));
+      check_fingerprint(doc.fingerprint, "decision");
+      check(!doc.events.empty(), "decision log contains at least one record");
     }
     if (args.has("spans")) {
-      check_spans(tracon::obs::parse_span_log(slurp(args.get("spans"))));
+      const tracon::obs::SpanDoc doc =
+          tracon::obs::parse_span_log(slurp(args.get("spans")));
+      check_fingerprint(doc.fingerprint, "span");
+      check(!doc.events.empty(), "span log contains at least one span");
+      tracon::obs::breakdown(doc);
     }
     if (g_failures > 0) {
       std::fprintf(stderr, "telemetry_check: %d failure(s)\n", g_failures);

@@ -1024,6 +1024,16 @@ int read_log(const ArgParser& args, const LogKind& kind, std::size_t idx,
   return 0;
 }
 
+/// Parses the text read_log filled in with `parse`, then frees it: what
+/// a command folds the document into never needs the text, so the two
+/// are not resident together.
+template <typename Parse>
+auto parse_log(std::string* content, Parse parse) {
+  auto doc = parse(*content);
+  std::string().swap(*content);
+  return doc;
+}
+
 /// Renders a tracon.metrics_series document. The series comes either
 /// from a file (--series FILE) or from a stored run's series object
 /// (positional run-id prefix, resolved against --store).
@@ -1038,7 +1048,8 @@ int cmd_timeline(const ArgParser& args) {
     return rc;
   }
 
-  obs::MetricsSeries series = obs::parse_metrics_series(content);
+  const obs::MetricsSeries series =
+      parse_log(&content, obs::parse_metrics_series);
   const std::string filter = args.get("metric", "");
   auto keep = [&](const std::string& name) {
     return filter.empty() || name.find(filter) != std::string::npos;
@@ -1158,7 +1169,7 @@ int cmd_explain(const ArgParser& args) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
-  const obs::DecisionDoc doc = obs::parse_decision_log(content);
+  const obs::DecisionDoc doc = parse_log(&content, obs::parse_decision_log);
 
   // Last record wins, matching the attribution engine's join: a task
   // id appears once per run, but a merged or hand-edited log should
@@ -1261,7 +1272,7 @@ int cmd_explain(const ArgParser& args) {
       return rc;
   }
   if (!span_label.empty()) {
-    const obs::SpanDoc spans = obs::parse_span_log(span_content);
+    const obs::SpanDoc spans = parse_log(&span_content, obs::parse_span_log);
     obs::SpanDoc mine;
     mine.version = spans.version;
     for (const obs::SpanEvent& e : spans.events)
@@ -1314,7 +1325,7 @@ int cmd_attribution(const ArgParser& args) {
     return rc;
   }
   obs::AttributionReport report =
-      obs::attribute(obs::parse_decision_log(content));
+      obs::attribute(parse_log(&content, obs::parse_decision_log));
   const std::size_t shown = std::min(top, report.mispredict_order.size());
 
   if (args.has("json")) {
@@ -1434,7 +1445,7 @@ int cmd_breakdown(const ArgParser& args) {
     return rc;
   }
   obs::BreakdownReport report =
-      obs::breakdown(obs::parse_span_log(content), window_s);
+      obs::breakdown(parse_log(&content, obs::parse_span_log), window_s);
 
   if (args.has("json")) {
     std::ostream& os = std::cout;
@@ -1544,7 +1555,7 @@ int cmd_critical_path(const ArgParser& args) {
     return rc;
   }
   std::vector<obs::CriticalPathEntry> chain =
-      obs::critical_path(obs::parse_span_log(content));
+      obs::critical_path(parse_log(&content, obs::parse_span_log));
 
   if (args.has("json")) {
     std::ostream& os = std::cout;
