@@ -215,17 +215,21 @@ diff breakdown.json "$DATA/cli_breakdown_window600.json"
 "$TRACON" attribution --decisions decisions.jsonl --top 3 > attribution.txt
 diff attribution.txt "$DATA/cli_attribution_top3.txt"
 
-echo "== task events and the series keep their bytes =="
+echo "== the tracer's exports and the series keep their bytes =="
 for shape in flat:"" 2shards:"--threads 2 --shards 2"; do
   name=${shape%%:*}
   # shellcheck disable=SC2086
   "$TRACON" dynamic --machines 4 --lambda 6 --hours 0.5 \
       --snapshot-interval 601 ${shape#*:} --trace "events_$name.csv" \
       --events-jsonl "events_$name.jsonl" --series-out "series_$name.jsonl" \
+      --trace-out "trace_$name.json" --trace-jsonl "trace_$name.jsonl" \
       > "golden_$name.log"
   diff "events_$name.csv" "$DATA/task_events_$name.csv"
   diff "events_$name.jsonl" "$DATA/task_events_$name.jsonl"
   diff "series_$name.jsonl" "$DATA/series_$name.jsonl"
+  # The Chrome trace and the trace JSONL carry no build stamp: whole-file.
+  diff "trace_$name.json" "$DATA/trace_$name.json"
+  diff "trace_$name.jsonl" "$DATA/trace_$name.jsonl"
 done
 
 echo "== decision and span logs keep their bytes =="
