@@ -17,16 +17,6 @@ namespace tracon::obs {
 
 namespace {
 
-std::string header_line(const std::map<std::string, std::string>& fingerprint) {
-  JsonLineWriter stamp;
-  for (const auto& [key, value] : fingerprint) stamp.field(key, value);
-  return JsonLineWriter()
-      .field("schema", kDecisionLogSchema)
-      .field("version", kJsonlSchemaVersion)
-      .raw_field("fingerprint", stamp.str())
-      .str();
-}
-
 /// One of a record kind's doubles: its JSON key (with the separator
 /// before it) and its DecisionEvent field. DecisionLog::Record::value
 /// holds a kind's doubles in this order, which is also output order.
@@ -485,7 +475,7 @@ void DecisionLog::set_fingerprint(const std::string& key,
 
 void DecisionLog::write(std::ostream& os) const {
   JsonlBuffer out(os);
-  out.raw(header_line(fingerprint_)).end_line();
+  out.log_header(kDecisionLogSchema, fingerprint_).end_line();
   for_each([&](const Stream& s, const Record& r, std::size_t machine_base,
                std::uint64_t task_base) {
     s.write(out, r, machine_base, task_base);

@@ -1,14 +1,14 @@
 #include "obs/event_tracer.hpp"
 
-#include <ostream>
+#include <utility>
 
 #include "obs/jsonl.hpp"
-#include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/stamp_merge.hpp"
 
 namespace tracon::obs {
 
-std::string trace_event_kind_name(TraceEventKind kind) {
+std::string_view trace_event_kind_name(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kTaskArrival: return "sim.task.arrival";
     case TraceEventKind::kTaskDropped: return "sim.task.dropped";
@@ -25,30 +25,30 @@ std::string trace_event_kind_name(TraceEventKind kind) {
 
 namespace {
 
-/// pid 0 hosts the per-machine timelines; pid 1 the control plane
-/// (queue, scheduler, model) so Perfetto groups them separately.
-constexpr int kHostsPid = 0;
-constexpr int kControlPid = 1;
+/// Significant digits of the Chrome trace's and the trace JSONL's
+/// doubles ("%.10g"), and of the task-event CSV's times (a default
+/// std::ostream's "%g").
+constexpr int kTraceDigits = 10;
+constexpr int kCsvDigits = 6;
 
 bool machine_scoped(const TraceEvent& ev) {
   return ev.machine != TraceEvent::kNone;
 }
 
-void write_args_json(std::ostream& os, const TraceEvent& ev) {
-  os << "{";
-  bool first = true;
-  auto field = [&](const char* key, const std::string& value) {
-    os << (first ? "" : ", ") << "\"" << key << "\": " << value;
-    first = false;
-  };
-  if (ev.app != TraceEvent::kNone) field("app", std::to_string(ev.app));
-  if (ev.machine != TraceEvent::kNone) {
-    field("machine", std::to_string(ev.machine));
-  }
-  field("count", std::to_string(ev.count));
-  field("value", format_double(ev.value));
-  field("value2", format_double(ev.value2));
-  os << "}";
+/// The fields both JSON exports close an event with:
+/// `["app": A, ]["machine": M, ]"count": C, "value": V, "value2": W}`.
+void write_payload(JsonlBuffer& out, const TraceEvent& ev) {
+  if (ev.app != TraceEvent::kNone)
+    out.raw("\"app\": ").integer(ev.app).raw(", ");
+  if (machine_scoped(ev))
+    out.raw("\"machine\": ").integer(ev.machine).raw(", ");
+  out.raw("\"count\": ")
+      .integer(ev.count)
+      .raw(", \"value\": ")
+      .number(ev.value, kTraceDigits)
+      .raw(", \"value2\": ")
+      .number(ev.value2, kTraceDigits)
+      .raw("}");
 }
 
 /// The task-event log's name for a kTask* kind; nullptr for every kind
@@ -71,85 +71,138 @@ void require_complete(const EventTracer& tracer) {
 
 }  // namespace
 
+void EventTracer::append_part(EventTracer&& shard, std::size_t machine_base) {
+  TRACON_REQUIRE(events_.empty(),
+                 "a tracer takes its merge parts before recording");
+  TRACON_REQUIRE(shard.parts_.empty(),
+                 "a merge part must hold its own events only");
+  TRACON_REQUIRE(max_events_ == kNoCap, "a capped tracer takes no parts");
+  parts_.push_back({std::move(shard.events_), machine_base});
+}
+
+template <typename Visit>
+void EventTracer::for_each(Visit&& visit) const {
+  std::vector<std::size_t> sizes;
+  sizes.reserve(parts_.size());
+  for (const Part& p : parts_) sizes.push_back(p.events.size());
+  merge_by_stamp(
+      sizes,
+      [&](std::size_t p, std::size_t i) { return parts_[p].events[i].time_s; },
+      [&](std::size_t p, std::size_t i) {
+        TraceEvent ev = parts_[p].events[i];
+        if (machine_scoped(ev)) ev.machine += parts_[p].machine_base;
+        visit(ev);
+      });
+  for (const TraceEvent& ev : events_) visit(ev);
+}
+
+std::vector<TraceEvent> EventTracer::events() const {
+  std::size_t n = events_.size();
+  for (const Part& p : parts_) n += p.events.size();
+  std::vector<TraceEvent> out;
+  out.reserve(n);
+  for_each([&](const TraceEvent& ev) { out.push_back(ev); });
+  return out;
+}
+
 void EventTracer::write_chrome_json(std::ostream& os) const {
-  os << "{\"traceEvents\": [\n";
-  os << "  {\"ph\": \"M\", \"pid\": " << kHostsPid
-     << ", \"tid\": 0, \"name\": \"process_name\", "
-        "\"args\": {\"name\": \"hosts\"}},\n";
-  os << "  {\"ph\": \"M\", \"pid\": " << kControlPid
-     << ", \"tid\": 0, \"name\": \"process_name\", "
-        "\"args\": {\"name\": \"control\"}}";
-  for (const TraceEvent& ev : events_) {
-    os << ",\n  {";
-    if (ev.kind == TraceEventKind::kTaskCompleted &&
-        ev.machine != TraceEvent::kNone) {
+  // pid 0 hosts the per-machine timelines; pid 1 the control plane
+  // (queue, scheduler, model) so Perfetto groups them separately.
+  JsonlBuffer out(os);
+  out.raw("{\"traceEvents\": [\n"
+          "  {\"ph\": \"M\", \"pid\": 0, \"tid\": 0, "
+          "\"name\": \"process_name\", \"args\": {\"name\": \"hosts\"}},\n"
+          "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
+          "\"name\": \"process_name\", \"args\": {\"name\": \"control\"}}");
+  for_each([&](const TraceEvent& ev) {
+    out.raw(",").end_line();
+    if (ev.kind == TraceEventKind::kTaskCompleted && machine_scoped(ev)) {
       // The completed task becomes a duration slice covering its whole
       // residence on the machine (value = realized runtime in seconds).
-      double start_us = (ev.time_s - ev.value) * 1e6;
-      os << "\"ph\": \"X\", \"name\": \"app_" << ev.app << "\", "
-         << "\"cat\": \"task\", \"ts\": " << format_double(start_us)
-         << ", \"dur\": " << format_double(ev.value * 1e6)
-         << ", \"pid\": " << kHostsPid << ", \"tid\": " << ev.machine;
+      out.raw("  {\"ph\": \"X\", \"name\": \"app_")
+          .integer(ev.app)
+          .raw("\", \"cat\": \"task\", \"ts\": ")
+          .number((ev.time_s - ev.value) * 1e6, kTraceDigits)
+          .raw(", \"dur\": ")
+          .number(ev.value * 1e6, kTraceDigits)
+          .raw(", \"pid\": 0, \"tid\": ")
+          .integer(ev.machine);
     } else {
-      int pid = machine_scoped(ev) ? kHostsPid : kControlPid;
-      std::size_t tid = machine_scoped(ev) ? ev.machine : 0;
-      os << "\"ph\": \"i\", \"s\": \"t\", \"name\": \""
-         << trace_event_kind_name(ev.kind) << "\", \"cat\": \"sim\", "
-         << "\"ts\": " << format_double(ev.time_s * 1e6)
-         << ", \"pid\": " << pid << ", \"tid\": " << tid;
+      out.raw("  {\"ph\": \"i\", \"s\": \"t\", \"name\": \"")
+          .raw(trace_event_kind_name(ev.kind))
+          .raw("\", \"cat\": \"sim\", \"ts\": ")
+          .number(ev.time_s * 1e6, kTraceDigits)
+          .raw(machine_scoped(ev) ? ", \"pid\": 0, \"tid\": "
+                                  : ", \"pid\": 1, \"tid\": ")
+          .integer(machine_scoped(ev) ? ev.machine : 0);
     }
-    os << ", \"args\": ";
-    write_args_json(os, ev);
-    os << "}";
-  }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
+    out.raw(", \"args\": {");
+    write_payload(out, ev);
+    out.raw("}");
+  });
+  out.raw("\n], \"displayTimeUnit\": \"ms\"}").end_line();
+  out.flush();
 }
 
 void EventTracer::write_jsonl(std::ostream& os) const {
-  for (const TraceEvent& ev : events_) {
-    os << "{\"time_s\": " << format_double(ev.time_s) << ", \"kind\": \""
-       << trace_event_kind_name(ev.kind) << "\"";
-    if (ev.app != TraceEvent::kNone) os << ", \"app\": " << ev.app;
-    if (ev.machine != TraceEvent::kNone) {
-      os << ", \"machine\": " << ev.machine;
-    }
-    os << ", \"count\": " << ev.count
-       << ", \"value\": " << format_double(ev.value)
-       << ", \"value2\": " << format_double(ev.value2) << "}\n";
-  }
+  JsonlBuffer out(os);
+  for_each([&](const TraceEvent& ev) {
+    out.raw("{\"time_s\": ")
+        .number(ev.time_s, kTraceDigits)
+        .raw(", \"kind\": \"")
+        .raw(trace_event_kind_name(ev.kind))
+        .raw("\", ");
+    write_payload(out, ev);
+    out.end_line();
+  });
+  out.flush();
 }
 
 void EventTracer::write_task_events_csv(std::ostream& os) const {
   require_complete(*this);
-  os << "time_s,event,app,machine\n";
-  for (const TraceEvent& ev : events_) {
+  JsonlBuffer out(os);
+  out.raw("time_s,event,app,machine").end_line();
+  for_each([&](const TraceEvent& ev) {
     const char* name = task_event_name(ev.kind);
-    if (name == nullptr) continue;
-    os << ev.time_s << ',' << name << ',' << ev.app << ',';
-    if (ev.machine != TraceEvent::kNone) os << ev.machine;
-    os << '\n';
-  }
+    if (name == nullptr) return;
+    out.number(ev.time_s, kCsvDigits)
+        .raw(",")
+        .raw(name)
+        .raw(",")
+        .integer(ev.app)
+        .raw(",");
+    if (machine_scoped(ev)) out.integer(ev.machine);
+    out.end_line();
+  });
+  out.flush();
 }
 
 void EventTracer::write_task_events_jsonl(std::ostream& os) const {
   require_complete(*this);
   std::size_t count = 0;
-  for (const TraceEvent& ev : events_)
+  for_each([&](const TraceEvent& ev) {
     if (task_event_name(ev.kind) != nullptr) ++count;
-  os << JsonLineWriter()
-            .field("schema", "tracon.task_events")
-            .field("version", kJsonlSchemaVersion)
-            .field("events", count)
-            .str()
-     << '\n';
-  for (const TraceEvent& ev : events_) {
+  });
+  JsonlBuffer out(os);
+  out.raw("{\"schema\": \"tracon.task_events\", \"version\": ")
+      .integer(kJsonlSchemaVersion)
+      .raw(", \"events\": ")
+      .integer(count)
+      .raw("}")
+      .end_line();
+  for_each([&](const TraceEvent& ev) {
     const char* name = task_event_name(ev.kind);
-    if (name == nullptr) continue;
-    JsonLineWriter line;
-    line.field("time_s", ev.time_s).field("event", name).field("app", ev.app);
-    if (ev.machine != TraceEvent::kNone) line.field("machine", ev.machine);
-    os << line.str() << '\n';
-  }
+    if (name == nullptr) return;
+    out.raw("{\"time_s\": ")
+        .number(ev.time_s)
+        .raw(", \"event\": \"")
+        .raw(name)
+        .raw("\", \"app\": ")
+        .integer(ev.app);
+    if (machine_scoped(ev)) out.raw(", \"machine\": ").integer(ev.machine);
+    out.raw("}").end_line();
+  });
+  out.flush();
 }
 
 }  // namespace tracon::obs

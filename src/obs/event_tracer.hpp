@@ -13,12 +13,17 @@
 // with the same seed export byte-identical traces. The tracer is
 // disabled by default; a disabled tracer's record() is a branch and a
 // return, with zero allocations (tested in test_tracer.cpp).
+//
+// The sharded runner moves each shard's events into the caller's tracer
+// as a part (append_part), as it does the decision and span logs'
+// records; every writer merges the parts once, on (time, shard), through
+// util/stamp_merge.hpp, and formats through obs::JsonlBuffer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace tracon::obs {
@@ -37,7 +42,7 @@ enum class TraceEventKind : std::uint8_t {
 };
 
 /// Dotted snake_case event name ("sim.task.arrival", "sched.decision").
-std::string trace_event_kind_name(TraceEventKind kind);
+std::string_view trace_event_kind_name(TraceEventKind kind);
 
 struct TraceEvent {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -58,8 +63,8 @@ class EventTracer {
 
   /// Caps the number of recorded events; records past the cap are
   /// counted in dropped() instead of stored. Long instrumented runs
-  /// (e.g. the bench sidecar) use this to bound trace-file size.
-  /// Default: no cap.
+  /// (e.g. the bench sidecar) use this to bound trace-file size. A
+  /// capped tracer takes no merge parts. Default: no cap.
   void set_max_events(std::size_t n) { max_events_ = n; }
   std::size_t dropped() const { return dropped_; }
 
@@ -73,10 +78,20 @@ class EventTracer {
     events_.push_back(ev);
   }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  /// Moves `shard`'s events in as the next part of the merge that the
+  /// writers run: on (time, part) order, with the part's machine ids
+  /// shifted by `machine_base`. Parts go in shard order, each ordered by
+  /// time (checked in paranoid builds), before this tracer records
+  /// anything itself; what it records afterwards is written after the
+  /// merged parts.
+  void append_part(EventTracer&& shard, std::size_t machine_base);
+
+  /// Every event in write order, machine ids shifted.
+  std::vector<TraceEvent> events() const;
   std::size_t capacity() const { return events_.capacity(); }
   void clear() {
     events_.clear();
+    parts_.clear();
     dropped_ = 0;
   }
 
@@ -85,13 +100,15 @@ class EventTracer {
   /// control-plane events as "i" instants (pid 1).
   void write_chrome_json(std::ostream& os) const;
 
-  /// One JSON object per line, in record order.
+  /// One JSON object per line, in events() order.
   void write_jsonl(std::ostream& os) const;
 
-  /// The per-task event log: the kTask* events in record order, every
+  /// The per-task event log: the kTask* events in events() order, every
   /// other kind dropped, each named arrived/dropped/placed/completed.
   /// CSV with header `time_s,event,app,machine` (machine empty when the
-  /// event has none). Requires that no event was dropped at the cap.
+  /// event has none; time_s at 6 significant digits, as a default
+  /// std::ostream prints it). Requires that no event was dropped at the
+  /// cap.
   void write_task_events_csv(std::ostream& os) const;
 
   /// The same log as JSONL: a schema-version header line ({"schema":
@@ -102,10 +119,23 @@ class EventTracer {
   void write_task_events_jsonl(std::ostream& os) const;
 
  private:
+  struct Part {
+    std::vector<TraceEvent> events;
+    std::size_t machine_base = 0;
+  };
+
+  /// Calls visit(event) for every event, in write order, its machine id
+  /// shifted.
+  template <typename Visit>
+  void for_each(Visit&& visit) const;
+
+  static constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
+
   bool enabled_ = false;
-  std::size_t max_events_ = static_cast<std::size_t>(-1);
+  std::size_t max_events_ = kNoCap;
   std::size_t dropped_ = 0;
   std::vector<TraceEvent> events_;
+  std::vector<Part> parts_;
 };
 
 }  // namespace tracon::obs

@@ -11,9 +11,10 @@
 
 namespace tracon::obs {
 
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
+namespace {
+
+/// Appends `raw` to `out`, escaped for a JSON string literal.
+void append_escaped(std::string& out, std::string_view raw) {
   for (char c : raw) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -34,81 +35,79 @@ std::string json_escape(std::string_view raw) {
         }
     }
   }
+}
+
+/// format_number's `digits` for the shortest round-trip representation.
+constexpr int kShortest = 0;
+
+/// The one double formatter: general format at `digits` significant
+/// digits, or the shortest round-trip representation for kShortest.
+/// Returns the end of the text written from `buf`.
+char* format_number(char (&buf)[32], double value, int digits) {
+  // Shortest round trip: the parsed double is bit-identical to `value`,
+  // which is what lets a replayed trace reproduce its recording exactly
+  // (%.10g would quantize arrival times and fork the two simulations).
+  const std::to_chars_result result =
+      digits == kShortest
+          ? std::to_chars(buf, buf + sizeof(buf), value)
+          : std::to_chars(buf, buf + sizeof(buf), value,
+                          std::chars_format::general, digits);
+  return result.ptr;
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  append_escaped(out, raw);
   return out;
 }
 
 std::string json_number(double value) {
   char buf[32];
-  auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, result.ptr);
+  return std::string(buf, format_number(buf, value, kShortest));
 }
 
-void JsonLineWriter::key(std::string_view k) {
-  if (!first_) body_ += ", ";
-  first_ = false;
-  body_ += '"';
-  body_ += json_escape(k);
-  body_ += "\": ";
-}
-
-JsonLineWriter& JsonLineWriter::field(std::string_view k,
-                                      std::string_view value) {
-  key(k);
-  body_ += '"';
-  body_ += json_escape(value);
-  body_ += '"';
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::field(std::string_view k, const char* value) {
-  return field(k, std::string_view(value));
-}
-
-JsonLineWriter& JsonLineWriter::field(std::string_view k, double value) {
-  key(k);
-  // Shortest round-trip representation (std::to_chars default): the
-  // parsed double is bit-identical to `value`, which is what lets a
-  // replayed trace reproduce its recording exactly — %.10g would
-  // quantize arrival times and quietly fork the two simulations.
+std::string general_number(double value, int digits) {
   char buf[32];
-  auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  body_.append(buf, result.ptr);
-  return *this;
+  return std::string(buf, format_number(buf, value, digits));
 }
 
-JsonLineWriter& JsonLineWriter::field(std::string_view k,
-                                      std::uint64_t value) {
-  key(k);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::field(std::string_view k, int value) {
-  key(k);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::raw_field(std::string_view k,
-                                          std::string_view json) {
-  key(k);
-  body_ += json;
-  return *this;
-}
-
-std::string JsonLineWriter::str() const { return body_ + "}"; }
-
-// TRACON_ANALYZE_ALLOW(require-guard): any stream will do; its writer
-// checks the stream state once the log is written.
-JsonlBuffer::JsonlBuffer(std::ostream& os) : os_(os) {
+// TRACON_ANALYZE_ALLOW(require-guard): any stream and any block will do;
+// its writer checks the stream state once the file is written.
+JsonlBuffer::JsonlBuffer(std::ostream& os, std::size_t block)
+    : os_(os), block_(block) {
   // One block plus room for the line that crosses it.
-  text_.reserve(kBlockBytes + kBlockBytes / 8);
+  text_.reserve(block + block / 8);
+}
+
+JsonlBuffer& JsonlBuffer::string(std::string_view text) {
+  text_ += '"';
+  append_escaped(text_, text);
+  text_ += '"';
+  return *this;
+}
+
+JsonlBuffer& JsonlBuffer::string_map(
+    const std::map<std::string, std::string>& map) {
+  text_ += '{';
+  const char* sep = "";
+  for (const auto& [key, value] : map) {
+    raw(sep).string(key).raw(": ").string(value);
+    sep = ", ";
+  }
+  text_ += '}';
+  return *this;
 }
 
 JsonlBuffer& JsonlBuffer::number(double value) {
+  return number(value, kShortest);
+}
+
+JsonlBuffer& JsonlBuffer::number(double value, int digits) {
   char buf[32];
-  auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  text_.append(buf, result.ptr);
+  text_.append(buf, format_number(buf, value, digits));
   return *this;
 }
 
@@ -117,6 +116,18 @@ JsonlBuffer& JsonlBuffer::integer(std::uint64_t value) {
   auto result = std::to_chars(buf, buf + sizeof(buf), value);
   text_.append(buf, result.ptr);
   return *this;
+}
+
+JsonlBuffer& JsonlBuffer::log_header(
+    std::string_view schema,
+    const std::map<std::string, std::string>& fingerprint) {
+  return raw("{\"schema\": ")
+      .string(schema)
+      .raw(", \"version\": ")
+      .integer(kJsonlSchemaVersion)
+      .raw(", \"fingerprint\": ")
+      .string_map(fingerprint)
+      .raw("}");
 }
 
 void JsonlBuffer::flush() {

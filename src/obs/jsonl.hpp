@@ -1,7 +1,7 @@
-// Deterministic single-line JSON writing, the shared schema-version
-// header used by every JSONL file format in the tree (arrival traces,
-// task-event logs, the runstore index, the series, decision and span
-// logs), and the one loop and field readers every reader of them uses.
+// Deterministic JSONL writing, the shared schema-version header used by
+// every JSONL file format in the tree (arrival traces, task-event logs,
+// the runstore index, the series, decision and span logs), and the one
+// loop and field readers every reader of them uses.
 //
 // A JSONL file opens with one header object
 //   {"schema": "<format name>", "version": N, ...format fields}
@@ -9,10 +9,13 @@
 // document: it checks the header with require_schema() to reject
 // foreign or future files early, and names the line in every error.
 //
-// JsonLineWriter emits fields in insertion order and formats doubles as
-// their shortest round-trip representation (std::to_chars), so
-// same-input runs write byte-identical lines and parsing a written
-// value recovers it bit-exactly.
+// Every JSONL writer, and the tracer's Chrome trace and CSV, formats
+// through JsonlBuffer, fields in the order it appends them. JSONL
+// doubles go out as their shortest round-trip representation
+// (std::to_chars), so same-input runs write byte-identical lines and
+// parsing a written value recovers it bit-exactly; the tracer's exports
+// and format_double use the general format at a fixed precision
+// instead, as printf("%.*g") prints.
 #pragma once
 
 #include <cstddef>
@@ -37,59 +40,57 @@ inline constexpr int kJsonlSchemaVersion = 2;
 /// backslashes, control characters).
 std::string json_escape(std::string_view raw);
 
-/// Formats `value` exactly as JsonLineWriter::field(key, double) does:
-/// shortest round-trip std::to_chars. For building nested JSON arrays
-/// that must stay byte-compatible with the scalar field writer.
+/// Formats `value` exactly as JsonlBuffer::number(value) does: shortest
+/// round-trip std::to_chars.
 std::string json_number(double value);
 
-/// Builds one JSON object on a single line, fields in call order.
-class JsonLineWriter {
- public:
-  JsonLineWriter& field(std::string_view key, std::string_view value);
-  JsonLineWriter& field(std::string_view key, const char* value);
-  JsonLineWriter& field(std::string_view key, double value);
-  JsonLineWriter& field(std::string_view key, std::uint64_t value);
-  JsonLineWriter& field(std::string_view key, int value);
-  /// Pre-serialized JSON (nested object/array) inserted verbatim.
-  JsonLineWriter& raw_field(std::string_view key, std::string_view json);
-
-  /// The closed object, without a trailing newline.
-  std::string str() const;
-
- private:
-  void key(std::string_view k);
-  std::string body_ = "{";
-  bool first_ = true;
-};
+/// Formats `value` exactly as JsonlBuffer::number(value, digits) does:
+/// general format at `digits` (at least 1) significant digits, what
+/// printf("%.*g", digits, value) prints.
+std::string general_number(double value, int digits);
 
 /// Formats JSONL text into one reused buffer and hands it to a stream
-/// in blocks of about kBlockBytes: the decision and span logs append
-/// their records field by field, with no temporary string per field or
-/// per line. Numbers format exactly as JsonLineWriter's fields do.
+/// in blocks of about `block` bytes (kBlockBytes by default; 0 hands
+/// each line over as it ends). Writers append their records field by
+/// field, with no temporary string per field or per line.
 class JsonlBuffer {
  public:
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 
-  explicit JsonlBuffer(std::ostream& os);
+  explicit JsonlBuffer(std::ostream& os, std::size_t block = kBlockBytes);
 
-  /// Appends pre-formatted JSON text verbatim.
+  /// Appends pre-formatted text verbatim.
   JsonlBuffer& raw(std::string_view json) {
     text_.append(json);
     return *this;
   }
-  /// Shortest round-trip double, as JsonLineWriter::field(key, double).
+  /// A quoted, escaped JSON string.
+  JsonlBuffer& string(std::string_view text);
+  /// A one-line {"key": "value", ...} object, in map order.
+  JsonlBuffer& string_map(const std::map<std::string, std::string>& map);
+  /// Shortest round-trip double.
   JsonlBuffer& number(double value);
+  /// General format at `digits` significant digits, as
+  /// printf("%.*g", digits, value).
+  JsonlBuffer& number(double value, int digits);
   JsonlBuffer& integer(std::uint64_t value);
+  /// A log's header line: {"schema": `schema`, "version":
+  /// kJsonlSchemaVersion, "fingerprint": {...}}. The decision and span
+  /// logs open with it.
+  JsonlBuffer& log_header(
+      std::string_view schema,
+      const std::map<std::string, std::string>& fingerprint);
   /// Ends a line; writes the buffer out once it holds a block.
   void end_line() {
     text_ += '\n';
-    if (text_.size() >= kBlockBytes) flush();
+    if (text_.size() >= block_) flush();
   }
   /// Writes out whatever is buffered.
   void flush();
 
  private:
   std::ostream& os_;
+  std::size_t block_;
   std::string text_;
 };
 

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
@@ -46,11 +45,7 @@ std::string metric_path_component(std::string_view raw) {
   return out;
 }
 
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
+std::string format_double(double value) { return general_number(value, 10); }
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {

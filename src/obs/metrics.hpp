@@ -35,8 +35,9 @@ bool valid_metric_name(std::string_view name);
 /// be embedded in metric paths.
 std::string metric_path_component(std::string_view raw);
 
-/// Formats a double exactly like the JSON/CSV exporters do ("%.10g"),
-/// so callers composing files by hand stay byte-compatible.
+/// Formats a double exactly like the JSON/CSV exporters do ("%.10g",
+/// through general_number), so callers composing files by hand stay
+/// byte-compatible.
 std::string format_double(double value);
 
 /// Monotonically increasing event count.

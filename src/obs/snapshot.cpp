@@ -121,8 +121,10 @@ MetricsSeries parse_metrics_series(std::string_view text) {
         }
         for (const auto& [name, value] : accuracy->as_object()) {
           SeriesWindow::Accuracy& stats = window.accuracy[name];
-          stats.count = double_field(*value, "count", "accuracy entry");
-          stats.total = double_field(*value, "total", "accuracy entry");
+          stats.count = static_cast<double>(
+              count_field(*value, "count", "accuracy entry"));
+          stats.total = static_cast<double>(
+              count_field(*value, "total", "accuracy entry"));
           stats.mean_abs = double_field(*value, "mean_abs", "accuracy entry");
           stats.p50 = double_field(*value, "p50", "accuracy entry");
           stats.p90 = double_field(*value, "p90", "accuracy entry");
@@ -134,38 +136,56 @@ MetricsSeries parse_metrics_series(std::string_view text) {
 }
 
 void write_metrics_series(std::ostream& os, const MetricsSeries& series) {
-  os << JsonLineWriter()
-            .field("schema", kMetricsSeriesSchema)
-            .field("version", series.version)
-            .field("interval_s", series.interval_s)
-            .str()
-     << "\n";
+  JsonlBuffer out(os);
+  out.raw("{\"schema\": ")
+      .string(kMetricsSeriesSchema)
+      .raw(", \"version\": ")
+      .integer(static_cast<std::uint64_t>(series.version))
+      .raw(", \"interval_s\": ")
+      .number(series.interval_s)
+      .raw("}")
+      .end_line();
   for (const SeriesWindow& w : series.windows) {
-    JsonLineWriter counters;
-    for (const auto& [name, value] : w.counters)
-      counters.field(name, static_cast<std::uint64_t>(value));
-    JsonLineWriter gauges;
-    for (const auto& [name, value] : w.gauges) gauges.field(name, value);
-    JsonLineWriter accuracy;
-    for (const auto& [name, stats] : w.accuracy) {
-      JsonLineWriter entry;
-      entry.field("count", static_cast<std::uint64_t>(stats.count));
-      entry.field("total", static_cast<std::uint64_t>(stats.total));
-      entry.field("mean_abs", stats.mean_abs);
-      entry.field("p50", stats.p50);
-      entry.field("p90", stats.p90);
-      accuracy.raw_field(name, entry.str());
+    out.raw("{\"window\": ")
+        .integer(w.index)
+        .raw(", \"t_start\": ")
+        .number(w.t_start)
+        .raw(", \"t_end\": ")
+        .number(w.t_end)
+        .raw(", \"counters\": {");
+    const char* sep = "";
+    for (const auto& [name, delta] : w.counters) {
+      out.raw(sep).string(name).raw(": ").integer(
+          static_cast<std::uint64_t>(delta));
+      sep = ", ";
     }
-    os << JsonLineWriter()
-              .field("window", w.index)
-              .field("t_start", w.t_start)
-              .field("t_end", w.t_end)
-              .raw_field("counters", counters.str())
-              .raw_field("gauges", gauges.str())
-              .raw_field("accuracy", accuracy.str())
-              .str()
-       << "\n";
+    out.raw("}, \"gauges\": {");
+    sep = "";
+    for (const auto& [name, value] : w.gauges) {
+      out.raw(sep).string(name).raw(": ").number(value);
+      sep = ", ";
+    }
+    out.raw("}, \"accuracy\": {");
+    sep = "";
+    for (const auto& [name, a] : w.accuracy) {
+      out.raw(sep)
+          .string(name)
+          .raw(": {\"count\": ")
+          .integer(static_cast<std::uint64_t>(a.count))
+          .raw(", \"total\": ")
+          .integer(static_cast<std::uint64_t>(a.total))
+          .raw(", \"mean_abs\": ")
+          .number(a.mean_abs)
+          .raw(", \"p50\": ")
+          .number(a.p50)
+          .raw(", \"p90\": ")
+          .number(a.p90)
+          .raw("}");
+      sep = ", ";
+    }
+    out.raw("}}").end_line();
   }
+  out.flush();
 }
 
 std::string metrics_series_str(const MetricsSeries& series) {

@@ -12,7 +12,7 @@
 //
 // Determinism contract (DESIGN.md §6e): sample() is only ever called
 // with virtual-clock timestamps, metric maps iterate in name order, and
-// doubles are formatted by JsonLineWriter's shortest round-trip writer,
+// doubles are formatted by JsonlBuffer's shortest round-trip writer,
 // so two same-seed runs write byte-identical series files.
 #pragma once
 
@@ -91,9 +91,10 @@ class SnapshotSeries {
 /// Parses a series document as written by write_metrics_series, and
 /// enforces its structure: consecutive window indices from 0, windows
 /// that tile the clock from 0 and span at most one (positive)
-/// interval_s each, non-negative counter deltas, and accuracy counts no
-/// larger than their lifetime totals. Throws std::invalid_argument,
-/// naming the line, on a foreign schema or a record that breaks a rule.
+/// interval_s each, non-negative counter deltas, and integer accuracy
+/// counts no larger than their lifetime totals. Throws
+/// std::invalid_argument, naming the line, on a foreign schema or a
+/// record that breaks a rule.
 MetricsSeries parse_metrics_series(std::string_view text);
 
 /// Writes a series — sampled, merged across shards, or parsed — as

@@ -15,16 +15,6 @@ namespace tracon::obs {
 
 namespace {
 
-std::string header_line(const std::map<std::string, std::string>& fingerprint) {
-  JsonLineWriter stamp;
-  for (const auto& [key, value] : fingerprint) stamp.field(key, value);
-  return JsonLineWriter()
-      .field("schema", kSpanLogSchema)
-      .field("version", kJsonlSchemaVersion)
-      .raw_field("fingerprint", stamp.str())
-      .str();
-}
-
 const char* kind_name(SpanEvent::Kind kind) {
   switch (kind) {
     case SpanEvent::Kind::kQueued:
@@ -174,7 +164,7 @@ void SpanLog::set_fingerprint(const std::string& key,
 
 void SpanLog::write(std::ostream& os) const {
   JsonlBuffer out(os);
-  out.raw(header_line(fingerprint_)).end_line();
+  out.log_header(kSpanLogSchema, fingerprint_).end_line();
   std::vector<std::size_t> sizes;
   sizes.reserve(parts_.size());
   for (const Part& p : parts_) sizes.push_back(p.events.size());

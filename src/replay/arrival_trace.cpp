@@ -24,32 +24,44 @@ void validate_header(const ArrivalTraceHeader& h) {
 }  // namespace
 
 TraceWriter::TraceWriter(std::ostream& os, const ArrivalTraceHeader& header)
-    : os_(os) {
+    : out_(os, 0) {
   validate_header(header);
   TRACON_REQUIRE(os.good(), "arrival trace stream is not writable");
-  os_ << obs::JsonLineWriter()
-             .field("schema", kArrivalTraceSchema)
-             .field("version", header.version)
-             .field("seed", header.seed)
-             .field("host", header.host)
-             .field("model", header.model)
-             .field("mix", header.mix)
-             .field("lambda_per_min", header.lambda_per_min)
-             .field("duration_s", header.duration_s)
-             .field("machines", header.machines)
-             .field("queue_capacity", header.queue_capacity)
-             .field("num_apps", header.num_apps)
-             .str()
-      << '\n';
+  out_.raw("{\"schema\": ")
+      .string(kArrivalTraceSchema)
+      .raw(", \"version\": ")
+      .integer(static_cast<std::uint64_t>(header.version))
+      .raw(", \"seed\": ")
+      .integer(header.seed)
+      .raw(", \"host\": ")
+      .string(header.host)
+      .raw(", \"model\": ")
+      .string(header.model)
+      .raw(", \"mix\": ")
+      .string(header.mix)
+      .raw(", \"lambda_per_min\": ")
+      .number(header.lambda_per_min)
+      .raw(", \"duration_s\": ")
+      .number(header.duration_s)
+      .raw(", \"machines\": ")
+      .integer(header.machines)
+      .raw(", \"queue_capacity\": ")
+      .integer(header.queue_capacity)
+      .raw(", \"num_apps\": ")
+      .integer(header.num_apps)
+      .raw("}")
+      .end_line();
 }
 
 void TraceWriter::write(const TraceArrival& arrival) {
-  os_ << obs::JsonLineWriter()
-             .field("time_s", arrival.time_s)
-             .field("app", arrival.app)
-             .field("demand_s", arrival.demand_s)
-             .str()
-      << '\n';
+  out_.raw("{\"time_s\": ")
+      .number(arrival.time_s)
+      .raw(", \"app\": ")
+      .integer(arrival.app)
+      .raw(", \"demand_s\": ")
+      .number(arrival.demand_s)
+      .raw("}")
+      .end_line();
   ++written_;
 }
 

@@ -29,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/jsonl.hpp"
 #include "sim/arrival_source.hpp"
 
 namespace tracon::replay {
@@ -74,7 +75,9 @@ class TraceWriter {
   std::size_t written() const { return written_; }
 
  private:
-  std::ostream& os_;
+  /// Unbuffered (a block of 0): each record reaches the stream as it is
+  /// written.
+  obs::JsonlBuffer out_;
   std::size_t written_ = 0;
 };
 

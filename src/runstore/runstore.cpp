@@ -39,12 +39,12 @@ void write_file_atomic(const fs::path& path, const std::string& content) {
   fs::rename(tmp, path);
 }
 
-/// Appends `line` (plus newline) to `path` and fsyncs before returning,
-/// so a completed add_run survives power loss. If a previous crash left
-/// the file without a trailing newline (a half-written record), a
-/// newline is inserted first so the torn record stays confined to its
-/// own line instead of swallowing this append.
-void append_line_fsync(const fs::path& path, const std::string& line) {
+/// Appends `lines` (each ending in a newline) to `path` and fsyncs
+/// before returning, so a completed add_run survives power loss. If a
+/// previous crash left the file without a trailing newline (a
+/// half-written record), a newline is inserted first so the torn record
+/// stays confined to its own line instead of swallowing this append.
+void append_lines_fsync(const fs::path& path, const std::string& lines) {
   bool repair_newline = false;
   {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -60,28 +60,14 @@ void append_line_fsync(const fs::path& path, const std::string& line) {
     throw std::runtime_error("runstore: cannot append to '" + path.string() +
                              "'");
   }
-  std::string with_nl = (repair_newline ? "\n" : "") + line + "\n";
-  bool ok = std::fwrite(with_nl.data(), 1, with_nl.size(), f) ==
-                with_nl.size() &&
+  const std::string text = (repair_newline ? "\n" : "") + lines;
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
             std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
   ok = (std::fclose(f) == 0) && ok;
   if (!ok) {
     throw std::runtime_error("runstore: short append to '" + path.string() +
                              "'");
   }
-}
-
-std::string fingerprint_json(
-    const std::map<std::string, std::string>& fingerprint) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : fingerprint) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + obs::json_escape(key) + "\": \"" + obs::json_escape(value) +
-           "\"";
-  }
-  return out + "}";
 }
 
 }  // namespace
@@ -148,23 +134,31 @@ std::string RunStore::add_run_json(
   }
 
   const fs::path index = dir_ / "index.jsonl";
+  std::ostringstream lines;
+  obs::JsonlBuffer out(lines, 0);
   std::error_code ec;
   if (!fs::exists(index, ec) || fs::file_size(index, ec) == 0) {
-    append_line_fsync(index, obs::JsonLineWriter()
-                                 .field("schema", kRunIndexSchema)
-                                 .field("version", obs::kJsonlSchemaVersion)
-                                 .str());
+    out.raw("{\"schema\": ")
+        .string(kRunIndexSchema)
+        .raw(", \"version\": ")
+        .integer(obs::kJsonlSchemaVersion)
+        .raw("}")
+        .end_line();
   }
-  obs::JsonLineWriter record;
-  record.field("id", id)
-      .field("scheduler", scheduler)
-      .field("source", source)
-      .field("metrics", metrics_rel);
-  if (!series_rel.empty()) record.field("series", series_rel);
-  if (!decisions_rel.empty()) record.field("decisions", decisions_rel);
-  if (!spans_rel.empty()) record.field("spans", spans_rel);
-  record.raw_field("fingerprint", fingerprint_json(fingerprint));
-  append_line_fsync(index, record.str());
+  out.raw("{\"id\": ")
+      .string(id)
+      .raw(", \"scheduler\": ")
+      .string(scheduler)
+      .raw(", \"source\": ")
+      .string(source)
+      .raw(", \"metrics\": ")
+      .string(metrics_rel);
+  if (!series_rel.empty()) out.raw(", \"series\": ").string(series_rel);
+  if (!decisions_rel.empty())
+    out.raw(", \"decisions\": ").string(decisions_rel);
+  if (!spans_rel.empty()) out.raw(", \"spans\": ").string(spans_rel);
+  out.raw(", \"fingerprint\": ").string_map(fingerprint).raw("}").end_line();
+  append_lines_fsync(index, lines.str());
   return id;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/kvlog.hpp"
 #include "obs/scope_timer.hpp"
 #include "sched/decision_probe.hpp"
 #include "sched/mios.hpp"
@@ -136,11 +135,6 @@ std::vector<Placement> MibsScheduler::schedule(
              objective_ == Objective::kRuntime ? outcome.predicted_runtime
                                                : outcome.predicted_iops,
              ctx.now_s);
-  TRACON_KV_LOG(LogLevel::kDebug,
-                obs::KvLine("sched.mibs.batch")
-                    .kv("now_s", ctx.now_s)
-                    .kv("window", window)
-                    .kv("placed", outcome.placements.size()));
   return std::move(outcome.placements);
 }
 

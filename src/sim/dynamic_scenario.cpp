@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "obs/accuracy.hpp"
-#include "obs/kvlog.hpp"
 #include "obs/span_log.hpp"
 #include "sim/completion_heap.hpp"
 #include "sim/slot_registry.hpp"
@@ -759,13 +758,6 @@ DynamicOutcome run_dynamic(const PerfTable& table,
              (2.0 * static_cast<double>(cfg.machines) * span_s));
     m.gauge("sim.queue.mean_length").set(queue_len_integral / span_s);
   }
-  TRACON_KV_LOG(LogLevel::kInfo,
-                obs::KvLine("sim.dynamic.done")
-                    .kv("scheduler", scheduler.name())
-                    .kv("arrived", out.arrived)
-                    .kv("dropped", out.dropped)
-                    .kv("completed", out.completed)
-                    .kv("mean_wait_s", out.mean_wait_s));
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/stamp_merge.hpp"
 #include "util/summary.hpp"
 
 namespace tracon::sim {
@@ -333,30 +332,16 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     aggregate_gauges(cfg.telemetry->metrics, states, cfg.machines);
   }
 
-  // Each stream merges on (time, shard, record), re-indexed into the
-  // global machine and task-id space. Task ids are per-shard arrival
-  // indices, offset by the arrivals of the shards before (`arrived` is
-  // a function of the shard seed alone, so the offsets are
-  // thread-independent). The tracer merges here; the decision and span
-  // logs take each shard's log as a part and merge as they write.
-  if (tracer_on) {
-    std::vector<std::size_t> sizes;
-    for (const ShardState& s : states)
-      sizes.push_back(s.telemetry.tracer.events().size());
-    merge_by_stamp(
-        sizes,
-        [&](std::size_t p, std::size_t i) {
-          return states[p].telemetry.tracer.events()[i].time_s;
-        },
-        [&](std::size_t p, std::size_t i) {
-          obs::TraceEvent ev = states[p].telemetry.tracer.events()[i];
-          if (ev.machine != obs::TraceEvent::kNone)
-            ev.machine += states[p].base;
-          cfg.telemetry->tracer.record(ev);
-        });
-  }
+  // Each shard's tracer, decision log and span log move into the
+  // caller's as a part; each stream merges on (time, shard, record) as
+  // it is written, re-indexed into the global machine and task-id space.
+  // Task ids are per-shard arrival indices, offset by the arrivals of
+  // the shards before (`arrived` is a function of the shard seed alone,
+  // so the offsets are thread-independent).
   std::uint64_t task_base = 0;
   for (ShardState& s : states) {
+    if (tracer_on)
+      cfg.telemetry->tracer.append_part(std::move(s.telemetry.tracer), s.base);
     if (decisions_on)
       cfg.telemetry->decisions.append_part(std::move(s.telemetry.decisions),
                                            s.base, task_base);

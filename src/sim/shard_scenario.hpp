@@ -22,11 +22,10 @@
 // byte-identical metrics JSON, snapshot series, and task/trace event
 // files to `--threads 1` for the same seed. Each stream has one
 // per-shard recorder and one merge. The tracer (task events included),
-// the decision log and the span log go through one k-way merge on
-// (time, shard, record), util/stamp_merge.hpp: the tracer's into the
-// caller's tracer at the join, the logs' as they write, since each
-// shard's log moves into the caller's as a part. The series merges by
-// SeriesWindow value.
+// the decision log and the span log each move every shard's recorder
+// into the caller's as a part at the join, and go through one k-way
+// merge on (time, shard, record), util/stamp_merge.hpp, as they are
+// written. The series merges by SeriesWindow value.
 #pragma once
 
 #include <cstddef>

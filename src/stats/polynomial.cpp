@@ -52,8 +52,11 @@ Matrix PolyBasis::expand_rows(const Matrix& x) const {
 std::string PolyBasis::term_name(std::size_t t) const {
   std::vector<std::string> names;
   names.reserve(dim_);
-  for (std::size_t i = 0; i < dim_; ++i)
-    names.push_back("x" + std::to_string(i + 1));
+  for (std::size_t i = 0; i < dim_; ++i) {
+    // Appended, not "x" + ...: gcc 12's -Wrestrict misreads the prepend.
+    names.emplace_back("x");
+    names.back() += std::to_string(i + 1);
+  }
   return term_name(t, names);
 }
 

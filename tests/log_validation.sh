@@ -101,6 +101,9 @@ refuse series negative-delta 2 \
 refuse series count-over-total 2 \
     's/"count": [0-9]+, "total"/"count": 999999999, "total"/' \
     'count exceeds its lifetime total'
+refuse series count-not-integer 2 \
+    's/"count": [0-9]+, "total": [0-9]+/"count": 1.5, "total": 1e300/' \
+    'accuracy entry "count" is not a non-negative integer'
 
 echo "== each decision rule, broken once =="
 D=$DATA/decisions_flat.jsonl

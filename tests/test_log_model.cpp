@@ -1,14 +1,11 @@
-// Tests for the NLM-log extension model (degree-2 fit on log response)
-// and for the logging utility (both small enough to share a binary).
+// Tests for the NLM-log extension model (degree-2 fit on log response).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "model/evaluate.hpp"
 #include "model/factory.hpp"
 #include "model/nonlinear.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace tracon::model {
@@ -80,28 +77,3 @@ TEST(NlmLog, ZeroResponsesHandled) {
 
 }  // namespace
 }  // namespace tracon::model
-
-namespace tracon {
-namespace {
-
-TEST(Log, LevelGatingAndPrefix) {
-  LogLevel saved = Log::level();
-  Log::set_level(LogLevel::kWarn);
-  EXPECT_FALSE(Log::enabled(LogLevel::kDebug));
-  EXPECT_FALSE(Log::enabled(LogLevel::kInfo));
-  EXPECT_TRUE(Log::enabled(LogLevel::kWarn));
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  Log::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Log::enabled(LogLevel::kError));
-  Log::set_level(saved);
-}
-
-TEST(Log, MacroCompilesAndRespectsLevel) {
-  LogLevel saved = Log::level();
-  Log::set_level(LogLevel::kOff);
-  TRACON_WARN("this must not crash " << 42);
-  Log::set_level(saved);
-}
-
-}  // namespace
-}  // namespace tracon

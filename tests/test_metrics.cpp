@@ -3,20 +3,27 @@
 // export, and a JSON parse-back round trip through the obs JSON reader.
 #include "obs/metrics.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/accuracy.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using tracon::obs::AccuracyTracker;
+using tracon::obs::general_number;
 using tracon::obs::Histogram;
+using tracon::obs::JsonlBuffer;
 using tracon::obs::JsonValue;
 using tracon::obs::MetricsRegistry;
 using tracon::obs::metric_path_component;
@@ -322,6 +329,68 @@ TEST(Json, CountAndIndexFieldsTakeOnlyRepresentableIntegers) {
                  "metrics series record \"neg\" is not a non-negative "
                  "integer: -1");
   }
+}
+
+TEST(Jsonl, GeneralNumberPrintsWhatPrintfAndOstreamPrint) {
+  // format_double and the tracer's exports were printf("%.10g") and a
+  // default std::ostream ("%g") before they shared std::to_chars; no
+  // byte may move.
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.5, 0.1, 1e-5, 1e-4, 123456.0, 1234567.0,
+      9.9999999995, 99999.95, 999999.5, 1e16, 1.0 / 3.0, 5e-324,
+      2.2250738585072014e-308, 1.7976931348623157e308,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  tracon::Rng rng(7);
+  for (int i = 0; i < 4000; ++i) {
+    values.push_back(rng.normal(0.0, 1.0) *
+                     std::pow(10.0, static_cast<double>(
+                                        rng.uniform_int(-30, 30))));
+  }
+  for (double v : values) {
+    for (int digits : {6, 10, 17}) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+      EXPECT_EQ(general_number(v, digits), buf) << v;
+    }
+    std::ostringstream os;
+    os << v;
+    EXPECT_EQ(general_number(v, 6), os.str()) << v;
+    EXPECT_EQ(tracon::obs::format_double(v), general_number(v, 10)) << v;
+  }
+}
+
+TEST(Jsonl, BufferFormatsStringsMapsAndLogHeaders) {
+  std::ostringstream os;
+  JsonlBuffer out(os, 0);
+  out.string("a\"b\\c\n\x01").end_line();
+  // A block of 0 hands each line over as it ends.
+  EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\n\\u0001\"\n");
+  out.log_header("tracon.example", {{"seed", "7"}, {"build", "x\"y"}})
+      .end_line();
+  out.string_map({}).end_line();
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(parse_json(line).as_string(), "a\"b\\c\n\x01");
+  std::getline(lines, line);
+  EXPECT_EQ(line, "{\"schema\": \"tracon.example\", \"version\": " +
+                      std::to_string(tracon::obs::kJsonlSchemaVersion) +
+                      ", \"fingerprint\": {\"build\": \"x\\\"y\", "
+                      "\"seed\": \"7\"}}");
+  EXPECT_EQ(tracon::obs::require_schema(parse_json(line), "tracon.example"),
+            tracon::obs::kJsonlSchemaVersion);
+  std::getline(lines, line);
+  EXPECT_EQ(line, "{}");
+
+  // The default block holds its text until a block fills or flush().
+  std::ostringstream held_os;
+  JsonlBuffer held(held_os);
+  held.integer(7).raw(",").number(0.1).raw(",").number(0.1, 3).end_line();
+  EXPECT_EQ(held_os.str(), "");
+  held.flush();
+  EXPECT_EQ(held_os.str(), "7,0.1,0.1\n");
 }
 
 }  // namespace

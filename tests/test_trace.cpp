@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "sched/fifo.hpp"
@@ -159,10 +160,11 @@ TEST_F(TracedDynamic, TraceMatchesOutcomeCounts) {
   EXPECT_GE(count(trace, TraceEventKind::kTaskPlaced),
             count(trace, TraceEventKind::kTaskCompleted));
   // Events are time-ordered (the simulator emits them in event order).
-  for (std::size_t i = 1; i < trace.events().size(); ++i)
-    EXPECT_LE(trace.events()[i - 1].time_s, trace.events()[i].time_s);
+  const std::vector<TraceEvent> events = trace.events();
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_LE(events[i - 1].time_s, events[i].time_s);
   // Placements and completions carry machine ids within range.
-  for (const auto& e : trace.events()) {
+  for (const auto& e : events) {
     if (e.kind == TraceEventKind::kTaskPlaced ||
         e.kind == TraceEventKind::kTaskCompleted) {
       EXPECT_LT(e.machine, cfg.machines);

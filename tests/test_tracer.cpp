@@ -4,7 +4,10 @@
 #include "obs/event_tracer.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +163,84 @@ TEST(Tracer, ExportsAreDeterministic) {
     return chrome.str() + "\x01" + jsonl.str();
   };
   EXPECT_EQ(build(), build());
+}
+
+TEST(EventTracer, PartsMergeOnTimeThenShardWithMachinesShifted) {
+  // Shard 0 owns machines 0-2; shard 1 starts at machine 3. Both place
+  // at t=5 and complete at t=10, so equal stamps meet across shards, and
+  // shard 0's arrival and placement share a stamp within it.
+  const std::size_t none = TraceEvent::kNone;
+  EventTracer s0;
+  s0.set_enabled(true);
+  s0.record(make_event(5.0, TraceEventKind::kTaskArrival, 0, none));
+  s0.record(make_event(5.0, TraceEventKind::kTaskPlaced, 0, 1, 90.0));
+  s0.record(make_event(10.0, TraceEventKind::kTaskCompleted, 0, 1, 5.0));
+  EventTracer s1;
+  s1.set_enabled(true);
+  s1.record(make_event(5.0, TraceEventKind::kTaskPlaced, 2, 0, 80.0));
+  s1.record(make_event(7.0, TraceEventKind::kSchedDecision, none, none));
+  s1.record(make_event(10.0, TraceEventKind::kTaskCompleted, 2, 0, 5.0));
+
+  EventTracer merged;
+  merged.append_part(std::move(s0), 0);
+  merged.append_part(std::move(s1), 3);
+  // What the tracer records itself is written after the merged parts.
+  merged.set_enabled(true);
+  merged.record(make_event(1.0, TraceEventKind::kModelRetrain, none, none));
+
+  using Row = std::tuple<double, TraceEventKind, std::size_t>;
+  const std::vector<Row> expected = {
+      {5.0, TraceEventKind::kTaskArrival, none},
+      {5.0, TraceEventKind::kTaskPlaced, 1},
+      {5.0, TraceEventKind::kTaskPlaced, 3},
+      {7.0, TraceEventKind::kSchedDecision, none},
+      {10.0, TraceEventKind::kTaskCompleted, 1},
+      {10.0, TraceEventKind::kTaskCompleted, 3},
+      {1.0, TraceEventKind::kModelRetrain, none}};
+  const std::vector<TraceEvent> events = merged.events();
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i)
+    EXPECT_EQ(Row(events[i].time_s, events[i].kind, events[i].machine),
+              expected[i]);
+
+  // Every writer visits that stream.
+  std::ostringstream jsonl;
+  merged.write_jsonl(jsonl);
+  std::istringstream in(jsonl.str());
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line); ++n) {
+    ASSERT_LT(n, expected.size());
+    const auto& [time_s, kind, machine] = expected[n];
+    const JsonValue obj = parse_json(line);
+    EXPECT_DOUBLE_EQ(obj.find("time_s")->as_number(), time_s);
+    EXPECT_EQ(obj.find("kind")->as_string(), trace_event_kind_name(kind));
+    const JsonValue* m = obj.find("machine");
+    EXPECT_EQ(m == nullptr ? none : static_cast<std::size_t>(m->as_number()),
+              machine);
+  }
+  EXPECT_EQ(n, expected.size());
+  std::ostringstream csv;
+  merged.write_task_events_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "time_s,event,app,machine\n5,arrived,0,\n5,placed,0,1\n"
+            "5,placed,2,3\n10,completed,0,1\n10,completed,2,3\n");
+}
+
+TEST(EventTracer, PartsGoInBeforeRecordsAndOnlyIntoAnUncappedTracer) {
+  EventTracer recorded;
+  recorded.set_enabled(true);
+  recorded.record(make_event(0.0, TraceEventKind::kTaskArrival, 0, 0));
+  EXPECT_THROW(recorded.append_part(EventTracer(), 0), std::invalid_argument);
+
+  EventTracer nested;
+  nested.append_part(EventTracer(), 0);
+  EventTracer outer;
+  EXPECT_THROW(outer.append_part(std::move(nested), 0),
+               std::invalid_argument);
+
+  EventTracer capped;
+  capped.set_max_events(10);
+  EXPECT_THROW(capped.append_part(EventTracer(), 0), std::invalid_argument);
 }
 
 }  // namespace

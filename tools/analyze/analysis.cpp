@@ -63,7 +63,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"float-eq",
        "no ==/!= against floating-point literals outside src/stats",
        pass_float_eq},
-      {"iostream", "library code logs through util/log, not iostream",
+      {"iostream",
+       "library code never prints: results leave through its API and the "
+       "obs exporters, not iostream",
        pass_iostream},
       {"pragma-once", "headers open with #pragma once", pass_pragma_once},
       {"include-order",

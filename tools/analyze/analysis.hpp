@@ -36,7 +36,7 @@
 //                        emitter; src/obs/scope_timer is exempt.
 //   float-eq             no ==/!= against floating-point literals
 //                        outside src/stats.
-//   iostream             library code logs through util/log.
+//   iostream             library code never prints through iostream.
 //   pragma-once          every header opens with #pragma once.
 //   include-order        own header first, then <system>, then
 //                        "project", each block sorted.

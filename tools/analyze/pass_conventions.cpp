@@ -4,22 +4,23 @@
 //   float-eq       raw ==/!= against floating-point literals outside
 //                  src/stats (numeric kernels own their exact-zero
 //                  checks and test tolerances).
-//   iostream       library code logs through util/log, never iostream.
+//   iostream       library code never prints through iostream: results
+//                  leave through its API and the obs exporters.
 //   pragma-once    every header opens with #pragma once.
 //   include-order  a .cpp includes its own header first, then system
 //                  headers, then project headers, each block sorted.
 //   require-guard  out-of-line constructors taking arguments validate
 //                  them with TRACON_REQUIRE (or carry an allow tag).
-//   metric-name    metric/scope/log-event name literals passed to
+//   metric-name    metric/scope/event name literals passed to
 //                  counter()/gauge()/histogram()/scope()/
-//                  TRACON_PROF_SCOPE/KvLine/track_accuracy are dotted
+//                  TRACON_PROF_SCOPE/track_accuracy are dotted
 //                  snake_case paths ("sched.mios.decisions"), checked
 //                  by the same obs::valid_metric_name the registries
 //                  apply at run time.
 //   raw-thread     raw threading primitives (std::thread, std::async,
 //                  mutexes, condition variables, atomics, pthreads and
 //                  their headers) are quarantined to src/util/ (the
-//                  worker pool, the log level), src/sim/shard_* (the
+//                  worker pool), src/sim/shard_* (the
 //                  sharded runner), and src/obs/scope_timer (the
 //                  profiler's registration lock). Everything else in
 //                  src/ stays single-threaded per shard so same-seed
@@ -109,9 +110,6 @@ void pass_float_eq(const Project& project, Reporter& reporter) {
 
 void pass_iostream(const Project& project, Reporter& reporter) {
   for_each_src_file(project, [&](std::size_t f, const FileIndex& file) {
-    if (file.path == "src/util/log.cpp" || file.path == "src/util/log.hpp") {
-      return;
-    }
     const std::vector<Token>& toks = file.ts.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const bool header =
@@ -123,8 +121,8 @@ void pass_iostream(const Project& project, Reporter& reporter) {
            is_ident(toks[i + 2], "cin"));
       if (header || stream) {
         reporter.report(f, toks[i].line, "iostream",
-                        "library code must log through util/log, not "
-                        "iostream");
+                        "library code must not print through iostream; "
+                        "return results or export them through obs");
       }
     }
   });
@@ -247,8 +245,8 @@ void pass_require_guard(const Project& project, Reporter& reporter) {
 /// Registration sites take the name as a string-literal first argument.
 void pass_metric_name(const Project& project, Reporter& reporter) {
   static const std::set<std::string> kSites = {
-      "counter", "gauge",          "histogram",         "scope",
-      "KvLine",  "track_accuracy", "TRACON_PROF_SCOPE",
+      "counter", "gauge", "histogram", "scope", "track_accuracy",
+      "TRACON_PROF_SCOPE",
   };
   for_each_src_file(project, [&](std::size_t f, const FileIndex& file) {
     const std::vector<Token>& toks = file.ts.tokens;
