@@ -13,9 +13,9 @@
 // through JsonlBuffer, fields in the order it appends them. JSONL
 // doubles go out as their shortest round-trip representation
 // (std::to_chars), so same-input runs write byte-identical lines and
-// parsing a written value recovers it bit-exactly; the tracer's exports
-// and format_double use the general format at a fixed precision
-// instead, as printf("%.*g") prints.
+// parsing a written value recovers it bit-exactly; the Chrome trace,
+// the trace JSONL, the task-event CSV and format_double use the general
+// format at a fixed precision instead, as printf("%.*g") prints.
 #pragma once
 
 #include <cstddef>
