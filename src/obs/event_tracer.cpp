@@ -1,5 +1,6 @@
 #include "obs/event_tracer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/jsonl.hpp"
@@ -179,10 +180,16 @@ void EventTracer::write_task_events_csv(std::ostream& os) const {
 
 void EventTracer::write_task_events_jsonl(std::ostream& os) const {
   require_complete(*this);
-  std::size_t count = 0;
-  for_each([&](const TraceEvent& ev) {
-    if (task_event_name(ev.kind) != nullptr) ++count;
-  });
+  // A count does not depend on order: no merge.
+  const auto is_task = [](const TraceEvent& ev) {
+    return task_event_name(ev.kind) != nullptr;
+  };
+  std::size_t count = static_cast<std::size_t>(
+      std::count_if(events_.begin(), events_.end(), is_task));
+  for (const Part& p : parts_) {
+    count += static_cast<std::size_t>(
+        std::count_if(p.events.begin(), p.events.end(), is_task));
+  }
   JsonlBuffer out(os);
   out.raw("{\"schema\": \"tracon.task_events\", \"version\": ")
       .integer(kJsonlSchemaVersion)

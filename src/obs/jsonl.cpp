@@ -69,18 +69,14 @@ std::string json_number(double value) {
   return std::string(buf, format_number(buf, value, kShortest));
 }
 
-std::string general_number(double value, int digits) {
+std::string format_double(double value) {
   char buf[32];
-  return std::string(buf, format_number(buf, value, digits));
+  return std::string(buf, format_number(buf, value, 10));
 }
 
-// TRACON_ANALYZE_ALLOW(require-guard): any stream and any block will do;
-// its writer checks the stream state once the file is written.
-JsonlBuffer::JsonlBuffer(std::ostream& os, std::size_t block)
-    : os_(os), block_(block) {
-  // One block plus room for the line that crosses it.
-  text_.reserve(block + block / 8);
-}
+// TRACON_ANALYZE_ALLOW(require-guard): any stream will do; its writer
+// checks the stream state once the file is written.
+JsonlBuffer::JsonlBuffer(std::ostream& os) : os_(os) {}
 
 JsonlBuffer& JsonlBuffer::string(std::string_view text) {
   text_ += '"';

@@ -44,20 +44,20 @@ std::string json_escape(std::string_view raw);
 /// round-trip std::to_chars.
 std::string json_number(double value);
 
-/// Formats `value` exactly as JsonlBuffer::number(value, digits) does:
-/// general format at `digits` (at least 1) significant digits, what
-/// printf("%.*g", digits, value) prints.
-std::string general_number(double value, int digits);
+/// Formats `value` as the metrics exporters and the run report do:
+/// general format at 10 significant digits, what printf("%.10g")
+/// prints, so callers composing files by hand stay byte-compatible.
+std::string format_double(double value);
 
 /// Formats JSONL text into one reused buffer and hands it to a stream
-/// in blocks of about `block` bytes (kBlockBytes by default; 0 hands
-/// each line over as it ends). Writers append their records field by
-/// field, with no temporary string per field or per line.
+/// in blocks of about kBlockBytes, or at flush(). Writers append their
+/// records field by field, with no temporary string per field or per
+/// line.
 class JsonlBuffer {
  public:
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 
-  explicit JsonlBuffer(std::ostream& os, std::size_t block = kBlockBytes);
+  explicit JsonlBuffer(std::ostream& os);
 
   /// Appends pre-formatted text verbatim.
   JsonlBuffer& raw(std::string_view json) {
@@ -83,14 +83,13 @@ class JsonlBuffer {
   /// Ends a line; writes the buffer out once it holds a block.
   void end_line() {
     text_ += '\n';
-    if (text_.size() >= block_) flush();
+    if (text_.size() >= kBlockBytes) flush();
   }
   /// Writes out whatever is buffered.
   void flush();
 
  private:
   std::ostream& os_;
-  std::size_t block_;
   std::string text_;
 };
 

@@ -45,8 +45,6 @@ std::string metric_path_component(std::string_view raw) {
   return out;
 }
 
-std::string format_double(double value) { return general_number(value, 10); }
-
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {
   TRACON_REQUIRE(!bounds_.empty(), "histogram needs at least one bucket");

@@ -5,8 +5,8 @@
 //   - zero overhead when disabled: components hold a nullable
 //     obs::Telemetry* and skip every recording call on nullptr;
 //   - deterministic output: metrics are stored in name order and doubles
-//     are formatted with a fixed printf spec, so two runs with the same
-//     seed export byte-identical files;
+//     are formatted at a fixed precision (obs::format_double), so two
+//     runs with the same seed export byte-identical files;
 //   - single-threaded: the simulator is single-threaded, so handles are
 //     plain unsynchronized slots. A future sharded simulator swaps the
 //     registry behind obs::Telemetry for a sharded implementation with
@@ -34,11 +34,6 @@ bool valid_metric_name(std::string_view name);
 /// '_', so foreign identifiers (model kind names like "NLM-noDom0") can
 /// be embedded in metric paths.
 std::string metric_path_component(std::string_view raw);
-
-/// Formats a double exactly like the JSON/CSV exporters do ("%.10g",
-/// through general_number), so callers composing files by hand stay
-/// byte-compatible.
-std::string format_double(double value);
 
 /// Monotonically increasing event count.
 class Counter {

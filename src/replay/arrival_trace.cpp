@@ -24,7 +24,7 @@ void validate_header(const ArrivalTraceHeader& h) {
 }  // namespace
 
 TraceWriter::TraceWriter(std::ostream& os, const ArrivalTraceHeader& header)
-    : out_(os, 0) {
+    : out_(os) {
   validate_header(header);
   TRACON_REQUIRE(os.good(), "arrival trace stream is not writable");
   out_.raw("{\"schema\": ")
@@ -51,6 +51,7 @@ TraceWriter::TraceWriter(std::ostream& os, const ArrivalTraceHeader& header)
       .integer(header.num_apps)
       .raw("}")
       .end_line();
+  out_.flush();
 }
 
 void TraceWriter::write(const TraceArrival& arrival) {
@@ -62,6 +63,7 @@ void TraceWriter::write(const TraceArrival& arrival) {
       .number(arrival.demand_s)
       .raw("}")
       .end_line();
+  out_.flush();
   ++written_;
 }
 

@@ -75,7 +75,7 @@ class TraceWriter {
   std::size_t written() const { return written_; }
 
  private:
-  /// Unbuffered (a block of 0): each record reaches the stream as it is
+  /// Flushed after every line: each record reaches the stream as it is
   /// written.
   obs::JsonlBuffer out_;
   std::size_t written_ = 0;

@@ -8,7 +8,6 @@
 #include "obs/breakdown.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
-#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -238,58 +237,60 @@ void write_report_text(std::ostream& os, const RunReport& report) {
   }
 }
 
-namespace {
-
-void write_fingerprint_json(std::ostream& os,
-                            const std::map<std::string, std::string>& fp) {
-  os << "{";
-  bool first = true;
-  for (const auto& [key, value] : fp) {
-    os << (first ? "" : ", ") << "\"" << obs::json_escape(key) << "\": \""
-       << obs::json_escape(value) << "\"";
-    first = false;
-  }
-  os << "}";
-}
-
-}  // namespace
-
 void write_report_json(std::ostream& os, const RunReport& report) {
-  os << "{\n  \"a\": {\"label\": \"" << obs::json_escape(report.label_a)
-     << "\", \"fingerprint\": ";
-  write_fingerprint_json(os, report.fingerprint_a);
-  os << "},\n  \"b\": {\"label\": \"" << obs::json_escape(report.label_b)
-     << "\", \"fingerprint\": ";
-  write_fingerprint_json(os, report.fingerprint_b);
-  os << "},\n  \"sections\": [";
+  obs::JsonlBuffer out(os);
+  out.raw("{\n  \"a\": {\"label\": ")
+      .string(report.label_a)
+      .raw(", \"fingerprint\": ")
+      .string_map(report.fingerprint_a)
+      .raw("},\n  \"b\": {\"label\": ")
+      .string(report.label_b)
+      .raw(", \"fingerprint\": ")
+      .string_map(report.fingerprint_b)
+      .raw("},\n  \"sections\": [");
   bool first_section = true;
   for (const ReportSection& section : report.sections) {
-    os << (first_section ? "\n" : ",\n") << "    {\"title\": \""
-       << obs::json_escape(section.title) << "\", \"rows\": [";
+    out.raw(first_section ? "\n" : ",\n")
+        .raw("    {\"title\": ")
+        .string(section.title)
+        .raw(", \"rows\": [");
     first_section = false;
     bool first_row = true;
     for (const ReportRow& row : section.rows) {
-      os << (first_row ? "\n" : ",\n") << "      {\"name\": \""
-         << obs::json_escape(row.name) << "\", \"a\": "
-         << obs::format_double(row.a) << ", \"b\": "
-         << obs::format_double(row.b) << ", \"delta\": "
-         << obs::format_double(row.delta()) << "}";
+      out.raw(first_row ? "\n" : ",\n")
+          .raw("      {\"name\": ")
+          .string(row.name)
+          .raw(", \"a\": ")
+          .raw(obs::format_double(row.a))
+          .raw(", \"b\": ")
+          .raw(obs::format_double(row.b))
+          .raw(", \"delta\": ")
+          .raw(obs::format_double(row.delta()))
+          .raw("}");
       first_row = false;
     }
-    os << (first_row ? "" : "\n    ") << "]}";
+    out.raw(first_row ? "" : "\n    ").raw("]}");
   }
-  os << (first_section ? "" : "\n  ") << "],\n  \"series\": {\"windows\": "
-     << report.series_windows << ", \"rows\": [";
+  out.raw(first_section ? "" : "\n  ")
+      .raw("],\n  \"series\": {\"windows\": ")
+      .integer(report.series_windows)
+      .raw(", \"rows\": [");
   bool first_series = true;
   for (const SeriesRow& row : report.series) {
-    os << (first_series ? "\n" : ",\n") << "    {\"name\": \""
-       << obs::json_escape(row.name) << "\", \"mean_div\": "
-       << obs::format_double(row.mean_div) << ", \"max_div\": "
-       << obs::format_double(row.max_div) << ", \"at_t_end\": "
-       << obs::format_double(row.max_div_t) << "}";
+    out.raw(first_series ? "\n" : ",\n")
+        .raw("    {\"name\": ")
+        .string(row.name)
+        .raw(", \"mean_div\": ")
+        .raw(obs::format_double(row.mean_div))
+        .raw(", \"max_div\": ")
+        .raw(obs::format_double(row.max_div))
+        .raw(", \"at_t_end\": ")
+        .raw(obs::format_double(row.max_div_t))
+        .raw("}");
     first_series = false;
   }
-  os << (first_series ? "" : "\n  ") << "]}\n}\n";
+  out.raw(first_series ? "" : "\n  ").raw("]}\n}").end_line();
+  out.flush();
 }
 
 }  // namespace tracon::runstore

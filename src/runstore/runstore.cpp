@@ -135,7 +135,7 @@ std::string RunStore::add_run_json(
 
   const fs::path index = dir_ / "index.jsonl";
   std::ostringstream lines;
-  obs::JsonlBuffer out(lines, 0);
+  obs::JsonlBuffer out(lines);
   std::error_code ec;
   if (!fs::exists(index, ec) || fs::file_size(index, ec) == 0) {
     out.raw("{\"schema\": ")
@@ -158,6 +158,7 @@ std::string RunStore::add_run_json(
     out.raw(", \"decisions\": ").string(decisions_rel);
   if (!spans_rel.empty()) out.raw(", \"spans\": ").string(spans_rel);
   out.raw(", \"fingerprint\": ").string_map(fingerprint).raw("}").end_line();
+  out.flush();
   append_lines_fsync(index, lines.str());
   return id;
 }
