@@ -439,32 +439,22 @@ std::size_t DecisionLog::size() const {
   return n;
 }
 
-template <typename Visit>
-void DecisionLog::for_each(Visit&& visit) const {
-  std::vector<std::size_t> sizes;
-  sizes.reserve(parts_.size());
-  for (const Part& p : parts_) sizes.push_back(p.stream.records.size());
+std::vector<DecisionEvent> DecisionLog::events() const {
+  std::vector<DecisionEvent> out;
+  out.reserve(size());
+  std::vector<PartRange> whole;
+  for (const Part& p : parts_) whole.push_back({0, p.stream.records.size()});
   merge_by_stamp(
-      sizes,
+      whole,
       [&](std::size_t p, std::size_t i) {
         return parts_[p].stream.records[i].time_s;
       },
       [&](std::size_t p, std::size_t i) {
         const Part& part = parts_[p];
-        visit(part.stream, part.stream.records[i], part.machine_base,
-              part.task_base);
+        out.push_back(part.stream.event(part.stream.records[i],
+                                        part.machine_base, part.task_base));
       });
-  for (const Record& r : own_.records)
-    visit(own_, r, std::size_t{0}, std::uint64_t{0});
-}
-
-std::vector<DecisionEvent> DecisionLog::events() const {
-  std::vector<DecisionEvent> out;
-  out.reserve(size());
-  for_each([&](const Stream& s, const Record& r, std::size_t machine_base,
-               std::uint64_t task_base) {
-    out.push_back(s.event(r, machine_base, task_base));
-  });
+  for (const Record& r : own_.records) out.push_back(own_.event(r, 0, 0));
   return out;
 }
 
@@ -473,14 +463,26 @@ void DecisionLog::set_fingerprint(const std::string& key,
   fingerprint_[key] = value;
 }
 
-void DecisionLog::write(std::ostream& os) const {
-  JsonlBuffer out(os);
-  out.log_header(kDecisionLogSchema, fingerprint_).end_line();
-  for_each([&](const Stream& s, const Record& r, std::size_t machine_base,
-               std::uint64_t task_base) {
-    s.write(out, r, machine_base, task_base);
-  });
-  out.flush();
+void DecisionLog::write(std::ostream& os, std::size_t threads) const {
+  JsonlBuffer header(os);
+  header.log_header(kDecisionLogSchema, fingerprint_).end_line();
+  header.flush();
+  std::vector<std::size_t> sizes;
+  for (const Part& p : parts_) sizes.push_back(p.stream.records.size());
+  write_merged(
+      os, threads, sizes, own_.records.size(),
+      [&](std::size_t p, std::size_t i) {
+        return parts_[p].stream.records[i].time_s;
+      },
+      [&](JsonlBuffer& out, std::size_t p, std::size_t i) {
+        if (p == parts_.size()) {
+          own_.write(out, own_.records[i], 0, 0);
+          return;
+        }
+        const Part& part = parts_[p];
+        part.stream.write(out, part.stream.records[i], part.machine_base,
+                          part.task_base);
+      });
 }
 
 std::string DecisionLog::str() const {

@@ -32,11 +32,14 @@
 // virtual clock only, doubles go through the shortest round-trip
 // writer, and the sharded runner moves each shard's log into the
 // caller's as a part carrying its machine and task id offsets. write()
-// runs one k-way merge over the parts on (time, shard), re-indexing
-// ids as it formats: the order a concatenation stable-sorted on time
-// gives, so `--threads N` writes byte-identical logs to `--threads 1`.
-// Recording is gated on enabled(): when off, every record call returns
-// immediately and no simulation output changes by a byte.
+// merges the parts on (time, shard), re-indexing ids as it formats: the
+// order a concatenation stable-sorted on time gives. It cuts that order
+// into stamp windows and formats them on the run's worker pool
+// (obs::write_merged), writing them in window order; a record's text
+// depends on that record alone, so `--threads N` writes byte-identical
+// logs to `--threads 1`. Recording is gated on enabled(): when off,
+// every record call returns immediately and no simulation output
+// changes by a byte.
 #pragma once
 
 #include <array>
@@ -173,8 +176,9 @@ class DecisionLog {
   void set_fingerprint(const std::string& key, const std::string& value);
 
   /// Header line, then the merged parts, then this log's own records
-  /// in record order.
-  void write(std::ostream& os) const;
+  /// in record order, formatted on up to `threads` workers
+  /// (obs::write_merged); the bytes do not depend on `threads`.
+  void write(std::ostream& os, std::size_t threads = 1) const;
   std::string str() const;
 
  private:
@@ -237,11 +241,6 @@ class DecisionLog {
     std::size_t machine_base = 0;
     std::uint64_t task_base = 0;
   };
-
-  /// Calls visit(stream, record, machine_base, task_base) for every
-  /// record, in write() order.
-  template <typename Visit>
-  void for_each(Visit&& visit) const;
 
   bool enabled_ = false;
   Stream own_;

@@ -81,41 +81,57 @@ void EventTracer::append_part(EventTracer&& shard, std::size_t machine_base) {
   parts_.push_back({std::move(shard.events_), machine_base});
 }
 
-template <typename Visit>
-void EventTracer::for_each(Visit&& visit) const {
+TraceEvent EventTracer::event(std::size_t part, std::size_t i) const {
+  if (part == parts_.size()) return events_[i];
+  TraceEvent ev = parts_[part].events[i];
+  if (machine_scoped(ev)) ev.machine += parts_[part].machine_base;
+  return ev;
+}
+
+template <typename Format>
+void EventTracer::write_events(std::ostream& os, std::size_t threads,
+                               Format&& format) const {
   std::vector<std::size_t> sizes;
-  sizes.reserve(parts_.size());
   for (const Part& p : parts_) sizes.push_back(p.events.size());
-  merge_by_stamp(
-      sizes,
+  write_merged(
+      os, threads, sizes, events_.size(),
       [&](std::size_t p, std::size_t i) { return parts_[p].events[i].time_s; },
-      [&](std::size_t p, std::size_t i) {
-        TraceEvent ev = parts_[p].events[i];
-        if (machine_scoped(ev)) ev.machine += parts_[p].machine_base;
-        visit(ev);
+      [&](JsonlBuffer& out, std::size_t p, std::size_t i) {
+        format(out, event(p, i));
       });
-  for (const TraceEvent& ev : events_) visit(ev);
 }
 
 std::vector<TraceEvent> EventTracer::events() const {
+  std::vector<PartRange> whole;
   std::size_t n = events_.size();
-  for (const Part& p : parts_) n += p.events.size();
+  for (const Part& p : parts_) {
+    whole.push_back({0, p.events.size()});
+    n += p.events.size();
+  }
   std::vector<TraceEvent> out;
   out.reserve(n);
-  for_each([&](const TraceEvent& ev) { out.push_back(ev); });
+  merge_by_stamp(
+      whole,
+      [&](std::size_t p, std::size_t i) { return parts_[p].events[i].time_s; },
+      [&](std::size_t p, std::size_t i) { out.push_back(event(p, i)); });
+  out.insert(out.end(), events_.begin(), events_.end());
   return out;
 }
 
-void EventTracer::write_chrome_json(std::ostream& os) const {
+void EventTracer::write_chrome_json(std::ostream& os,
+                                    std::size_t threads) const {
   // pid 0 hosts the per-machine timelines; pid 1 the control plane
   // (queue, scheduler, model) so Perfetto groups them separately.
-  JsonlBuffer out(os);
-  out.raw("{\"traceEvents\": [\n"
-          "  {\"ph\": \"M\", \"pid\": 0, \"tid\": 0, "
-          "\"name\": \"process_name\", \"args\": {\"name\": \"hosts\"}},\n"
-          "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-          "\"name\": \"process_name\", \"args\": {\"name\": \"control\"}}");
-  for_each([&](const TraceEvent& ev) {
+  JsonlBuffer header(os);
+  header.raw("{\"traceEvents\": [\n"
+             "  {\"ph\": \"M\", \"pid\": 0, \"tid\": 0, "
+             "\"name\": \"process_name\", \"args\": {\"name\": \"hosts\"}},\n"
+             "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
+             "\"name\": \"process_name\", \"args\": {\"name\": \"control\"}}");
+  header.flush();
+  // Each event opens with the separator that ends the line before it,
+  // so its text does not depend on its position.
+  write_events(os, threads, [](JsonlBuffer& out, const TraceEvent& ev) {
     out.raw(",").end_line();
     if (ev.kind == TraceEventKind::kTaskCompleted && machine_scoped(ev)) {
       // The completed task becomes a duration slice covering its whole
@@ -141,13 +157,13 @@ void EventTracer::write_chrome_json(std::ostream& os) const {
     write_payload(out, ev);
     out.raw("}");
   });
-  out.raw("\n], \"displayTimeUnit\": \"ms\"}").end_line();
-  out.flush();
+  JsonlBuffer footer(os);
+  footer.raw("\n], \"displayTimeUnit\": \"ms\"}").end_line();
+  footer.flush();
 }
 
-void EventTracer::write_jsonl(std::ostream& os) const {
-  JsonlBuffer out(os);
-  for_each([&](const TraceEvent& ev) {
+void EventTracer::write_jsonl(std::ostream& os, std::size_t threads) const {
+  write_events(os, threads, [](JsonlBuffer& out, const TraceEvent& ev) {
     out.raw("{\"time_s\": ")
         .number(ev.time_s, kTraceDigits)
         .raw(", \"kind\": \"")
@@ -156,14 +172,15 @@ void EventTracer::write_jsonl(std::ostream& os) const {
     write_payload(out, ev);
     out.end_line();
   });
-  out.flush();
 }
 
-void EventTracer::write_task_events_csv(std::ostream& os) const {
+void EventTracer::write_task_events_csv(std::ostream& os,
+                                        std::size_t threads) const {
   require_complete(*this);
-  JsonlBuffer out(os);
-  out.raw("time_s,event,app,machine").end_line();
-  for_each([&](const TraceEvent& ev) {
+  JsonlBuffer header(os);
+  header.raw("time_s,event,app,machine").end_line();
+  header.flush();
+  write_events(os, threads, [](JsonlBuffer& out, const TraceEvent& ev) {
     const char* name = task_event_name(ev.kind);
     if (name == nullptr) return;
     out.number(ev.time_s, kCsvDigits)
@@ -175,10 +192,10 @@ void EventTracer::write_task_events_csv(std::ostream& os) const {
     if (machine_scoped(ev)) out.integer(ev.machine);
     out.end_line();
   });
-  out.flush();
 }
 
-void EventTracer::write_task_events_jsonl(std::ostream& os) const {
+void EventTracer::write_task_events_jsonl(std::ostream& os,
+                                          std::size_t threads) const {
   require_complete(*this);
   // A count does not depend on order: no merge.
   const auto is_task = [](const TraceEvent& ev) {
@@ -190,14 +207,15 @@ void EventTracer::write_task_events_jsonl(std::ostream& os) const {
     count += static_cast<std::size_t>(
         std::count_if(p.events.begin(), p.events.end(), is_task));
   }
-  JsonlBuffer out(os);
-  out.raw("{\"schema\": \"tracon.task_events\", \"version\": ")
+  JsonlBuffer header(os);
+  header.raw("{\"schema\": \"tracon.task_events\", \"version\": ")
       .integer(kJsonlSchemaVersion)
       .raw(", \"events\": ")
       .integer(count)
       .raw("}")
       .end_line();
-  for_each([&](const TraceEvent& ev) {
+  header.flush();
+  write_events(os, threads, [](JsonlBuffer& out, const TraceEvent& ev) {
     const char* name = task_event_name(ev.kind);
     if (name == nullptr) return;
     out.raw("{\"time_s\": ")
@@ -209,7 +227,6 @@ void EventTracer::write_task_events_jsonl(std::ostream& os) const {
     if (machine_scoped(ev)) out.raw(", \"machine\": ").integer(ev.machine);
     out.raw("}").end_line();
   });
-  out.flush();
 }
 
 }  // namespace tracon::obs

@@ -16,8 +16,13 @@
 //
 // The sharded runner moves each shard's events into the caller's tracer
 // as a part (append_part), as it does the decision and span logs'
-// records; every writer merges the parts once, on (time, shard), through
-// util/stamp_merge.hpp, and formats through obs::JsonlBuffer.
+// records; every writer merges the parts once, on (time, shard), in
+// stamp windows (util/stamp_merge.hpp) that the run's worker pool
+// formats through obs::JsonlBuffer and obs::write_merged writes in
+// window order. An event's text depends on that event alone (the Chrome
+// trace's ",\n" separator opens each event; the header and footer are
+// written around the events), so the bytes do not depend on the worker
+// count.
 #pragma once
 
 #include <cstddef>
@@ -95,13 +100,16 @@ class EventTracer {
     dropped_ = 0;
   }
 
+  // Each writer formats its events on up to `threads` workers
+  // (obs::write_merged); the bytes do not depend on `threads`.
+
   /// Chrome trace_event format: {"traceEvents": [...]}. Task lifetimes
   /// export as "X" duration slices (pid 0 = hosts, tid = machine);
   /// control-plane events as "i" instants (pid 1).
-  void write_chrome_json(std::ostream& os) const;
+  void write_chrome_json(std::ostream& os, std::size_t threads = 1) const;
 
   /// One JSON object per line, in events() order.
-  void write_jsonl(std::ostream& os) const;
+  void write_jsonl(std::ostream& os, std::size_t threads = 1) const;
 
   /// The per-task event log: the kTask* events in events() order, every
   /// other kind dropped, each named arrived/dropped/placed/completed.
@@ -109,14 +117,15 @@ class EventTracer {
   /// event has none; time_s at 6 significant digits, as a default
   /// std::ostream prints it). Requires that no event was dropped at the
   /// cap.
-  void write_task_events_csv(std::ostream& os) const;
+  void write_task_events_csv(std::ostream& os, std::size_t threads = 1) const;
 
   /// The same log as JSONL: a schema-version header line ({"schema":
   /// "tracon.task_events", "version": N, "events": count} — the header
   /// shape of the replay arrival-trace format) followed by one
   /// {"time_s", "event", "app"[, "machine"]} object per line. Requires
   /// that no event was dropped at the cap.
-  void write_task_events_jsonl(std::ostream& os) const;
+  void write_task_events_jsonl(std::ostream& os,
+                               std::size_t threads = 1) const;
 
  private:
   struct Part {
@@ -124,10 +133,14 @@ class EventTracer {
     std::size_t machine_base = 0;
   };
 
-  /// Calls visit(event) for every event, in write order, its machine id
-  /// shifted.
-  template <typename Visit>
-  void for_each(Visit&& visit) const;
+  /// Part `part`'s event `i`, its machine id shifted; part ==
+  /// parts_.size() names this tracer's own event `i`.
+  TraceEvent event(std::size_t part, std::size_t i) const;
+
+  /// Writes every event, in events() order, through format(out, event).
+  template <typename Format>
+  void write_events(std::ostream& os, std::size_t threads,
+                    Format&& format) const;
 
   static constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
 

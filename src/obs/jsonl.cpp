@@ -6,8 +6,12 @@
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/stamp_merge.hpp"
 
 namespace tracon::obs {
 
@@ -76,7 +80,13 @@ std::string format_double(double value) {
 
 // TRACON_ANALYZE_ALLOW(require-guard): any stream will do; its writer
 // checks the stream state once the file is written.
-JsonlBuffer::JsonlBuffer(std::ostream& os) : os_(os) {}
+JsonlBuffer::JsonlBuffer(std::ostream& os) : os_(&os) {}
+
+// TRACON_ANALYZE_ALLOW(require-guard): any string will do; its text is
+// cleared and only its capacity reused.
+JsonlBuffer::JsonlBuffer(std::string storage) : text_(std::move(storage)) {
+  text_.clear();
+}
 
 JsonlBuffer& JsonlBuffer::string(std::string_view text) {
   text_ += '"';
@@ -127,8 +137,55 @@ JsonlBuffer& JsonlBuffer::log_header(
 }
 
 void JsonlBuffer::flush() {
-  os_.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+  TRACON_REQUIRE(os_ != nullptr, "a JsonlBuffer without a stream has "
+                                 "nothing to flush to");
+  os_->write(text_.data(), static_cast<std::streamsize>(text_.size()));
   text_.clear();
+}
+
+void write_merged(
+    std::ostream& os, std::size_t threads,
+    const std::vector<std::size_t>& sizes, std::size_t own,
+    const std::function<double(std::size_t, std::size_t)>& stamp,
+    const std::function<void(JsonlBuffer&, std::size_t, std::size_t)>&
+        format) {
+  const std::vector<double> cuts =
+      stamp_cuts(sizes, stamp, kMergedChunkRecords);
+  const bool any_part = std::any_of(sizes.begin(), sizes.end(),
+                                    [](std::size_t n) { return n > 0; });
+  const std::size_t windows = any_part ? cuts.size() + 1 : 0;
+  const std::size_t chunks =
+      windows + (own + kMergedChunkRecords - 1) / kMergedChunkRecords;
+  // More formatters than cores would only take turns on them.
+  const std::size_t workers =
+      std::clamp<std::size_t>(threads, 1, hardware_threads());
+  // Chunk c's text lives in slots[c % in_flight] from the moment its
+  // worker hands it over until the caller has written it. Each worker
+  // formats into a buffer of its own, so no two workers append to
+  // neighbouring string headers.
+  const std::size_t in_flight = 2 * workers;
+  std::vector<std::string> slots(in_flight);
+  parallel_ordered(
+      workers, chunks, in_flight,
+      [&](std::size_t c) {
+        JsonlBuffer out(std::move(slots[c % in_flight]));
+        if (c < windows) {
+          merge_by_stamp(stamp_window(sizes, stamp, cuts, c), stamp,
+                         [&](std::size_t p, std::size_t i) {
+                           format(out, p, i);
+                         });
+        } else {
+          const std::size_t begin = (c - windows) * kMergedChunkRecords;
+          const std::size_t end = std::min(own, begin + kMergedChunkRecords);
+          for (std::size_t i = begin; i < end; ++i)
+            format(out, sizes.size(), i);
+        }
+        slots[c % in_flight] = out.take();
+      },
+      [&](std::size_t c) {
+        const std::string& text = slots[c % in_flight];
+        os.write(text.data(), static_cast<std::streamsize>(text.size()));
+      });
 }
 
 int require_schema(const JsonValue& header, std::string_view schema) {
@@ -171,11 +228,15 @@ double double_field(const JsonValue& obj, std::string_view key,
       .as_number();
 }
 
+bool is_count(double x) {
+  // 2^64 is the first double out of range; NaN fails every comparison.
+  return x >= 0.0 && x < 18446744073709551616.0 && x == std::floor(x);
+}
+
 std::uint64_t count_field(const JsonValue& obj, std::string_view key,
                           std::string_view what) {
   const double x = double_field(obj, key, what);
-  // 2^64 is the first double out of range; NaN fails every comparison.
-  if (!(x >= 0.0 && x < 18446744073709551616.0 && x == std::floor(x))) {
+  if (!is_count(x)) {
     throw std::invalid_argument(std::string(what) + " \"" + std::string(key) +
                                 "\" is not a non-negative integer: " +
                                 json_number(x));

@@ -16,6 +16,14 @@
 // parsing a written value recovers it bit-exactly; the Chrome trace,
 // the trace JSONL, the task-event CSV and format_double use the general
 // format at a fixed precision instead, as printf("%.*g") prints.
+//
+// The merged logs (the decision and span logs and the tracer's four
+// exports) write their records through write_merged: stamp windows of
+// the merge parts (util/stamp_merge.hpp) and index chunks of the
+// part-less records, each formatted on the worker pool into a buffer
+// that worker owns, and written to the stream strictly in chunk order
+// (util/parallel.hpp's parallel_ordered). A record's text depends on
+// that record alone, so the bytes do not depend on the worker count.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +34,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace tracon::obs {
 
@@ -50,14 +60,17 @@ std::string json_number(double value);
 std::string format_double(double value);
 
 /// Formats JSONL text into one reused buffer and hands it to a stream
-/// in blocks of about kBlockBytes, or at flush(). Writers append their
-/// records field by field, with no temporary string per field or per
-/// line.
+/// in blocks of about kBlockBytes, or at flush(); a buffer without a
+/// stream holds its text until take(). Writers append their records
+/// field by field, with no temporary string per field or per line.
 class JsonlBuffer {
  public:
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 
   explicit JsonlBuffer(std::ostream& os);
+  /// A buffer without a stream, formatting into `storage` (cleared;
+  /// its capacity is reused).
+  explicit JsonlBuffer(std::string storage);
 
   /// Appends pre-formatted text verbatim.
   JsonlBuffer& raw(std::string_view json) {
@@ -80,24 +93,59 @@ class JsonlBuffer {
   JsonlBuffer& log_header(
       std::string_view schema,
       const std::map<std::string, std::string>& fingerprint);
-  /// Ends a line; writes the buffer out once it holds a block.
+  /// Ends a line; writes the buffer out once it holds a block, when it
+  /// has a stream.
   void end_line() {
     text_ += '\n';
-    if (text_.size() >= kBlockBytes) flush();
+    if (os_ != nullptr && text_.size() >= kBlockBytes) flush();
   }
-  /// Writes out whatever is buffered.
+  /// Writes out whatever is buffered; needs a stream.
   void flush();
+  /// Hands over the text formatted so far, leaving the buffer empty.
+  std::string take() {
+    std::string text = std::move(text_);
+    text_.clear();
+    return text;
+  }
 
  private:
-  std::ostream& os_;
+  std::ostream* os_ = nullptr;
   std::string text_;
 };
+
+/// Records per chunk of write_merged: the stamp-window target, and the
+/// part-less records' chunk length.
+inline constexpr std::size_t kMergedChunkRecords = 1024;
+
+/// Writes a merged log's records to `os`: the records of parts of
+/// `sizes[p]` records each in (stamp, part, record) order, as
+/// merge_by_stamp visits them, then `own` part-less records in index
+/// order. `stamp(p, i)` is part p's record i's stamp, non-decreasing in
+/// i (checked in paranoid builds); `format(out, p, i)` appends that
+/// record's whole text to `out`, with p == sizes.size() naming
+/// part-less record i. The records are formatted in chunks on up to
+/// `threads` workers (at most one per hardware thread), at most two
+/// chunks per worker formatted and not yet written, so format may only
+/// read shared state, and its text must depend on the record alone.
+/// The bytes written do not depend on `threads`; a log of one chunk
+/// (about kMergedChunkRecords records) is formatted on the caller, with
+/// no thread started.
+void write_merged(
+    std::ostream& os, std::size_t threads,
+    const std::vector<std::size_t>& sizes, std::size_t own,
+    const std::function<double(std::size_t, std::size_t)>& stamp,
+    const std::function<void(JsonlBuffer&, std::size_t, std::size_t)>&
+        format);
 
 /// Validates a parsed JSONL header line: it must be an object whose
 /// "schema" equals `schema` and whose integer "version" is at most
 /// kJsonlSchemaVersion. Returns the version; throws
 /// std::invalid_argument otherwise.
 int require_schema(const JsonValue& header, std::string_view schema);
+
+/// True when `x` is a count: a finite, integral, non-negative number
+/// that std::uint64_t holds.
+bool is_count(double x);
 
 /// Reads member `key` of `obj` as a count: a finite, integral, non-negative
 /// number that std::uint64_t holds. Every reader converts parsed numbers

@@ -66,8 +66,8 @@ namespace {
 /// clock from 0 (each starts where the previous one ended, and ends
 /// after it starts), none spans more than one interval (up to rounding;
 /// the last may be shorter, at the horizon), counter deltas are
-/// non-negative and no accuracy window holds more samples than its
-/// lifetime total.
+/// non-negative integers and no accuracy window holds more samples than
+/// its lifetime total.
 void check_window(const MetricsSeries& series, const SeriesWindow& w) {
   auto fail = [&](const std::string& what) {
     throw std::invalid_argument("window " + std::to_string(w.index) + " " +
@@ -88,6 +88,11 @@ void check_window(const MetricsSeries& series, const SeriesWindow& w) {
   }
   for (const auto& [name, delta] : w.counters) {
     if (delta < 0.0) fail("counter \"" + name + "\" has a negative delta");
+    // A delta counts events, as the writer's integers do.
+    if (!is_count(delta)) {
+      fail("counter \"" + name + "\" is not a non-negative integer: " +
+           json_number(delta));
+    }
   }
   for (const auto& [name, stats] : w.accuracy) {
     if (stats.count > stats.total) {

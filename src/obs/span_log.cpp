@@ -9,7 +9,6 @@
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
 #include "util/error.hpp"
-#include "util/stamp_merge.hpp"
 
 namespace tracon::obs {
 
@@ -29,47 +28,6 @@ const char* kind_name(SpanEvent::Kind kind) {
       return "completed";
   }
   return "unknown";
-}
-
-/// Formats one span, its machine and task ids shifted into the merged
-/// id space.
-void write_span(JsonlBuffer& out, const SpanEvent& e,
-                std::size_t machine_base, std::uint64_t task_base) {
-  out.raw("{\"kind\": \"")
-      .raw(kind_name(e.kind))
-      .raw("\", \"task\": ")
-      .integer(e.task + task_base);
-  if (e.kind == SpanEvent::Kind::kCompleted) {
-    out.raw(", \"t\": ").number(e.t0_s);
-  } else {
-    out.raw(", \"t0\": ").number(e.t0_s).raw(", \"t1\": ").number(e.t1_s);
-  }
-  out.raw(", \"app\": ").integer(e.app);
-  if (e.kind != SpanEvent::Kind::kQueued) {
-    out.raw(", \"machine\": ")
-        .integer(e.machine == SpanEvent::kNoMachine ? e.machine
-                                                   : e.machine + machine_base);
-  }
-  if (e.kind == SpanEvent::Kind::kRunning ||
-      e.kind == SpanEvent::Kind::kMigrationCopy) {
-    // An empty machine is spelled as the string "empty" so a span's
-    // co-runner column is never confused with app class 0 (mirrors the
-    // decision log's convention).
-    out.raw(", \"neighbour\": ");
-    if (e.neighbour.has_value()) {
-      out.integer(*e.neighbour);
-    } else {
-      out.raw("\"empty\"");
-    }
-    out.raw(", \"factor\": ").number(e.factor);
-  }
-  if (e.kind == SpanEvent::Kind::kMigrationCopy) {
-    out.raw(", \"copy_factor\": ").number(e.copy_factor);
-  }
-  if (e.kind == SpanEvent::Kind::kCompleted) {
-    out.raw(", \"solo_runtime_s\": ").number(e.solo_runtime_s);
-  }
-  out.raw("}").end_line();
 }
 
 /// Reads one span and checks its speeds: a running or migration_copy
@@ -124,36 +82,60 @@ SpanEvent parse_event(const JsonValue& obj) {
 
 }  // namespace
 
+SpanLog::Record SpanLog::flatten(const SpanEvent& e) {
+  auto id = [](std::size_t value, const char* what) {
+    TRACON_REQUIRE(value < Record::kNone, what);
+    return static_cast<std::uint32_t>(value);
+  };
+  Record r;
+  r.kind = e.kind;
+  r.t0_s = e.t0_s;
+  r.t1_s = e.t1_s;
+  r.task = e.task;
+  r.value = e.kind == SpanEvent::Kind::kCompleted ? e.solo_runtime_s
+                                                  : e.factor;
+  r.copy_factor = e.copy_factor;
+  r.app = id(e.app, "a span log app class must fit in 32 bits");
+  if (e.machine != SpanEvent::kNoMachine)
+    r.machine = id(e.machine, "a span log machine id must fit in 32 bits");
+  if (e.neighbour.has_value())
+    r.neighbour =
+        id(*e.neighbour, "a span log co-runner class must fit in 32 bits");
+  return r;
+}
+
 void SpanLog::record(const SpanEvent& event) {
   if (!enabled_) return;
   TRACON_REQUIRE(event.t1_s >= event.t0_s, "span must not run backwards");
   if (event.kind != SpanEvent::Kind::kCompleted && event.t1_s <= event.t0_s) {
     return;  // zero-length segment carries no time
   }
-  events_.push_back(event);
+  records_.push_back(flatten(event));
 }
 
-void SpanLog::append(const SpanEvent& event) { events_.push_back(event); }
+void SpanLog::append(const SpanEvent& event) {
+  records_.push_back(flatten(event));
+}
 
 void SpanLog::sort_by_start() {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
+  std::stable_sort(records_.begin(), records_.end(),
+                   [](const Record& a, const Record& b) {
                      return a.t0_s < b.t0_s;
                    });
 }
 
 void SpanLog::append_part(SpanLog&& shard, std::size_t machine_base,
                           std::uint64_t task_base) {
-  TRACON_REQUIRE(events_.empty(),
+  TRACON_REQUIRE(records_.empty(),
                  "a span log takes its merge parts before recording");
   TRACON_REQUIRE(shard.parts_.empty(),
                  "a merge part must hold its own spans only");
-  parts_.push_back({std::move(shard.events_), machine_base, task_base});
+  parts_.push_back({std::move(shard.records_), machine_base, task_base});
 }
 
 std::size_t SpanLog::size() const {
-  std::size_t n = events_.size();
-  for (const Part& p : parts_) n += p.events.size();
+  std::size_t n = records_.size();
+  for (const Part& p : parts_) n += p.records.size();
   return n;
 }
 
@@ -162,21 +144,64 @@ void SpanLog::set_fingerprint(const std::string& key,
   fingerprint_[key] = value;
 }
 
-void SpanLog::write(std::ostream& os) const {
-  JsonlBuffer out(os);
-  out.log_header(kSpanLogSchema, fingerprint_).end_line();
+void SpanLog::write_record(JsonlBuffer& out, const Record& r,
+                           std::size_t machine_base,
+                           std::uint64_t task_base) {
+  out.raw("{\"kind\": \"")
+      .raw(kind_name(r.kind))
+      .raw("\", \"task\": ")
+      .integer(r.task + task_base);
+  if (r.kind == SpanEvent::Kind::kCompleted) {
+    out.raw(", \"t\": ").number(r.t0_s);
+  } else {
+    out.raw(", \"t0\": ").number(r.t0_s).raw(", \"t1\": ").number(r.t1_s);
+  }
+  out.raw(", \"app\": ").integer(r.app);
+  if (r.kind != SpanEvent::Kind::kQueued) {
+    out.raw(", \"machine\": ")
+        .integer(r.machine == Record::kNone ? SpanEvent::kNoMachine
+                                            : r.machine + machine_base);
+  }
+  if (r.kind == SpanEvent::Kind::kRunning ||
+      r.kind == SpanEvent::Kind::kMigrationCopy) {
+    // An empty machine is spelled as the string "empty" so a span's
+    // co-runner column is never confused with app class 0 (mirrors the
+    // decision log's convention).
+    out.raw(", \"neighbour\": ");
+    if (r.neighbour == Record::kNone) {
+      out.raw("\"empty\"");
+    } else {
+      out.integer(r.neighbour);
+    }
+    out.raw(", \"factor\": ").number(r.value);
+  }
+  if (r.kind == SpanEvent::Kind::kMigrationCopy) {
+    out.raw(", \"copy_factor\": ").number(r.copy_factor);
+  }
+  if (r.kind == SpanEvent::Kind::kCompleted) {
+    out.raw(", \"solo_runtime_s\": ").number(r.value);
+  }
+  out.raw("}").end_line();
+}
+
+void SpanLog::write(std::ostream& os, std::size_t threads) const {
+  JsonlBuffer header(os);
+  header.log_header(kSpanLogSchema, fingerprint_).end_line();
+  header.flush();
   std::vector<std::size_t> sizes;
-  sizes.reserve(parts_.size());
-  for (const Part& p : parts_) sizes.push_back(p.events.size());
-  merge_by_stamp(
-      sizes,
-      [&](std::size_t p, std::size_t i) { return parts_[p].events[i].t0_s; },
-      [&](std::size_t p, std::size_t i) {
+  for (const Part& p : parts_) sizes.push_back(p.records.size());
+  write_merged(
+      os, threads, sizes, records_.size(),
+      [&](std::size_t p, std::size_t i) { return parts_[p].records[i].t0_s; },
+      [&](JsonlBuffer& out, std::size_t p, std::size_t i) {
+        if (p == parts_.size()) {
+          write_record(out, records_[i], 0, 0);
+          return;
+        }
         const Part& part = parts_[p];
-        write_span(out, part.events[i], part.machine_base, part.task_base);
+        write_record(out, part.records[i], part.machine_base,
+                     part.task_base);
       });
-  for (const SpanEvent& e : events_) write_span(out, e, 0, 0);
-  out.flush();
 }
 
 std::string SpanLog::str() const {

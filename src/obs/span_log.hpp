@@ -35,18 +35,24 @@
 // equals complete - enqueue up to floating-point rounding
 // (obs::breakdown enforces 1e-9 per completed task).
 //
+// Storage: every span is one flat SpanLog::Record of 56 bytes (the
+// 88-byte SpanEvent stays the type spans are recorded and parsed as):
+// narrow ids, and one double carrying the factor or the solo runtime.
+//
 // Determinism contract (DESIGN.md §6i): timestamps come from the
 // virtual clock only, doubles go through the shortest round-trip
 // writer, and the sharded runner moves each shard's log into the
 // caller's as a part carrying its machine and task id offsets, after
 // stable-sorting it on span start on the shard's own worker (spans are
-// recorded as they close). write() runs one k-way merge over the parts
-// on (start, shard), re-indexing ids as it formats: the order a
-// concatenation stable-sorted on start gives, so `--threads N` writes
-// byte-identical logs to `--threads 1`. A log without parts (a 1-shard
-// run) writes its spans in record order. Recording is gated on
-// enabled(): when off, every record call returns immediately and no
-// simulation output changes by a byte.
+// recorded as they close). write() merges the parts on (start, shard),
+// re-indexing ids as it formats: the order a concatenation
+// stable-sorted on start gives. It cuts that order into stamp windows
+// and formats them on the run's worker pool (obs::write_merged),
+// writing them in window order; a span's text depends on that span
+// alone, so `--threads N` writes byte-identical logs to `--threads 1`.
+// A log without parts (a 1-shard run) writes its spans in record order.
+// Recording is gated on enabled(): when off, every record call returns
+// immediately and no simulation output changes by a byte.
 #pragma once
 
 #include <cstddef>
@@ -60,13 +66,15 @@
 
 namespace tracon::obs {
 
+class JsonlBuffer;
+
 inline constexpr std::string_view kSpanLogSchema = "tracon.spans";
 
 /// One contiguous segment of a task's lifecycle. Zero-length segments
 /// (t1 == t0) are suppressed at record time except the `completed`
 /// marker, which is zero-length by definition (t0 == t1 == completion).
 struct SpanEvent {
-  enum class Kind {
+  enum class Kind : std::uint8_t {
     kQueued,
     kRunning,
     kMigrationFreeze,
@@ -137,19 +145,45 @@ class SpanLog {
   void set_fingerprint(const std::string& key, const std::string& value);
 
   /// Header line, then the merged parts, then this log's own spans in
-  /// record order.
-  void write(std::ostream& os) const;
+  /// record order, formatted on up to `threads` workers
+  /// (obs::write_merged); the bytes do not depend on `threads`.
+  void write(std::ostream& os, std::size_t threads = 1) const;
   std::string str() const;
 
  private:
+  /// One span, as written. Fields narrower than SpanEvent's are
+  /// range-checked on the way in; kNone marks no machine or an empty
+  /// co-runner.
+  struct Record {
+    static constexpr std::uint32_t kNone = 0xffffffffU;
+
+    double t0_s = 0.0;
+    double t1_s = 0.0;
+    std::uint64_t task = 0;
+    /// `factor` on running and migration_copy spans, `solo_runtime_s`
+    /// on the completed marker.
+    double value = 0.0;
+    double copy_factor = 1.0;
+    std::uint32_t app = 0;
+    std::uint32_t machine = kNone;
+    std::uint32_t neighbour = kNone;
+    SpanEvent::Kind kind = SpanEvent::Kind::kQueued;
+  };
+
   struct Part {
-    std::vector<SpanEvent> events;
+    std::vector<Record> records;
     std::size_t machine_base = 0;
     std::uint64_t task_base = 0;
   };
 
+  static Record flatten(const SpanEvent& event);
+  /// Formats one span, its machine and task ids shifted into the
+  /// merged id space.
+  static void write_record(JsonlBuffer& out, const Record& r,
+                           std::size_t machine_base, std::uint64_t task_base);
+
   bool enabled_ = false;
-  std::vector<SpanEvent> events_;
+  std::vector<Record> records_;
   std::vector<Part> parts_;
   std::map<std::string, std::string> fingerprint_;
 };

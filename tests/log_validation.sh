@@ -98,6 +98,9 @@ refuse series longer-than-interval 2 's/"t_end": [0-9.e+]+/"t_end": 700/' \
 refuse series negative-delta 2 \
     's/"sim.tasks.arrived": ([0-9]+)/"sim.tasks.arrived": -\1/' \
     'has a negative delta'
+refuse series counter-not-integer 2 \
+    's/"sim.tasks.arrived": [0-9]+/"sim.tasks.arrived": 1.5/' \
+    'counter "sim.tasks.arrived" is not a non-negative integer'
 refuse series count-over-total 2 \
     's/"count": [0-9]+, "total"/"count": 999999999, "total"/' \
     'count exceeds its lifetime total'

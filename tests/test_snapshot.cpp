@@ -155,6 +155,9 @@ TEST(SnapshotSeriesTest, ParserRejectsForeignOrMalformedDocuments) {
   expect_refused(h + window("0", "0", "0"), "does not end after it starts");
   expect_refused(h + window("0", "0", "11"), "spans more than interval_s");
   expect_refused(h + window("0", "0", "10", "-1"), "has a negative delta");
+  for (const char* delta : {"1.5", "1e300"})
+    expect_refused(h + window("0", "0", "10", delta),
+                   "counter \"sim.tasks\" is not a non-negative integer");
   expect_refused(h + window("0", "0", "10", "1", "3"),
                  "count exceeds its lifetime total");
 }

@@ -696,28 +696,33 @@ bool write_exports(const ArgParser& args, const Run& run,
     return true;
   };
   const obs::Telemetry& tel = run.tel;
+  // The merged logs format on the run's worker pool.
+  const std::size_t threads = o.threads_used;
   bool io_ok = write_file("metrics-out", "metrics JSON", [&](std::ostream& f) {
     tel.metrics.write_json(f);
   });
   io_ok &= write_file("metrics-csv", "metrics CSV",
                       [&](std::ostream& f) { tel.metrics.write_csv(f); });
   io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
-    tel.tracer.write_chrome_json(f);
+    tel.tracer.write_chrome_json(f, threads);
   });
-  io_ok &= write_file("trace-jsonl", "JSONL trace",
-                      [&](std::ostream& f) { tel.tracer.write_jsonl(f); });
+  io_ok &= write_file("trace-jsonl", "JSONL trace", [&](std::ostream& f) {
+    tel.tracer.write_jsonl(f, threads);
+  });
   io_ok &= write_file("series-out", "metrics series",
                       [&](std::ostream& f) { f << o.series; });
-  io_ok &= write_file("decisions-out", "decision log",
-                      [&](std::ostream& f) { tel.decisions.write(f); });
-  io_ok &= write_file("spans-out", "span log",
-                      [&](std::ostream& f) { tel.spans.write(f); });
+  io_ok &= write_file("decisions-out", "decision log", [&](std::ostream& f) {
+    tel.decisions.write(f, threads);
+  });
+  io_ok &= write_file("spans-out", "span log", [&](std::ostream& f) {
+    tel.spans.write(f, threads);
+  });
   if (!run.store)
     io_ok &= write_file("trace", "task-event CSV", [&](std::ostream& f) {
-      tel.tracer.write_task_events_csv(f);
+      tel.tracer.write_task_events_csv(f, threads);
     });
   io_ok &= write_file("events-jsonl", "task-event JSONL", [&](std::ostream& f) {
-    tel.tracer.write_task_events_jsonl(f);
+    tel.tracer.write_task_events_jsonl(f, threads);
   });
   return io_ok;
 }
