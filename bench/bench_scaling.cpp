@@ -21,7 +21,8 @@
 //
 // When TRACON_BENCH_OUT names a directory, a machine-readable summary
 // is written to $TRACON_BENCH_OUT/BENCH_scaling.json (CI consumes it;
-// bench/run_all.sh exports the variable).
+// bench/run_all.sh exports the variable). Its "host" block stamps the
+// rows with the cores, compiler, build type and commit they came from.
 #include <chrono>
 #include <ostream>
 #include <streambuf>
@@ -234,7 +235,8 @@ PlacementMicro placement_micro(const sched::TablePredictor& pred,
 int main() {
   bench::print_header("Scaling",
                       "sharded dynamic scenario and candidate index");
-  std::printf("host threads: %zu\n\n", hardware_threads());
+  std::printf("host threads: %zu (%s, %s, %s)\n\n", hardware_threads(),
+              TRACON_COMPILER, TRACON_BUILD_TYPE, TRACON_GIT_DESCRIBE);
   bench::ThroughputReporter throughput("bench_scaling");
 
   std::vector<ScalingRow> rows;
@@ -366,7 +368,10 @@ int main() {
       return 1;
     }
     out << "{\n  \"schema\": \"tracon.bench_scaling\",\n"
-        << "  \"host_threads\": " << hardware_threads() << ",\n"
+        << "  \"host\": {\"cores\": " << hardware_threads()
+        << ", \"compiler\": \"" << TRACON_COMPILER
+        << "\", \"build_type\": \"" << TRACON_BUILD_TYPE
+        << "\", \"commit\": \"" << TRACON_GIT_DESCRIBE << "\"},\n"
         << "  \"scaling\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const ScalingRow& r = rows[i];

@@ -5,6 +5,11 @@ namespace tracon::sched {
 std::vector<Placement> FifoScheduler::schedule(
     std::span<const QueuedTask> queue, const ClusterCounts& cluster,
     const ScheduleContext& ctx) {
+  // A round with nothing to place copies no counts and draws no slot.
+  if (queue.empty() || !cluster.any_free()) {
+    note_round(queue.size(), 0, 0.0, ctx.now_s);
+    return {};
+  }
   ClusterCounts state = cluster;
   std::vector<Placement> out;
   for (std::size_t pos = 0; pos < queue.size() && state.any_free(); ++pos) {

@@ -101,6 +101,9 @@ class Scheduler {
 
   /// Time at which the scheduler wants to be re-invoked even without an
   /// arrival or completion (batch timeout); nullopt = no wake-up needed.
+  /// A wake-up is an instant: asking again for one already pending
+  /// changes nothing, and it is delivered once however often it was
+  /// requested. Requests need not come in time order.
   virtual std::optional<double> next_wakeup(
       std::span<const QueuedTask> queue, const ScheduleContext& ctx) const {
     (void)queue;

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
-#include <queue>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -118,17 +119,17 @@ DynamicOutcome run_dynamic(const PerfTable& table,
 
   // One clock per control-event type: the instant of its next event,
   // kNever when none is pending. Only the scheduler's wake-ups can be
-  // pending several at once; they queue in `wakeups`, whose top is the
-  // kWakeup clock. Picking the earliest clock, ties to the type
-  // declared first, is a total order, so the event sequence never
-  // depends on which sinks are on.
+  // pending several at once; they are a set of distinct instants in
+  // `wakeups`, whose first is the kWakeup clock, so an instant
+  // requested again while pending is delivered once. Picking the
+  // earliest clock, ties to the type declared first, is a total order,
+  // so the event sequence never depends on which sinks are on.
   std::array<double, kEventTypes> clocks;
   clocks.fill(kNever);
   auto next_at = [&](EventType type) -> double& {
     return clocks[static_cast<std::size_t>(type)];
   };
-  std::priority_queue<double, std::vector<double>, std::greater<double>>
-      wakeups;
+  std::set<double> wakeups;
   std::size_t next_arrival = 0;
   // Time of arrival `i`; kNever past the list or the horizon.
   auto arrival_at = [&](std::size_t i) {
@@ -339,13 +340,13 @@ DynamicOutcome run_dynamic(const PerfTable& table,
 
   // Invokes the scheduler repeatedly until it stops placing (a batch
   // scheduler only handles one window per call).
+  std::vector<std::size_t> remove;  // placed queue positions, per round
   auto run_scheduler = [&](double now) {
     sched::ScheduleContext ctx{now};
     for (bool progressed = true; progressed;) {
       auto placements = scheduler.schedule(queue, counts, ctx);
       progressed = !placements.empty();
-      std::vector<std::size_t> remove;
-      remove.reserve(placements.size());
+      remove.clear();
       for (const auto& p : placements) {
         TRACON_ASSERT(p.queue_pos < queue.size(), "bad placement position");
         std::size_t app = queue[p.queue_pos].app;
@@ -406,7 +407,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     }
     if (auto wake = scheduler.next_wakeup(queue, ctx);
         wake.has_value() && *wake > now && *wake < cfg.duration_s) {
-      wakeups.push(*wake);
+      wakeups.insert(*wake);
     }
   };
 
@@ -554,7 +555,8 @@ DynamicOutcome run_dynamic(const PerfTable& table,
   }
 
   while (true) {
-    next_at(EventType::kWakeup) = wakeups.empty() ? kNever : wakeups.top();
+    next_at(EventType::kWakeup) =
+        wakeups.empty() ? kNever : *wakeups.begin();
     std::size_t due = 0;
     for (std::size_t t = 1; t < kEventTypes; ++t)
       if (clocks[t] < clocks[due]) due = t;
@@ -679,7 +681,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         break;
       }
       case EventType::kWakeup:
-        wakeups.pop();
+        wakeups.erase(wakeups.begin());
         run_scheduler(now);
         break;
       case EventType::kRound: {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
@@ -118,6 +122,67 @@ TEST(DynamicScenario, InterferenceAwareBeatsFifoUnderLoad) {
   sched::MibsScheduler mibs(oracle, sched::Objective::kRuntime, 8);
   DynamicOutcome smart = run_dynamic(table(), mibs, cfg);
   EXPECT_GT(smart.completed, base.completed);
+}
+
+/// A batch scheduler that places nothing and records the instant of
+/// every round it runs. While its queue holds k tasks it asks to be
+/// woken at wakes[min(k, wakes.size()) - 1].
+class ScriptedBatch final : public sched::Scheduler {
+ public:
+  explicit ScriptedBatch(std::vector<double> wakes)
+      : wakes_(std::move(wakes)) {}
+
+  std::string name() const override { return "scripted"; }
+
+  std::vector<sched::Placement> schedule(
+      std::span<const sched::QueuedTask> queue,
+      const sched::ClusterCounts& cluster,
+      const sched::ScheduleContext& ctx) override {
+    (void)queue;
+    (void)cluster;
+    rounds.push_back(ctx.now_s);
+    return {};
+  }
+
+  std::optional<double> next_wakeup(
+      std::span<const sched::QueuedTask> queue,
+      const sched::ScheduleContext& ctx) const override {
+    (void)ctx;
+    if (queue.empty()) return std::nullopt;
+    return wakes_[std::min(queue.size(), wakes_.size()) - 1];
+  }
+
+  std::vector<double> rounds;
+
+ private:
+  std::vector<double> wakes_;
+};
+
+/// Runs `scheduler` over `arrivals` with no periodic round before the
+/// horizon, so every round is an arrival's or a wake-up's.
+void run_scripted(ScriptedBatch& scheduler,
+                  const std::vector<Arrival>& arrivals) {
+  DynamicConfig cfg = small_config();
+  cfg.duration_s = 100.0;
+  cfg.schedule_period_s = 1000.0;
+  run_dynamic(table(), scheduler, cfg, arrivals);
+}
+
+TEST(DynamicScenario, RepeatedWakeupIsDeliveredOnce) {
+  // Four arrivals before t = 50 each ask for the same instant.
+  ScriptedBatch scheduler({50.0});
+  run_scripted(scheduler, {{1.0, 0}, {2.0, 1}, {3.0, 2}, {4.0, 3}});
+  EXPECT_EQ(scheduler.rounds,
+            (std::vector<double>{1.0, 2.0, 3.0, 4.0, 50.0}));
+}
+
+TEST(DynamicScenario, DistinctWakeupsAreEachDelivered) {
+  // The later instant is asked for first; each is delivered once, in
+  // time order.
+  ScriptedBatch scheduler({60.0, 40.0});
+  run_scripted(scheduler, {{1.0, 0}, {2.0, 1}, {3.0, 2}});
+  EXPECT_EQ(scheduler.rounds,
+            (std::vector<double>{1.0, 2.0, 3.0, 40.0, 60.0}));
 }
 
 TEST(DynamicScenario, ConfigValidation) {

@@ -58,6 +58,45 @@ TEST(Fifo, DeterministicPerSeed) {
   (void)d;
 }
 
+TEST(Fifo, IdleRoundsAreCountedAndDrawNothing) {
+  obs::Telemetry tel;
+  tel.tracer.set_enabled(true);
+  FifoScheduler fifo(5);
+  fifo.set_telemetry(&tel);
+  // Five free slots in four classes: an empty machine and one
+  // half-busy machine per app.
+  ClusterCounts open(3, 4);
+  for (std::size_t app = 0; app < 3; ++app) open.place(app, std::nullopt);
+  ClusterCounts full(3, 1);
+  full.place(0, std::nullopt);
+  full.place(1, std::optional<std::size_t>(0));
+  const std::vector<QueuedTask> empty;
+  auto idle_rounds = [&] {
+    std::size_t n = 0;
+    for (const obs::TraceEvent& ev : tel.tracer.events())
+      if (ev.kind == obs::TraceEventKind::kSchedDecision && ev.value2 == 0.0)
+        ++n;
+    return n;
+  };
+
+  EXPECT_TRUE(fifo.schedule(empty, open, {1.0}).empty());
+  EXPECT_EQ(tel.metrics.counter("sched.rounds").value(), 1u);
+  EXPECT_EQ(idle_rounds(), 1u);
+  EXPECT_TRUE(fifo.schedule(queue_of({2}), full, {2.0}).empty());
+  EXPECT_EQ(tel.metrics.counter("sched.rounds").value(), 2u);
+  EXPECT_EQ(idle_rounds(), 2u);
+
+  // The next placing round draws what a fresh scheduler's first does.
+  auto q = queue_of({0, 1, 2, 0});
+  auto placed = fifo.schedule(q, open, {3.0});
+  FifoScheduler fresh(5);
+  auto expected = fresh.schedule(q, open, {3.0});
+  ASSERT_EQ(placed.size(), 4u);
+  ASSERT_EQ(expected.size(), placed.size());
+  for (std::size_t i = 0; i < placed.size(); ++i)
+    EXPECT_EQ(placed[i].neighbour, expected[i].neighbour) << i;
+}
+
 TEST(MiosBestSlot, PicksPredictedBestClass) {
   TablePredictor pred = crafted_predictor();
   ClusterCounts c(3, 0);
