@@ -5,19 +5,15 @@
 namespace tracon::sched {
 
 ClusterCounts::ClusterCounts(std::size_t num_apps, std::size_t empty_machines)
-    : empty_(empty_machines), half_busy_(num_apps, 0) {
+    : empty_(empty_machines),
+      half_busy_(num_apps, 0),
+      free_(2 * empty_machines) {
   TRACON_REQUIRE(num_apps > 0, "cluster needs at least one app class");
 }
 
 std::size_t ClusterCounts::half_busy(std::size_t app) const {
   TRACON_REQUIRE(app < half_busy_.size(), "app class out of range");
   return half_busy_[app];
-}
-
-std::size_t ClusterCounts::free_slots() const {
-  std::size_t s = 2 * empty_;
-  for (std::size_t c : half_busy_) s += c;
-  return s;
 }
 
 bool ClusterCounts::has_slot(
@@ -44,6 +40,7 @@ void ClusterCounts::place(std::size_t task,
   } else {
     --half_busy_[*neighbour];  // machine now full
   }
+  --free_;  // either way one VM slot fewer is free
 }
 
 void ClusterCounts::depart(std::size_t app,
@@ -60,6 +57,7 @@ void ClusterCounts::depart(std::size_t app,
                    "neighbour class out of range");
     ++half_busy_[*neighbour];
   }
+  ++free_;
 }
 
 }  // namespace tracon::sched

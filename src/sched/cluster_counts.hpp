@@ -35,9 +35,10 @@ class ClusterCounts {
   std::size_t empty_machines() const { return empty_; }
   std::size_t half_busy(std::size_t app) const;
 
-  /// Total free VM slots (2 per empty machine, 1 per half-busy machine).
-  std::size_t free_slots() const;
-  bool any_free() const { return free_slots() > 0; }
+  /// Total free VM slots (2 per empty machine, 1 per half-busy machine),
+  /// kept up to date by place() and depart().
+  std::size_t free_slots() const { return free_; }
+  bool any_free() const { return free_ > 0; }
 
   /// True when a slot of the given class is available.
   bool has_slot(const std::optional<std::size_t>& neighbour) const;
@@ -64,6 +65,7 @@ class ClusterCounts {
  private:
   std::size_t empty_ = 0;
   std::vector<std::size_t> half_busy_;
+  std::size_t free_ = 0;  ///< 2 * empty_ + the sum of half_busy_
 };
 
 }  // namespace tracon::sched

@@ -43,12 +43,12 @@ double winning_margin(std::span<const double> scores, std::size_t chosen,
                                           : scores[chosen] - best_other;
 }
 
-void record_decisions(obs::Telemetry* telemetry,
-                      std::string_view scheduler_name, double now_s,
+void record_decisions(const Scheduler& scheduler, double now_s,
                       std::span<const QueuedTask> queue,
                       const ClusterCounts& cluster,
                       std::span<const Placement> placements,
                       const Predictor& predictor, Objective objective) {
+  obs::Telemetry* telemetry = scheduler.telemetry();
   if (telemetry == nullptr || !telemetry->decisions.enabled()) return;
   if (placements.empty()) return;
 
@@ -61,7 +61,7 @@ void record_decisions(obs::Telemetry* telemetry,
   // by-family capacity.
   obs::DecisionEvent event;
   event.time_s = now_s;
-  event.scheduler = std::string(scheduler_name);
+  event.scheduler = scheduler.name();
   event.objective = objective == Objective::kRuntime ? "runtime" : "iops";
   if (ensemble != nullptr) {
     for (std::size_t f = 0; f < ensemble->num_families(); ++f) {

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "sched/predictor.hpp"
@@ -42,14 +41,14 @@ void score_candidates(const Predictor& predictor, std::size_t app,
 double winning_margin(std::span<const double> scores, std::size_t chosen,
                       Objective objective);
 
-/// Records one decision event per placement into
-/// `telemetry->decisions`. `cluster` must be the pre-round view the
-/// scheduler was invoked with; placements are re-applied in order so
-/// each event's candidate set matches what the scheduler saw when it
-/// committed that placement. No-op when telemetry is detached, the
-/// decision log is disabled, or no placement was made.
-void record_decisions(obs::Telemetry* telemetry,
-                      std::string_view scheduler_name, double now_s,
+/// Records one decision event per placement of `scheduler`'s round into
+/// its telemetry's decision log, under its name. `cluster` must be the
+/// pre-round view the scheduler was invoked with; placements are
+/// re-applied in order so each event's candidate set matches what the
+/// scheduler saw when it committed that placement. No-op, with the name
+/// never built, when telemetry is detached, the decision log is
+/// disabled, or no placement was made.
+void record_decisions(const Scheduler& scheduler, double now_s,
                       std::span<const QueuedTask> queue,
                       const ClusterCounts& cluster,
                       std::span<const Placement> placements,

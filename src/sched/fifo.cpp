@@ -5,12 +5,13 @@ namespace tracon::sched {
 std::vector<Placement> FifoScheduler::schedule(
     std::span<const QueuedTask> queue, const ClusterCounts& cluster,
     const ScheduleContext& ctx) {
-  // A round with nothing to place copies no counts and draws no slot.
+  // A round with nothing to place assigns no counts and draws no slot.
   if (queue.empty() || !cluster.any_free()) {
     note_round(queue.size(), 0, 0.0, ctx.now_s);
     return {};
   }
-  ClusterCounts state = cluster;
+  ClusterCounts& state = state_;
+  state = cluster;  // assigns into the kept capacity
   std::vector<Placement> out;
   for (std::size_t pos = 0; pos < queue.size() && state.any_free(); ++pos) {
     // Draw a free VM slot uniformly: an empty machine offers two slots,

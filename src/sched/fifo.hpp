@@ -22,6 +22,7 @@ class FifoScheduler final : public Scheduler {
 
  private:
   Rng rng_;
+  ClusterCounts state_;  ///< a placing round's view, reused across rounds
 };
 
 }  // namespace tracon::sched

@@ -129,7 +129,7 @@ std::vector<Placement> MibsScheduler::schedule(
   BatchOutcome outcome = mibs_batch(queue.first(window), order, cluster,
                                     predictor_, objective_, policy_,
                                     candidate_index());
-  record_decisions(telemetry(), name(), ctx.now_s, queue, cluster,
+  record_decisions(*this, ctx.now_s, queue, cluster,
                    outcome.placements, predictor_, objective_);
   note_round(queue.size(), outcome.placements.size(),
              objective_ == Objective::kRuntime ? outcome.predicted_runtime

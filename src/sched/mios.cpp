@@ -124,7 +124,7 @@ std::vector<Placement> MiosScheduler::schedule(
     state.place(queue[pos].app, *slot);
     out.push_back({pos, *slot});
   }
-  record_decisions(telemetry(), name(), ctx.now_s, queue, cluster, out,
+  record_decisions(*this, ctx.now_s, queue, cluster, out,
                    predictor_, objective_);
   note_round(queue.size(), out.size(), predicted_cost, ctx.now_s);
   return out;

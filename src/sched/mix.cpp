@@ -79,7 +79,7 @@ std::vector<Placement> MixScheduler::schedule(
       best_placements = std::move(outcome.placements);
     }
   }
-  record_decisions(telemetry(), name(), ctx.now_s, queue, cluster,
+  record_decisions(*this, ctx.now_s, queue, cluster,
                    best_placements, predictor_, objective_);
   note_round(queue.size(), best_placements.size(), best_cost, ctx.now_s);
   return best_placements;

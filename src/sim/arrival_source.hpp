@@ -1,18 +1,23 @@
 // Arrival-stream abstraction for the dynamic scenario.
 //
-// run_dynamic consumes a materialized, time-sorted arrival list; an
-// ArrivalSource is anything that can produce one. The Poisson/mix
-// generator the paper's dynamic experiment uses is one implementation
-// (below); src/replay adds TraceArrivalSource, which replays a recorded
-// JSONL arrival trace byte-for-byte so the same historical workload can
-// be driven through different schedulers (A/B on real traces).
+// The dynamic engine consumes a time-sorted arrival stream, fed in
+// chunks. PoissonStream draws the paper's Poisson/mix stream lazily,
+// one arrival at a time; an ArrivalSource is anything that can
+// materialize a whole stream as a list. PoissonArrivalSource drains a
+// PoissonStream; src/replay adds TraceArrivalSource, which replays a
+// recorded JSONL arrival trace byte-for-byte so the same historical
+// workload can be driven through different schedulers (A/B on real
+// traces).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "workload/mixes.hpp"
 
 namespace tracon::sim {
@@ -21,6 +26,35 @@ namespace tracon::sim {
 struct Arrival {
   double time_s = 0.0;
   std::size_t app = 0;
+};
+
+/// The paper's arrival model drawn lazily: a Poisson process with rate
+/// lambda per minute whose task classes are drawn from a Gaussian-rank
+/// workload mix. This is the one implementation of its draw order — a
+/// gap, then a class, then the next gap — so a stream pulled in chunks
+/// of any size is the stream PoissonArrivalSource materializes. It
+/// holds the generator and the next arrival's time, never the stream.
+class PoissonStream {
+ public:
+  PoissonStream(double lambda_per_min, double duration_s,
+                workload::MixKind mix, double mix_stddev, std::uint64_t seed,
+                std::size_t num_apps);
+
+  /// The next arrival before the horizon; nullopt once the stream ends.
+  std::optional<Arrival> next();
+
+  /// Writes the next arrivals to the front of `out` and returns how
+  /// many; fewer than out.size() only when the stream has ended.
+  std::size_t fill(std::span<Arrival> out);
+
+ private:
+  Rng rng_;
+  double rate_per_s_;
+  double duration_s_;
+  workload::MixKind mix_;
+  double mix_stddev_;
+  std::size_t num_apps_;
+  double next_s_;  ///< time of the next arrival, drawn ahead
 };
 
 class ArrivalSource {
@@ -36,9 +70,8 @@ class ArrivalSource {
   virtual std::string name() const = 0;
 };
 
-/// The paper's arrival model: a Poisson process with rate lambda per
-/// minute whose task classes are drawn from a Gaussian-rank workload
-/// mix. Deterministic given the seed.
+/// The paper's arrival model as a list: PoissonStream drained.
+/// Deterministic given the seed.
 class PoissonArrivalSource final : public ArrivalSource {
  public:
   PoissonArrivalSource(double lambda_per_min, double duration_s,

@@ -4,9 +4,14 @@
 // Running tasks' progress follows the measured pairwise speeds; when a
 // VM's neighbour changes, the remaining work is re-timed at the new
 // speed (the paper's remaining-20%-runs-with-task-C rule).
+//
+// DynamicEngine is the simulation; run_dynamic feeds it one whole
+// stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -88,9 +93,10 @@ struct DynamicConfig {
   /// Optional arrival stream override (not owned; may be nullptr). When
   /// set, run_dynamic(table, scheduler, cfg) draws the arrival list from
   /// this source and lambda_per_min / mix / mix_stddev / seed are
-  /// ignored; when null, the paper's Poisson generator
-  /// (PoissonArrivalSource over those fields) is used. This is how a
-  /// recorded trace is replayed under a different scheduler.
+  /// ignored; when null, the paper's Poisson stream (PoissonStream over
+  /// those fields) is drawn lazily. This is how a recorded trace is
+  /// replayed under a different scheduler. DynamicEngine ignores it:
+  /// its caller feeds the arrivals.
   ArrivalSource* arrival_source = nullptr;
 };
 
@@ -106,6 +112,52 @@ struct DynamicOutcome {
   double throughput_per_hour() const;
 };
 
+/// One dynamic run as a resumable object. Between calls it holds the
+/// whole simulation state: the fleet, the control clocks, the pending
+/// wake-up instants, the completion heap, the manager's queue and the
+/// run's integrals. It is fed the arrival stream in time-sorted chunks.
+/// feed() runs every event it can decide and stops before choosing the
+/// next one whenever no fed arrival is left, since an arrival still to
+/// come could be the earliest event. finish() ends the stream and runs
+/// to the horizon. The event sequence, and so every outcome and sink
+/// byte, is therefore the same however the stream is cut into chunks.
+class DynamicEngine {
+ public:
+  /// Checks `cfg`; cfg.arrival_source is ignored. `table`, `scheduler`
+  /// and everything `cfg` points at must outlive the engine.
+  DynamicEngine(const PerfTable& table, sched::Scheduler& scheduler,
+                const DynamicConfig& cfg);
+  ~DynamicEngine();
+  DynamicEngine(const DynamicEngine&) = delete;
+  DynamicEngine& operator=(const DynamicEngine&) = delete;
+
+  /// Continues the arrival stream with `chunk` (time-sorted, no earlier
+  /// than t = 0 or than the arrivals fed before) and runs every event
+  /// it can decide. The chunk is not kept: every arrival in it before
+  /// the horizon has been consumed when feed returns.
+  void feed(std::span<const Arrival> chunk);
+
+  /// Ends the arrival stream, runs to the horizon and returns the
+  /// outcome. Call once; the engine takes no arrivals afterwards.
+  DynamicOutcome finish();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// Arrivals per chunk when a Poisson stream is drawn into engines.
+inline constexpr std::size_t kArrivalChunk = 4096;
+
+/// Draws `cfg`'s Poisson stream (PoissonStream over its lambda, horizon,
+/// mix and seed) kArrivalChunk arrivals at a time and feeds each chunk
+/// to every engine in `engines`, in order: the engines see one stream,
+/// and only one chunk of it is ever held.
+void feed_poisson(const DynamicConfig& cfg, std::size_t num_apps,
+                  std::span<DynamicEngine* const> engines);
+
+/// One run over cfg.arrival_source's list, or over the Poisson stream
+/// drawn lazily when it is null.
 DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg);

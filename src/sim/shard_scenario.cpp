@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "obs/snapshot.hpp"
+#include "sched/fifo.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -55,7 +57,47 @@ struct ShardState {
   std::optional<obs::WindowedAccuracy> win_iops;
   std::optional<migrate::Rebalancer> rebalancer;
   DynamicOutcome outcome;
+  DynamicOutcome baseline;
 };
+
+/// The FIFO baseline's configuration: the shard's shape and arrival
+/// stream, and nothing attached.
+DynamicConfig baseline_config(const DynamicConfig& cfg) {
+  DynamicConfig b;
+  b.machines = cfg.machines;
+  b.lambda_per_min = cfg.lambda_per_min;
+  b.duration_s = cfg.duration_s;
+  b.mix = cfg.mix;
+  b.mix_stddev = cfg.mix_stddev;
+  b.seed = cfg.seed;
+  b.queue_capacity = cfg.queue_capacity;
+  b.schedule_period_s = cfg.schedule_period_s;
+  return b;
+}
+
+/// Sums shard outcomes in shard order. Means weight by their own
+/// counts: mean_wait is per started task, weighted here by completions
+/// as a proxy.
+DynamicOutcome merge_outcomes(std::span<const DynamicOutcome> parts,
+                              double duration_s) {
+  DynamicOutcome total;
+  total.duration_s = duration_s;
+  double wait_weighted = 0.0;
+  std::size_t wait_count = 0;
+  for (const DynamicOutcome& o : parts) {
+    total.arrived += o.arrived;
+    total.dropped += o.dropped;
+    total.completed += o.completed;
+    total.total_runtime += o.total_runtime;
+    total.total_iops += o.total_iops;
+    total.mean_queue_length += o.mean_queue_length;
+    wait_weighted += o.mean_wait_s * static_cast<double>(o.completed);
+    wait_count += o.completed;
+  }
+  total.mean_wait_s =
+      wait_count > 0 ? wait_weighted / static_cast<double>(wait_count) : 0.0;
+  return total;
+}
 
 /// Replaces the merged gauges whose merge() default (last writer wins)
 /// is meaningless with a cluster-level aggregate: utilization fractions
@@ -285,10 +327,28 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   // state (plus shared read-only inputs: the perf table, the probe and
   // the ensembles' family tables), and parallel_for joins all workers
   // before returning, so the merge below reads fully published results.
+  // A non-routed work item holds its engines and one arrival chunk,
+  // never its stream; the baseline engine, when on, takes each chunk
+  // first.
   parallel_for(threads, shards, [&](std::size_t i) {
     ShardState& s = states[i];
-    s.outcome = routed ? run_dynamic(table, *s.scheduler, s.cfg, s.arrivals)
-                       : run_dynamic(table, *s.scheduler, s.cfg);
+    DynamicEngine engine(table, *s.scheduler, s.cfg);
+    std::optional<sched::FifoScheduler> fifo;
+    std::optional<DynamicEngine> baseline;
+    std::vector<DynamicEngine*> engines;
+    if (cfg.fifo_baseline) {
+      fifo.emplace(shard_seed(cfg.seed + 1, i, shards));
+      baseline.emplace(table, *fifo, baseline_config(s.cfg));
+      engines.push_back(&*baseline);
+    }
+    engines.push_back(&engine);
+    if (routed) {
+      for (DynamicEngine* e : engines) e->feed(s.arrivals);
+    } else {
+      feed_poisson(s.cfg, table.num_apps(), engines);
+    }
+    if (baseline.has_value()) s.baseline = baseline->finish();
+    s.outcome = engine.finish();
     // Spans are recorded as they close, and a merge part is ordered by
     // start. A task's starts never decrease, so its own spans stay in
     // chronological order.
@@ -301,30 +361,22 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   if (!merge) {
     out.total = states[0].outcome;
     out.per_shard.push_back(states[0].outcome);
+    out.baseline = states[0].baseline;
     if (series_on) out.series = states[0].series->str();
     return out;
   }
 
   // --- Merge, serially and in shard order.
-  out.total.duration_s = cfg.duration_s;
-  double wait_weighted = 0.0;
-  std::size_t wait_count = 0;
+  std::vector<DynamicOutcome> baselines;
   out.per_shard.reserve(shards);
+  baselines.reserve(shards);
   for (const ShardState& s : states) {
-    const DynamicOutcome& o = s.outcome;
-    out.per_shard.push_back(o);
-    out.total.arrived += o.arrived;
-    out.total.dropped += o.dropped;
-    out.total.completed += o.completed;
-    out.total.total_runtime += o.total_runtime;
-    out.total.total_iops += o.total_iops;
-    out.total.mean_queue_length += o.mean_queue_length;
-    // mean_wait is per-started-task; weight by completions as a proxy.
-    wait_weighted += o.mean_wait_s * static_cast<double>(o.completed);
-    wait_count += o.completed;
+    out.per_shard.push_back(s.outcome);
+    baselines.push_back(s.baseline);
   }
-  out.total.mean_wait_s =
-      wait_count > 0 ? wait_weighted / static_cast<double>(wait_count) : 0.0;
+  out.total = merge_outcomes(out.per_shard, cfg.duration_s);
+  if (cfg.fifo_baseline)
+    out.baseline = merge_outcomes(baselines, cfg.duration_s);
 
   if (cfg.telemetry != nullptr) {
     for (const ShardState& s : states)

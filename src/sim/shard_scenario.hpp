@@ -4,6 +4,11 @@
 // simulated run: the CLI's `dynamic`, `record`, `replay` and `hierarchy`
 // subcommands each build one ShardedConfig and call it.
 //
+// Each shard is one work item: a DynamicEngine fed its arrivals either
+// in chunks drawn lazily from its own Poisson stream or as its routed
+// slice, built in full, beside an optional FIFO baseline engine fed
+// the same arrivals first.
+//
 // Model note: a shard is the paper's per-manager sub-cluster (Section
 // 3's manager tree) — each shard has its own queue (queue_capacity per
 // shard), its own scheduler instance, and its share of the arrivals.
@@ -140,11 +145,21 @@ struct ShardedConfig {
   /// every shard samples the same virtual-clock window grid, and
   /// windows merge index by index at those global barriers.
   double snapshot_interval_s = 0.0;
+
+  /// Also run the paper's normalization baseline (ShardedOutcome::
+  /// baseline): each shard's work item runs a second engine beside the
+  /// scheduled one, FIFO seeded at shard_seed(seed + 1, shard, shards)
+  /// with no sink, rebalancer, series, probe or observer, fed the same
+  /// arrival chunks first.
+  bool fifo_baseline = false;
 };
 
 struct ShardedOutcome {
   DynamicOutcome total;
   std::vector<DynamicOutcome> per_shard;
+  /// The FIFO baseline's outcome, merged like `total`; all zero unless
+  /// ShardedConfig::fifo_baseline was set.
+  DynamicOutcome baseline;
   std::size_t shards = 0;        ///< effective shard count
   std::size_t threads_used = 0;  ///< effective worker-pool size
   /// Merged `tracon.metrics_series` document (empty when

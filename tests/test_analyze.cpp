@@ -335,6 +335,53 @@ TEST(ParallelDiscipline, IncrementOfSharedCaptureIsCaught) {
   EXPECT_EQ(count_rule(r, "parallel-discipline"), 1u);
 }
 
+TEST(ParallelDiscipline, UnbracedIfWritingALocalIsClean) {
+  // The condition's parentheses end the chain at `local`; the `if` is
+  // not its base.
+  AnalysisResult r = analyze({
+      {"src/sim/runner.cpp",
+       "void run() {\n"
+       "  parallel_for(4, 100, [&](std::size_t i) {\n"
+       "    int local = 0;\n"
+       "    bool f = i > 2;\n"
+       "    if (f) local = 1;\n"
+       "  });\n"
+       "}\n"},
+  });
+  EXPECT_EQ(count_rule(r, "parallel-discipline"), 0u);
+}
+
+TEST(ParallelDiscipline, UnbracedWhileUpdatingALocalIsClean) {
+  AnalysisResult r = analyze({
+      {"src/sim/runner.cpp",
+       "void run() {\n"
+       "  parallel_for(4, 100, [&](std::size_t i) {\n"
+       "    int local = 0;\n"
+       "    bool c = i > 2;\n"
+       "    while (c) local += 1;\n"
+       "  });\n"
+       "}\n"},
+  });
+  EXPECT_EQ(count_rule(r, "parallel-discipline"), 0u);
+}
+
+TEST(ParallelDiscipline, UnbracedIfWritingASharedCaptureNamesIt) {
+  AnalysisResult r = analyze({
+      {"src/sim/runner.cpp",
+       "void run() {\n"
+       "  int shared = 0;\n"
+       "  parallel_for(4, 100, [&](std::size_t i) {\n"
+       "    bool f = i > 2;\n"
+       "    if (f) shared = 1;\n"
+       "  });\n"
+       "}\n"},
+  });
+  ASSERT_EQ(count_rule(r, "parallel-discipline"), 1u);
+  EXPECT_EQ(r.findings[0].line, 5u);
+  EXPECT_NE(r.findings[0].message.find("'shared'"), std::string::npos);
+  EXPECT_EQ(r.findings[0].message.find("'if'"), std::string::npos);
+}
+
 // -------------------------------------------------------------- determinism
 
 TEST(Determinism, CatchesRandAndClocks) {

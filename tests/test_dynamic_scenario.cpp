@@ -185,6 +185,52 @@ TEST(DynamicScenario, DistinctWakeupsAreEachDelivered) {
             (std::vector<double>{1.0, 2.0, 3.0, 40.0, 60.0}));
 }
 
+TEST(PoissonStream, ChunksAreTheMaterializedStream) {
+  PoissonArrivalSource source(60.0, 1800.0, workload::MixKind::kHeavy, 1.5,
+                              23);
+  const std::vector<Arrival> whole = source.arrivals(8);
+  ASSERT_GT(whole.size(), 1000u);
+  for (std::size_t chunk : {1u, 7u, 4096u}) {
+    PoissonStream stream(60.0, 1800.0, workload::MixKind::kHeavy, 1.5, 23, 8);
+    std::vector<Arrival> buf(chunk), pulled;
+    for (std::size_t got = chunk; got == chunk;) {
+      got = stream.fill(buf);
+      pulled.insert(pulled.end(), buf.begin(),
+                    buf.begin() + static_cast<long>(got));
+    }
+    ASSERT_EQ(pulled.size(), whole.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      EXPECT_EQ(pulled[i].time_s, whole[i].time_s) << i;
+      EXPECT_EQ(pulled[i].app, whole[i].app) << i;
+    }
+    EXPECT_FALSE(stream.next().has_value());  // an ended stream stays so
+  }
+}
+
+TEST(DynamicEngine, FeedChecksTheStreamAcrossChunks) {
+  sched::FifoScheduler fifo(1);
+  const DynamicConfig cfg = small_config();
+  const std::vector<Arrival> late = {{5.0, 0}, {6.0, 1}};
+  const std::vector<Arrival> early = {{4.0, 2}};
+  {
+    DynamicEngine engine(table(), fifo, cfg);
+    engine.feed(late);
+    EXPECT_THROW(engine.feed(early), std::invalid_argument);
+  }
+  {
+    DynamicEngine engine(table(), fifo, cfg);
+    const std::vector<Arrival> before_zero = {{-1.0, 0}};
+    EXPECT_THROW(engine.feed(before_zero), std::invalid_argument);
+  }
+  DynamicEngine engine(table(), fifo, cfg);
+  engine.feed(early);
+  engine.feed(late);
+  const DynamicOutcome o = engine.finish();
+  EXPECT_EQ(o.arrived, 3u);
+  EXPECT_THROW(engine.feed(late), std::invalid_argument);
+  EXPECT_THROW(engine.finish(), std::invalid_argument);
+}
+
 TEST(DynamicScenario, ConfigValidation) {
   sched::FifoScheduler fifo(1);
   DynamicConfig cfg = small_config();

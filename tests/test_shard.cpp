@@ -435,6 +435,160 @@ void expect_same_bytes(const SinkBytes& a, const SinkBytes& b,
   EXPECT_EQ(a.series, b.series) << what;
 }
 
+struct EngineRun {
+  DynamicOutcome outcome;
+  SinkBytes bytes;
+};
+
+/// One flat run of `kind` with every sink, the accuracy windows, the
+/// snapshot series and a rebalancer on, its Poisson stream fed to a
+/// DynamicEngine `chunk` arrivals at a time (0: the whole stream at
+/// once).
+EngineRun run_chunked(const std::string& kind, std::size_t chunk) {
+  DynamicConfig cfg;
+  cfg.machines = 12;
+  cfg.lambda_per_min = 14.0;
+  cfg.duration_s = 7200.0;
+  cfg.mix = workload::MixKind::kHeavy;
+  cfg.seed = 5;
+  obs::Telemetry tel;
+  enable_logs(tel);
+  cfg.telemetry = &tel;
+  cfg.accuracy_probe = &oracle();
+  cfg.accuracy_family = "oracle";
+  obs::SnapshotSeries series(tel.metrics, 600.0);
+  obs::WindowedAccuracy win_runtime(64), win_iops(64);
+  series.track_accuracy("model.oracle.runtime", &win_runtime);
+  series.track_accuracy("model.oracle.iops", &win_iops);
+  cfg.snapshots = &series;
+  cfg.windowed_runtime = &win_runtime;
+  cfg.windowed_iops = &win_iops;
+  migrate::RebalanceConfig rcfg;
+  rcfg.interval_s = 120.0;
+  migrate::Rebalancer rebalancer(oracle(), rcfg);
+  cfg.rebalancer = &rebalancer;
+  auto scheduler = factory_for(kind, cfg.seed)(0);
+  scheduler->set_telemetry(&tel);
+
+  PoissonArrivalSource source(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                              cfg.mix_stddev, cfg.seed);
+  const std::vector<Arrival> stream = source.arrivals(table().num_apps());
+  const std::span<const Arrival> all(stream);
+  DynamicEngine engine(table(), *scheduler, cfg);
+  if (chunk == 0) {
+    engine.feed(all);
+  } else {
+    for (std::size_t at = 0; at < all.size(); at += chunk)
+      engine.feed(all.subspan(at, std::min(chunk, all.size() - at)));
+  }
+  EngineRun r;
+  r.outcome = engine.finish();
+  r.bytes = sink_bytes(tel, series.str());
+  return r;
+}
+
+TEST(DynamicEngine, ChunkedFeedIsTheWholeStreamByteForByte) {
+  // Chunks of one arrival stop the engine before every arrival, so
+  // wake-ups, rounds, rebalances and snapshots all fall across chunk
+  // boundaries; the event sequence must not notice.
+  for (const char* kind : {"fifo", "mios", "mibs", "mix"}) {
+    const EngineRun whole = run_chunked(kind, 0);
+    EXPECT_GT(whole.outcome.completed, 0u) << kind;
+    EXPECT_NE(whole.bytes.metrics.find("sim.tasks.migrated"),
+              std::string::npos)
+        << kind;
+    for (std::size_t chunk : {1u, 2u, 7u, 4096u}) {
+      const std::string what = std::string(kind) + " in chunks of " +
+                               std::to_string(chunk);
+      const EngineRun got = run_chunked(kind, chunk);
+      EXPECT_EQ(got.outcome.arrived, whole.outcome.arrived) << what;
+      EXPECT_EQ(got.outcome.dropped, whole.outcome.dropped) << what;
+      EXPECT_EQ(got.outcome.completed, whole.outcome.completed) << what;
+      EXPECT_EQ(got.outcome.total_runtime, whole.outcome.total_runtime)
+          << what;
+      EXPECT_EQ(got.outcome.total_iops, whole.outcome.total_iops) << what;
+      EXPECT_EQ(got.outcome.mean_wait_s, whole.outcome.mean_wait_s) << what;
+      EXPECT_EQ(got.outcome.mean_queue_length,
+                whole.outcome.mean_queue_length)
+          << what;
+      expect_same_bytes(got.bytes, whole.bytes, what);
+    }
+  }
+}
+
+TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
+  // The scheduled side carries everything the baseline must not see:
+  // per-shard confidence ensembles, rebalancing, the series and every
+  // sink.
+  static const sched::TablePredictor solo = solo_predictor();
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const std::string at = std::to_string(shards) + " shards";
+    ShardedConfig cfg = small_cfg(17, 2);
+    cfg.shards = shards;
+
+    // The normalization baseline as its own pass, with no sink.
+    const SchedulerFactory fifo =
+        [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
+      return std::make_unique<sched::FifoScheduler>(
+          shard_seed(cfg.seed + 1, shard, shards));
+    };
+    const ShardedOutcome separate = run_dynamic_sharded(table(), fifo, cfg);
+
+    auto scheduled = [&](bool baseline) {
+      ShardedConfig run = cfg;
+      run.fifo_baseline = baseline;
+      std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> owned;
+      for (std::size_t i = 0; i < shards; ++i) {
+        owned.push_back(std::make_unique<sched::ConfidenceWeightedPredictor>(
+            std::vector<sched::ConfidenceWeightedPredictor::Family>{
+                {"oracle", &oracle()}, {"solo", &solo}}));
+        run.ensembles.push_back(owned.back().get());
+      }
+      obs::Telemetry telemetry;
+      enable_logs(telemetry);
+      run.telemetry = &telemetry;
+      run.snapshot_interval_s = 600.0;
+      run.rebalance = true;
+      run.rebalance_cfg.interval_s = 120.0;
+      run.rebalance_predictor = &oracle();
+      const SchedulerFactory mix =
+          [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
+        return std::make_unique<sched::MixScheduler>(
+            *run.ensembles[shard], sched::Objective::kRuntime, 8, 60.0,
+            no_hold());
+      };
+      ConfidenceRun r;
+      r.outcome = run_dynamic_sharded(table(), mix, run);
+      r.bytes = sink_bytes(telemetry, r.outcome.series);
+      return r;
+    };
+    const ConfidenceRun with = scheduled(true);
+    const DynamicOutcome& b = with.outcome.baseline;
+    EXPECT_GT(b.completed, 0u) << at;
+    EXPECT_EQ(b.arrived, separate.total.arrived) << at;
+    EXPECT_EQ(b.dropped, separate.total.dropped) << at;
+    EXPECT_EQ(b.completed, separate.total.completed) << at;
+    EXPECT_EQ(b.total_runtime, separate.total.total_runtime) << at;
+    EXPECT_EQ(b.total_iops, separate.total.total_iops) << at;
+    EXPECT_EQ(b.mean_wait_s, separate.total.mean_wait_s) << at;
+    EXPECT_EQ(b.mean_queue_length, separate.total.mean_queue_length) << at;
+    EXPECT_EQ(b.duration_s, separate.total.duration_s) << at;
+
+    // The baseline beside it leaves the scheduled run as it was.
+    const ConfidenceRun without = scheduled(false);
+    EXPECT_EQ(without.outcome.baseline.completed, 0u) << at;
+    EXPECT_EQ(with.outcome.total.completed, without.outcome.total.completed)
+        << at;
+    EXPECT_EQ(with.outcome.total.mean_wait_s,
+              without.outcome.total.mean_wait_s)
+        << at;
+    expect_same_bytes(with.bytes, without.bytes, at);
+    EXPECT_NE(with.bytes.metrics.find("sim.tasks.migrated"),
+              std::string::npos)
+        << at;
+  }
+}
+
 TEST(ShardedScenario, IndexedPlacementIsTheFlatScanAtAnyThreadCount) {
   // Each shard's scheduler places through its own candidate index;
   // over the static table it never rebuilds, over a shard's ensemble

@@ -44,6 +44,18 @@ std::size_t match_backward(const std::vector<Token>& toks, std::size_t close,
   return 0;
 }
 
+/// Keywords that can stand left of an expression. None names an
+/// object, so none is a chain's base. `this` is left out: a write
+/// through it is a write to a captured object.
+bool is_keyword(const std::string& word) {
+  static const std::set<std::string> kKeywords = {
+      "if", "else", "while", "for", "do", "switch", "case", "return",
+      "throw", "goto", "co_return", "co_yield", "co_await", "sizeof",
+      "alignof", "decltype", "typeid", "new", "delete", "not", "and", "or",
+  };
+  return kKeywords.count(word) > 0;
+}
+
 struct Chain {
   std::string base;         ///< leftmost identifier of the postfix chain
   bool subscripted = false; ///< a [...] appears anywhere in the chain
@@ -52,12 +64,16 @@ struct Chain {
 
 /// Walks left from `end` (inclusive) across a postfix expression
 /// (identifiers, ., ->, ::, balanced [] and ()) and returns its base.
+/// A `)` or `]` continues the chain only where a name is expected (the
+/// `(f)` of `if (f) x = 1;` ends it at `x`), and a keyword is never
+/// the base.
 Chain walk_chain_left(const std::vector<Token>& toks, std::size_t end) {
   Chain c;
   std::size_t i = end + 1;
   bool expect_name = true;  // next-left token should end a sub-expression
   while (i-- > 0) {
     const Token& t = toks[i];
+    if ((is_punct(t, "]") || is_punct(t, ")")) && !expect_name) break;
     if (is_punct(t, "]")) {
       c.subscripted = true;
       std::size_t open = match_backward(toks, i, "[", "]");
@@ -74,6 +90,7 @@ Chain walk_chain_left(const std::vector<Token>& toks, std::size_t end) {
       continue;
     }
     if (t.kind == TokKind::kIdentifier && expect_name) {
+      if (is_keyword(t.text)) break;
       c.base = t.text;
       c.line = t.line;
       expect_name = false;

@@ -658,20 +658,6 @@ sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
   return o;
 }
 
-/// Completions of the FIFO normalization baseline: a run of the same
-/// shape and decomposition as `cfg`, with FIFO on every shard, no sink
-/// and no rebalancer.
-std::size_t fifo_completed(const core::Tracon& sys,
-                           const sim::ShardedConfig& cfg) {
-  Run base;
-  base.cfg = cfg;
-  base.cfg.snapshot_interval_s = 0.0;
-  base.cfg.rebalance = false;
-  base.scheduler.kind = core::SchedulerKind::kFifo;
-  std::string name;
-  return simulate(sys, base, name).total.completed;
-}
-
 /// Writes every export file the flags name, with a "written to" line
 /// each. Returns false when a file cannot be opened or written in full.
 bool write_exports(const ArgParser& args, const Run& run,
@@ -739,10 +725,11 @@ int cmd_dynamic(const ArgParser& args) {
   const bool sharded = args.has("threads") || args.has("shards");
   cfg.threads = args.get_count("threads", 1);
   cfg.shards = sharded ? args.get_count("shards", 0) : 1;
+  // The normalization baseline runs beside each shard, on its stream.
+  cfg.fifo_baseline = true;
   read_run_flags(args, run);
   core::Tracon sys = make_system(args, true);
 
-  const std::size_t fifo = fifo_completed(sys, cfg);
   std::string name;
   const sim::ShardedOutcome o = simulate(sys, run, name);
   if (!write_exports(args, run, o)) return 1;
@@ -757,8 +744,8 @@ int cmd_dynamic(const ArgParser& args) {
               name.c_str(), cfg.machines, shape, cfg.lambda_per_min,
               cfg.duration_s / 3600.0, workload::mix_name(cfg.mix).c_str());
   std::printf("  completed %zu (FIFO %zu, normalized %s)\n",
-              o.total.completed, fifo,
-              normalized_text(o.total.completed, fifo).c_str());
+              o.total.completed, o.baseline.completed,
+              normalized_text(o.total.completed, o.baseline.completed).c_str());
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.total.dropped,
               o.total.total_runtime /
