@@ -299,7 +299,7 @@ struct DynamicEngine::State {
         trace_event(now, obs::TraceEventKind::kTaskPlaced, app, mi,
                     queue.size(), t.predicted_runtime_s, wait);
         wait_sum += wait;
-        ++started;
+        ++out.started;
         if (c_placed != nullptr) c_placed->inc();
         remove.push_back(p.queue_pos);
       }
@@ -634,8 +634,9 @@ struct DynamicEngine::State {
     }
 
     out.duration_s = cfg.duration_s;
-    out.mean_wait_s = started > 0 ? wait_sum / static_cast<double>(started)
-                                  : 0.0;
+    out.mean_wait_s = out.started > 0
+                          ? wait_sum / static_cast<double>(out.started)
+                          : 0.0;
     out.mean_queue_length =
         last_event_time > 0.0 ? queue_len_integral / last_event_time : 0.0;
 
@@ -700,7 +701,6 @@ struct DynamicEngine::State {
 
   DynamicOutcome out;
   double wait_sum = 0.0;
-  std::size_t started = 0;
   double queue_len_integral = 0.0;
   double last_event_time = 0.0;
   // Utilization accounting: time-integrals of busy machines (>=1 task)

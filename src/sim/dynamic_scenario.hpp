@@ -104,6 +104,7 @@ struct DynamicOutcome {
   std::size_t arrived = 0;
   std::size_t dropped = 0;       ///< rejected: queue was at capacity
   std::size_t completed = 0;     ///< tasks finished within the duration
+  std::size_t started = 0;       ///< tasks placed within the duration
   double total_runtime = 0.0;    ///< sum of realized runtimes (completed)
   double total_iops = 0.0;       ///< sum of per-task average IOPS
   double mean_wait_s = 0.0;      ///< queue wait of started tasks

@@ -75,27 +75,26 @@ DynamicConfig baseline_config(const DynamicConfig& cfg) {
   return b;
 }
 
-/// Sums shard outcomes in shard order. Means weight by their own
-/// counts: mean_wait is per started task, weighted here by completions
-/// as a proxy.
+/// Sums shard outcomes in shard order. mean_wait is per started task,
+/// so it merges weighted by each shard's started tasks.
 DynamicOutcome merge_outcomes(std::span<const DynamicOutcome> parts,
                               double duration_s) {
   DynamicOutcome total;
   total.duration_s = duration_s;
   double wait_weighted = 0.0;
-  std::size_t wait_count = 0;
   for (const DynamicOutcome& o : parts) {
     total.arrived += o.arrived;
     total.dropped += o.dropped;
     total.completed += o.completed;
+    total.started += o.started;
     total.total_runtime += o.total_runtime;
     total.total_iops += o.total_iops;
     total.mean_queue_length += o.mean_queue_length;
-    wait_weighted += o.mean_wait_s * static_cast<double>(o.completed);
-    wait_count += o.completed;
+    wait_weighted += o.mean_wait_s * static_cast<double>(o.started);
   }
-  total.mean_wait_s =
-      wait_count > 0 ? wait_weighted / static_cast<double>(wait_count) : 0.0;
+  total.mean_wait_s = total.started > 0
+                          ? wait_weighted / static_cast<double>(total.started)
+                          : 0.0;
   return total;
 }
 

@@ -516,6 +516,29 @@ TEST(DynamicEngine, ChunkedFeedIsTheWholeStreamByteForByte) {
   }
 }
 
+TEST(ShardedScenario, MeanWaitMergesWeightedByStartedTasks) {
+  // Saturated shards: many tasks start without finishing, so weighting
+  // by completions would read differently.
+  ShardedConfig cfg = small_cfg(29, 2);
+  cfg.lambda_per_min = 120.0;
+  const ShardedOutcome o =
+      run_dynamic_sharded(table(), factory_for("mibs", cfg.seed), cfg);
+  double by_started = 0.0, by_completed = 0.0;
+  std::size_t started = 0, completed = 0;
+  for (const DynamicOutcome& s : o.per_shard) {
+    EXPECT_GE(s.started, s.completed);
+    by_started += s.mean_wait_s * static_cast<double>(s.started);
+    by_completed += s.mean_wait_s * static_cast<double>(s.completed);
+    started += s.started;
+    completed += s.completed;
+  }
+  ASSERT_GT(completed, 0u);
+  EXPECT_EQ(o.total.started, started);
+  EXPECT_EQ(o.total.mean_wait_s, by_started / static_cast<double>(started));
+  EXPECT_NE(o.total.mean_wait_s,
+            by_completed / static_cast<double>(completed));
+}
+
 TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
   // The scheduled side carries everything the baseline must not see:
   // per-shard confidence ensembles, rebalancing, the series and every
