@@ -352,12 +352,11 @@ struct ConfidenceRun {
   SinkBytes bytes;
 };
 
-/// MIX over one confidence ensemble per shard, every sink on.
+/// MIX over one confidence ensemble per shard of `cfg`, every sink on.
 /// `indexed` false resets each shard's scheduler to the flat reference
 /// scan.
-ConfidenceRun run_confidence(std::size_t threads, bool indexed = true) {
+ConfidenceRun run_confidence(ShardedConfig cfg, bool indexed = true) {
   static const sched::TablePredictor solo = solo_predictor();
-  ShardedConfig cfg = small_cfg(13, threads);
   std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> owned;
   for (std::size_t i = 0; i < cfg.shards; ++i) {
     owned.push_back(std::make_unique<sched::ConfidenceWeightedPredictor>(
@@ -387,8 +386,8 @@ TEST(ShardedScenario, PerShardEnsemblesAreThreadInvariant) {
   // One confidence ensemble per shard: each learns from its own
   // shard's completions only, so the stateful blend cannot see the
   // worker-pool size.
-  const ConfidenceRun a = run_confidence(1);
-  const ConfidenceRun b = run_confidence(4);
+  const ConfidenceRun a = run_confidence(small_cfg(13, 1));
+  const ConfidenceRun b = run_confidence(small_cfg(13, 4));
   EXPECT_EQ(a.outcome.total.completed, b.outcome.total.completed);
   EXPECT_EQ(a.bytes.metrics, b.bytes.metrics);
   EXPECT_EQ(a.bytes.trace, b.bytes.trace);
@@ -540,10 +539,6 @@ TEST(ShardedScenario, MeanWaitMergesWeightedByStartedTasks) {
 }
 
 TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
-  // The scheduled side carries everything the baseline must not see:
-  // per-shard confidence ensembles, rebalancing, the series and every
-  // sink.
-  static const sched::TablePredictor solo = solo_predictor();
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const std::string at = std::to_string(shards) + " shards";
     ShardedConfig cfg = small_cfg(17, 2);
@@ -557,35 +552,14 @@ TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
     };
     const ShardedOutcome separate = run_dynamic_sharded(table(), fifo, cfg);
 
-    auto scheduled = [&](bool baseline) {
-      ShardedConfig run = cfg;
-      run.fifo_baseline = baseline;
-      std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> owned;
-      for (std::size_t i = 0; i < shards; ++i) {
-        owned.push_back(std::make_unique<sched::ConfidenceWeightedPredictor>(
-            std::vector<sched::ConfidenceWeightedPredictor::Family>{
-                {"oracle", &oracle()}, {"solo", &solo}}));
-        run.ensembles.push_back(owned.back().get());
-      }
-      obs::Telemetry telemetry;
-      enable_logs(telemetry);
-      run.telemetry = &telemetry;
-      run.snapshot_interval_s = 600.0;
-      run.rebalance = true;
-      run.rebalance_cfg.interval_s = 120.0;
-      run.rebalance_predictor = &oracle();
-      const SchedulerFactory mix =
-          [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-        return std::make_unique<sched::MixScheduler>(
-            *run.ensembles[shard], sched::Objective::kRuntime, 8, 60.0,
-            no_hold());
-      };
-      ConfidenceRun r;
-      r.outcome = run_dynamic_sharded(table(), mix, run);
-      r.bytes = sink_bytes(telemetry, r.outcome.series);
-      return r;
-    };
-    const ConfidenceRun with = scheduled(true);
+    // The scheduled side carries everything the baseline must not see:
+    // per-shard confidence ensembles, rebalancing, the series and every
+    // sink.
+    cfg.rebalance = true;
+    cfg.rebalance_cfg.interval_s = 120.0;
+    cfg.rebalance_predictor = &oracle();
+    cfg.fifo_baseline = true;
+    const ConfidenceRun with = run_confidence(cfg);
     const DynamicOutcome& b = with.outcome.baseline;
     EXPECT_GT(b.completed, 0u) << at;
     EXPECT_EQ(b.arrived, separate.total.arrived) << at;
@@ -598,7 +572,8 @@ TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
     EXPECT_EQ(b.duration_s, separate.total.duration_s) << at;
 
     // The baseline beside it leaves the scheduled run as it was.
-    const ConfidenceRun without = scheduled(false);
+    cfg.fifo_baseline = false;
+    const ConfidenceRun without = run_confidence(cfg);
     EXPECT_EQ(without.outcome.baseline.completed, 0u) << at;
     EXPECT_EQ(with.outcome.total.completed, without.outcome.total.completed)
         << at;
@@ -619,11 +594,11 @@ TEST(ShardedScenario, IndexedPlacementIsTheFlatScanAtAnyThreadCount) {
   // Either way every sink must match the flat scan, at every
   // worker-pool size.
   const SinkBytes mibs_flat = run_mibs(1, false);
-  const ConfidenceRun mix_flat = run_confidence(1, false);
+  const ConfidenceRun mix_flat = run_confidence(small_cfg(13, 1), false);
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const std::string at = " at threads " + std::to_string(threads);
     expect_same_bytes(run_mibs(threads, true), mibs_flat, "mibs" + at);
-    const ConfidenceRun mix = run_confidence(threads, true);
+    const ConfidenceRun mix = run_confidence(small_cfg(13, threads), true);
     EXPECT_EQ(mix.outcome.total.completed, mix_flat.outcome.total.completed);
     expect_same_bytes(mix.bytes, mix_flat.bytes, "mix" + at);
   }
