@@ -107,7 +107,7 @@ AbRun run_once(const sim::PerfTable& table,
   result.post_shift_slowdown = n == 0 ? 0.0 : sum / static_cast<double>(n);
   result.id = store.add_run(tel.metrics, fifo.name(),
                             rebalance ? "rebalance-on" : "rebalance-off", "",
-                            tel.decisions.str());
+                            [&](std::ostream& os) { tel.decisions.write(os); });
   std::printf("%-10s completed=%zu  migrations=%zu  post-shift mean "
               "slowdown=%.3fx\n",
               rebalance ? "rebalance" : "static", result.completed,

@@ -272,6 +272,13 @@ void DecisionLog::Stream::add(const DecisionEvent& e,
   records.push_back(r);
 }
 
+void DecisionLog::Stream::clear() {
+  records.clear();
+  values.clear();
+  neighbours.clear();
+  keys.clear();
+}
+
 DecisionEvent DecisionLog::Stream::event(const Record& r,
                                          std::size_t machine_base,
                                          std::uint64_t task_base) const {
@@ -426,11 +433,20 @@ void DecisionLog::append(const DecisionEvent& event) {
 
 void DecisionLog::append_part(DecisionLog&& shard, std::size_t machine_base,
                               std::uint64_t task_base) {
+  take_part(shard, machine_base, task_base);
+  parts_.back().lender = nullptr;
+}
+
+void DecisionLog::take_part(DecisionLog& shard, std::size_t machine_base,
+                            std::uint64_t task_base) {
   TRACON_REQUIRE(own_.records.empty(),
                  "a decision log takes its merge parts before recording");
   TRACON_REQUIRE(shard.parts_.empty(),
                  "a merge part must hold its own records only");
-  parts_.push_back({std::move(shard.own_), machine_base, task_base});
+  TRACON_REQUIRE(shard.unbound_.empty(),
+                 "a merge part's decisions must all be bound to machines");
+  parts_.push_back({std::move(shard.own_), machine_base, task_base, &shard});
+  shard.own_ = Stream();
 }
 
 std::size_t DecisionLog::size() const {
@@ -467,6 +483,33 @@ void DecisionLog::write(std::ostream& os, std::size_t threads) const {
   JsonlBuffer header(os);
   header.log_header(kDecisionLogSchema, fingerprint_).end_line();
   header.flush();
+  write_records(os, threads);
+}
+
+void DecisionLog::stream_to(std::ostream& os) {
+  TRACON_REQUIRE(stream_ == nullptr, "a decision log streams to one file");
+  stream_ = &os;
+  JsonlBuffer header(os);
+  header.log_header(kDecisionLogSchema, fingerprint_).end_line();
+  header.flush();
+}
+
+void DecisionLog::flush(std::size_t threads) {
+  TRACON_REQUIRE(stream_ != nullptr,
+                 "a decision log flushes to the file stream_to() named");
+  TRACON_REQUIRE(unbound_.empty(),
+                 "a flushed decision must be bound to its machine");
+  write_records(*stream_, threads);
+  own_.clear();
+  for (Part& part : parts_) {
+    if (part.lender == nullptr) continue;
+    part.stream.clear();
+    part.lender->own_ = std::move(part.stream);
+  }
+  parts_.clear();
+}
+
+void DecisionLog::write_records(std::ostream& os, std::size_t threads) const {
   std::vector<std::size_t> sizes;
   for (const Part& p : parts_) sizes.push_back(p.stream.records.size());
   write_merged(

@@ -40,6 +40,13 @@
 // logs to `--threads 1`. Recording is gated on enabled(): when off,
 // every record call returns immediately and no simulation output
 // changes by a byte.
+//
+// Streaming (DESIGN.md §7): a log given its file by stream_to() writes
+// its header at once, and each flush() writes what it holds, as write()
+// would, and drops it. The sharded runner flushes at every epoch
+// barrier, after taking in each shard's records, all of which precede
+// the barrier's instant, so the file holds write()'s bytes while the
+// run holds about one epoch of records.
 #pragma once
 
 #include <array>
@@ -161,13 +168,20 @@ class DecisionLog {
   /// write() runs: on (time, part) order, with the part's machine ids
   /// shifted by `machine_base` and its task ids by `task_base`. Parts
   /// go in shard order, each ordered by time (checked in paranoid
-  /// builds), before this log records anything itself; what it records
-  /// afterwards is written after the merged parts.
+  /// builds) and with every decision bound, before this log records
+  /// anything itself; what it records afterwards is written after the
+  /// merged parts.
   void append_part(DecisionLog&& shard, std::size_t machine_base,
                    std::uint64_t task_base);
+  /// append_part for a shard that records on: flush() hands the part's
+  /// buffers, emptied, back to `shard`, which must not record until
+  /// then.
+  void take_part(DecisionLog& shard, std::size_t machine_base,
+                 std::uint64_t task_base);
 
+  /// Records held: not yet flushed.
   std::size_t size() const;
-  /// Every record in write() order, ids re-indexed.
+  /// Every record held, in write() order, ids re-indexed.
   std::vector<DecisionEvent> events() const;
 
   /// Reproducibility stamp emitted in the header line. Deliberately
@@ -180,6 +194,16 @@ class DecisionLog {
   /// (obs::write_merged); the bytes do not depend on `threads`.
   void write(std::ostream& os, std::size_t threads = 1) const;
   std::string str() const;
+
+  /// Makes `os` (not owned) the log's file and writes the header line
+  /// to it: set the fingerprint first.
+  void stream_to(std::ostream& os);
+  bool streaming() const { return stream_ != nullptr; }
+  /// Writes what the log holds to its stream_to() file, as write()
+  /// does after the header, and drops it: one epoch of write(). Every
+  /// decision held must be bound, and every record of a later flush
+  /// must sort after these.
+  void flush(std::size_t threads);
 
  private:
   /// One record. Fields narrower than DecisionEvent's are range-checked
@@ -229,6 +253,8 @@ class DecisionLog {
     std::vector<Key> keys;
 
     void add(const DecisionEvent& event, DecisionEvent::Kind kind);
+    /// Drops every record, keeping the buffers.
+    void clear();
     std::uint16_t intern(const DecisionEvent& event);
     DecisionEvent event(const Record& r, std::size_t machine_base,
                         std::uint64_t task_base) const;
@@ -240,11 +266,18 @@ class DecisionLog {
     Stream stream;
     std::size_t machine_base = 0;
     std::uint64_t task_base = 0;
+    /// The shard log take_part took the stream from, which flush()
+    /// gives the emptied buffers back to.
+    DecisionLog* lender = nullptr;
   };
+
+  /// The merged parts, then the own records, in write() order.
+  void write_records(std::ostream& os, std::size_t threads) const;
 
   bool enabled_ = false;
   Stream own_;
   std::vector<Part> parts_;
+  std::ostream* stream_ = nullptr;
   /// Decisions awaiting bind_machine, as (task, record index). The
   /// simulator binds every placement of the round that recorded it, so
   /// this holds at most one round's decisions.

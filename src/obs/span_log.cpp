@@ -1,6 +1,8 @@
 #include "obs/span_log.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -126,11 +128,33 @@ void SpanLog::sort_by_start() {
 
 void SpanLog::append_part(SpanLog&& shard, std::size_t machine_base,
                           std::uint64_t task_base) {
+  take_part(shard, machine_base, task_base,
+            std::numeric_limits<double>::infinity());
+  parts_.back().lender = nullptr;
+}
+
+void SpanLog::take_part(SpanLog& shard, std::size_t machine_base,
+                        std::uint64_t task_base, double before) {
   TRACON_REQUIRE(records_.empty(),
                  "a span log takes its merge parts before recording");
   TRACON_REQUIRE(shard.parts_.empty(),
                  "a merge part must hold its own spans only");
-  parts_.push_back({std::move(shard.records_), machine_base, task_base});
+  std::vector<Record>& taken = shard.records_;
+  // Cut at `before`, the part must be sorted by start; taken whole, the
+  // write's paranoid check names a part out of order.
+  TRACON_DCHECK(std::isinf(before) ||
+                    std::is_sorted(taken.begin(), taken.end(),
+                                   [](const Record& a, const Record& b) {
+                                     return a.t0_s < b.t0_s;
+                                   }),
+                "a span log part cut at a watermark must be sorted by start");
+  const auto cut = std::partition_point(
+      taken.begin(), taken.end(),
+      [&](const Record& r) { return r.t0_s < before; });
+  std::vector<Record> kept(cut, taken.end());
+  taken.erase(cut, taken.end());
+  parts_.push_back({std::move(taken), machine_base, task_base, &shard});
+  taken = std::move(kept);
 }
 
 std::size_t SpanLog::size() const {
@@ -188,6 +212,33 @@ void SpanLog::write(std::ostream& os, std::size_t threads) const {
   JsonlBuffer header(os);
   header.log_header(kSpanLogSchema, fingerprint_).end_line();
   header.flush();
+  write_records(os, threads);
+}
+
+void SpanLog::stream_to(std::ostream& os) {
+  TRACON_REQUIRE(stream_ == nullptr, "a span log streams to one file");
+  stream_ = &os;
+  JsonlBuffer header(os);
+  header.log_header(kSpanLogSchema, fingerprint_).end_line();
+  header.flush();
+}
+
+void SpanLog::flush(std::size_t threads) {
+  TRACON_REQUIRE(stream_ != nullptr,
+                 "a span log flushes to the file stream_to() named");
+  write_records(*stream_, threads);
+  records_.clear();
+  for (Part& part : parts_) {
+    if (part.lender == nullptr) continue;
+    // The lender holds only the spans it kept at take_part.
+    std::vector<Record>& kept = part.lender->records_;
+    part.records.assign(kept.begin(), kept.end());
+    kept.swap(part.records);
+  }
+  parts_.clear();
+}
+
+void SpanLog::write_records(std::ostream& os, std::size_t threads) const {
   std::vector<std::size_t> sizes;
   for (const Part& p : parts_) sizes.push_back(p.records.size());
   write_merged(

@@ -53,6 +53,13 @@
 // A log without parts (a 1-shard run) writes its spans in record order.
 // Recording is gated on enabled(): when off, every record call returns
 // immediately and no simulation output changes by a byte.
+//
+// Streaming (DESIGN.md §7): a log given its file by stream_to() writes
+// its header at once, and each flush() writes what it holds, as write()
+// would, and drops it. At every epoch barrier the sharded runner takes
+// in the spans of each shard that start before the watermark, the
+// earliest start any shard can still record, so the spans of later
+// flushes all sort after them.
 #pragma once
 
 #include <cstddef>
@@ -136,7 +143,15 @@ class SpanLog {
   /// afterwards is written after the merged parts.
   void append_part(SpanLog&& shard, std::size_t machine_base,
                    std::uint64_t task_base);
+  /// append_part for a shard that records on, taking only the spans
+  /// that start before `before`: `shard` must be sorted by start, and
+  /// keeps the spans from `before` on in that order. flush() hands the
+  /// part's buffer, holding those spans again, back to `shard`, which
+  /// must not record until then.
+  void take_part(SpanLog& shard, std::size_t machine_base,
+                 std::uint64_t task_base, double before);
 
+  /// Spans held: not yet flushed.
   std::size_t size() const;
 
   /// Reproducibility stamp emitted in the header line. Deliberately
@@ -149,6 +164,15 @@ class SpanLog {
   /// (obs::write_merged); the bytes do not depend on `threads`.
   void write(std::ostream& os, std::size_t threads = 1) const;
   std::string str() const;
+
+  /// Makes `os` (not owned) the log's file and writes the header line
+  /// to it: set the fingerprint first.
+  void stream_to(std::ostream& os);
+  bool streaming() const { return stream_ != nullptr; }
+  /// Writes what the log holds to its stream_to() file, as write()
+  /// does after the header, and drops it: one epoch of write(). Every
+  /// span of a later flush must sort after these.
+  void flush(std::size_t threads);
 
  private:
   /// One span, as written. Fields narrower than SpanEvent's are
@@ -174,9 +198,14 @@ class SpanLog {
     std::vector<Record> records;
     std::size_t machine_base = 0;
     std::uint64_t task_base = 0;
+    /// The shard log take_part took the records from, which flush()
+    /// gives the buffer back to.
+    SpanLog* lender = nullptr;
   };
 
   static Record flatten(const SpanEvent& event);
+  /// The merged parts, then the own spans, in write() order.
+  void write_records(std::ostream& os, std::size_t threads) const;
   /// Formats one span, its machine and task ids shifted into the
   /// merged id space.
   static void write_record(JsonlBuffer& out, const Record& r,
@@ -185,6 +214,7 @@ class SpanLog {
   bool enabled_ = false;
   std::vector<Record> records_;
   std::vector<Part> parts_;
+  std::ostream* stream_ = nullptr;
   std::map<std::string, std::string> fingerprint_;
 };
 

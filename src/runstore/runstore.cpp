@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fcntl.h>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,24 +20,31 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Writes `content` to `path` durably: temp file in the same directory,
-/// fflush + fsync, then rename into place.
-void write_file_atomic(const fs::path& path, const std::string& content) {
+/// Writes what `write` writes to `path` durably: temp file in the same
+/// directory, flushed and fsync'd, then renamed into place.
+void write_file_atomic(const fs::path& path, const ObjectWriter& write) {
   fs::path tmp = path;
   tmp += ".tmp";
-  std::FILE* f = std::fopen(tmp.string().c_str(), "wb");
-  if (f == nullptr) {
+  std::ofstream f(tmp, std::ios::binary);
+  if (!f) {
     throw std::runtime_error("runstore: cannot open '" + tmp.string() + "'");
   }
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-                content.size() &&
-            std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  ok = (std::fclose(f) == 0) && ok;
+  write(f);
+  if (f) f.close();
+  const int fd = f ? ::open(tmp.c_str(), O_WRONLY) : -1;
+  bool ok = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ok = ::close(fd) == 0 && ok;
   if (!ok) {
     throw std::runtime_error("runstore: short write to '" + tmp.string() +
                              "'");
   }
   fs::rename(tmp, path);
+}
+
+void write_file_atomic(const fs::path& path, const std::string& content) {
+  write_file_atomic(path, [&](std::ostream& os) {
+    os.write(content.data(), static_cast<std::streamsize>(content.size()));
+  });
 }
 
 /// Appends `lines` (each ending in a newline) to `path` and fsyncs
@@ -95,20 +103,20 @@ std::string RunStore::add_run(const obs::MetricsRegistry& metrics,
                               const std::string& scheduler,
                               const std::string& source,
                               const std::string& series_jsonl,
-                              const std::string& decisions_jsonl,
-                              const std::string& spans_jsonl) {
+                              const ObjectWriter& decisions,
+                              const ObjectWriter& spans) {
   std::ostringstream os;
   metrics.write_json(os);
   return add_run_json(os.str(), scheduler, source, metrics.fingerprint(),
-                      series_jsonl, decisions_jsonl, spans_jsonl);
+                      series_jsonl, decisions, spans);
 }
 
 std::string RunStore::add_run_json(
     const std::string& metrics_json, const std::string& scheduler,
     const std::string& source,
     const std::map<std::string, std::string>& fingerprint,
-    const std::string& series_jsonl, const std::string& decisions_jsonl,
-    const std::string& spans_jsonl) {
+    const std::string& series_jsonl, const ObjectWriter& decisions,
+    const ObjectWriter& spans) {
   const std::string id = content_id(metrics_json);
   LoadResult existing = load();
   for (const RunRecord& r : existing.runs) {
@@ -123,14 +131,14 @@ std::string RunStore::add_run_json(
     write_file_atomic(dir_ / series_rel, series_jsonl);
   }
   std::string decisions_rel;
-  if (!decisions_jsonl.empty()) {
+  if (decisions) {
     decisions_rel = "objects/" + id + ".decisions.jsonl";
-    write_file_atomic(dir_ / decisions_rel, decisions_jsonl);
+    write_file_atomic(dir_ / decisions_rel, decisions);
   }
   std::string spans_rel;
-  if (!spans_jsonl.empty()) {
+  if (spans) {
     spans_rel = "objects/" + id + ".spans.jsonl";
-    write_file_atomic(dir_ / spans_rel, spans_jsonl);
+    write_file_atomic(dir_ / spans_rel, spans);
   }
 
   const fs::path index = dir_ / "index.jsonl";

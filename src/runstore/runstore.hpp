@@ -21,6 +21,8 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -34,6 +36,10 @@ class MetricsRegistry;
 namespace tracon::runstore {
 
 inline constexpr std::string_view kRunIndexSchema = "tracon.run_index";
+
+/// Writes one stored object's document to the stream it is given; an
+/// empty writer stores no object.
+using ObjectWriter = std::function<void(std::ostream&)>;
 
 /// One stored run, as described by its index record.
 struct RunRecord {
@@ -62,16 +68,17 @@ class RunStore {
   /// already stored returns the existing id without a second record
   /// (the first store's series, if any, wins). A non-empty
   /// `series_jsonl` (a SnapshotSeries document) is stored alongside
-  /// the metrics under objects/<id>.series.jsonl; a non-empty
-  /// `decisions_jsonl` (a DecisionLog document) under
-  /// objects/<id>.decisions.jsonl; a non-empty `spans_jsonl` (a
-  /// SpanLog document) under objects/<id>.spans.jsonl.
+  /// the metrics under objects/<id>.series.jsonl; what `decisions`
+  /// writes (a DecisionLog document) under objects/<id>.decisions.jsonl
+  /// and what `spans` writes (a SpanLog document) under
+  /// objects/<id>.spans.jsonl, each straight into its object's
+  /// temporary file.
   std::string add_run(const obs::MetricsRegistry& metrics,
                       const std::string& scheduler,
                       const std::string& source,
                       const std::string& series_jsonl = "",
-                      const std::string& decisions_jsonl = "",
-                      const std::string& spans_jsonl = "");
+                      const ObjectWriter& decisions = {},
+                      const ObjectWriter& spans = {});
 
   /// Same, from a pre-serialized metrics JSON document.
   std::string add_run_json(const std::string& metrics_json,
@@ -80,8 +87,8 @@ class RunStore {
                            const std::map<std::string, std::string>&
                                fingerprint,
                            const std::string& series_jsonl = "",
-                           const std::string& decisions_jsonl = "",
-                           const std::string& spans_jsonl = "");
+                           const ObjectWriter& decisions = {},
+                           const ObjectWriter& spans = {});
 
   struct LoadResult {
     std::vector<RunRecord> runs;  ///< index order, deduplicated by id

@@ -534,15 +534,16 @@ struct DynamicEngine::State {
     while (!ended) {
       // The arrival clock: the next fed arrival, kNever past the horizon
       // or once the stream has ended. With no fed arrival left on an open
-      // stream the earliest event is not known yet, so stop before
-      // choosing one.
-      if (next_pending < pending.size()) {
+      // stream, the next one comes at `fenced_until` or later: an arrival
+      // there stands in for it, and choosing it stops the loop, since the
+      // arrival still to come could be the earliest event.
+      const bool fed = next_pending < pending.size();
+      const bool waiting = !fed && !closed;
+      if (fed) {
         const double at = pending[next_pending].time_s;
         next_at(EventType::kArrival) = at < cfg.duration_s ? at : kNever;
-      } else if (closed) {
-        next_at(EventType::kArrival) = kNever;
       } else {
-        return;
+        next_at(EventType::kArrival) = waiting ? fenced_until : kNever;
       }
       next_at(EventType::kWakeup) =
           wakeups.empty() ? kNever : *wakeups.begin();
@@ -555,6 +556,9 @@ struct DynamicEngine::State {
       // follow, as a deterministic rule rather than heap happenstance.
       const bool take_comp =
           !completions.empty() && completions.top().time < clocks[due];
+      if (waiting && !take_comp &&
+          static_cast<EventType>(due) == EventType::kArrival)
+        return;
       const double now = take_comp ? completions.top().time : clocks[due];
       if (now > cfg.duration_s) {  // also: nothing left pending
         ended = true;
@@ -611,6 +615,19 @@ struct DynamicEngine::State {
         }
       }
     }
+  }
+
+  // The earliest start of a span that can still be recorded: a running
+  // task's open epoch, or a queued task's arrival (kNever when there is
+  // neither). Every span recorded later starts there or at the clock.
+  double earliest_open_start() const {
+    double start = kNever;
+    for (const Machine& m : fleet)
+      for (const std::optional<RunningTask>& t : m.slot)
+        if (t.has_value()) start = std::min(start, t->span_open_s);
+    for (const sched::QueuedTask& q : queue)
+      start = std::min(start, q.arrival_s);
+    return start;
   }
 
   // The horizon's bookkeeping, once the event loop has ended.
@@ -695,7 +712,10 @@ struct DynamicEngine::State {
   // passed the horizon.
   std::span<const Arrival> pending;
   std::size_t next_pending = 0;
-  double last_fed_s = 0.0;  ///< time of the last arrival fed
+  double last_fed_s = 0.0;  ///< no arrival may be fed before this time
+  /// The caller's promise: no arrival before this instant is left to
+  /// feed (advance_to), so every event before it can run.
+  double fenced_until = -kNever;
   bool closed = false;
   bool ended = false;
 
@@ -828,13 +848,26 @@ void DynamicEngine::feed(std::span<const Arrival> chunk) {
   TRACON_REQUIRE(!s.closed, "the arrival stream has already been finished");
   for (const Arrival& a : chunk) {
     TRACON_REQUIRE(a.time_s >= s.last_fed_s,
-                   "arrivals must be sorted by time, from t = 0");
+                   "arrivals must be sorted by time, from t = 0 and from "
+                   "the instant the engine advanced to");
     s.last_fed_s = a.time_s;
   }
   s.pending = chunk;
   s.next_pending = 0;
   s.run();
   s.pending = {};  // the chunk stays the caller's
+}
+
+void DynamicEngine::advance_to(double t) {
+  State& s = *state_;
+  TRACON_REQUIRE(!s.closed, "the arrival stream has already been finished");
+  s.fenced_until = std::max(s.fenced_until, t);
+  s.last_fed_s = std::max(s.last_fed_s, t);
+  s.run();
+}
+
+double DynamicEngine::earliest_open_start() const {
+  return state_->earliest_open_start();
 }
 
 DynamicOutcome DynamicEngine::finish() {
@@ -845,15 +878,30 @@ DynamicOutcome DynamicEngine::finish() {
   return s.close_run();
 }
 
-void feed_poisson(const DynamicConfig& cfg, std::size_t num_apps,
-                  std::span<DynamicEngine* const> engines) {
-  PoissonStream stream(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
-                       cfg.mix_stddev, cfg.seed, num_apps);
-  std::vector<Arrival> chunk(kArrivalChunk);
-  for (std::size_t got = chunk.size(); got == chunk.size();) {
-    got = stream.fill(chunk);
+// TRACON_ANALYZE_ALLOW(require-guard): PoissonStream checks the
+// stream's parameters.
+PoissonFeed::PoissonFeed(const DynamicConfig& cfg, std::size_t num_apps)
+    : stream_(cfg.lambda_per_min, cfg.duration_s, cfg.mix, cfg.mix_stddev,
+              cfg.seed, num_apps),
+      chunk_(kArrivalChunk) {}
+
+void PoissonFeed::feed_until(double until,
+                             std::span<DynamicEngine* const> engines) {
+  for (;;) {
+    if (next_ == drawn_) {
+      drawn_ = stream_.fill(chunk_);
+      next_ = 0;
+      if (drawn_ == 0) return;  // the stream has ended
+    }
+    const auto first = chunk_.begin() + static_cast<long>(next_);
+    const auto last = chunk_.begin() + static_cast<long>(drawn_);
+    const auto stop = std::lower_bound(
+        first, last, until,
+        [](const Arrival& a, double t) { return a.time_s < t; });
+    if (stop == first) return;  // the rest starts at `until` or later
     for (DynamicEngine* engine : engines)
-      engine->feed(std::span<const Arrival>(chunk.data(), got));
+      engine->feed(std::span<const Arrival>(first, stop));
+    next_ = static_cast<std::size_t>(stop - chunk_.begin());
   }
 }
 
@@ -865,7 +913,8 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     engine.feed(cfg.arrival_source->arrivals(table.num_apps()));
   } else {
     DynamicEngine* const engines[] = {&engine};
-    feed_poisson(cfg, table.num_apps(), engines);
+    PoissonFeed(cfg, table.num_apps())
+        .feed_until(std::numeric_limits<double>::infinity(), engines);
   }
   return engine.finish();
 }

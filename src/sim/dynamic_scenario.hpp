@@ -119,9 +119,11 @@ struct DynamicOutcome {
 /// run's integrals. It is fed the arrival stream in time-sorted chunks.
 /// feed() runs every event it can decide and stops before choosing the
 /// next one whenever no fed arrival is left, since an arrival still to
-/// come could be the earliest event. finish() ends the stream and runs
-/// to the horizon. The event sequence, and so every outcome and sink
-/// byte, is therefore the same however the stream is cut into chunks.
+/// come could be the earliest event. advance_to(t) is the caller's word
+/// that no arrival before t is left to feed, so it runs every event
+/// before t. finish() ends the stream and runs to the horizon. The event
+/// sequence, and so every outcome and sink byte, is therefore the same
+/// however the stream is cut into chunks and instants.
 class DynamicEngine {
  public:
   /// Checks `cfg`; cfg.arrival_source is ignored. `table`, `scheduler`
@@ -138,6 +140,17 @@ class DynamicEngine {
   /// the horizon has been consumed when feed returns.
   void feed(std::span<const Arrival> chunk);
 
+  /// Runs every event before `t`, given that every arrival before `t`
+  /// has been fed: events at `t` itself wait, since an arrival at `t`
+  /// would come first. Arrivals fed afterwards start at `t` or later.
+  void advance_to(double t);
+
+  /// The earliest start of a span the run can still record: a running
+  /// task's open co-runner epoch or a queued task's arrival, infinity
+  /// when no task is running or queued. After advance_to(t) every span
+  /// recorded later starts at min(t, this) or after.
+  double earliest_open_start() const;
+
   /// Ends the arrival stream, runs to the horizon and returns the
   /// outcome. Call once; the engine takes no arrivals afterwards.
   DynamicOutcome finish();
@@ -150,12 +163,25 @@ class DynamicEngine {
 /// Arrivals per chunk when a Poisson stream is drawn into engines.
 inline constexpr std::size_t kArrivalChunk = 4096;
 
-/// Draws `cfg`'s Poisson stream (PoissonStream over its lambda, horizon,
-/// mix and seed) kArrivalChunk arrivals at a time and feeds each chunk
-/// to every engine in `engines`, in order: the engines see one stream,
-/// and only one chunk of it is ever held.
-void feed_poisson(const DynamicConfig& cfg, std::size_t num_apps,
-                  std::span<DynamicEngine* const> engines);
+/// `cfg`'s Poisson stream (PoissonStream over its lambda, horizon, mix
+/// and seed), drawn kArrivalChunk arrivals at a time and fed to engines
+/// up to an instant: the engines see one stream, and only one chunk of
+/// it is ever held.
+class PoissonFeed {
+ public:
+  PoissonFeed(const DynamicConfig& cfg, std::size_t num_apps);
+
+  /// Feeds each arrival before `until` not fed yet to every engine in
+  /// `engines`, in order, chunk by chunk; infinity feeds the rest of the
+  /// stream.
+  void feed_until(double until, std::span<DynamicEngine* const> engines);
+
+ private:
+  PoissonStream stream_;
+  std::vector<Arrival> chunk_;
+  std::size_t next_ = 0;   ///< first arrival of chunk_ not fed yet
+  std::size_t drawn_ = 0;  ///< arrivals drawn into chunk_
+};
 
 /// One run over cfg.arrival_source's list, or over the Poisson stream
 /// drawn lazily when it is null.

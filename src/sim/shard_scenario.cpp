@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <utility>
@@ -58,6 +59,19 @@ struct ShardState {
   std::optional<migrate::Rebalancer> rebalancer;
   DynamicOutcome outcome;
   DynamicOutcome baseline;
+
+  // The run in progress, from its first epoch's work item to its last's.
+  std::optional<DynamicEngine> engine;
+  std::optional<sched::FifoScheduler> fifo;
+  std::optional<DynamicEngine> baseline_engine;
+  std::optional<PoissonFeed> poisson;  ///< the stream of a non-routed shard
+  std::size_t routed_fed = 0;  ///< arrivals of the routed slice fed so far
+  /// The shard's arrivals, counted before the first write when its logs
+  /// merge: its task ids are offset by the shards' before it.
+  std::uint64_t counted = 0;
+  std::uint64_t task_base = 0;
+  /// earliest_open_start() at the epoch's end.
+  double open_start = 0.0;
 };
 
 /// The FIFO baseline's configuration: the shard's shape and arrival
@@ -183,6 +197,67 @@ void track_family(obs::SnapshotSeries& series, const std::string& family,
   series.track_accuracy("model." + family + ".runtime", runtime);
   // TRACON_ANALYZE_ALLOW(metric-name): validated the same way.
   series.track_accuracy("model." + family + ".iops", iops);
+}
+
+/// The arrivals before the horizon of shard `s`'s stream: its routed
+/// slice's, or those of its Poisson stream drawn once more to count them.
+std::uint64_t count_arrivals(const ShardState& s, bool routed,
+                             std::size_t num_apps) {
+  if (routed) {
+    return static_cast<std::uint64_t>(std::count_if(
+        s.arrivals.begin(), s.arrivals.end(),
+        [&](const Arrival& a) { return a.time_s < s.cfg.duration_s; }));
+  }
+  PoissonStream stream(s.cfg.lambda_per_min, s.cfg.duration_s, s.cfg.mix,
+                       s.cfg.mix_stddev, s.cfg.seed, num_apps);
+  std::uint64_t n = 0;
+  while (stream.next().has_value()) ++n;
+  return n;
+}
+
+/// One epoch of shard `shard`'s work item: feeds its engines every
+/// arrival before `until` and runs them there, or, in the last epoch,
+/// feeds the rest and runs to the horizon. The first epoch builds the
+/// engines and the stream and the last destroys them, so a one-epoch
+/// run holds them only inside its work item. The baseline engine, when
+/// on, takes each arrival first.
+void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
+               ShardState& s, std::size_t shard, std::size_t shards,
+               bool routed, double until, bool last) {
+  if (!s.engine.has_value()) {
+    s.engine.emplace(table, *s.scheduler, s.cfg);
+    if (cfg.fifo_baseline) {
+      s.fifo.emplace(shard_seed(cfg.seed + 1, shard, shards));
+      s.baseline_engine.emplace(table, *s.fifo, baseline_config(s.cfg));
+    }
+    if (!routed) s.poisson.emplace(s.cfg, table.num_apps());
+  }
+  std::vector<DynamicEngine*> engines;
+  if (s.baseline_engine.has_value()) engines.push_back(&*s.baseline_engine);
+  engines.push_back(&*s.engine);
+  if (routed) {
+    const auto first = s.arrivals.begin() + static_cast<long>(s.routed_fed);
+    const auto stop = std::lower_bound(
+        first, s.arrivals.end(), until,
+        [](const Arrival& a, double t) { return a.time_s < t; });
+    if (stop != first)
+      for (DynamicEngine* e : engines)
+        e->feed(std::span<const Arrival>(first, stop));
+    s.routed_fed = static_cast<std::size_t>(stop - s.arrivals.begin());
+  } else {
+    s.poisson->feed_until(until, engines);
+  }
+  if (last) {
+    if (s.baseline_engine.has_value()) s.baseline = s.baseline_engine->finish();
+    s.outcome = s.engine->finish();
+    s.baseline_engine.reset();
+    s.fifo.reset();
+    s.engine.reset();
+    s.poisson.reset();
+  } else {
+    for (DynamicEngine* e : engines) e->advance_to(until);
+    s.open_start = s.engine->earliest_open_start();
+  }
 }
 
 /// Materializes the root arrival stream once and deals it out: arrival
@@ -322,37 +397,72 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     }
   }
 
-  // --- Run every shard on the worker pool. Shards touch only their own
-  // state (plus shared read-only inputs: the perf table, the probe and
-  // the ensembles' family tables), and parallel_for joins all workers
-  // before returning, so the merge below reads fully published results.
-  // A non-routed work item holds its engines and one arrival chunk,
-  // never its stream; the baseline engine, when on, takes each chunk
-  // first.
-  parallel_for(threads, shards, [&](std::size_t i) {
-    ShardState& s = states[i];
-    DynamicEngine engine(table, *s.scheduler, s.cfg);
-    std::optional<sched::FifoScheduler> fifo;
-    std::optional<DynamicEngine> baseline;
-    std::vector<DynamicEngine*> engines;
-    if (cfg.fifo_baseline) {
-      fifo.emplace(shard_seed(cfg.seed + 1, i, shards));
-      baseline.emplace(table, *fifo, baseline_config(s.cfg));
-      engines.push_back(&*baseline);
+  // --- Run every shard on the worker pool, one epoch at a time. A run
+  // whose decision or span log streams to its file (DESIGN.md §7)
+  // advances every shard to each epoch's end in turn, and at each
+  // barrier writes the records no shard can precede any more; any other
+  // run is one epoch. Shards touch only their own state (plus shared
+  // read-only inputs: the perf table, the probe and the ensembles'
+  // family tables), and parallel_for joins all workers before
+  // returning, so each barrier reads fully published results.
+  const bool streamed =
+      cfg.telemetry != nullptr && (cfg.telemetry->decisions.streaming() ||
+                                   cfg.telemetry->spans.streaming());
+  const double epoch_s = streamed && cfg.lambda_per_min > 0.0
+                             ? kEpochArrivals * 60.0 / cfg.lambda_per_min
+                             : std::numeric_limits<double>::infinity();
+  // Merged logs offset each shard's task ids by the arrivals of the
+  // shards before it, counted in the first epoch, before any write.
+  const bool count = merge && (decisions_on || spans_on);
+  for (std::size_t epoch = 0;; ++epoch) {
+    const double end = epoch_s * static_cast<double>(epoch + 1);
+    const bool last = !(end < cfg.duration_s);
+    const double until =
+        last ? std::numeric_limits<double>::infinity() : end;
+    parallel_for(threads, shards, [&](std::size_t i) {
+      ShardState& s = states[i];
+      run_epoch(table, cfg, s, i, shards, routed, until, last);
+      if (count && epoch == 0)
+        s.counted = count_arrivals(s, routed, table.num_apps());
+      // Spans are recorded as they close, and a merge part is ordered
+      // by start. A task's starts never decrease, so its own spans stay
+      // in chronological order.
+      if (merge && spans_on) s.telemetry.spans.sort_by_start();
+    });
+
+    if (count && epoch == 0) {
+      std::uint64_t task_base = 0;
+      for (ShardState& s : states) {
+        s.task_base = task_base;
+        task_base += s.counted;
+      }
     }
-    engines.push_back(&engine);
-    if (routed) {
-      for (DynamicEngine* e : engines) e->feed(s.arrivals);
-    } else {
-      feed_poisson(s.cfg, table.num_apps(), engines);
+    if (merge) {
+      // Every record below `until` is in. Decisions are recorded at the
+      // clock, so all of them are; a span still to come starts at the
+      // earliest span a shard holds open, or later.
+      double watermark = until;
+      if (!last)
+        for (const ShardState& s : states)
+          watermark = std::min(watermark, s.open_start);
+      for (ShardState& s : states) {
+        if (decisions_on)
+          cfg.telemetry->decisions.take_part(s.telemetry.decisions, s.base,
+                                             s.task_base);
+        if (spans_on)
+          cfg.telemetry->spans.take_part(s.telemetry.spans, s.base,
+                                         s.task_base, watermark);
+      }
     }
-    if (baseline.has_value()) s.baseline = baseline->finish();
-    s.outcome = engine.finish();
-    // Spans are recorded as they close, and a merge part is ordered by
-    // start. A task's starts never decrease, so its own spans stay in
-    // chronological order.
-    if (merge && spans_on) s.telemetry.spans.sort_by_start();
-  });
+    if (decisions_on && cfg.telemetry->decisions.streaming())
+      cfg.telemetry->decisions.flush(threads);
+    if (spans_on && cfg.telemetry->spans.streaming())
+      cfg.telemetry->spans.flush(threads);
+    if (last) break;
+  }
+  for (const ShardState& s : states)
+    TRACON_ASSERT(!count || s.counted == s.outcome.arrived,
+                  "a shard's counted arrivals must be the ones it ran");
 
   ShardedOutcome out;
   out.shards = shards;
@@ -383,24 +493,12 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     aggregate_gauges(cfg.telemetry->metrics, states, cfg.machines);
   }
 
-  // Each shard's tracer, decision log and span log move into the
-  // caller's as a part; each stream merges on (time, shard, record) as
-  // it is written, re-indexed into the global machine and task-id space.
-  // Task ids are per-shard arrival indices, offset by the arrivals of
-  // the shards before (`arrived` is a function of the shard seed alone,
-  // so the offsets are thread-independent).
-  std::uint64_t task_base = 0;
-  for (ShardState& s : states) {
-    if (tracer_on)
+  // Each shard's tracer moves into the caller's as a part, merged on
+  // (time, shard, record) as it is written, re-indexed into the global
+  // machine space.
+  if (tracer_on)
+    for (ShardState& s : states)
       cfg.telemetry->tracer.append_part(std::move(s.telemetry.tracer), s.base);
-    if (decisions_on)
-      cfg.telemetry->decisions.append_part(std::move(s.telemetry.decisions),
-                                           s.base, task_base);
-    if (spans_on)
-      cfg.telemetry->spans.append_part(std::move(s.telemetry.spans), s.base,
-                                       task_base);
-    task_base += s.outcome.arrived;
-  }
 
   if (series_on) out.series = merge_series(states);
   return out;

@@ -7,7 +7,10 @@
 // Each shard is one work item: a DynamicEngine fed its arrivals either
 // in chunks drawn lazily from its own Poisson stream or as its routed
 // slice, built in full, beside an optional FIFO baseline engine fed
-// the same arrivals first.
+// the same arrivals first. A run whose decision or span log streams to
+// its file runs in epochs of kEpochArrivals arrivals: every shard
+// advances to the epoch's end, and at that barrier the logs write the
+// records no shard can precede any more. Any other run is one epoch.
 //
 // Model note: a shard is the paper's per-manager sub-cluster (Section
 // 3's manager tree) — each shard has its own queue (queue_capacity per
@@ -26,11 +29,12 @@
 // sizes the worker pool and NOTHING else, so `--threads N` produces
 // byte-identical metrics JSON, snapshot series, and task/trace event
 // files to `--threads 1` for the same seed. Each stream has one
-// per-shard recorder and one merge. The tracer (task events included),
-// the decision log and the span log each move every shard's recorder
-// into the caller's as a part at the join, and go through one k-way
-// merge on (time, shard, record), util/stamp_merge.hpp, as they are
-// written. The series merges by SeriesWindow value.
+// per-shard recorder and one merge. The tracer (task events included)
+// moves every shard's recorder into the caller's as a part at the
+// join; the decision and span logs do so at every epoch barrier, the
+// last one being the join. Each goes through one k-way merge on (time,
+// shard, record), util/stamp_merge.hpp, as it is written. The series
+// merges by SeriesWindow value.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +54,11 @@
 #include "workload/mixes.hpp"
 
 namespace tracon::sim {
+
+/// Arrivals across the fleet per epoch of a run whose decision or span
+/// log streams to its file: at 4096 arrivals per minute an epoch is
+/// 240 s of virtual time. The run holds about one epoch of log records.
+inline constexpr double kEpochArrivals = 16384.0;
 
 /// Builds shard `shard`'s scheduler. Called serially on the caller's
 /// thread before the workers start, once per shard in shard order —

@@ -44,7 +44,10 @@
 #      200,000 levels deep, a negative series window and a decision
 #      record whose app index no integer type holds;
 #  12. `replay` refuses, naming the line, a trace whose first arrival
-#      precedes t = 0.
+#      precedes t = 0;
+#  13. an export file that cannot be opened fails the run before the
+#      set-up: a 10^5-machine, 100 h `dynamic` exits 1 at once, and
+#      `record` and `replay` fail before their --host is read.
 set -euo pipefail
 
 TRACON=$1
@@ -272,6 +275,22 @@ if [ -e /dev/full ]; then
 else
   echo "skipped: this system has no /dev/full"
 fi
+
+echo "== an export file that cannot be opened fails before the set-up =="
+# The run itself would take hours: every export path is opened first.
+rc=0
+timeout 60 "$TRACON" dynamic --machines 100000 --lambda 100000 --hours 100 \
+    --metrics-out missing/dir/metrics.json > out.log 2> err.log || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -qF \
+    "cannot open metrics JSON file 'missing/dir/metrics.json'" err.log; then
+  echo "FAIL: exit code $rc (want 1) for an export in a missing directory"
+  cat err.log
+  exit 1
+fi
+expect_error "cannot open span log file 'missing/spans.jsonl'" \
+  record --hours 0.01 --out a.jsonl --store runs --spans-out missing/spans.jsonl
+expect_error "cannot open decision log file 'missing/decisions.jsonl'" \
+  replay --trace "$GOLDEN" --store runs --decisions-out missing/decisions.jsonl
 
 echo "== the log readers name what their source lacks =="
 "$TRACON" record --machines 4 --lambda 6 --hours 0.01 --out bare.jsonl \

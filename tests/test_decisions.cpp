@@ -201,6 +201,46 @@ TEST(DecisionLog, PartsMergeOnStampThenShardWithIdsReindexed) {
               expected[i]);
 }
 
+TEST(DecisionLog, StreamedEpochsWriteTheWholeLog) {
+  // Two shards, two epochs, both deciding at t = 5 and t = 12: each
+  // flush writes its epoch's records merged on (time, shard), and the
+  // file holds what the whole-log writer writes.
+  auto record = [](DecisionLog& log, std::uint64_t task, double t) {
+    log.record_decision(make_decision(task, t, 1, 100.0));
+    log.bind_machine(task, 0);
+    DecisionEvent done = make_outcome(task, t + 2.0, 1, std::nullopt, 2.0, 2.0);
+    done.machine = 0;
+    log.record_outcome(done);
+  };
+  DecisionLog streamed, streamed_shards[2], whole, whole_shards[2];
+  std::ostringstream os;
+  streamed.set_fingerprint("seed", "7");
+  streamed.stream_to(os);
+  whole.set_fingerprint("seed", "7");
+  for (double t : {5.0, 12.0}) {
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      streamed_shards[s].set_enabled(true);
+      whole_shards[s].set_enabled(true);
+      const std::uint64_t task = t < 10.0 ? 0 : 1;
+      record(streamed_shards[s], task, t);
+      record(whole_shards[s], task, t);
+      streamed.take_part(streamed_shards[s], 3 * s, 2 * s);
+    }
+    streamed.flush(1);
+    EXPECT_EQ(streamed.size(), 0u);
+  }
+  for (std::uint64_t s = 0; s < 2; ++s)
+    whole.append_part(std::move(whole_shards[s]), 3 * s, 2 * s);
+  EXPECT_EQ(os.str(), whole.str());
+  EXPECT_EQ(obs::parse_decision_log(os.str()).events.size(), 8u);
+
+  // A decision not yet bound to its machine cannot leave its shard.
+  DecisionLog unbound;
+  unbound.set_enabled(true);
+  unbound.record_decision(make_decision(7, 1.0, 1, 100.0));
+  EXPECT_THROW(streamed.take_part(unbound, 0, 0), std::invalid_argument);
+}
+
 TEST(DecisionLog, WithoutPartsRecordOrderIsWriteOrder) {
   DecisionLog log;
   log.set_enabled(true);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <sstream>
 
 #include "sched/fifo.hpp"
@@ -354,8 +356,10 @@ struct ConfidenceRun {
 
 /// MIX over one confidence ensemble per shard of `cfg`, every sink on.
 /// `indexed` false resets each shard's scheduler to the flat reference
-/// scan.
-ConfidenceRun run_confidence(ShardedConfig cfg, bool indexed = true) {
+/// scan. `streamed` streams the decision and span logs to their bytes
+/// during the run, epoch by epoch.
+ConfidenceRun run_confidence(ShardedConfig cfg, bool indexed = true,
+                             bool streamed = false) {
   static const sched::TablePredictor solo = solo_predictor();
   std::vector<std::unique_ptr<sched::ConfidenceWeightedPredictor>> owned;
   for (std::size_t i = 0; i < cfg.shards; ++i) {
@@ -376,9 +380,18 @@ ConfidenceRun run_confidence(ShardedConfig cfg, bool indexed = true) {
     if (!indexed) s->set_candidate_index(nullptr);
     return s;
   };
+  std::ostringstream decisions, spans;
+  if (streamed) {
+    telemetry.decisions.stream_to(decisions);
+    telemetry.spans.stream_to(spans);
+  }
   ConfidenceRun r;
   r.outcome = run_dynamic_sharded(table(), factory, cfg);
   r.bytes = sink_bytes(telemetry, r.outcome.series);
+  if (streamed) {
+    r.bytes.decisions = decisions.str();
+    r.bytes.spans = spans.str();
+  }
   return r;
 }
 
@@ -439,17 +452,25 @@ struct EngineRun {
   SinkBytes bytes;
 };
 
-/// One flat run of `kind` with every sink, the accuracy windows, the
-/// snapshot series and a rebalancer on, its Poisson stream fed to a
-/// DynamicEngine `chunk` arrivals at a time (0: the whole stream at
-/// once).
-EngineRun run_chunked(const std::string& kind, std::size_t chunk) {
+/// The shape and arrival stream of run_chunked's runs.
+DynamicConfig chunked_config() {
   DynamicConfig cfg;
   cfg.machines = 12;
   cfg.lambda_per_min = 14.0;
   cfg.duration_s = 7200.0;
   cfg.mix = workload::MixKind::kHeavy;
   cfg.seed = 5;
+  return cfg;
+}
+
+/// One flat run of `kind` with every sink, the accuracy windows, the
+/// snapshot series and a rebalancer on, its Poisson stream fed to a
+/// DynamicEngine `chunk` arrivals at a time (0: all it may feed at
+/// once), advancing the engine to each instant of `cuts` (ascending)
+/// once every arrival before it is fed.
+EngineRun run_chunked(const std::string& kind, std::size_t chunk,
+                      const std::vector<double>& cuts = {}) {
+  DynamicConfig cfg = chunked_config();
   obs::Telemetry tel;
   enable_logs(tel);
   cfg.telemetry = &tel;
@@ -474,22 +495,68 @@ EngineRun run_chunked(const std::string& kind, std::size_t chunk) {
   const std::vector<Arrival> stream = source.arrivals(table().num_apps());
   const std::span<const Arrival> all(stream);
   DynamicEngine engine(table(), *scheduler, cfg);
-  if (chunk == 0) {
-    engine.feed(all);
-  } else {
-    for (std::size_t at = 0; at < all.size(); at += chunk)
-      engine.feed(all.subspan(at, std::min(chunk, all.size() - at)));
+  std::size_t at = 0;
+  auto feed_before = [&](double until) {
+    std::size_t end = at;
+    while (end < all.size() && all[end].time_s < until) ++end;
+    while (at < end) {
+      const std::size_t n = chunk == 0 ? end - at : std::min(chunk, end - at);
+      engine.feed(all.subspan(at, n));
+      at += n;
+    }
+  };
+  for (double t : cuts) {
+    feed_before(t);
+    engine.advance_to(t);
   }
+  feed_before(std::numeric_limits<double>::infinity());
   EngineRun r;
   r.outcome = engine.finish();
   r.bytes = sink_bytes(tel, series.str());
   return r;
 }
 
+void expect_same_run(const EngineRun& got, const EngineRun& whole,
+                     const std::string& what) {
+  EXPECT_EQ(got.outcome.arrived, whole.outcome.arrived) << what;
+  EXPECT_EQ(got.outcome.dropped, whole.outcome.dropped) << what;
+  EXPECT_EQ(got.outcome.completed, whole.outcome.completed) << what;
+  EXPECT_EQ(got.outcome.total_runtime, whole.outcome.total_runtime) << what;
+  EXPECT_EQ(got.outcome.total_iops, whole.outcome.total_iops) << what;
+  EXPECT_EQ(got.outcome.mean_wait_s, whole.outcome.mean_wait_s) << what;
+  EXPECT_EQ(got.outcome.mean_queue_length, whole.outcome.mean_queue_length)
+      << what;
+  expect_same_bytes(got.bytes, whole.bytes, what);
+}
+
+/// Instants to advance run_chunked's engine to: two arrivals' times and
+/// two completions' (each a pending completion's ETA when the engine
+/// stops there), an instant where a round, a rebalance and a snapshot
+/// are all due, and two instants between events.
+std::vector<double> cut_points(const EngineRun& whole) {
+  const std::vector<Arrival> stream =
+      generate_arrivals(chunked_config(), table().num_apps());
+  std::vector<double> completions;
+  for (const obs::DecisionEvent& e :
+       obs::parse_decision_log(whole.bytes.decisions).events)
+    if (e.kind == obs::DecisionEvent::Kind::kOutcome)
+      completions.push_back(e.time_s);
+  EXPECT_GT(stream.size(), 60u);
+  EXPECT_GT(completions.size(), 40u);
+  std::vector<double> cuts = {stream[10].time_s, stream[57].time_s,
+                              completions[5],    completions[40],
+                              600.0,             1234.5,
+                              5000.25};
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
 TEST(DynamicEngine, ChunkedFeedIsTheWholeStreamByteForByte) {
   // Chunks of one arrival stop the engine before every arrival, so
   // wake-ups, rounds, rebalances and snapshots all fall across chunk
-  // boundaries; the event sequence must not notice.
+  // boundaries; the event sequence must not notice. Nor must it notice
+  // advance_to stops, at an arrival's time, at a completion due there,
+  // or where every control clock is.
   for (const char* kind : {"fifo", "mios", "mibs", "mix"}) {
     const EngineRun whole = run_chunked(kind, 0);
     EXPECT_GT(whole.outcome.completed, 0u) << kind;
@@ -497,20 +564,16 @@ TEST(DynamicEngine, ChunkedFeedIsTheWholeStreamByteForByte) {
               std::string::npos)
         << kind;
     for (std::size_t chunk : {1u, 2u, 7u, 4096u}) {
-      const std::string what = std::string(kind) + " in chunks of " +
-                               std::to_string(chunk);
-      const EngineRun got = run_chunked(kind, chunk);
-      EXPECT_EQ(got.outcome.arrived, whole.outcome.arrived) << what;
-      EXPECT_EQ(got.outcome.dropped, whole.outcome.dropped) << what;
-      EXPECT_EQ(got.outcome.completed, whole.outcome.completed) << what;
-      EXPECT_EQ(got.outcome.total_runtime, whole.outcome.total_runtime)
-          << what;
-      EXPECT_EQ(got.outcome.total_iops, whole.outcome.total_iops) << what;
-      EXPECT_EQ(got.outcome.mean_wait_s, whole.outcome.mean_wait_s) << what;
-      EXPECT_EQ(got.outcome.mean_queue_length,
-                whole.outcome.mean_queue_length)
-          << what;
-      expect_same_bytes(got.bytes, whole.bytes, what);
+      expect_same_run(run_chunked(kind, chunk), whole,
+                      std::string(kind) + " in chunks of " +
+                          std::to_string(chunk));
+    }
+    const std::vector<double> cuts = cut_points(whole);
+    for (std::size_t chunk : {0u, 3u}) {
+      expect_same_run(run_chunked(kind, chunk, cuts), whole,
+                      std::string(kind) + " advanced to cut points, in "
+                                          "chunks of " +
+                          std::to_string(chunk));
     }
   }
 }
@@ -584,6 +647,41 @@ TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
     EXPECT_NE(with.bytes.metrics.find("sim.tasks.migrated"),
               std::string::npos)
         << at;
+  }
+}
+
+TEST(ShardedScenario, StreamedLogsAreTheWholeLogsByteForByte) {
+  // Four and a half epochs of a rebalancing MIX run over per-shard
+  // ensembles. A rebalance round falls 0.3 s more before each epoch's
+  // end than before the last, so the barriers cut migration freeze and
+  // copy windows; spans still open hold the span watermark back.
+  ShardedConfig cfg = small_cfg(31, 1);
+  cfg.machines = 64;
+  cfg.lambda_per_min = 60.0;
+  const double epoch_s = kEpochArrivals * 60.0 / cfg.lambda_per_min;
+  cfg.duration_s = 4.5 * epoch_s;
+  cfg.mix = workload::MixKind::kHeavy;
+  cfg.rebalance = true;
+  cfg.rebalance_cfg.interval_s = (epoch_s - 0.3) / 137.0;
+  cfg.rebalance_predictor = &oracle();
+  const ConfidenceRun whole = run_confidence(cfg);
+
+  // The barriers cut at least one migration window.
+  std::size_t cut = 0;
+  for (const obs::SpanEvent& e : obs::parse_span_log(whole.bytes.spans).events)
+    if (e.kind == obs::SpanEvent::Kind::kMigrationFreeze ||
+        e.kind == obs::SpanEvent::Kind::kMigrationCopy)
+      for (double end = epoch_s; end < cfg.duration_s; end += epoch_s)
+        if (e.t0_s < end && end < e.t1_s) ++cut;
+  EXPECT_GT(cut, 0u);
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    cfg.threads = threads;
+    const ConfidenceRun streamed = run_confidence(cfg, true, true);
+    const std::string at = "streamed at threads " + std::to_string(threads);
+    EXPECT_EQ(streamed.outcome.total.completed, whole.outcome.total.completed)
+        << at;
+    expect_same_bytes(streamed.bytes, whole.bytes, at);
   }
 }
 

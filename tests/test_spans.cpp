@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -167,6 +168,61 @@ TEST(SpanLog, PartsMergeOnStartThenShardWithIdsReindexed) {
                                                {5.0, 2, 4},
                                                {8.0, 2, 4},
                                                {12.0, 1, none}}));
+}
+
+TEST(SpanLog, StreamedEpochsKeepEqualStartsInRecordOrder) {
+  // Two shards record queue waits over two epochs, the first closed at
+  // a watermark of t = 8. Shard 0's spans starting at 8 fall on both
+  // sides of it: tasks 1 and 3, recorded before the barrier, stay held
+  // there; task 4 is recorded after it. Spans with equal starts must
+  // keep (shard, record) order, as the whole-log writer merges them.
+  using Epoch = std::vector<std::pair<std::uint64_t, double>>;
+  const Epoch epochs[2][2] = {{{{0, 5.0}, {1, 8.0}, {2, 5.0}, {3, 8.0}},
+                               {{0, 8.0}, {1, 3.0}}},
+                              {{{4, 8.0}, {5, 9.0}}, {{2, 8.0}}}};
+  auto record = [](SpanLog& log, const Epoch& spans) {
+    for (const auto& [task, t0] : spans)
+      log.record(make_span(SpanEvent::Kind::kQueued, task, t0, t0 + 1.0, 0));
+    log.sort_by_start();
+  };
+  SpanLog streamed, streamed_shards[2], whole, whole_shards[2];
+  std::ostringstream os;
+  streamed.set_fingerprint("seed", "7");
+  streamed.stream_to(os);
+  whole.set_fingerprint("seed", "7");
+  for (std::size_t e = 0; e < 2; ++e) {
+    const double watermark =
+        e == 0 ? 8.0 : std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < 2; ++s) {
+      streamed_shards[s].set_enabled(true);
+      whole_shards[s].set_enabled(true);
+      record(streamed_shards[s], epochs[e][s]);
+      record(whole_shards[s], epochs[e][s]);
+      streamed.take_part(streamed_shards[s], 4 * s, 10 * s, watermark);
+    }
+    streamed.flush(1);
+    if (e == 0) {
+      EXPECT_EQ(streamed_shards[0].size(), 2u);  // tasks 1 and 3
+      EXPECT_EQ(streamed_shards[1].size(), 1u);  // task 0
+    }
+  }
+  for (std::size_t s = 0; s < 2; ++s)
+    whole.append_part(std::move(whole_shards[s]), 4 * s, 10 * s);
+  EXPECT_EQ(os.str(), whole.str());
+
+  std::vector<std::pair<double, std::uint64_t>> order;
+  for (const SpanEvent& e : obs::parse_span_log(os.str()).events)
+    order.emplace_back(e.t0_s, e.task);
+  EXPECT_EQ(order, (std::vector<std::pair<double, std::uint64_t>>{
+                       {3.0, 11},
+                       {5.0, 0},
+                       {5.0, 2},
+                       {8.0, 1},
+                       {8.0, 3},
+                       {8.0, 4},
+                       {8.0, 10},
+                       {8.0, 12},
+                       {9.0, 5}}));
 }
 
 TEST(SpanLog, ParanoidBuildsRejectAPartOutOfStartOrder) {

@@ -154,14 +154,17 @@
 //   tracon static --machines 16 --mix medium --objective io
 //   tracon dynamic --machines 64 --lambda 80 --hours 10
 //          [continued] --scheduler mibs --queue 8 --mix heavy
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/tracon.hpp"
 #include "migrate/rebalancer.hpp"
@@ -510,6 +513,22 @@ int cmd_static(const ArgParser& args) {
   return 0;
 }
 
+/// One export file a run can write: the flag naming it and its noun in
+/// messages.
+struct ExportKind {
+  const char* flag;
+  const char* what;
+};
+
+/// Every export, in the order a run reports them.
+constexpr ExportKind kExports[] = {
+    {"metrics-out", "metrics JSON"},  {"metrics-csv", "metrics CSV"},
+    {"trace-out", "Chrome trace"},    {"trace-jsonl", "JSONL trace"},
+    {"series-out", "metrics series"}, {"decisions-out", "decision log"},
+    {"spans-out", "span log"},        {"trace", "task-event CSV"},
+    {"events-jsonl", "task-event JSONL"}};
+constexpr std::size_t kNumExports = std::size(kExports);
+
 /// One simulated run of `dynamic`, `record` or `replay`: the engine
 /// configuration its flags describe, the provenance its fingerprint
 /// records, and the sinks it writes.
@@ -527,6 +546,15 @@ struct Run {
   std::string model = "nlm";  ///< CLI token, as --model takes it
   std::string source = "live";
   obs::Telemetry tel;
+  /// The export files, in kExports order, each open when its flag names
+  /// it (open_exports).
+  std::array<std::ofstream, kNumExports> files;
+
+  std::ofstream& file(std::string_view flag) {
+    std::size_t k = 0;
+    while (kExports[k].flag != flag) ++k;
+    return files[k];
+  }
 };
 
 /// Reads every flag of a run besides its shape (already in run.cfg)
@@ -563,14 +591,38 @@ void read_run_flags(const ArgParser& args, Run& run) {
                   tel.spans.enabled();
 }
 
+/// Whether `args` names export `k` of `run`: `record` and `replay` read
+/// --trace as something else.
+bool names_export(const ArgParser& args, const Run& run, std::size_t k) {
+  return args.has(kExports[k].flag) &&
+         !(run.store && std::string_view(kExports[k].flag) == "trace");
+}
+
+/// Opens every export file the flags name, before any set-up work, so a
+/// path that cannot be written fails at once instead of after the run.
+/// Returns false after naming each file it cannot open.
+bool open_exports(const ArgParser& args, Run& run) {
+  bool ok = true;
+  for (std::size_t k = 0; k < kNumExports; ++k) {
+    if (!names_export(args, run, k)) continue;
+    const std::string path = args.get(kExports[k].flag);
+    run.files[k].open(path, std::ios::binary);
+    if (!run.files[k]) {
+      std::fprintf(stderr, "cannot open %s file '%s'\n", kExports[k].what,
+                   path.c_str());
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 /// Stamps the run-identity block every metrics export carries — enough
 /// to tell two stored runs apart and to reproduce either one — and
-/// copies it onto the decision and span logs without the execution
-/// shape: DESIGN.md §6g/§6i keep those logs byte-identical across
-/// `--threads N`. A 1-shard run is the same simulated system however it
-/// was invoked, so only a multi-shard run records threads and shards.
+/// copies it onto the decision and span logs, before the run: the logs
+/// write their headers first. The logs never carry the execution shape
+/// (DESIGN.md §6g/§6i keep them byte-identical across `--threads N`),
+/// and the metrics carry it only for a multi-shard run, after the run.
 void stamp_fingerprint(Run& run, const sim::ShardedConfig& cfg,
-                       const sim::ShardedOutcome& o,
                        const std::string& scheduler) {
   obs::MetricsRegistry& m = run.tel.metrics;
   m.set_fingerprint("seed", std::to_string(cfg.seed));
@@ -591,16 +643,14 @@ void stamp_fingerprint(Run& run, const sim::ShardedConfig& cfg,
     run.tel.decisions.set_fingerprint(key, value);
     run.tel.spans.set_fingerprint(key, value);
   }
-  if (o.shards > 1) {
-    m.set_fingerprint("threads", std::to_string(o.threads_used));
-    m.set_fingerprint("shards", std::to_string(o.shards));
-  }
 }
 
 /// Runs `run` on the engine and stamps its fingerprint. Builds the
 /// per-shard schedulers (each TRACON scheduler places through its own
 /// candidate index) and, with --confidence-weighting, one ensemble per
 /// shard over WMM/LM/NLM tables trained once and shared read-only.
+/// `dynamic` streams its decision and span logs into their files as the
+/// run goes; `record` and `replay` keep them for the run store.
 /// `scheduler` receives the scheduler's display name.
 sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
                              std::string& scheduler) {
@@ -637,79 +687,80 @@ sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
     cfg.accuracy_window = run.accuracy_window;
   }
 
-  auto factory = [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-    std::unique_ptr<sched::Scheduler> s;
+  auto build = [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
     if (run.scheduler.kind == core::SchedulerKind::kFifo) {
       // The core factory seeds FIFO at seed + 1; shards split that
       // stream the way the arrival streams split the seed.
-      s = std::make_unique<sched::FifoScheduler>(
+      return std::make_unique<sched::FifoScheduler>(
           sim::shard_seed(cfg.seed + 1, shard, shards));
-    } else {
-      s = make_scheduler(sys, run.scheduler, false,
-                         ensembles.empty() ? nullptr : ensembles[shard].get());
     }
-    if (scheduler.empty()) scheduler = s->name();
-    return s;
+    return make_scheduler(sys, run.scheduler, false,
+                          ensembles.empty() ? nullptr : ensembles[shard].get());
+  };
+  // Shard 0's scheduler comes first: its name is in the fingerprint the
+  // logs' headers carry.
+  std::unique_ptr<sched::Scheduler> first = build(0);
+  scheduler = first->name();
+  if (run.telemetry) stamp_fingerprint(run, cfg, scheduler);
+  if (!run.store) {
+    if (run.file("decisions-out").is_open())
+      run.tel.decisions.stream_to(run.file("decisions-out"));
+    if (run.file("spans-out").is_open())
+      run.tel.spans.stream_to(run.file("spans-out"));
+  }
+  auto factory = [&](std::size_t shard) {
+    return shard == 0 ? std::move(first) : build(shard);
   };
   sim::ShardedOutcome o =
       sim::run_dynamic_sharded(sys.perf_table(), factory, cfg);
 
-  if (run.telemetry) stamp_fingerprint(run, cfg, o, scheduler);
+  if (run.telemetry && o.shards > 1) {
+    run.tel.metrics.set_fingerprint("threads", std::to_string(o.threads_used));
+    run.tel.metrics.set_fingerprint("shards", std::to_string(o.shards));
+  }
   return o;
 }
 
 /// Writes every export file the flags name, with a "written to" line
-/// each. Returns false when a file cannot be opened or written in full.
-bool write_exports(const ArgParser& args, const Run& run,
+/// each; a streamed log is in its file already. Returns false when a
+/// file cannot be written in full.
+bool write_exports(const ArgParser& args, Run& run,
                    const sim::ShardedOutcome& o) {
-  auto write_file = [&](const char* flag, const char* what,
-                        auto&& writer) -> bool {
-    if (!args.has(flag)) return true;
-    std::string path = args.get(flag);
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s file '%s'\n", what, path.c_str());
-      return false;
-    }
-    writer(f);
-    // A full disk may only show once the stream flushes on close.
-    if (f) f.close();
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s file '%s'\n", what, path.c_str());
-      return false;
-    }
-    std::printf("%s written to %s\n", what, path.c_str());
-    return true;
-  };
   const obs::Telemetry& tel = run.tel;
   // The merged logs format on the run's worker pool.
   const std::size_t threads = o.threads_used;
-  bool io_ok = write_file("metrics-out", "metrics JSON", [&](std::ostream& f) {
-    tel.metrics.write_json(f);
-  });
-  io_ok &= write_file("metrics-csv", "metrics CSV",
-                      [&](std::ostream& f) { tel.metrics.write_csv(f); });
-  io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
-    tel.tracer.write_chrome_json(f, threads);
-  });
-  io_ok &= write_file("trace-jsonl", "JSONL trace", [&](std::ostream& f) {
-    tel.tracer.write_jsonl(f, threads);
-  });
-  io_ok &= write_file("series-out", "metrics series",
-                      [&](std::ostream& f) { f << o.series; });
-  io_ok &= write_file("decisions-out", "decision log", [&](std::ostream& f) {
-    tel.decisions.write(f, threads);
-  });
-  io_ok &= write_file("spans-out", "span log", [&](std::ostream& f) {
-    tel.spans.write(f, threads);
-  });
-  if (!run.store)
-    io_ok &= write_file("trace", "task-event CSV", [&](std::ostream& f) {
-      tel.tracer.write_task_events_csv(f, threads);
-    });
-  io_ok &= write_file("events-jsonl", "task-event JSONL", [&](std::ostream& f) {
-    tel.tracer.write_task_events_jsonl(f, threads);
-  });
+  const std::function<void(std::ostream&)> writers[kNumExports] = {
+      [&](std::ostream& f) { tel.metrics.write_json(f); },
+      [&](std::ostream& f) { tel.metrics.write_csv(f); },
+      [&](std::ostream& f) { tel.tracer.write_chrome_json(f, threads); },
+      [&](std::ostream& f) { tel.tracer.write_jsonl(f, threads); },
+      [&](std::ostream& f) { f << o.series; },
+      [&](std::ostream& f) {
+        if (!tel.decisions.streaming()) tel.decisions.write(f, threads);
+      },
+      [&](std::ostream& f) {
+        if (!tel.spans.streaming()) tel.spans.write(f, threads);
+      },
+      [&](std::ostream& f) { tel.tracer.write_task_events_csv(f, threads); },
+      [&](std::ostream& f) {
+        tel.tracer.write_task_events_jsonl(f, threads);
+      }};
+  bool io_ok = true;
+  for (std::size_t k = 0; k < kNumExports; ++k) {
+    if (!names_export(args, run, k)) continue;
+    const std::string path = args.get(kExports[k].flag);
+    std::ofstream& f = run.files[k];
+    writers[k](f);
+    // A full disk may only show once the stream flushes on close.
+    if (f) f.close();
+    if (!f) {
+      std::fprintf(stderr, "cannot write %s file '%s'\n", kExports[k].what,
+                   path.c_str());
+      io_ok = false;
+      continue;
+    }
+    std::printf("%s written to %s\n", kExports[k].what, path.c_str());
+  }
   return io_ok;
 }
 
@@ -728,6 +779,7 @@ int cmd_dynamic(const ArgParser& args) {
   // The normalization baseline runs beside each shard, on its stream.
   cfg.fifo_baseline = true;
   read_run_flags(args, run);
+  if (!open_exports(args, run)) return 1;
   core::Tracon sys = make_system(args, true);
 
   std::string name;
@@ -767,16 +819,22 @@ std::vector<double> solo_demands(const sim::PerfTable& table) {
 /// run (plus its snapshot series and logs when recorded), and print a
 /// one-line summary plus the run id (the id is the last token on
 /// stdout, for scripting).
-int store_run(const ArgParser& args, const Run& run,
-              const sim::ShardedOutcome& o, const std::string& scheduler,
-              std::size_t arrivals) {
+int store_run(const ArgParser& args, Run& run, const sim::ShardedOutcome& o,
+              const std::string& scheduler, std::size_t arrivals) {
   if (!write_exports(args, run, o)) return 1;
   const obs::Telemetry& tel = run.tel;
   runstore::RunStore store(args.get("store", "runs"));
-  std::string id = store.add_run(
-      tel.metrics, scheduler, run.source, o.series,
-      tel.decisions.enabled() ? tel.decisions.str() : "",
-      tel.spans.enabled() ? tel.spans.str() : "");
+  // Each log is written straight into its object file, formatted on the
+  // run's worker pool.
+  runstore::ObjectWriter decisions, spans;
+  if (tel.decisions.enabled())
+    decisions = [&](std::ostream& os) {
+      tel.decisions.write(os, o.threads_used);
+    };
+  if (tel.spans.enabled())
+    spans = [&](std::ostream& os) { tel.spans.write(os, o.threads_used); };
+  std::string id = store.add_run(tel.metrics, scheduler, run.source, o.series,
+                                 decisions, spans);
   std::printf("%s (%s): %zu arrivals, completed %zu, dropped %zu\n",
               scheduler.c_str(), run.source.c_str(), arrivals,
               o.total.completed, o.total.dropped);
@@ -792,6 +850,13 @@ int cmd_record(const ArgParser& args) {
   cfg.shards = 1;
   run.store = true;
   read_run_flags(args, run);
+  const std::string trace_path = args.get("out", "arrivals.jsonl");
+  std::ofstream trace_file(trace_path, std::ios::binary);
+  if (!trace_file) {
+    std::fprintf(stderr, "cannot open trace file '%s'\n", trace_path.c_str());
+    return 1;
+  }
+  if (!open_exports(args, run)) return 1;
   core::Tracon sys = make_system(args, true);
 
   replay::ArrivalTraceHeader header;
@@ -808,12 +873,6 @@ int cmd_record(const ArgParser& args) {
   header.queue_capacity = cfg.queue_capacity;
   header.num_apps = sys.perf_table().num_apps();
 
-  const std::string trace_path = args.get("out", "arrivals.jsonl");
-  std::ofstream trace_file(trace_path, std::ios::binary);
-  if (!trace_file) {
-    std::fprintf(stderr, "cannot open trace file '%s'\n", trace_path.c_str());
-    return 1;
-  }
   replay::TraceWriter writer(trace_file, header);
   sim::PoissonArrivalSource poisson(cfg.lambda_per_min, cfg.duration_s,
                                     cfg.mix, cfg.mix_stddev, cfg.seed);
@@ -861,6 +920,7 @@ int cmd_replay(const ArgParser& args) {
   run.model = header.model;
   run.source = "trace";
   read_run_flags(args, run);
+  if (!open_exports(args, run)) return 1;
 
   core::TraconConfig tcfg;
   tcfg.host = host_by_name(run.host);
