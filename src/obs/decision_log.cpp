@@ -431,21 +431,16 @@ void DecisionLog::append(const DecisionEvent& event) {
   own_.add(event, event.kind);
 }
 
-void DecisionLog::append_part(DecisionLog&& shard, std::size_t machine_base,
+void DecisionLog::append_part(DecisionLog& shard, std::size_t machine_base,
                               std::uint64_t task_base) {
-  take_part(shard, machine_base, task_base);
-  parts_.back().lender = nullptr;
-}
-
-void DecisionLog::take_part(DecisionLog& shard, std::size_t machine_base,
-                            std::uint64_t task_base) {
   TRACON_REQUIRE(own_.records.empty(),
                  "a decision log takes its merge parts before recording");
   TRACON_REQUIRE(shard.parts_.empty(),
                  "a merge part must hold its own records only");
   TRACON_REQUIRE(shard.unbound_.empty(),
                  "a merge part's decisions must all be bound to machines");
-  parts_.push_back({std::move(shard.own_), machine_base, task_base, &shard});
+  parts_.push_back({std::move(shard.own_), machine_base, task_base,
+                    streaming() ? &shard : nullptr});
   shard.own_ = Stream();
 }
 

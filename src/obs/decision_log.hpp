@@ -164,20 +164,18 @@ class DecisionLog {
   /// given), e.g. a parsed document's. Ignores the enabled gate.
   void append(const DecisionEvent& event);
 
-  /// Moves `shard`'s records in as the next part of the merge that
-  /// write() runs: on (time, part) order, with the part's machine ids
-  /// shifted by `machine_base` and its task ids by `task_base`. Parts
-  /// go in shard order, each ordered by time (checked in paranoid
-  /// builds) and with every decision bound, before this log records
-  /// anything itself; what it records afterwards is written after the
-  /// merged parts.
-  void append_part(DecisionLog&& shard, std::size_t machine_base,
+  /// Moves the records `shard` holds in as the next part of the merge
+  /// that write() and flush() run: on (time, part) order, with the
+  /// part's machine ids shifted by `machine_base` and its task ids by
+  /// `task_base`. Parts go in shard order, each ordered by time
+  /// (checked in paranoid builds) and with every decision bound, before
+  /// this log records anything itself; what it records afterwards is
+  /// written after the merged parts. `shard` is left empty. While this
+  /// log streams, the next flush() hands the part's emptied buffers
+  /// back to `shard`, which must live until then and record nothing
+  /// before it.
+  void append_part(DecisionLog& shard, std::size_t machine_base,
                    std::uint64_t task_base);
-  /// append_part for a shard that records on: flush() hands the part's
-  /// buffers, emptied, back to `shard`, which must not record until
-  /// then.
-  void take_part(DecisionLog& shard, std::size_t machine_base,
-                 std::uint64_t task_base);
 
   /// Records held: not yet flushed.
   std::size_t size() const;
@@ -266,8 +264,8 @@ class DecisionLog {
     Stream stream;
     std::size_t machine_base = 0;
     std::uint64_t task_base = 0;
-    /// The shard log take_part took the stream from, which flush()
-    /// gives the emptied buffers back to.
+    /// The shard log a streaming log took the stream from, which
+    /// flush() gives the emptied buffers back to.
     DecisionLog* lender = nullptr;
   };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -126,15 +125,8 @@ void SpanLog::sort_by_start() {
                    });
 }
 
-void SpanLog::append_part(SpanLog&& shard, std::size_t machine_base,
-                          std::uint64_t task_base) {
-  take_part(shard, machine_base, task_base,
-            std::numeric_limits<double>::infinity());
-  parts_.back().lender = nullptr;
-}
-
-void SpanLog::take_part(SpanLog& shard, std::size_t machine_base,
-                        std::uint64_t task_base, double before) {
+void SpanLog::append_part(SpanLog& shard, std::size_t machine_base,
+                          std::uint64_t task_base, double before) {
   TRACON_REQUIRE(records_.empty(),
                  "a span log takes its merge parts before recording");
   TRACON_REQUIRE(shard.parts_.empty(),
@@ -153,7 +145,8 @@ void SpanLog::take_part(SpanLog& shard, std::size_t machine_base,
       [&](const Record& r) { return r.t0_s < before; });
   std::vector<Record> kept(cut, taken.end());
   taken.erase(cut, taken.end());
-  parts_.push_back({std::move(taken), machine_base, task_base, &shard});
+  parts_.push_back({std::move(taken), machine_base, task_base,
+                    streaming() ? &shard : nullptr});
   taken = std::move(kept);
 }
 
@@ -230,7 +223,7 @@ void SpanLog::flush(std::size_t threads) {
   records_.clear();
   for (Part& part : parts_) {
     if (part.lender == nullptr) continue;
-    // The lender holds only the spans it kept at take_part.
+    // The lender holds only the spans append_part left it.
     std::vector<Record>& kept = part.lender->records_;
     part.records.assign(kept.begin(), kept.end());
     kept.swap(part.records);

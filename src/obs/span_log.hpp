@@ -65,6 +65,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -135,21 +136,20 @@ class SpanLog {
   /// order a merge part must have.
   void sort_by_start();
 
-  /// Moves `shard`'s spans in as the next part of the merge that
-  /// write() runs: on (start, part) order, with the part's machine ids
-  /// shifted by `machine_base` and its task ids by `task_base`. Parts
-  /// go in shard order, each sorted by start (checked in paranoid
-  /// builds), before this log records anything itself; what it records
-  /// afterwards is written after the merged parts.
-  void append_part(SpanLog&& shard, std::size_t machine_base,
-                   std::uint64_t task_base);
-  /// append_part for a shard that records on, taking only the spans
-  /// that start before `before`: `shard` must be sorted by start, and
-  /// keeps the spans from `before` on in that order. flush() hands the
-  /// part's buffer, holding those spans again, back to `shard`, which
-  /// must not record until then.
-  void take_part(SpanLog& shard, std::size_t machine_base,
-                 std::uint64_t task_base, double before);
+  /// Moves the spans `shard` holds that start before `before` in as
+  /// the next part of the merge that write() and flush() run: on
+  /// (start, part) order, with the part's machine ids shifted by
+  /// `machine_base` and its task ids by `task_base`. Parts go in shard
+  /// order, each sorted by start (checked in paranoid builds), before
+  /// this log records anything itself; what it records afterwards is
+  /// written after the merged parts. `shard` keeps the spans from
+  /// `before` on, so cut there it must be sorted by start. While this
+  /// log streams, the next flush() hands the part's buffer, holding
+  /// those spans again, back to `shard`, which must live until then and
+  /// record nothing before it.
+  void append_part(
+      SpanLog& shard, std::size_t machine_base, std::uint64_t task_base,
+      double before = std::numeric_limits<double>::infinity());
 
   /// Spans held: not yet flushed.
   std::size_t size() const;
@@ -198,8 +198,8 @@ class SpanLog {
     std::vector<Record> records;
     std::size_t machine_base = 0;
     std::uint64_t task_base = 0;
-    /// The shard log take_part took the records from, which flush()
-    /// gives the buffer back to.
+    /// The shard log a streaming log took the records from, which
+    /// flush() gives the buffer back to.
     SpanLog* lender = nullptr;
   };
 

@@ -7,8 +7,8 @@
 //   - metrics: aggregated counters/gauges/histograms (JSON/CSV export);
 //   - tracer: the per-event timeline (Chrome trace / JSONL export), and
 //     through its kTask* events the per-task event log (CSV / JSONL);
-//     like the two logs below, it takes each shard's recorder as a
-//     merge part at the sharded runner's join;
+//     it takes each shard's recorder as a merge part at the sharded
+//     runner's join, and the two logs below at every epoch barrier;
 //   - decisions: the placement-provenance log (opt-in via
 //     set_enabled; inert otherwise so pre-existing exports keep
 //     their exact bytes);

@@ -880,16 +880,22 @@ DynamicOutcome DynamicEngine::finish() {
 
 // TRACON_ANALYZE_ALLOW(require-guard): PoissonStream checks the
 // stream's parameters.
-PoissonFeed::PoissonFeed(const DynamicConfig& cfg, std::size_t num_apps)
-    : stream_(cfg.lambda_per_min, cfg.duration_s, cfg.mix, cfg.mix_stddev,
-              cfg.seed, num_apps),
+ArrivalFeed::ArrivalFeed(const DynamicConfig& cfg, std::size_t num_apps)
+    : stream_(std::in_place, cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+              cfg.mix_stddev, cfg.seed, num_apps),
       chunk_(kArrivalChunk) {}
 
-void PoissonFeed::feed_until(double until,
+// TRACON_ANALYZE_ALLOW(require-guard): DynamicEngine::feed checks the
+// list's order as it is fed.
+ArrivalFeed::ArrivalFeed(std::vector<Arrival> arrivals)
+    : chunk_(std::move(arrivals)), drawn_(chunk_.size()) {}
+
+void ArrivalFeed::feed_until(double until,
                              std::span<DynamicEngine* const> engines) {
   for (;;) {
     if (next_ == drawn_) {
-      drawn_ = stream_.fill(chunk_);
+      if (!stream_.has_value()) return;
+      drawn_ = stream_->fill(chunk_);
       next_ = 0;
       if (drawn_ == 0) return;  // the stream has ended
     }
@@ -909,13 +915,12 @@ DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg) {
   DynamicEngine engine(table, scheduler, cfg);
-  if (cfg.arrival_source != nullptr) {
-    engine.feed(cfg.arrival_source->arrivals(table.num_apps()));
-  } else {
-    DynamicEngine* const engines[] = {&engine};
-    PoissonFeed(cfg, table.num_apps())
-        .feed_until(std::numeric_limits<double>::infinity(), engines);
-  }
+  ArrivalFeed feed =
+      cfg.arrival_source != nullptr
+          ? ArrivalFeed(cfg.arrival_source->arrivals(table.num_apps()))
+          : ArrivalFeed(cfg, table.num_apps());
+  DynamicEngine* const engines[] = {&engine};
+  feed.feed_until(std::numeric_limits<double>::infinity(), engines);
   return engine.finish();
 }
 

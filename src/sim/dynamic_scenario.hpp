@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -163,13 +164,15 @@ class DynamicEngine {
 /// Arrivals per chunk when a Poisson stream is drawn into engines.
 inline constexpr std::size_t kArrivalChunk = 4096;
 
-/// `cfg`'s Poisson stream (PoissonStream over its lambda, horizon, mix
-/// and seed), drawn kArrivalChunk arrivals at a time and fed to engines
-/// up to an instant: the engines see one stream, and only one chunk of
-/// it is ever held.
-class PoissonFeed {
+/// An arrival stream fed to engines up to an instant, so that the
+/// engines see one stream: `cfg`'s Poisson stream (PoissonStream over
+/// its lambda, horizon, mix and seed) drawn kArrivalChunk arrivals at a
+/// time, of which only one chunk is ever held, or a time-sorted list
+/// built in full.
+class ArrivalFeed {
  public:
-  PoissonFeed(const DynamicConfig& cfg, std::size_t num_apps);
+  ArrivalFeed(const DynamicConfig& cfg, std::size_t num_apps);
+  explicit ArrivalFeed(std::vector<Arrival> arrivals);
 
   /// Feeds each arrival before `until` not fed yet to every engine in
   /// `engines`, in order, chunk by chunk; infinity feeds the rest of the
@@ -177,10 +180,10 @@ class PoissonFeed {
   void feed_until(double until, std::span<DynamicEngine* const> engines);
 
  private:
-  PoissonStream stream_;
-  std::vector<Arrival> chunk_;
-  std::size_t next_ = 0;   ///< first arrival of chunk_ not fed yet
-  std::size_t drawn_ = 0;  ///< arrivals drawn into chunk_
+  std::optional<PoissonStream> stream_;  ///< none for a list
+  std::vector<Arrival> chunk_;  ///< the chunk drawn, or the whole list
+  std::size_t next_ = 0;        ///< first arrival of chunk_ not fed yet
+  std::size_t drawn_ = 0;       ///< arrivals in chunk_
 };
 
 /// One run over cfg.arrival_source's list, or over the Poisson stream

@@ -64,8 +64,7 @@ struct ShardState {
   std::optional<DynamicEngine> engine;
   std::optional<sched::FifoScheduler> fifo;
   std::optional<DynamicEngine> baseline_engine;
-  std::optional<PoissonFeed> poisson;  ///< the stream of a non-routed shard
-  std::size_t routed_fed = 0;  ///< arrivals of the routed slice fed so far
+  std::optional<ArrivalFeed> feed;
   /// The shard's arrivals, counted before the first write when its logs
   /// merge: its task ids are offset by the shards' before it.
   std::uint64_t counted = 0;
@@ -218,9 +217,10 @@ std::uint64_t count_arrivals(const ShardState& s, bool routed,
 /// One epoch of shard `shard`'s work item: feeds its engines every
 /// arrival before `until` and runs them there, or, in the last epoch,
 /// feeds the rest and runs to the horizon. The first epoch builds the
-/// engines and the stream and the last destroys them, so a one-epoch
-/// run holds them only inside its work item. The baseline engine, when
-/// on, takes each arrival first.
+/// engines and the feed, of the routed slice or the shard's own Poisson
+/// stream, and the last destroys them, so a one-epoch run holds them
+/// only inside its work item. The baseline engine, when on, takes each
+/// arrival first.
 void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
                ShardState& s, std::size_t shard, std::size_t shards,
                bool routed, double until, bool last) {
@@ -230,30 +230,23 @@ void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
       s.fifo.emplace(shard_seed(cfg.seed + 1, shard, shards));
       s.baseline_engine.emplace(table, *s.fifo, baseline_config(s.cfg));
     }
-    if (!routed) s.poisson.emplace(s.cfg, table.num_apps());
+    if (routed) {
+      s.feed.emplace(std::move(s.arrivals));
+    } else {
+      s.feed.emplace(s.cfg, table.num_apps());
+    }
   }
   std::vector<DynamicEngine*> engines;
   if (s.baseline_engine.has_value()) engines.push_back(&*s.baseline_engine);
   engines.push_back(&*s.engine);
-  if (routed) {
-    const auto first = s.arrivals.begin() + static_cast<long>(s.routed_fed);
-    const auto stop = std::lower_bound(
-        first, s.arrivals.end(), until,
-        [](const Arrival& a, double t) { return a.time_s < t; });
-    if (stop != first)
-      for (DynamicEngine* e : engines)
-        e->feed(std::span<const Arrival>(first, stop));
-    s.routed_fed = static_cast<std::size_t>(stop - s.arrivals.begin());
-  } else {
-    s.poisson->feed_until(until, engines);
-  }
+  s.feed->feed_until(until, engines);
   if (last) {
     if (s.baseline_engine.has_value()) s.baseline = s.baseline_engine->finish();
     s.outcome = s.engine->finish();
     s.baseline_engine.reset();
     s.fifo.reset();
     s.engine.reset();
-    s.poisson.reset();
+    s.feed.reset();
   } else {
     for (DynamicEngine* e : engines) e->advance_to(until);
     s.open_start = s.engine->earliest_open_start();
@@ -421,9 +414,9 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
         last ? std::numeric_limits<double>::infinity() : end;
     parallel_for(threads, shards, [&](std::size_t i) {
       ShardState& s = states[i];
-      run_epoch(table, cfg, s, i, shards, routed, until, last);
       if (count && epoch == 0)
         s.counted = count_arrivals(s, routed, table.num_apps());
+      run_epoch(table, cfg, s, i, shards, routed, until, last);
       // Spans are recorded as they close, and a merge part is ordered
       // by start. A task's starts never decrease, so its own spans stay
       // in chronological order.
@@ -447,11 +440,11 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
           watermark = std::min(watermark, s.open_start);
       for (ShardState& s : states) {
         if (decisions_on)
-          cfg.telemetry->decisions.take_part(s.telemetry.decisions, s.base,
-                                             s.task_base);
+          cfg.telemetry->decisions.append_part(s.telemetry.decisions, s.base,
+                                               s.task_base);
         if (spans_on)
-          cfg.telemetry->spans.take_part(s.telemetry.spans, s.base,
-                                         s.task_base, watermark);
+          cfg.telemetry->spans.append_part(s.telemetry.spans, s.base,
+                                           s.task_base, watermark);
       }
     }
     if (decisions_on && cfg.telemetry->decisions.streaming())

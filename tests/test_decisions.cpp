@@ -181,8 +181,8 @@ TEST(DecisionLog, PartsMergeOnStampThenShardWithIdsReindexed) {
   s1.record_outcome(done1);
 
   DecisionLog merged;
-  merged.append_part(std::move(s0), 0, 0);
-  merged.append_part(std::move(s1), 3, 2);
+  merged.append_part(s0, 0, 0);
+  merged.append_part(s1, 3, 2);
   EXPECT_EQ(merged.size(), 6u);
   using Row = std::tuple<double, std::uint64_t, std::size_t>;
   const std::vector<Row> expected = {
@@ -224,13 +224,13 @@ TEST(DecisionLog, StreamedEpochsWriteTheWholeLog) {
       const std::uint64_t task = t < 10.0 ? 0 : 1;
       record(streamed_shards[s], task, t);
       record(whole_shards[s], task, t);
-      streamed.take_part(streamed_shards[s], 3 * s, 2 * s);
+      streamed.append_part(streamed_shards[s], 3 * s, 2 * s);
     }
     streamed.flush(1);
     EXPECT_EQ(streamed.size(), 0u);
   }
   for (std::uint64_t s = 0; s < 2; ++s)
-    whole.append_part(std::move(whole_shards[s]), 3 * s, 2 * s);
+    whole.append_part(whole_shards[s], 3 * s, 2 * s);
   EXPECT_EQ(os.str(), whole.str());
   EXPECT_EQ(obs::parse_decision_log(os.str()).events.size(), 8u);
 
@@ -238,7 +238,7 @@ TEST(DecisionLog, StreamedEpochsWriteTheWholeLog) {
   DecisionLog unbound;
   unbound.set_enabled(true);
   unbound.record_decision(make_decision(7, 1.0, 1, 100.0));
-  EXPECT_THROW(streamed.take_part(unbound, 0, 0), std::invalid_argument);
+  EXPECT_THROW(streamed.append_part(unbound, 0, 0), std::invalid_argument);
 }
 
 TEST(DecisionLog, WithoutPartsRecordOrderIsWriteOrder) {
@@ -262,7 +262,7 @@ TEST(DecisionLog, PartsComeBeforeAnyRecordOfItsOwn) {
   log.set_enabled(true);
   log.record_decision(make_decision(1, 0.0, 0, 10.0));
   DecisionLog shard;
-  EXPECT_THROW(log.append_part(std::move(shard), 0, 0),
+  EXPECT_THROW(log.append_part(shard, 0, 0),
                std::invalid_argument);
 }
 

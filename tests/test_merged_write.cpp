@@ -302,8 +302,11 @@ obs::DecisionLog decision_shard(std::uint64_t seed) {
 
 TEST(MergedLogs, DecisionLogWritesTheSameBytesAtOneAndFourWorkers) {
   obs::DecisionLog merged;
-  for (std::size_t s = 0; s < kShards; ++s)
-    merged.append_part(decision_shard(10 + s), 5 * s, kRecordsPerShard * s);
+  obs::DecisionLog shards[kShards];
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shards[s] = decision_shard(10 + s);
+    merged.append_part(shards[s], 5 * s, kRecordsPerShard * s);
+  }
   std::ostringstream one, four;
   merged.write(one, 1);
   merged.write(four, 4);
@@ -346,8 +349,11 @@ obs::SpanLog span_shard(std::uint64_t seed) {
 
 TEST(MergedLogs, SpanLogWritesTheSameBytesAtOneAndFourWorkers) {
   obs::SpanLog merged;
-  for (std::size_t s = 0; s < kShards; ++s)
-    merged.append_part(span_shard(20 + s), 6 * s, kRecordsPerShard * s);
+  obs::SpanLog shards[kShards];
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shards[s] = span_shard(20 + s);
+    merged.append_part(shards[s], 6 * s, kRecordsPerShard * s);
+  }
   std::ostringstream one, four;
   merged.write(one, 1);
   merged.write(four, 4);

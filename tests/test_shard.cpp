@@ -463,8 +463,23 @@ DynamicConfig chunked_config() {
   return cfg;
 }
 
+/// run_chunked's arrivals: chunked_config()'s Poisson stream and one
+/// more at 600 s, where a round, a rebalance and a snapshot are due too.
+/// The arrival comes first.
+std::vector<Arrival> chunked_stream() {
+  std::vector<Arrival> stream =
+      generate_arrivals(chunked_config(), table().num_apps());
+  const Arrival tie{600.0, 3};
+  stream.insert(std::upper_bound(stream.begin(), stream.end(), tie,
+                                 [](const Arrival& a, const Arrival& b) {
+                                   return a.time_s < b.time_s;
+                                 }),
+                tie);
+  return stream;
+}
+
 /// One flat run of `kind` with every sink, the accuracy windows, the
-/// snapshot series and a rebalancer on, its Poisson stream fed to a
+/// snapshot series and a rebalancer on, its chunked_stream() fed to a
 /// DynamicEngine `chunk` arrivals at a time (0: all it may feed at
 /// once), advancing the engine to each instant of `cuts` (ascending)
 /// once every arrival before it is fed.
@@ -490,9 +505,7 @@ EngineRun run_chunked(const std::string& kind, std::size_t chunk,
   auto scheduler = factory_for(kind, cfg.seed)(0);
   scheduler->set_telemetry(&tel);
 
-  PoissonArrivalSource source(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
-                              cfg.mix_stddev, cfg.seed);
-  const std::vector<Arrival> stream = source.arrivals(table().num_apps());
+  const std::vector<Arrival> stream = chunked_stream();
   const std::span<const Arrival> all(stream);
   DynamicEngine engine(table(), *scheduler, cfg);
   std::size_t at = 0;
@@ -531,11 +544,10 @@ void expect_same_run(const EngineRun& got, const EngineRun& whole,
 
 /// Instants to advance run_chunked's engine to: two arrivals' times and
 /// two completions' (each a pending completion's ETA when the engine
-/// stops there), an instant where a round, a rebalance and a snapshot
-/// are all due, and two instants between events.
+/// stops there), the arrival at 600 s where every control clock is due,
+/// and two instants between events.
 std::vector<double> cut_points(const EngineRun& whole) {
-  const std::vector<Arrival> stream =
-      generate_arrivals(chunked_config(), table().num_apps());
+  const std::vector<Arrival> stream = chunked_stream();
   std::vector<double> completions;
   for (const obs::DecisionEvent& e :
        obs::parse_decision_log(whole.bytes.decisions).events)
@@ -650,6 +662,23 @@ TEST(ShardedScenario, LockstepBaselineIsTheSeparateFifoRun) {
   }
 }
 
+/// Streams `cfg`'s run_confidence logs at 1 and 4 threads and compares
+/// every byte with the whole run's; returns the whole run.
+ConfidenceRun expect_streamed_is_whole(ShardedConfig cfg,
+                                       const std::string& what) {
+  const ConfidenceRun whole = run_confidence(cfg);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    cfg.threads = threads;
+    const ConfidenceRun streamed = run_confidence(cfg, true, true);
+    const std::string at =
+        what + " streamed at threads " + std::to_string(threads);
+    EXPECT_EQ(streamed.outcome.total.completed, whole.outcome.total.completed)
+        << at;
+    expect_same_bytes(streamed.bytes, whole.bytes, at);
+  }
+  return whole;
+}
+
 TEST(ShardedScenario, StreamedLogsAreTheWholeLogsByteForByte) {
   // Four and a half epochs of a rebalancing MIX run over per-shard
   // ensembles. A rebalance round falls 0.3 s more before each epoch's
@@ -664,7 +693,7 @@ TEST(ShardedScenario, StreamedLogsAreTheWholeLogsByteForByte) {
   cfg.rebalance = true;
   cfg.rebalance_cfg.interval_s = (epoch_s - 0.3) / 137.0;
   cfg.rebalance_predictor = &oracle();
-  const ConfidenceRun whole = run_confidence(cfg);
+  const ConfidenceRun whole = expect_streamed_is_whole(cfg, "rebalancing");
 
   // The barriers cut at least one migration window.
   std::size_t cut = 0;
@@ -675,14 +704,12 @@ TEST(ShardedScenario, StreamedLogsAreTheWholeLogsByteForByte) {
         if (e.t0_s < end && end < e.t1_s) ++cut;
   EXPECT_GT(cut, 0u);
 
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    cfg.threads = threads;
-    const ConfidenceRun streamed = run_confidence(cfg, true, true);
-    const std::string at = "streamed at threads " + std::to_string(threads);
-    EXPECT_EQ(streamed.outcome.total.completed, whole.outcome.total.completed)
-        << at;
-    expect_same_bytes(streamed.bytes, whole.bytes, at);
-  }
+  // Saturated shards with long queues: a queued task's arrival is often
+  // the earliest open span, and so the watermark.
+  cfg.machines = 16;
+  cfg.queue_capacity = 48;
+  cfg.rebalance = false;
+  expect_streamed_is_whole(cfg, "saturated");
 }
 
 TEST(ShardedScenario, IndexedPlacementIsTheFlatScanAtAnyThreadCount) {

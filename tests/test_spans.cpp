@@ -161,8 +161,8 @@ TEST(SpanLog, PartsMergeOnStartThenShardWithIdsReindexed) {
   s0.sort_by_start();
   s1.sort_by_start();
   SpanLog merged;
-  merged.append_part(std::move(s0), 0, 0);
-  merged.append_part(std::move(s1), 4, 2);
+  merged.append_part(s0, 0, 0);
+  merged.append_part(s1, 4, 2);
   EXPECT_EQ(merged.size(), 4u);
   EXPECT_EQ(written(merged), (std::vector<Row>{{5.0, 0, 2},
                                                {5.0, 2, 4},
@@ -198,7 +198,7 @@ TEST(SpanLog, StreamedEpochsKeepEqualStartsInRecordOrder) {
       whole_shards[s].set_enabled(true);
       record(streamed_shards[s], epochs[e][s]);
       record(whole_shards[s], epochs[e][s]);
-      streamed.take_part(streamed_shards[s], 4 * s, 10 * s, watermark);
+      streamed.append_part(streamed_shards[s], 4 * s, 10 * s, watermark);
     }
     streamed.flush(1);
     if (e == 0) {
@@ -207,7 +207,7 @@ TEST(SpanLog, StreamedEpochsKeepEqualStartsInRecordOrder) {
     }
   }
   for (std::size_t s = 0; s < 2; ++s)
-    whole.append_part(std::move(whole_shards[s]), 4 * s, 10 * s);
+    whole.append_part(whole_shards[s], 4 * s, 10 * s);
   EXPECT_EQ(os.str(), whole.str());
 
   std::vector<std::pair<double, std::uint64_t>> order;
@@ -231,7 +231,7 @@ TEST(SpanLog, ParanoidBuildsRejectAPartOutOfStartOrder) {
   s0.record(make_span(SpanEvent::Kind::kQueued, 1, 12.0, 15.0, 0));
   s0.record(make_span(SpanEvent::Kind::kRunning, 0, 5.0, 30.0, 0, 2));
   SpanLog merged;
-  merged.append_part(std::move(s0), 0, 0);  // not sorted by start
+  merged.append_part(s0, 0, 0);  // not sorted by start
   if (kParanoidChecksEnabled) {
     EXPECT_THROW(merged.str(), std::logic_error);
   } else {
@@ -244,7 +244,7 @@ TEST(SpanLog, PartsComeBeforeAnySpanOfItsOwn) {
   log.set_enabled(true);
   log.record(make_span(SpanEvent::Kind::kQueued, 1, 0.0, 5.0, 0));
   SpanLog shard;
-  EXPECT_THROW(log.append_part(std::move(shard), 0, 0),
+  EXPECT_THROW(log.append_part(shard, 0, 0),
                std::invalid_argument);
 }
 

@@ -79,7 +79,8 @@
 //                                machine
 //   --trace FILE                 the same log as CSV (dynamic only)
 //   Every sink only records: a run with any set of them simulates the
-//   same run as with none.
+//   same run as with none. Every export file is opened before the
+//   set-up work, so a path that cannot be written fails at once.
 //
 // Sharded execution (DESIGN.md §7): every simulated run goes through
 // one engine, sim::run_dynamic_sharded. A `dynamic` run without the
@@ -113,7 +114,9 @@
 //   --decisions-out FILE         write the tracon.decision_log JSONL
 //                                (dynamic, record, replay; works with
 //                                --threads — the merged log is
-//                                byte-identical across thread counts)
+//                                byte-identical across thread counts;
+//                                `dynamic` streams it during the run,
+//                                one epoch of records at a time)
 //   --decisions                  record the decision log and store it
 //                                with the run (record/replay), readable
 //                                later via `explain` / `attribution`
@@ -122,7 +125,8 @@
 //   --spans-out FILE             write the tracon.spans JSONL (dynamic,
 //                                record, replay; works with --threads —
 //                                the merged log is byte-identical
-//                                across thread counts)
+//                                across thread counts; `dynamic`
+//                                streams it like --decisions-out)
 //   --spans                      record the span log and store it with
 //                                the run (record/replay), readable
 //                                later via `breakdown` / `critical-path`
@@ -551,9 +555,9 @@ struct Run {
   std::array<std::ofstream, kNumExports> files;
 
   std::ofstream& file(std::string_view flag) {
-    std::size_t k = 0;
-    while (kExports[k].flag != flag) ++k;
-    return files[k];
+    for (std::size_t k = 0; k < kNumExports; ++k)
+      if (kExports[k].flag == flag) return files[k];
+    throw std::logic_error("no export flag --" + std::string(flag));
   }
 };
 
