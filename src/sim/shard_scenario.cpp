@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -44,6 +45,14 @@ double ShardedOutcome::completion_imbalance() const {
 
 namespace {
 
+/// A shard's run in progress: its engines and its arrival feed.
+struct ShardRun {
+  std::optional<DynamicEngine> engine;
+  std::optional<sched::FifoScheduler> fifo;
+  std::optional<DynamicEngine> baseline;
+  std::optional<ArrivalFeed> feed;
+};
+
 /// Everything one shard owns. Sink pointers in `cfg` point into this
 /// struct, so states are wired only after the state vector has reached
 /// its final size and is never reallocated or moved afterwards.
@@ -60,11 +69,9 @@ struct ShardState {
   DynamicOutcome outcome;
   DynamicOutcome baseline;
 
-  // The run in progress, from its first epoch's work item to its last's.
-  std::optional<DynamicEngine> engine;
-  std::optional<sched::FifoScheduler> fifo;
-  std::optional<DynamicEngine> baseline_engine;
-  std::optional<ArrivalFeed> feed;
+  /// The run in progress, from its first epoch's work item to its
+  /// last's.
+  std::unique_ptr<ShardRun> run;
   /// The shard's arrivals, counted before the first write when its logs
   /// merge: its task ids are offset by the shards' before it.
   std::uint64_t counted = 0;
@@ -224,32 +231,33 @@ std::uint64_t count_arrivals(const ShardState& s, bool routed,
 void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
                ShardState& s, std::size_t shard, std::size_t shards,
                bool routed, double until, bool last) {
-  if (!s.engine.has_value()) {
-    s.engine.emplace(table, *s.scheduler, s.cfg);
+  if (s.run == nullptr) {
+    s.run = std::make_unique<ShardRun>();
+    ShardRun& r = *s.run;
+    r.engine.emplace(table, *s.scheduler, s.cfg);
     if (cfg.fifo_baseline) {
-      s.fifo.emplace(shard_seed(cfg.seed + 1, shard, shards));
-      s.baseline_engine.emplace(table, *s.fifo, baseline_config(s.cfg));
+      r.fifo.emplace(shard_seed(cfg.seed + 1, shard, shards));
+      r.baseline.emplace(table, *r.fifo, baseline_config(s.cfg));
     }
     if (routed) {
-      s.feed.emplace(std::move(s.arrivals));
+      r.feed.emplace(std::move(s.arrivals));
     } else {
-      s.feed.emplace(s.cfg, table.num_apps());
+      r.feed.emplace(s.cfg, table.num_apps());
     }
   }
+  ShardRun& r = *s.run;
   std::vector<DynamicEngine*> engines;
-  if (s.baseline_engine.has_value()) engines.push_back(&*s.baseline_engine);
-  engines.push_back(&*s.engine);
-  s.feed->feed_until(until, engines);
+  if (r.baseline.has_value()) engines.push_back(&*r.baseline);
+  engines.push_back(&*r.engine);
+  r.feed->feed_until(until, engines);
   if (last) {
-    if (s.baseline_engine.has_value()) s.baseline = s.baseline_engine->finish();
-    s.outcome = s.engine->finish();
-    s.baseline_engine.reset();
-    s.fifo.reset();
-    s.engine.reset();
-    s.feed.reset();
+    r.feed.reset();
+    if (r.baseline.has_value()) s.baseline = r.baseline->finish();
+    s.outcome = r.engine->finish();
+    s.run.reset();
   } else {
     for (DynamicEngine* e : engines) e->advance_to(until);
-    s.open_start = s.engine->earliest_open_start();
+    s.open_start = r.engine->earliest_open_start();
   }
 }
 

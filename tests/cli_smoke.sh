@@ -45,9 +45,10 @@
 #      record whose app index no integer type holds;
 #  12. `replay` refuses, naming the line, a trace whose first arrival
 #      precedes t = 0;
-#  13. an export file that cannot be opened fails the run before the
-#      set-up: a 10^5-machine, 100 h `dynamic` exits 1 at once, and
-#      `record` and `replay` fail before their --host is read.
+#  13. an export file that cannot be opened, or a regular file two
+#      exports name, fails the run before the set-up: a 10^5-machine,
+#      100 h `dynamic` exits 1 at once, and `record` and `replay` fail
+#      before their --host is read.
 set -euo pipefail
 
 TRACON=$1
@@ -289,6 +290,9 @@ if [ "$rc" -ne 1 ] || ! grep -qF \
 fi
 expect_error "cannot open span log file 'missing/spans.jsonl'" \
   record --hours 0.01 --out a.jsonl --store runs --spans-out missing/spans.jsonl
+# Two exports open at once would overwrite each other's bytes.
+expect_error "cannot open metrics CSV file 'same.out': --metrics-out writes it" \
+  dynamic --metrics-out same.out --metrics-csv same.out
 expect_error "cannot open decision log file 'missing/decisions.jsonl'" \
   replay --trace "$GOLDEN" --store runs --decisions-out missing/decisions.jsonl
 

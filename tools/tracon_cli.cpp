@@ -160,6 +160,7 @@
 //          [continued] --scheduler mibs --queue 8 --mix heavy
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -604,7 +605,9 @@ bool names_export(const ArgParser& args, const Run& run, std::size_t k) {
 
 /// Opens every export file the flags name, before any set-up work, so a
 /// path that cannot be written fails at once instead of after the run.
-/// Returns false after naming each file it cannot open.
+/// Two exports open at once would overwrite each other's bytes, so a
+/// regular file named twice is refused too. Returns false after naming
+/// each file it cannot open.
 bool open_exports(const ArgParser& args, Run& run) {
   bool ok = true;
   for (std::size_t k = 0; k < kNumExports; ++k) {
@@ -615,6 +618,15 @@ bool open_exports(const ArgParser& args, Run& run) {
       std::fprintf(stderr, "cannot open %s file '%s'\n", kExports[k].what,
                    path.c_str());
       ok = false;
+      continue;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      if (run.files[j].is_open() && args.get(kExports[j].flag) == path &&
+          std::filesystem::is_regular_file(path)) {
+        std::fprintf(stderr, "cannot open %s file '%s': --%s writes it\n",
+                     kExports[k].what, path.c_str(), kExports[j].flag);
+        ok = false;
+      }
     }
   }
   return ok;
