@@ -80,7 +80,8 @@
 //   --trace FILE                 the same log as CSV (dynamic only)
 //   Every sink only records: a run with any set of them simulates the
 //   same run as with none. Every export file is opened before the
-//   set-up work, so a path that cannot be written fails at once.
+//   set-up work, so a path that cannot be written, or a regular file
+//   two exports name, fails at once.
 //
 // Sharded execution (DESIGN.md §7): every simulated run goes through
 // one engine, sim::run_dynamic_sharded. A `dynamic` run without the
