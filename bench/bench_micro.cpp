@@ -1,13 +1,18 @@
 // Micro benchmarks (google-benchmark): the scheduling-overhead claims of
 // Section 3.2 (MIOS cheapest, MIX costliest, MIBS in between), model
-// training/prediction cost, and the host-simulator allocation solver.
+// training/prediction cost, the host-simulator allocation solver, and
+// what one double costs the JSONL logs.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <vector>
 
 #include "core/tracon.hpp"
 #include "model/evaluate.hpp"
+#include "obs/jsonl.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
@@ -140,6 +145,38 @@ void BM_ScheduleMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleMix);
+
+/// 2^16 doubles as a log writes them: a share `repeats` are drawn from
+/// 100 table values (a prediction table's scores and speed factors),
+/// the rest are unique times in [0, 3600).
+std::vector<double> log_doubles(double repeats) {
+  Rng rng(17);
+  std::vector<double> table(100);
+  for (double& v : table) v = rng.uniform(0.0, 1000.0);
+  std::vector<double> values(std::size_t{1} << 16);
+  for (double& v : values)
+    v = rng.uniform() < repeats ? table[rng.index(table.size())]
+                                : rng.uniform(0.0, 3600.0);
+  return values;
+}
+
+/// One shortest-text double per JSONL line, formatted into a buffer
+/// whose blocks go to a stream that discards them. Printed, not gated.
+void BM_JsonlNumber(benchmark::State& state, double repeats) {
+  const std::vector<double> values = log_doubles(repeats);
+  std::ostream discard(nullptr);
+  obs::JsonlBuffer out(discard);
+  for (auto _ : state) {
+    for (double v : values) out.number(v).end_line();
+    benchmark::DoNotOptimize(&out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+// Two in three repeated, as in provenance-4096's decision and span logs.
+BENCHMARK_CAPTURE(BM_JsonlNumber, provenance_like, 2.0 / 3.0);
+BENCHMARK_CAPTURE(BM_JsonlNumber, all_unique, 0.0);
 
 }  // namespace
 

@@ -1,11 +1,13 @@
 #include "obs/jsonl.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -17,64 +19,86 @@ namespace tracon::obs {
 
 namespace {
 
-/// Appends `raw` to `out`, escaped for a JSON string literal.
-void append_escaped(std::string& out, std::string_view raw) {
+/// Bytes a formatted number may take: the shortest round trip is at
+/// most 24 (-2.2250738585072014e-308), the general format at 17 digits
+/// no more.
+constexpr std::size_t kNumberBytes = 32;
+
+/// Writes `raw` from `out`, escaped for a JSON string literal, taking at
+/// most 6 bytes per byte of `raw`. Returns the end of the text written.
+char* escape(char* out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (char c : raw) {
+    char letter = 0;  // what follows the backslash of a short escape
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      case '"': letter = '"'; break;
+      case '\\': letter = '\\'; break;
+      case '\b': letter = 'b'; break;
+      case '\f': letter = 'f'; break;
+      case '\n': letter = 'n'; break;
+      case '\r': letter = 'r'; break;
+      case '\t': letter = 't'; break;
+      default: break;
+    }
+    const auto byte = static_cast<unsigned char>(c);
+    if (letter != 0) {
+      *out++ = '\\';
+      *out++ = letter;
+    } else if (byte < 0x20) {
+      out = std::copy_n("\\u00", 4, out);
+      *out++ = kHex[byte >> 4];
+      *out++ = kHex[byte & 0xf];
+    } else {
+      *out++ = c;
     }
   }
+  return out;
 }
 
 /// format_number's `digits` for the shortest round-trip representation.
 constexpr int kShortest = 0;
 
 /// The one double formatter: general format at `digits` significant
-/// digits, or the shortest round-trip representation for kShortest.
-/// Returns the end of the text written from `buf`.
-char* format_number(char (&buf)[32], double value, int digits) {
+/// digits, or the shortest round-trip representation for kShortest,
+/// written from `out`, which has kNumberBytes of room. Returns the end
+/// of the text written.
+char* format_number(char* out, double value, int digits) {
   // Shortest round trip: the parsed double is bit-identical to `value`,
   // which is what lets a replayed trace reproduce its recording exactly
   // (%.10g would quantize arrival times and fork the two simulations).
   const std::to_chars_result result =
       digits == kShortest
-          ? std::to_chars(buf, buf + sizeof(buf), value)
-          : std::to_chars(buf, buf + sizeof(buf), value,
+          ? std::to_chars(out, out + kNumberBytes, value)
+          : std::to_chars(out, out + kNumberBytes, value,
                           std::chars_format::general, digits);
+  TRACON_ASSERT(result.ec == std::errc{}, "a number outgrew its room");
   return result.ptr;
+}
+
+/// The memo slot of a double's bit pattern: the top bits of a Fibonacci
+/// hash, which mixes the exponent and the high mantissa bits that the
+/// logs' values differ in.
+std::size_t memo_slot(std::uint64_t bits) {
+  static_assert(std::has_single_bit(JsonlBuffer::kMemoEntries));
+  constexpr int kShift = 64 - std::countr_zero(JsonlBuffer::kMemoEntries);
+  return static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15u) >> kShift);
 }
 
 }  // namespace
 
 std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  append_escaped(out, raw);
+  std::string out(6 * raw.size(), '\0');
+  out.resize(static_cast<std::size_t>(escape(out.data(), raw) - out.data()));
   return out;
 }
 
 std::string json_number(double value) {
-  char buf[32];
+  char buf[kNumberBytes];
   return std::string(buf, format_number(buf, value, kShortest));
 }
 
 std::string format_double(double value) {
-  char buf[32];
+  char buf[kNumberBytes];
   return std::string(buf, format_number(buf, value, 10));
 }
 
@@ -82,45 +106,72 @@ std::string format_double(double value) {
 // checks the stream state once the file is written.
 JsonlBuffer::JsonlBuffer(std::ostream& os) : os_(&os) {}
 
-// TRACON_ANALYZE_ALLOW(require-guard): any string will do; its text is
-// cleared and only its capacity reused.
-JsonlBuffer::JsonlBuffer(std::string storage) : text_(std::move(storage)) {
-  text_.clear();
+void JsonlBuffer::grow(std::size_t n) {
+  // Doubling keeps the copies linear in the text. The new room is left
+  // uninitialized, so its pages are touched only as fields fill them.
+  const std::size_t capacity =
+      std::max({2 * capacity_, size_ + n, std::size_t{4096}});
+  std::unique_ptr<char[]> text = std::make_unique_for_overwrite<char[]>(
+      capacity);
+  if (size_ > 0) std::memcpy(text.get(), text_.get(), size_);
+  text_ = std::move(text);
+  capacity_ = capacity;
 }
 
 JsonlBuffer& JsonlBuffer::string(std::string_view text) {
-  text_ += '"';
-  append_escaped(text_, text);
-  text_ += '"';
+  char* out = room(6 * text.size() + 2);
+  *out++ = '"';
+  out = escape(out, text);
+  *out++ = '"';
+  size_ = static_cast<std::size_t>(out - text_.get());
   return *this;
 }
 
 JsonlBuffer& JsonlBuffer::string_map(
     const std::map<std::string, std::string>& map) {
-  text_ += '{';
+  raw("{");
   const char* sep = "";
   for (const auto& [key, value] : map) {
     raw(sep).string(key).raw(": ").string(value);
     sep = ", ";
   }
-  text_ += '}';
-  return *this;
+  return raw("}");
 }
 
 JsonlBuffer& JsonlBuffer::number(double value) {
-  return number(value, kShortest);
+  char* out = room(kNumberBytes);
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  MemoEntry& entry = memo_[memo_slot(bits)];
+  if (entry.bits == bits && entry.size != 0) {
+    // A fixed-size copy: the room holds the whole entry, and the text
+    // ends at entry.size.
+    std::memcpy(out, entry.text, sizeof entry.text);
+    size_ += entry.size;
+    return *this;
+  }
+  const std::size_t size =
+      static_cast<std::size_t>(format_number(out, value, kShortest) - out);
+  TRACON_ASSERT(size <= sizeof entry.text,
+                "a shortest double outgrew its memo entry");
+  entry.bits = bits;
+  entry.size = static_cast<std::uint8_t>(size);
+  std::memcpy(entry.text, out, size);
+  size_ += size;
+  return *this;
 }
 
 JsonlBuffer& JsonlBuffer::number(double value, int digits) {
-  char buf[32];
-  text_.append(buf, format_number(buf, value, digits));
+  char* out = room(kNumberBytes);
+  size_ = static_cast<std::size_t>(format_number(out, value, digits) -
+                                   text_.get());
   return *this;
 }
 
 JsonlBuffer& JsonlBuffer::integer(std::uint64_t value) {
-  char buf[24];
-  auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  text_.append(buf, result.ptr);
+  constexpr std::size_t kDigits = 20;  // 18446744073709551615
+  char* out = room(kDigits);
+  size_ = static_cast<std::size_t>(
+      std::to_chars(out, out + kDigits, value).ptr - text_.get());
   return *this;
 }
 
@@ -139,8 +190,12 @@ JsonlBuffer& JsonlBuffer::log_header(
 void JsonlBuffer::flush() {
   TRACON_REQUIRE(os_ != nullptr, "a JsonlBuffer without a stream has "
                                  "nothing to flush to");
-  os_->write(text_.data(), static_cast<std::streamsize>(text_.size()));
-  text_.clear();
+  write_to(*os_);
+}
+
+void JsonlBuffer::write_to(std::ostream& os) {
+  if (size_ > 0) os.write(text_.get(), static_cast<std::streamsize>(size_));
+  size_ = 0;
 }
 
 void write_merged(
@@ -159,16 +214,19 @@ void write_merged(
   // More formatters than cores would only take turns on them.
   const std::size_t workers =
       std::clamp<std::size_t>(threads, 1, hardware_threads());
-  // Chunk c's text lives in slots[c % in_flight] from the moment its
-  // worker hands it over until the caller has written it. Each worker
-  // formats into a buffer of its own, so no two workers append to
-  // neighbouring string headers.
+  // Chunk c is formatted into slots[c % in_flight], whose text waits
+  // there until the caller has written it, and whose memo carries the
+  // repeated doubles' text from chunk to chunk. A slot fills a cache
+  // line of its own, so no two workers store to one line.
+  struct alignas(64) Slot {
+    JsonlBuffer out;
+  };
   const std::size_t in_flight = 2 * workers;
-  std::vector<std::string> slots(in_flight);
+  std::vector<Slot> slots(in_flight);
   parallel_ordered(
       workers, chunks, in_flight,
       [&](std::size_t c) {
-        JsonlBuffer out(std::move(slots[c % in_flight]));
+        JsonlBuffer& out = slots[c % in_flight].out;
         if (c < windows) {
           merge_by_stamp(stamp_window(sizes, stamp, cuts, c), stamp,
                          [&](std::size_t p, std::size_t i) {
@@ -180,12 +238,8 @@ void write_merged(
           for (std::size_t i = begin; i < end; ++i)
             format(out, sizes.size(), i);
         }
-        slots[c % in_flight] = out.take();
       },
-      [&](std::size_t c) {
-        const std::string& text = slots[c % in_flight];
-        os.write(text.data(), static_cast<std::streamsize>(text.size()));
-      });
+      [&](std::size_t c) { slots[c % in_flight].out.write_to(os); });
 }
 
 int require_schema(const JsonValue& header, std::string_view schema) {

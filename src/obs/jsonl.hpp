@@ -17,13 +17,23 @@
 // the trace JSONL, the task-event CSV and format_double use the general
 // format at a fixed precision instead, as printf("%.*g") prints.
 //
+// A field costs a few stores: JsonlBuffer checks its capacity once per
+// field and writes the field's bytes in place, and a shortest double
+// whose bits the buffer has formatted before is copied from its memo,
+// a direct-mapped table of the text std::to_chars printed for recent
+// values. The logs repeat a few hundred doubles (scores, predictions,
+// speed factors from one prediction table) millions of times, and a
+// memo entry replays std::to_chars' own text for the same bits, so no
+// byte depends on it.
+//
 // The merged logs (the decision and span logs and the tracer's four
 // exports) write their records through write_merged: stamp windows of
 // the merge parts (util/stamp_merge.hpp) and index chunks of the
-// part-less records, each formatted on the worker pool into a buffer
-// that worker owns, and written to the stream strictly in chunk order
-// (util/parallel.hpp's parallel_ordered). A record's text depends on
-// that record alone, so the bytes do not depend on the worker count.
+// part-less records, each formatted on the worker pool into one slot of
+// a ring of buffers (a slot keeps its memo from chunk to chunk), and
+// written to the stream strictly in chunk order (util/parallel.hpp's
+// parallel_ordered). A record's text depends on that record alone, so
+// the bytes do not depend on the worker count.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +41,10 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace tracon::obs {
@@ -61,29 +71,36 @@ std::string format_double(double value);
 
 /// Formats JSONL text into one reused buffer and hands it to a stream
 /// in blocks of about kBlockBytes, or at flush(); a buffer without a
-/// stream holds its text until take(). Writers append their records
-/// field by field, with no temporary string per field or per line.
+/// stream holds its text until write_to(). Writers append their records
+/// field by field, each written in place, with no temporary string per
+/// field or per line.
 class JsonlBuffer {
  public:
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+  /// Entries of the shortest-text memo: a direct-mapped table, keyed by
+  /// a double's bit pattern, of the text std::to_chars printed for the
+  /// last value each entry saw.
+  static constexpr std::size_t kMemoEntries = 1024;
 
+  /// A buffer without a stream: its text waits for write_to().
+  JsonlBuffer() = default;
   explicit JsonlBuffer(std::ostream& os);
-  /// A buffer without a stream, formatting into `storage` (cleared;
-  /// its capacity is reused).
-  explicit JsonlBuffer(std::string storage);
 
   /// Appends pre-formatted text verbatim.
   JsonlBuffer& raw(std::string_view json) {
-    text_.append(json);
+    std::char_traits<char>::copy(room(json.size()), json.data(),
+                                 json.size());
+    size_ += json.size();
     return *this;
   }
   /// A quoted, escaped JSON string.
   JsonlBuffer& string(std::string_view text);
   /// A one-line {"key": "value", ...} object, in map order.
   JsonlBuffer& string_map(const std::map<std::string, std::string>& map);
-  /// Shortest round-trip double.
+  /// Shortest round-trip double: what std::to_chars(value) prints,
+  /// copied from the memo when it holds `value`'s bits.
   JsonlBuffer& number(double value);
-  /// General format at `digits` significant digits, as
+  /// General format at `digits` (1 to 17) significant digits, as
   /// printf("%.*g", digits, value).
   JsonlBuffer& number(double value, int digits);
   JsonlBuffer& integer(std::uint64_t value);
@@ -96,21 +113,38 @@ class JsonlBuffer {
   /// Ends a line; writes the buffer out once it holds a block, when it
   /// has a stream.
   void end_line() {
-    text_ += '\n';
-    if (os_ != nullptr && text_.size() >= kBlockBytes) flush();
+    *room(1) = '\n';
+    ++size_;
+    if (os_ != nullptr && size_ >= kBlockBytes) flush();
   }
   /// Writes out whatever is buffered; needs a stream.
   void flush();
-  /// Hands over the text formatted so far, leaving the buffer empty.
-  std::string take() {
-    std::string text = std::move(text_);
-    text_.clear();
-    return text;
-  }
+  /// Writes the text formatted so far to `os`, leaving the buffer empty.
+  void write_to(std::ostream& os);
 
  private:
+  /// The text std::to_chars printed for the double of bit pattern
+  /// `bits`; `size` 0 marks an empty entry.
+  struct MemoEntry {
+    std::uint64_t bits = 0;
+    std::uint8_t size = 0;
+    char text[24] = {};
+  };
+
+  /// At least `n` writable bytes past the text.
+  char* room(std::size_t n) {
+    if (capacity_ - size_ < n) grow(n);
+    return text_.get() + size_;
+  }
+  void grow(std::size_t n);
+
   std::ostream* os_ = nullptr;
-  std::string text_;
+  /// text_[0, size_) is the text; the rest of the capacity_ bytes is
+  /// room for the next fields.
+  std::unique_ptr<char[]> text_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+  std::vector<MemoEntry> memo_ = std::vector<MemoEntry>(kMemoEntries);
 };
 
 /// Records per chunk of write_merged: the stamp-window target, and the

@@ -4,14 +4,18 @@
 // worker count; the hand-off consumes items in order on the caller,
 // holds at most its window of them, and brings a worker's or the
 // consumer's exception back to the caller after every worker joined;
-// the decision log, the span log and the tracer write the same bytes at
-// 1 and 4 workers when their parts span many chunks.
+// doubles repeated from chunk to chunk print what std::to_chars prints,
+// whichever ring slot's memo formats them; the decision log, the span
+// log and the tracer write the same bytes at 1 and 4 workers when their
+// parts span many chunks.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -140,26 +144,61 @@ std::vector<double> seeded_part(std::uint64_t seed, std::size_t n) {
   return stamps;
 }
 
+/// A handful of doubles that every record repeats, as the logs repeat
+/// their prediction table's values: each writer's memo hits in every
+/// chunk.
+double repeated(std::size_t p, std::size_t i) {
+  static constexpr double kValues[] = {
+      0.5, 1.0 / 3.0, -0.0, 1e22, 2.2250738585072014e-308, 1234.5678, 0.1};
+  return kValues[(3 * p + i) % std::size(kValues)];
+}
+
 void format_record(JsonlBuffer& out, const Log& log, std::size_t p,
                    std::size_t i) {
   out.integer(p).raw(" ").integer(i);
   if (p < log.parts.size()) out.raw(" ").number(log.parts[p][i]);
-  out.end_line();
+  out.raw(" ").number(repeated(p, i)).end_line();
+}
+
+/// The (part, record) order of one serial merge over the whole parts,
+/// then the part-less records.
+std::vector<std::pair<std::size_t, std::size_t>> serial_order(
+    const Log& log) {
+  std::vector<std::pair<std::size_t, std::size_t>> order;
+  std::vector<PartRange> whole;
+  for (const auto& part : log.parts) whole.push_back({0, part.size()});
+  merge_by_stamp(
+      whole, [&](std::size_t p, std::size_t i) { return log.parts[p][i]; },
+      [&](std::size_t p, std::size_t i) { order.emplace_back(p, i); });
+  for (std::size_t i = 0; i < log.own; ++i)
+    order.emplace_back(log.parts.size(), i);
+  return order;
 }
 
 /// What one serial merge over the whole parts writes.
 std::string serial(const Log& log) {
   std::ostringstream os;
   JsonlBuffer out(os);
-  std::vector<PartRange> whole;
-  for (const auto& part : log.parts) whole.push_back({0, part.size()});
-  merge_by_stamp(
-      whole, [&](std::size_t p, std::size_t i) { return log.parts[p][i]; },
-      [&](std::size_t p, std::size_t i) { format_record(out, log, p, i); });
-  for (std::size_t i = 0; i < log.own; ++i)
-    format_record(out, log, log.parts.size(), i);
+  for (const auto& [p, i] : serial_order(log)) format_record(out, log, p, i);
   out.flush();
   return os.str();
+}
+
+/// serial()'s text, built with std::to_chars instead of JsonlBuffer.
+std::string to_chars_serial(const Log& log) {
+  std::string text;
+  auto number = [&](double v) {
+    char buf[32];
+    text += ' ';
+    text.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  for (const auto& [p, i] : serial_order(log)) {
+    text += std::to_string(p) + " " + std::to_string(i);
+    if (p < log.parts.size()) number(log.parts[p][i]);
+    number(repeated(p, i));
+    text += '\n';
+  }
+  return text;
 }
 
 std::string windowed(const Log& log, std::size_t threads) {
@@ -199,6 +238,19 @@ TEST(WriteMerged, WindowsWriteTheSerialMergeAtEveryWorkerCount) {
       EXPECT_EQ(windowed(log, threads), expected)
           << name << " at " << threads << " workers";
   }
+}
+
+TEST(WriteMerged, RepeatedDoublesPrintWhatToCharsPrintsAcrossChunks) {
+  // Every chunk repeats the same few doubles and stamps, so each ring
+  // slot's memo formats them once and then replays them in the chunks
+  // after, on whichever worker takes the slot.
+  Log log;
+  for (std::uint64_t p = 0; p < 4; ++p)
+    log.parts.push_back(seeded_part(300 + p, 3 * kMergedChunkRecords + p));
+  log.own = 2 * kMergedChunkRecords + 5;
+  const std::string expected = to_chars_serial(log);
+  for (std::size_t threads : {1, 4})
+    EXPECT_EQ(windowed(log, threads), expected) << threads << " workers";
 }
 
 TEST(WriteMerged, WindowsStayNearTheirTargetWhenPartsRunInStep) {

@@ -3,7 +3,11 @@
 // export, and a JSON parse-back round trip through the obs JSON reader.
 #include "obs/metrics.hpp"
 
+#include <bit>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -368,6 +372,70 @@ TEST(Jsonl, GeneralNumberPrintsWhatPrintfAndOstreamPrint) {
   }
 }
 
+/// What std::to_chars(value) prints: the shortest round trip.
+std::string to_chars_text(double value) {
+  char buf[64];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+TEST(Jsonl, NumberPrintsWhatToCharsPrints) {
+  // JsonlBuffer::number copies a repeated double's text from a memo
+  // keyed by its bits. A first sight, a repeat, a value evicted by
+  // another of the same memo slot and a field that crosses the buffer's
+  // reserved capacity must each print what std::to_chars prints.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, inf, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX,
+      // Where std::to_chars switches between fixed and scientific.
+      1e-5, 1e-4, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+      // 2^53 + 1 is not a double: 2^53's neighbours are 2^53 - 1 and
+      // 2^53 + 2.
+      0x1p53 - 1, 0x1p53, std::nextafter(0x1p53, inf), 0x1p63};
+  for (std::size_t i = 0, n = values.size(); i < n; ++i)
+    values.push_back(-values[i]);
+  tracon::Rng rng(2011);
+  for (int i = 0; i < 100000; ++i)
+    values.push_back(std::bit_cast<double>(rng.engine()()));
+  for (int i = 0; i < 10000; ++i) values.push_back(rng.uniform(0.0, 3600.0));
+  // Far more distinct values than memo entries: by pigeonhole many of
+  // them share a slot, and evict each other between their appends.
+  ASSERT_GT(values.size(), 50 * JsonlBuffer::kMemoEntries);
+
+  std::vector<double> order = values;
+  order.insert(order.end(), values.begin(), values.end());
+  rng.shuffle(order);
+  std::ostringstream os;
+  JsonlBuffer out(os);
+  for (double v : order) out.number(v).end_line();
+  // One line of every value: longer than two blocks, so its fields cross
+  // whatever capacity the block-sized flushes before it reserved.
+  std::string long_line;
+  for (double v : values) {
+    out.number(v).raw(",");
+    long_line += to_chars_text(v) + ",";
+  }
+  out.end_line();
+  out.flush();
+  ASSERT_GT(long_line.size(), 2 * JsonlBuffer::kBlockBytes);
+
+  std::istringstream lines(os.str());
+  std::string line;
+  std::size_t wrong = 0;
+  for (double v : order) {
+    std::getline(lines, line);
+    if (line != to_chars_text(v) && ++wrong <= 10) {
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": wrote " << line << ", std::to_chars "
+                    << to_chars_text(v);
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  std::getline(lines, line);
+  EXPECT_TRUE(line == long_line) << "the long line differs";
+  EXPECT_FALSE(std::getline(lines, line));
+}
+
 TEST(Jsonl, BufferFormatsStringsMapsAndLogHeaders) {
   std::ostringstream os;
   JsonlBuffer out(os);
@@ -396,6 +464,14 @@ TEST(Jsonl, BufferFormatsStringsMapsAndLogHeaders) {
   EXPECT_EQ(line, "{}");
   std::getline(lines, line);
   EXPECT_EQ(line, "7,0.1,0.1");
+
+  // A first field longer than any room the buffer reserved before it.
+  std::ostringstream long_os;
+  JsonlBuffer long_out(long_os);
+  const std::string text(100000, 'x');
+  long_out.string(text).end_line();
+  long_out.flush();
+  EXPECT_EQ(long_os.str(), "\"" + text + "\"\n");
 }
 
 }  // namespace
