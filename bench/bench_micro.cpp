@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark): the scheduling-overhead claims of
 // Section 3.2 (MIOS cheapest, MIX costliest, MIBS in between), model
-// training/prediction cost, the host-simulator allocation solver, and
-// what one double costs the JSONL logs.
+// training/prediction cost, the host-simulator allocation solver, the
+// completion heap's operation mix, and what one double costs the JSONL
+// logs.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
+#include "sim/completion_heap.hpp"
 #include "util/rng.hpp"
 #include "virt/fairshare.hpp"
 #include "workload/benchmarks.hpp"
@@ -145,6 +147,50 @@ void BM_ScheduleMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleMix);
+
+/// The completion heap of one fleet-1e5 shard (1,563 machines, 3,126
+/// slots), every slot busy. Each step pops the earliest completion,
+/// re-times one running task earlier (its co-runner left), starts the
+/// freed slot's next task ~100 s out and re-times one task later (a
+/// co-runner joined). Printed, not gated.
+void BM_CompletionHeap(benchmark::State& state) {
+  constexpr std::size_t kSlots = 3126;
+  constexpr std::size_t kDraws = std::size_t{1} << 14;
+  Rng rng(23);
+  sim::CompletionHeap heap(kSlots);
+  std::vector<double> eta(kSlots);
+  for (std::size_t id = 0; id < kSlots; ++id) {
+    eta[id] = rng.uniform(0.0, 200.0);
+    heap.update(id, eta[id]);
+  }
+  // Drawn ahead, so the loop times the heap alone.
+  std::vector<std::size_t> ids(kDraws);
+  std::vector<double> fractions(kDraws);
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    ids[i] = rng.index(kSlots);
+    fractions[i] = rng.uniform();
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const sim::CompletionHeap::Entry done = heap.top();
+    benchmark::DoNotOptimize(done);
+    heap.pop();
+    const double now = done.time;
+    const std::size_t faster = ids[k];
+    if (faster != done.id) {
+      eta[faster] = now + (eta[faster] - now) * (0.5 + 0.5 * fractions[k]);
+      heap.update(faster, eta[faster]);
+    }
+    eta[done.id] = now + 50.0 + 100.0 * fractions[k];
+    heap.update(done.id, eta[done.id]);
+    const std::size_t slower = ids[k + 1];
+    eta[slower] += 10.0 * fractions[k + 1];
+    heap.update(slower, eta[slower]);
+    k = (k + 2) % kDraws;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompletionHeap);
 
 /// 2^16 doubles as a log writes them: a share `repeats` are drawn from
 /// 100 table values (a prediction table's scores and speed factors),

@@ -1,10 +1,13 @@
 #include "core/tracon.hpp"
 
+#include <span>
+
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace tracon::core {
 
@@ -26,46 +29,69 @@ Tracon::Tracon(TraconConfig cfg)
 }
 
 void Tracon::register_applications(
-    const std::vector<virt::AppBehavior>& apps) {
+    const std::vector<virt::AppBehavior>& apps, std::size_t threads) {
   TRACON_REQUIRE(!apps.empty(), "need at least one application");
   apps_ = apps;
+  // One batch of host runs: each app next to every app (the perf
+  // table's ground truth), then next to every synthetic background (its
+  // training set).
+  std::vector<virt::AppBehavior> backgrounds = apps_;
+  backgrounds.insert(backgrounds.end(), synthetic_.begin(), synthetic_.end());
+  const std::vector<virt::PairMeasurement> measured =
+      profiler_.measure_all(apps_, backgrounds, threads);
+  const std::size_t n = apps_.size();
+  const std::size_t stride = backgrounds.size();
   training_sets_.clear();
-  training_sets_.reserve(apps_.size());
-  for (const auto& app : apps_)
-    training_sets_.push_back(profiler_.profile_against(app, synthetic_));
-  perf_table_ = sim::PerfTable::build(profiler_, apps_);
+  training_sets_.reserve(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    training_sets_.push_back(profiler_.training_set(
+        apps_[a], synthetic_,
+        std::span(measured).subspan(a * stride + n, synthetic_.size())));
+  }
+  perf_table_ = sim::PerfTable::build(profiler_, apps_, measured, stride);
   models_.clear();
   predictor_.reset();
 }
 
-void Tracon::train(model::ModelKind kind) {
+std::vector<model::ModelPair> Tracon::fit(model::ModelKind kind,
+                                          std::size_t threads) const {
   TRACON_REQUIRE(!apps_.empty(), "register applications before training");
-  kind_ = kind;
-  models_.clear();
-  models_.reserve(apps_.size());
-  std::vector<monitor::AppProfile> profiles;
-  profiles.reserve(apps_.size());
-  for (std::size_t a = 0; a < apps_.size(); ++a) {
-    models_.push_back(model::train_model_pair(kind, training_sets_[a]));
-    profiles.push_back(perf_table_->profile(a));
-  }
-  predictor_ = sched::TablePredictor::from_models(models_, profiles);
+  std::vector<model::ModelPair> models(apps_.size());
+  // Item 2a fits app a's runtime model, item 2a + 1 its IOPS model.
+  parallel_for(threads, 2 * models.size(), [&](std::size_t i) {
+    const model::TrainingSet& data = training_sets_[i / 2];
+    if (i % 2 == 0) {
+      models[i / 2].runtime =
+          model::train_model(kind, data, model::Response::kRuntime);
+    } else {
+      models[i / 2].iops =
+          model::train_model(kind, data, model::Response::kIops);
+    }
+  });
+  return models;
 }
 
-sched::TablePredictor Tracon::train_predictor(model::ModelKind kind) const {
-  TRACON_REQUIRE(!apps_.empty(), "register applications before training");
+sched::TablePredictor Tracon::table_of(
+    const std::vector<model::ModelPair>& models) const {
+  std::vector<monitor::AppProfile> profiles;
+  profiles.reserve(apps_.size());
+  for (std::size_t a = 0; a < apps_.size(); ++a)
+    profiles.push_back(perf_table_->profile(a));
+  return sched::TablePredictor::from_models(models, profiles);
+}
+
+void Tracon::train(model::ModelKind kind, std::size_t threads) {
+  models_ = fit(kind, threads);
+  kind_ = kind;
+  predictor_ = table_of(models_);
+}
+
+sched::TablePredictor Tracon::train_predictor(model::ModelKind kind,
+                                              std::size_t threads) const {
   // train() already fitted this family on the same training sets, and
   // fitting is deterministic: its table is the one a refit would build.
   if (predictor_.has_value() && kind == kind_) return *predictor_;
-  std::vector<model::ModelPair> models;
-  models.reserve(apps_.size());
-  std::vector<monitor::AppProfile> profiles;
-  profiles.reserve(apps_.size());
-  for (std::size_t a = 0; a < apps_.size(); ++a) {
-    models.push_back(model::train_model_pair(kind, training_sets_[a]));
-    profiles.push_back(perf_table_->profile(a));
-  }
-  return sched::TablePredictor::from_models(models, profiles);
+  return table_of(fit(kind, threads));
 }
 
 const sim::PerfTable& Tracon::perf_table() const {

@@ -41,20 +41,27 @@ class Tracon {
 
   /// Profiles the applications (solo + pairwise ground truth) and
   /// gathers each one's interference training set against the synthetic
-  /// workload generator. Must be called before train().
-  void register_applications(const std::vector<virt::AppBehavior>& apps);
+  /// workload generator. Must be called before train(). Every host run
+  /// is an item of one Profiler::measure_all on up to `threads`
+  /// workers; the result does not depend on `threads`.
+  void register_applications(const std::vector<virt::AppBehavior>& apps,
+                             std::size_t threads = 1);
 
   /// Trains per-application interference models of the given kind and
-  /// builds the prediction table the schedulers consult.
-  void train(model::ModelKind kind);
+  /// builds the prediction table the schedulers consult. Each (app,
+  /// response) model is fitted on its own, on up to `threads` workers;
+  /// the models do not depend on `threads`.
+  void train(model::ModelKind kind, std::size_t threads = 1);
 
   /// Trains a standalone prediction table of the given kind from the
   /// registered training sets WITHOUT touching the active models — the
   /// building block for multi-family ensembles (each confidence-weighted
   /// family is one such table). Requires register_applications(). For
   /// the kind train() last fitted it returns a copy of the active table
-  /// (bit-identical to a refit) without training again.
-  sched::TablePredictor train_predictor(model::ModelKind kind) const;
+  /// (bit-identical to a refit) without training again; other kinds fit
+  /// as train() does, on up to `threads` workers.
+  sched::TablePredictor train_predictor(model::ModelKind kind,
+                                        std::size_t threads = 1) const;
 
   bool trained() const { return predictor_.has_value(); }
   std::size_t num_apps() const { return apps_.size(); }
@@ -81,6 +88,13 @@ class Tracon {
       const sched::Predictor* predictor_override = nullptr) const;
 
  private:
+  /// `kind`'s runtime and IOPS model of every registered app.
+  std::vector<model::ModelPair> fit(model::ModelKind kind,
+                                    std::size_t threads) const;
+  /// The prediction table of `models`, one pair per registered app.
+  sched::TablePredictor table_of(
+      const std::vector<model::ModelPair>& models) const;
+
   TraconConfig cfg_;
   model::Profiler profiler_;
   std::vector<virt::AppBehavior> apps_;

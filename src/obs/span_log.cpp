@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -119,10 +120,16 @@ void SpanLog::append(const SpanEvent& event) {
 }
 
 void SpanLog::sort_by_start() {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.t0_s < b.t0_s;
-                   });
+  const auto by_start = [](const Record& a, const Record& b) {
+    return a.t0_s < b.t0_s;
+  };
+  // The spans append_part left are in start order already. Sorting the
+  // rest and merging them behind is the whole stable sort: the merge is
+  // stable too, so a kept span stays ahead of a new one it ties with.
+  const auto fresh = records_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::stable_sort(fresh, records_.end(), by_start);
+  std::inplace_merge(records_.begin(), fresh, records_.end(), by_start);
+  sorted_ = records_.size();
 }
 
 void SpanLog::append_part(SpanLog& shard, std::size_t machine_base,
@@ -148,6 +155,7 @@ void SpanLog::append_part(SpanLog& shard, std::size_t machine_base,
   parts_.push_back({std::move(taken), machine_base, task_base,
                     streaming() ? &shard : nullptr});
   taken = std::move(kept);
+  shard.sorted_ = taken.size();  // a suffix of a part in start order
 }
 
 std::size_t SpanLog::size() const {
@@ -221,6 +229,7 @@ void SpanLog::flush(std::size_t threads) {
                  "a span log flushes to the file stream_to() named");
   write_records(*stream_, threads);
   records_.clear();
+  sorted_ = 0;
   for (Part& part : parts_) {
     if (part.lender == nullptr) continue;
     // The lender holds only the spans append_part left it.

@@ -133,7 +133,8 @@ class SpanLog {
   void append(const SpanEvent& event);
 
   /// Stable-sorts the recorded spans on their start, which is the
-  /// order a merge part must have.
+  /// order a merge part must have. The spans append_part left this log
+  /// keep their place ahead of any later span they tie with.
   void sort_by_start();
 
   /// Moves the spans `shard` holds that start before `before` in as
@@ -213,6 +214,10 @@ class SpanLog {
 
   bool enabled_ = false;
   std::vector<Record> records_;
+  /// How many leading records are in start order: sort_by_start's, or
+  /// those append_part left behind a cut, which sort_by_start then only
+  /// merges with.
+  std::size_t sorted_ = 0;
   std::vector<Part> parts_;
   std::ostream* stream_ = nullptr;
   std::map<std::string, std::string> fingerprint_;

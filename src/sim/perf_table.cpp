@@ -10,9 +10,18 @@ namespace tracon::sim {
 
 PerfTable PerfTable::build(model::Profiler& profiler,
                            const std::vector<virt::AppBehavior>& apps) {
+  return build(profiler, apps, profiler.measure_all(apps, apps), apps.size());
+}
+
+PerfTable PerfTable::build(model::Profiler& profiler,
+                           const std::vector<virt::AppBehavior>& apps,
+                           std::span<const virt::PairMeasurement> measured,
+                           std::size_t stride) {
   TRACON_REQUIRE(!apps.empty(), "perf table needs at least one app");
-  PerfTable t;
   const std::size_t n = apps.size();
+  TRACON_REQUIRE(stride >= n && measured.size() >= (n - 1) * stride + n,
+                 "perf table needs every pair of its apps measured");
+  PerfTable t;
   t.runtime_ = stats::Matrix(n, n + 1);
   t.iops_ = stats::Matrix(n, n + 1);
   t.names_.reserve(n);
@@ -24,7 +33,7 @@ PerfTable PerfTable::build(model::Profiler& profiler,
     t.runtime_(a, n) = solo.runtime_s;
     t.iops_(a, n) = solo.iops;
     for (std::size_t b = 0; b < n; ++b) {
-      virt::PairMeasurement pm = profiler.measure(apps[a], apps[b]);
+      const virt::PairMeasurement& pm = measured[a * stride + b];
       t.runtime_(a, b) = pm.runtime_s;
       t.iops_(a, b) = pm.iops;
     }

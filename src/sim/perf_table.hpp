@@ -10,6 +10,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,15 @@ class PerfTable {
   /// Measures all pairs of `apps` (and each solo) via the profiler.
   static PerfTable build(model::Profiler& profiler,
                          const std::vector<virt::AppBehavior>& apps);
+
+  /// The same table from pair measurements already taken: apps[a] next
+  /// to apps[b] at measured[a * stride + b], as a Profiler::measure_all
+  /// whose backgrounds start with `apps` lays them out. The profiles and
+  /// the solo column are the profiler's solo runs.
+  static PerfTable build(model::Profiler& profiler,
+                         const std::vector<virt::AppBehavior>& apps,
+                         std::span<const virt::PairMeasurement> measured,
+                         std::size_t stride);
 
   std::size_t num_apps() const { return names_.size(); }
   const std::string& app_name(std::size_t a) const;

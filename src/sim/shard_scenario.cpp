@@ -28,6 +28,10 @@ std::size_t shard_count(const ShardedConfig& cfg) {
       cfg.machines);
 }
 
+std::size_t worker_count(const ShardedConfig& cfg) {
+  return cfg.threads > 0 ? cfg.threads : hardware_threads();
+}
+
 std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard,
                          std::size_t shards) {
   return shards == 1 ? seed : derive_stream_seed(seed, shard);
@@ -289,8 +293,7 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   TRACON_REQUIRE(cfg.machines > 0, "need at least one machine");
   TRACON_REQUIRE(make_scheduler != nullptr, "scheduler factory must be set");
   const std::size_t shards = shard_count(cfg);
-  const std::size_t threads =
-      cfg.threads > 0 ? cfg.threads : hardware_threads();
+  const std::size_t threads = worker_count(cfg);
   const bool routed =
       cfg.routing != Routing::kIndependent || cfg.arrival_source != nullptr;
   TRACON_REQUIRE(cfg.routing != Routing::kIndependent ||

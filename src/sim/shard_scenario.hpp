@@ -194,6 +194,10 @@ std::size_t auto_shard_count(std::size_t machines);
 /// when 0), never more than one shard per machine.
 std::size_t shard_count(const ShardedConfig& cfg);
 
+/// The effective worker-pool size of `cfg`: `threads`, or
+/// hardware_threads() when 0.
+std::size_t worker_count(const ShardedConfig& cfg);
+
 /// Seed of shard `shard`'s random stream out of `shards`: the root
 /// seed itself for a 1-shard run (the flat system), else
 /// derive_stream_seed(seed, shard). Callers that seed per-shard

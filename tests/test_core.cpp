@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "obs/scope_timer.hpp"
 #include "workload/benchmarks.hpp"
@@ -133,6 +135,70 @@ TEST(Tracon, TrainPredictorReusesTheTrainedFamily) {
           std::bit_cast<std::uint64_t>(
               expected.predict_iops(task, neighbour)));
     }
+  }
+}
+
+/// Every number the paper set-up produces on `threads` workers, as
+/// bits: each training row, the perf table's profiles and cells, and
+/// each family's prediction table, fitted through train_predictor and,
+/// for NLM, through train.
+std::vector<std::uint64_t> paper_set_up_bits(std::size_t threads) {
+  Tracon sys;  // paper testbed, seed 42
+  sys.register_applications(workload::paper_benchmarks(), threads);
+  std::vector<std::uint64_t> bits;
+  auto put = [&](double v) { bits.push_back(std::bit_cast<std::uint64_t>(v)); };
+  const std::size_t n = sys.num_apps();
+  for (std::size_t a = 0; a < n; ++a) {
+    for (const model::Observation& o : sys.training_set(a).observations()) {
+      for (double f : o.features) put(f);
+      put(o.runtime);
+      put(o.iops);
+    }
+  }
+  const sim::PerfTable& table = sys.perf_table();
+  for (std::size_t a = 0; a < n; ++a) {
+    const monitor::AppProfile& p = table.profile(a);
+    for (double v : {p.domu_cpu, p.dom0_cpu, p.reads_per_s, p.writes_per_s})
+      put(v);
+    for (std::size_t b = 0; b <= n; ++b) {
+      const std::optional<std::size_t> nb =
+          b < n ? std::optional<std::size_t>(b) : std::nullopt;
+      put(table.runtime(a, nb));
+      put(table.iops(a, nb));
+    }
+  }
+  auto put_table = [&](const sched::TablePredictor& p) {
+    for (std::size_t t = 0; t < n; ++t) {
+      for (std::size_t b = 0; b <= n; ++b) {
+        const std::optional<std::size_t> nb =
+            b < n ? std::optional<std::size_t>(b) : std::nullopt;
+        put(p.predict_runtime(t, nb));
+        put(p.predict_iops(t, nb));
+      }
+    }
+  };
+  for (model::ModelKind kind :
+       {model::ModelKind::kWmm, model::ModelKind::kLinear,
+        model::ModelKind::kNonlinear, model::ModelKind::kNonlinearLog,
+        model::ModelKind::kNonlinearNoDom0})
+    put_table(sys.train_predictor(kind, threads));
+  sys.train(model::ModelKind::kNonlinear, threads);
+  put_table(sys.predictor());
+  return bits;
+}
+
+// The set-up's host runs and model fits run on the worker pool, each
+// writing only its own slot: no bit of the set-up depends on the
+// worker count.
+TEST(Tracon, SetUpIsBitIdenticalOnAnyWorkerCount) {
+  const std::vector<std::uint64_t> serial = paper_set_up_bits(1);
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    const std::vector<std::uint64_t> got = paper_set_up_bits(threads);
+    ASSERT_EQ(got.size(), serial.size()) << threads << " workers";
+    const auto diff = std::mismatch(got.begin(), got.end(), serial.begin());
+    EXPECT_TRUE(diff.first == got.end())
+        << threads << " workers: number " << (diff.first - got.begin())
+        << " of " << got.size() << " differs";
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "workload/benchmarks.hpp"
 #include "workload/synthetic.hpp"
 
@@ -58,6 +60,43 @@ TEST(Profiler, TrainingSetHasOneRowPerBackgroundPlusIdle) {
   for (const auto& o : obs) {
     EXPECT_EQ(o.features[0], obs[0].features[0]);
     EXPECT_EQ(o.features[2], obs[0].features[2]);
+  }
+}
+
+// measure_all is measure() over its grid on any worker count: an idle
+// background reads the target's solo run, and the solo runs it caches
+// are the ones solo_stats runs.
+TEST(Profiler, MeasureAllIsMeasureOnAnyWorkerCount) {
+  virt::AppBehavior idle;
+  idle.name = "idle";
+  idle.cpu_util = 0.0;
+  const std::vector<virt::AppBehavior> targets = {
+      *workload::benchmark_by_name("email"),
+      *workload::benchmark_by_name("video")};
+  const std::vector<virt::AppBehavior> backgrounds = {
+      idle, *workload::benchmark_by_name("blastn"), targets[0]};
+  Profiler serial = make_profiler();
+  for (std::size_t threads : {1u, 3u}) {
+    Profiler prof = make_profiler();
+    const std::vector<virt::PairMeasurement> grid =
+        prof.measure_all(targets, backgrounds, threads);
+    ASSERT_EQ(grid.size(), targets.size() * backgrounds.size());
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      for (std::size_t b = 0; b < backgrounds.size(); ++b) {
+        const virt::PairMeasurement want =
+            serial.measure(targets[t], backgrounds[b]);
+        const virt::PairMeasurement& got = grid[t * backgrounds.size() + b];
+        EXPECT_EQ(got.runtime_s, want.runtime_s) << t << ", " << b;
+        EXPECT_EQ(got.iops, want.iops) << t << ", " << b;
+        EXPECT_EQ(got.reads_per_s, want.reads_per_s) << t << ", " << b;
+        EXPECT_EQ(got.writes_per_s, want.writes_per_s) << t << ", " << b;
+      }
+    }
+    for (const virt::AppBehavior& app : backgrounds) {
+      EXPECT_EQ(prof.solo_stats(app).runtime_s,
+                serial.solo_stats(app).runtime_s)
+          << app.name;
+    }
   }
 }
 

@@ -225,6 +225,36 @@ TEST(SpanLog, StreamedEpochsKeepEqualStartsInRecordOrder) {
                        {9.0, 5}}));
 }
 
+TEST(SpanLog, SortKeepsTheSpansLeftBehindACutAheadOnTies) {
+  SpanLog shard;
+  shard.set_enabled(true);
+  auto queued = [&](std::uint64_t task, double t0) {
+    shard.record(make_span(SpanEvent::Kind::kQueued, task, t0, t0 + 1.0, 0));
+  };
+  queued(0, 12.0);
+  queued(1, 4.0);
+  queued(2, 10.0);
+  shard.sort_by_start();
+  SpanLog first;
+  first.append_part(shard, 0, 0, 8.0);  // takes task 1; 2 and 0 stay
+  ASSERT_EQ(shard.size(), 2u);
+  // Recorded after the cut: task 3 ties kept task 2's start, task 4
+  // starts ahead of every kept span.
+  queued(3, 10.0);
+  queued(4, 9.0);
+  queued(5, 11.0);
+  shard.sort_by_start();
+  SpanLog second;
+  second.append_part(shard, 0, 0);
+  using Row = std::tuple<double, std::uint64_t, std::size_t>;
+  const std::size_t none = SpanEvent::kNoMachine;
+  EXPECT_EQ(written(second), (std::vector<Row>{{9.0, 4, none},
+                                               {10.0, 2, none},
+                                               {10.0, 3, none},
+                                               {11.0, 5, none},
+                                               {12.0, 0, none}}));
+}
+
 TEST(SpanLog, ParanoidBuildsRejectAPartOutOfStartOrder) {
   SpanLog s0;
   s0.set_enabled(true);

@@ -8,7 +8,8 @@
 // (the empty machine, then each of the eight co-runners), every double
 // as its shortest round-trip text. Any change to the stepwise search,
 // the OLS/QR arithmetic or the Gauss-Newton refinement that moves a
-// model bit shows up here before it reaches a scheduling result.
+// model bit shows up here before it reaches a scheduling result. The
+// set-up runs on one worker and on four, against the same golden.
 #include <gtest/gtest.h>
 
 #include <charconv>
@@ -47,16 +48,18 @@ void write_model(std::ostream& os, const std::string& app,
   os << '\n';
 }
 
-TEST(TrainedModels, PaperSetUpMatchesGolden) {
+/// The golden's text for the paper set-up with its host runs and model
+/// fits on `threads` workers.
+std::string paper_models(std::size_t threads) {
   Tracon system;  // paper testbed, seed 42
   const auto& apps = workload::paper_benchmarks();
-  system.register_applications(apps);
+  system.register_applications(apps, threads);
   std::ostringstream os;
   for (model::ModelKind kind :
        {model::ModelKind::kWmm, model::ModelKind::kLinear,
         model::ModelKind::kNonlinear, model::ModelKind::kNonlinearLog,
         model::ModelKind::kNonlinearNoDom0}) {
-    system.train(kind);
+    system.train(kind, threads);
     os << "family " << model::model_kind_name(kind) << '\n';
     for (std::size_t a = 0; a < apps.size(); ++a) {
       write_model(os, apps[a].name, *system.models(a).runtime);
@@ -79,7 +82,14 @@ TEST(TrainedModels, PaperSetUpMatchesGolden) {
       }
     }
   }
-  golden::expect_matches("trained_models_paper.txt", os.str());
+  return os.str();
+}
+
+TEST(TrainedModels, PaperSetUpMatchesGolden) {
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " set-up workers");
+    golden::expect_matches("trained_models_paper.txt", paper_models(threads));
+  }
 }
 
 }  // namespace

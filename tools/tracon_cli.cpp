@@ -87,16 +87,19 @@
 // one engine, sim::run_dynamic_sharded. A `dynamic` run without the
 // two flags below is one shard — the flat cluster; `record` and
 // `replay` always are.
-//   --threads N                  run the shards on N workers (0 = all
-//                                cores); every export is byte-identical
-//                                for every N at a fixed seed/shard count
+//   --threads N                  run the set-up's host runs and model
+//                                fits, then the shards, on N workers
+//                                (0 = all cores; dynamic, hierarchy);
+//                                every export is byte-identical for
+//                                every N at a fixed seed/shard count
 //   --shards K                   machine shards (default with either
 //                                flag: auto, one per 128 machines,
 //                                clamped to [1, 64]); part of the
 //                                simulated system's shape. A run that
 //                                resolves to one shard is the flag-free
 //                                run, byte for byte.
-//   --prof requires --threads 1.
+//   --prof requires --threads 1, so its counts are the serial
+//   set-up's.
 //
 // Snapshot / confidence flags (dynamic, record, replay):
 //   --snapshot-interval S        sample a tracon.metrics_series window
@@ -322,7 +325,11 @@ std::string span_state_name(obs::SpanEvent::Kind kind) {
   return "unknown";
 }
 
-core::Tracon make_system(const ArgParser& args, bool train) {
+/// Profiles the paper benchmarks and, when `train`, fits the --model
+/// family: the set-up, its host runs and model fits on `threads`
+/// workers (`dynamic` and `hierarchy` pass their resolved --threads).
+core::Tracon make_system(const ArgParser& args, bool train,
+                         std::size_t threads = 1) {
   core::TraconConfig cfg;
   cfg.host = host_from(args);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
@@ -330,8 +337,8 @@ core::Tracon make_system(const ArgParser& args, bool train) {
   const model::ModelKind kind = train ? model_by_name(args.get("model", "nlm"))
                                       : model::ModelKind::kNonlinear;
   core::Tracon sys(cfg);
-  sys.register_applications(workload::paper_benchmarks());
-  if (train) sys.train(kind);
+  sys.register_applications(workload::paper_benchmarks(), threads);
+  if (train) sys.train(kind, threads);
   return sys;
 }
 
@@ -483,11 +490,12 @@ void reject_unknown_flags(const ArgParser& args, const std::string& cmd) {
 }
 
 /// --prof's ScopeStats accumulation is deliberately unsynchronized
-/// (profiling is wall-clock anyway), so it needs a single worker.
+/// (profiling is wall-clock anyway), so it needs a single worker, for
+/// the set-up as for the shards.
 void check_prof(const ArgParser& args, std::size_t threads) {
   TRACON_REQUIRE(!args.has("prof") || threads == 1,
                  "--prof requires --threads 1: the profiling accumulators "
-                 "are not synchronized across shard workers");
+                 "are not synchronized across workers");
 }
 
 int cmd_static(const ArgParser& args) {
@@ -665,7 +673,8 @@ void stamp_fingerprint(Run& run, const sim::ShardedConfig& cfg,
 /// Runs `run` on the engine and stamps its fingerprint. Builds the
 /// per-shard schedulers (each TRACON scheduler places through its own
 /// candidate index) and, with --confidence-weighting, one ensemble per
-/// shard over WMM/LM/NLM tables trained once and shared read-only.
+/// shard over WMM/LM/NLM tables trained once, on the run's workers,
+/// and shared read-only.
 /// `dynamic` streams its decision and span logs into their files as the
 /// run goes; `record` and `replay` keep them for the run store.
 /// `scheduler` receives the scheduler's display name.
@@ -687,7 +696,7 @@ sim::ShardedOutcome simulate(const core::Tracon& sys, Run& run,
     std::vector<sched::ConfidenceWeightedPredictor::Family> families;
     tables.reserve(std::size(kinds));
     for (model::ModelKind kind : kinds) {
-      tables.push_back(sys.train_predictor(kind));
+      tables.push_back(sys.train_predictor(kind, sim::worker_count(cfg)));
       families.push_back(
           {model::model_kind_metric_family(kind), &tables.back()});
     }
@@ -797,7 +806,7 @@ int cmd_dynamic(const ArgParser& args) {
   cfg.fifo_baseline = true;
   read_run_flags(args, run);
   if (!open_exports(args, run)) return 1;
-  core::Tracon sys = make_system(args, true);
+  core::Tracon sys = make_system(args, true, sim::worker_count(cfg));
 
   std::string name;
   const sim::ShardedOutcome o = simulate(sys, run, name);
@@ -1709,7 +1718,7 @@ int cmd_hierarchy(const ArgParser& args) {
                                 routing + "'");
   check_prof(args, cfg.threads);
   const SchedulerChoice choice = scheduler_choice(args, cfg.queue_capacity);
-  core::Tracon sys = make_system(args, true);
+  core::Tracon sys = make_system(args, true, sim::worker_count(cfg));
 
   auto o = sim::run_dynamic_sharded(
       sys.perf_table(),
