@@ -1,11 +1,13 @@
 #include "replay/arrival_trace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
@@ -77,7 +79,7 @@ ArrivalTrace load_arrival_trace(std::istream& is) {
   text << is.rdbuf();
   ArrivalTrace trace;
   trace.header.version = obs::read_jsonl(
-      text.str(), kArrivalTraceSchema, "arrival trace",
+      std::move(text).str(), kArrivalTraceSchema, "arrival trace",
       [&](const obs::JsonValue& obj) {
         ArrivalTraceHeader& h = trace.header;
         h.seed = obs::count_field(obj, "seed", "header");
@@ -121,13 +123,13 @@ TraceArrivalSource::TraceArrivalSource(ArrivalTrace trace)
   }
 }
 
-std::vector<sim::Arrival> TraceArrivalSource::arrivals(std::size_t num_apps) {
-  TRACON_REQUIRE(trace_.header.num_apps <= num_apps,
-                 "trace records more app classes than the simulation has");
-  std::vector<sim::Arrival> out;
-  out.reserve(trace_.arrivals.size());
-  for (const TraceArrival& a : trace_.arrivals) out.push_back({a.time_s, a.app});
-  return out;
+std::size_t TraceArrivalSource::fill(std::span<sim::Arrival> out) {
+  const std::size_t n = std::min(out.size(), trace_.arrivals.size() - next_);
+  for (sim::Arrival& a : out.first(n)) {
+    const TraceArrival& recorded = trace_.arrivals[next_++];
+    a = {recorded.time_s, recorded.app};
+  }
+  return n;
 }
 
 bool TraceArrivalSource::validate_demands(
@@ -149,19 +151,14 @@ RecordingArrivalSource::RecordingArrivalSource(sim::ArrivalSource& inner,
                  "recording needs per-app solo service demands");
 }
 
-std::vector<sim::Arrival> RecordingArrivalSource::arrivals(
-    std::size_t num_apps) {
-  TRACON_REQUIRE(!consumed_,
-                 "RecordingArrivalSource is single-shot: a second arrivals() "
-                 "call would duplicate the trace records");
-  consumed_ = true;
-  std::vector<sim::Arrival> out = inner_.arrivals(num_apps);
-  for (const sim::Arrival& a : out) {
+std::size_t RecordingArrivalSource::fill(std::span<sim::Arrival> out) {
+  const std::size_t got = inner_.fill(out);
+  for (const sim::Arrival& a : out.first(got)) {
     TRACON_REQUIRE(a.app < solo_demands_.size(),
                    "arrival app has no recorded solo demand");
     writer_.write({a.time_s, a.app, solo_demands_[a.app]});
   }
-  return out;
+  return got;
 }
 
 }  // namespace tracon::replay

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,16 +91,15 @@ void write_arrival_trace(std::ostream& os, const ArrivalTrace& trace);
 /// out-of-range app indices.
 ArrivalTrace load_arrival_trace(std::istream& is);
 
-/// Replays a loaded trace through run_dynamic: returns the recorded
+/// Replays a loaded trace through run_dynamic: yields the recorded
 /// arrival stream byte-for-byte, deterministically, under any
-/// scheduler. The trace's app universe must fit the simulation's
-/// (header.num_apps <= num_apps at generation time).
+/// scheduler. The engine it feeds refuses an app class its perf table
+/// lacks.
 class TraceArrivalSource final : public sim::ArrivalSource {
  public:
   explicit TraceArrivalSource(ArrivalTrace trace);
 
-  std::vector<sim::Arrival> arrivals(std::size_t num_apps) override;
-  std::string name() const override { return "trace"; }
+  std::size_t fill(std::span<sim::Arrival> out) override;
 
   const ArrivalTraceHeader& header() const { return trace_.header; }
   const ArrivalTrace& trace() const { return trace_; }
@@ -112,11 +112,11 @@ class TraceArrivalSource final : public sim::ArrivalSource {
 
  private:
   ArrivalTrace trace_;
+  std::size_t next_ = 0;  ///< first recorded arrival not pulled yet
 };
 
-/// Tees the arrivals produced by `inner` into `writer`, stamping each
-/// record with its app's solo service demand. Single-shot: arrivals()
-/// may be called once (a second call would duplicate the trace file).
+/// Tees the arrivals pulled from `inner` into `writer` as they are
+/// pulled, stamping each record with its app's solo service demand.
 class RecordingArrivalSource final : public sim::ArrivalSource {
  public:
   /// `solo_demands[app]` = solo runtime of app class `app` (seconds),
@@ -124,14 +124,12 @@ class RecordingArrivalSource final : public sim::ArrivalSource {
   RecordingArrivalSource(sim::ArrivalSource& inner, TraceWriter& writer,
                          std::vector<double> solo_demands);
 
-  std::vector<sim::Arrival> arrivals(std::size_t num_apps) override;
-  std::string name() const override { return inner_.name(); }
+  std::size_t fill(std::span<sim::Arrival> out) override;
 
  private:
   sim::ArrivalSource& inner_;
   TraceWriter& writer_;
   std::vector<double> solo_demands_;
-  bool consumed_ = false;
 };
 
 }  // namespace tracon::replay

@@ -1,21 +1,20 @@
 // Arrival-stream abstraction for the dynamic scenario.
 //
 // The dynamic engine consumes a time-sorted arrival stream, fed in
-// chunks. PoissonStream draws the paper's Poisson/mix stream lazily,
-// one arrival at a time; an ArrivalSource is anything that can
-// materialize a whole stream as a list. PoissonArrivalSource drains a
-// PoissonStream; src/replay adds TraceArrivalSource, which replays a
-// recorded JSONL arrival trace byte-for-byte so the same historical
-// workload can be driven through different schedulers (A/B on real
-// traces).
+// chunks, and an ArrivalSource is anything that hands one over that
+// way: each fill() pulls the next chunk, and a pulled arrival is gone.
+// PoissonStream draws the paper's Poisson/mix stream lazily;
+// MixShiftArrivalSource switches between two of them at an instant;
+// src/replay adds TraceArrivalSource, which replays a recorded JSONL
+// arrival trace byte-for-byte so the same historical workload can be
+// driven through different schedulers (A/B on real traces), and
+// RecordingArrivalSource, which writes what it pulls to a trace.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/mixes.hpp"
@@ -28,24 +27,33 @@ struct Arrival {
   std::size_t app = 0;
 };
 
+/// A time-sorted arrival stream, pulled chunk by chunk. Single-pass:
+/// an arrival once pulled is not pulled again.
+class ArrivalSource {
+ public:
+  virtual ~ArrivalSource() = default;
+
+  /// Writes the stream's next arrivals to the front of `out`, in time
+  /// order, and returns how many; fewer than out.size() only once the
+  /// stream has ended.
+  virtual std::size_t fill(std::span<Arrival> out) = 0;
+};
+
 /// The paper's arrival model drawn lazily: a Poisson process with rate
 /// lambda per minute whose task classes are drawn from a Gaussian-rank
-/// workload mix. This is the one implementation of its draw order — a
-/// gap, then a class, then the next gap — so a stream pulled in chunks
-/// of any size is the stream PoissonArrivalSource materializes. It
-/// holds the generator and the next arrival's time, never the stream.
-class PoissonStream {
+/// workload mix, up to the horizon. This is the one implementation of
+/// its draw order — a gap, then a class, then the next gap — so the
+/// stream is the same however it is pulled, and deterministic given
+/// the seed. It holds the generator and the next arrival's time.
+class PoissonStream final : public ArrivalSource {
  public:
   PoissonStream(double lambda_per_min, double duration_s,
-                workload::MixKind mix, double mix_stddev, std::uint64_t seed,
-                std::size_t num_apps);
+                workload::MixKind mix, double mix_stddev, std::uint64_t seed);
 
   /// The next arrival before the horizon; nullopt once the stream ends.
   std::optional<Arrival> next();
 
-  /// Writes the next arrivals to the front of `out` and returns how
-  /// many; fewer than out.size() only when the stream has ended.
-  std::size_t fill(std::span<Arrival> out);
+  std::size_t fill(std::span<Arrival> out) override;
 
  private:
   Rng rng_;
@@ -53,50 +61,18 @@ class PoissonStream {
   double duration_s_;
   workload::MixKind mix_;
   double mix_stddev_;
-  std::size_t num_apps_;
   double next_s_;  ///< time of the next arrival, drawn ahead
 };
 
-class ArrivalSource {
- public:
-  virtual ~ArrivalSource() = default;
-
-  /// Materializes the full arrival stream, sorted by time. `num_apps`
-  /// is the size of the application-class universe; every returned
-  /// arrival's app index must be < num_apps.
-  virtual std::vector<Arrival> arrivals(std::size_t num_apps) = 0;
-
-  /// Short label for logs and run fingerprints ("poisson", "trace").
-  virtual std::string name() const = 0;
-};
-
-/// The paper's arrival model as a list: PoissonStream drained.
-/// Deterministic given the seed.
-class PoissonArrivalSource final : public ArrivalSource {
- public:
-  PoissonArrivalSource(double lambda_per_min, double duration_s,
-                       workload::MixKind mix, double mix_stddev,
-                       std::uint64_t seed);
-
-  std::vector<Arrival> arrivals(std::size_t num_apps) override;
-  std::string name() const override { return "poisson"; }
-
- private:
-  double lambda_per_min_;
-  double duration_s_;
-  workload::MixKind mix_;
-  double mix_stddev_;
-  std::uint64_t seed_;
-};
-
 /// Drift scenario driver: Poisson arrivals whose workload mix switches
-/// from `before` to `after` at `shift_time_s`. The two segments are
-/// drawn from independent Poisson streams (seed and seed+1) and
-/// concatenated at the shift, so the stream stays deterministic given
-/// the seed and either segment matches a plain PoissonArrivalSource of
-/// its mix. This is the workload that exposes time-varying prediction
-/// error: a model family tuned on the pre-shift mix degrades after the
-/// shift, which windowed accuracy sees and cumulative histograms blur.
+/// from `before` to `after` at `shift_time_s`. It holds two independent
+/// Poisson streams (seed and seed+1) and yields the first one's
+/// arrivals before the shift, then the second one's from the shift on,
+/// so the stream stays deterministic given the seed and either segment
+/// matches a plain PoissonStream of its mix. This is the workload that
+/// exposes time-varying prediction error: a model family tuned on the
+/// pre-shift mix degrades after the shift, which windowed accuracy sees
+/// and cumulative histograms blur.
 class MixShiftArrivalSource final : public ArrivalSource {
  public:
   MixShiftArrivalSource(double lambda_per_min, double duration_s,
@@ -104,17 +80,13 @@ class MixShiftArrivalSource final : public ArrivalSource {
                         workload::MixKind after, double mix_stddev,
                         std::uint64_t seed);
 
-  std::vector<Arrival> arrivals(std::size_t num_apps) override;
-  std::string name() const override { return "mix_shift"; }
+  std::size_t fill(std::span<Arrival> out) override;
 
  private:
-  double lambda_per_min_;
-  double duration_s_;
+  PoissonStream before_;
+  PoissonStream after_;
   double shift_time_s_;
-  workload::MixKind before_;
-  workload::MixKind after_;
-  double mix_stddev_;
-  std::uint64_t seed_;
+  bool shifted_ = false;  ///< `before_` has reached the shift
 };
 
 }  // namespace tracon::sim

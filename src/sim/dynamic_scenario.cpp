@@ -80,13 +80,6 @@ double DynamicOutcome::throughput_per_hour() const {
              : 0.0;
 }
 
-std::vector<Arrival> generate_arrivals(const DynamicConfig& cfg,
-                                       std::size_t num_apps) {
-  PoissonArrivalSource source(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
-                              cfg.mix_stddev, cfg.seed);
-  return source.arrivals(num_apps);
-}
-
 /// One (app, neighbour) cell of the perf table: the app's progress
 /// speed relative to solo, and its IOPS.
 struct Rate {
@@ -516,7 +509,6 @@ struct DynamicEngine::State {
     const std::size_t idx = out.arrived++;
     if (c_arrived != nullptr) c_arrived->inc();
     const std::size_t app = pending[next_pending++].app;
-    TRACON_ASSERT(app < n, "arrival app out of range");
     trace_event(now, obs::TraceEventKind::kTaskArrival, app,
                 obs::TraceEvent::kNone, queue.size(), 0.0, 0.0);
     if (queue.size() < cfg.queue_capacity) {
@@ -850,6 +842,8 @@ void DynamicEngine::feed(std::span<const Arrival> chunk) {
     TRACON_REQUIRE(a.time_s >= s.last_fed_s,
                    "arrivals must be sorted by time, from t = 0 and from "
                    "the instant the engine advanced to");
+    TRACON_REQUIRE(a.app < s.n,
+                   "an arrival's app class is not in the perf table");
     s.last_fed_s = a.time_s;
   }
   s.pending = chunk;
@@ -878,12 +872,10 @@ DynamicOutcome DynamicEngine::finish() {
   return s.close_run();
 }
 
-// TRACON_ANALYZE_ALLOW(require-guard): PoissonStream checks the
-// stream's parameters.
-ArrivalFeed::ArrivalFeed(const DynamicConfig& cfg, std::size_t num_apps)
-    : stream_(std::in_place, cfg.lambda_per_min, cfg.duration_s, cfg.mix,
-              cfg.mix_stddev, cfg.seed, num_apps),
-      chunk_(kArrivalChunk) {}
+// TRACON_ANALYZE_ALLOW(require-guard): DynamicEngine::feed checks each
+// pulled arrival as it is fed.
+ArrivalFeed::ArrivalFeed(ArrivalSource& source)
+    : source_(&source), chunk_(kArrivalChunk) {}
 
 // TRACON_ANALYZE_ALLOW(require-guard): DynamicEngine::feed checks the
 // list's order as it is fed.
@@ -894,8 +886,8 @@ void ArrivalFeed::feed_until(double until,
                              std::span<DynamicEngine* const> engines) {
   for (;;) {
     if (next_ == drawn_) {
-      if (!stream_.has_value()) return;
-      drawn_ = stream_->fill(chunk_);
+      if (source_ == nullptr) return;
+      drawn_ = source_->fill(chunk_);
       next_ = 0;
       if (drawn_ == 0) return;  // the stream has ended
     }
@@ -915,10 +907,12 @@ DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg) {
   DynamicEngine engine(table, scheduler, cfg);
-  ArrivalFeed feed =
-      cfg.arrival_source != nullptr
-          ? ArrivalFeed(cfg.arrival_source->arrivals(table.num_apps()))
-          : ArrivalFeed(cfg, table.num_apps());
+  std::optional<PoissonStream> poisson;
+  if (cfg.arrival_source == nullptr)
+    poisson.emplace(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                    cfg.mix_stddev, cfg.seed);
+  ArrivalFeed feed(cfg.arrival_source != nullptr ? *cfg.arrival_source
+                                                 : *poisson);
   DynamicEngine* const engines[] = {&engine};
   feed.feed_until(std::numeric_limits<double>::infinity(), engines);
   return engine.finish();

@@ -5,14 +5,12 @@
 // VM's neighbour changes, the remaining work is re-timed at the new
 // speed (the paper's remaining-20%-runs-with-task-C rule).
 //
-// DynamicEngine is the simulation; run_dynamic feeds it one whole
-// stream.
+// DynamicEngine is the simulation; run_dynamic feeds it one stream.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -92,10 +90,10 @@ struct DynamicConfig {
   /// under the sharded engine).
   migrate::Rebalancer* rebalancer = nullptr;
   /// Optional arrival stream override (not owned; may be nullptr). When
-  /// set, run_dynamic(table, scheduler, cfg) draws the arrival list from
+  /// set, run_dynamic(table, scheduler, cfg) pulls its arrivals from
   /// this source and lambda_per_min / mix / mix_stddev / seed are
-  /// ignored; when null, the paper's Poisson stream (PoissonStream over
-  /// those fields) is drawn lazily. This is how a recorded trace is
+  /// ignored; when null, it pulls the paper's Poisson stream
+  /// (PoissonStream over those fields). This is how a recorded trace is
   /// replayed under a different scheduler. DynamicEngine ignores it:
   /// its caller feeds the arrivals.
   ArrivalSource* arrival_source = nullptr;
@@ -136,9 +134,10 @@ class DynamicEngine {
   DynamicEngine& operator=(const DynamicEngine&) = delete;
 
   /// Continues the arrival stream with `chunk` (time-sorted, no earlier
-  /// than t = 0 or than the arrivals fed before) and runs every event
-  /// it can decide. The chunk is not kept: every arrival in it before
-  /// the horizon has been consumed when feed returns.
+  /// than t = 0 or than the arrivals fed before, each of an app class
+  /// of the perf table) and runs every event it can decide. The chunk
+  /// is not kept: every arrival in it before the horizon has been
+  /// consumed when feed returns.
   void feed(std::span<const Arrival> chunk);
 
   /// Runs every event before `t`, given that every arrival before `t`
@@ -161,17 +160,17 @@ class DynamicEngine {
   std::unique_ptr<State> state_;
 };
 
-/// Arrivals per chunk when a Poisson stream is drawn into engines.
+/// Arrivals per chunk when a source is pulled into engines.
 inline constexpr std::size_t kArrivalChunk = 4096;
 
 /// An arrival stream fed to engines up to an instant, so that the
-/// engines see one stream: `cfg`'s Poisson stream (PoissonStream over
-/// its lambda, horizon, mix and seed) drawn kArrivalChunk arrivals at a
+/// engines see one stream: a source pulled kArrivalChunk arrivals at a
 /// time, of which only one chunk is ever held, or a time-sorted list
 /// built in full.
 class ArrivalFeed {
  public:
-  ArrivalFeed(const DynamicConfig& cfg, std::size_t num_apps);
+  /// Pulls `source`, which must outlive the feed.
+  explicit ArrivalFeed(ArrivalSource& source);
   explicit ArrivalFeed(std::vector<Arrival> arrivals);
 
   /// Feeds each arrival before `until` not fed yet to every engine in
@@ -180,24 +179,18 @@ class ArrivalFeed {
   void feed_until(double until, std::span<DynamicEngine* const> engines);
 
  private:
-  std::optional<PoissonStream> stream_;  ///< none for a list
-  std::vector<Arrival> chunk_;  ///< the chunk drawn, or the whole list
+  ArrivalSource* source_ = nullptr;  ///< none for a list
+  std::vector<Arrival> chunk_;  ///< the chunk pulled, or the whole list
   std::size_t next_ = 0;        ///< first arrival of chunk_ not fed yet
   std::size_t drawn_ = 0;       ///< arrivals in chunk_
 };
 
-/// One run over cfg.arrival_source's list, or over the Poisson stream
-/// drawn lazily when it is null.
+/// One run over cfg.arrival_source, or over the Poisson stream over
+/// cfg's lambda, horizon, mix and seed when it is null, pulled chunk by
+/// chunk.
 DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg);
-
-/// Generates the Poisson/mix arrival stream `run_dynamic` would use
-/// when cfg.arrival_source is null — exposed so callers can reproduce
-/// one stream exactly (e.g. the sharded engine's routed root stream).
-/// Thin wrapper over PoissonArrivalSource.
-std::vector<Arrival> generate_arrivals(const DynamicConfig& cfg,
-                                       std::size_t num_apps);
 
 /// Same simulation over an explicit arrival list (must be sorted by
 /// time); cfg.lambda_per_min / mix / seed are ignored for arrivals.

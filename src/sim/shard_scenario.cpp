@@ -49,11 +49,13 @@ double ShardedOutcome::completion_imbalance() const {
 
 namespace {
 
-/// A shard's run in progress: its engines and its arrival feed.
+/// A shard's run in progress: its engines, the Poisson stream it draws
+/// when it draws its own, and its arrival feed.
 struct ShardRun {
   std::optional<DynamicEngine> engine;
   std::optional<sched::FifoScheduler> fifo;
   std::optional<DynamicEngine> baseline;
+  std::optional<PoissonStream> stream;
   std::optional<ArrivalFeed> feed;
 };
 
@@ -209,17 +211,17 @@ void track_family(obs::SnapshotSeries& series, const std::string& family,
   series.track_accuracy("model." + family + ".iops", iops);
 }
 
-/// The arrivals before the horizon of shard `s`'s stream: its routed
-/// slice's, or those of its Poisson stream drawn once more to count them.
-std::uint64_t count_arrivals(const ShardState& s, bool routed,
-                             std::size_t num_apps) {
+/// The arrivals before the horizon of a merged shard `s`'s stream: its
+/// routed slice's, or those of its Poisson stream drawn once more to
+/// count them.
+std::uint64_t count_arrivals(const ShardState& s, bool routed) {
   if (routed) {
     return static_cast<std::uint64_t>(std::count_if(
         s.arrivals.begin(), s.arrivals.end(),
         [&](const Arrival& a) { return a.time_s < s.cfg.duration_s; }));
   }
   PoissonStream stream(s.cfg.lambda_per_min, s.cfg.duration_s, s.cfg.mix,
-                       s.cfg.mix_stddev, s.cfg.seed, num_apps);
+                       s.cfg.mix_stddev, s.cfg.seed);
   std::uint64_t n = 0;
   while (stream.next().has_value()) ++n;
   return n;
@@ -228,10 +230,10 @@ std::uint64_t count_arrivals(const ShardState& s, bool routed,
 /// One epoch of shard `shard`'s work item: feeds its engines every
 /// arrival before `until` and runs them there, or, in the last epoch,
 /// feeds the rest and runs to the horizon. The first epoch builds the
-/// engines and the feed, of the routed slice or the shard's own Poisson
-/// stream, and the last destroys them, so a one-epoch run holds them
-/// only inside its work item. The baseline engine, when on, takes each
-/// arrival first.
+/// engines and the feed, of the routed slice, of the caller's source in
+/// a one-shard run, or of the shard's own Poisson stream, and the last
+/// destroys them, so a one-epoch run holds them only inside its work
+/// item. The baseline engine, when on, takes each arrival first.
 void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
                ShardState& s, std::size_t shard, std::size_t shards,
                bool routed, double until, bool last) {
@@ -245,8 +247,15 @@ void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
     }
     if (routed) {
       r.feed.emplace(std::move(s.arrivals));
+    } else if (cfg.arrival_source != nullptr) {
+      // Only a one-shard run pulls the caller's source, and parallel_for
+      // runs a single item on the caller's thread, so no other thread
+      // ever touches the source.
+      r.feed.emplace(*cfg.arrival_source);
     } else {
-      r.feed.emplace(s.cfg, table.num_apps());
+      r.stream.emplace(s.cfg.lambda_per_min, s.cfg.duration_s, s.cfg.mix,
+                       s.cfg.mix_stddev, s.cfg.seed);
+      r.feed.emplace(*r.stream);
     }
   }
   ShardRun& r = *s.run;
@@ -265,23 +274,31 @@ void run_epoch(const PerfTable& table, const ShardedConfig& cfg,
   }
 }
 
-/// Materializes the root arrival stream once and deals it out: arrival
-/// i goes to shard i % K under round-robin (and to the only shard of a
-/// 1-shard run), or to a uniform draw from a stream seeded off the root
-/// seed under random routing.
-void route_root_stream(const PerfTable& table, const ShardedConfig& cfg,
+/// Deals the root arrival stream out as it is pulled, kArrivalChunk
+/// arrivals at a time: arrival i goes to shard i % K under round-robin,
+/// or to a uniform draw from a stream seeded off the root seed under
+/// random routing. The root stream is the caller's source, or a Poisson
+/// stream on the root seed at the full rate.
+void route_root_stream(const ShardedConfig& cfg,
                        std::vector<ShardState>& states) {
-  PoissonArrivalSource poisson(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
-                               cfg.mix_stddev, cfg.seed);
+  std::optional<PoissonStream> poisson;
+  if (cfg.arrival_source == nullptr)
+    poisson.emplace(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                    cfg.mix_stddev, cfg.seed);
   ArrivalSource& source =
-      cfg.arrival_source != nullptr ? *cfg.arrival_source : poisson;
-  const std::vector<Arrival> root = source.arrivals(table.num_apps());
+      cfg.arrival_source != nullptr ? *cfg.arrival_source : *poisson;
   const std::size_t k = states.size();
   Rng route_rng(cfg.seed ^ 0xabcdef12345ULL);
-  for (std::size_t i = 0; i < root.size(); ++i) {
-    const std::size_t shard =
-        cfg.routing == Routing::kRandom ? route_rng.index(k) : i % k;
-    states[shard].arrivals.push_back(root[i]);
+  std::vector<Arrival> chunk(kArrivalChunk);
+  std::size_t i = 0;
+  for (std::size_t got = chunk.size(); got == chunk.size();) {
+    got = source.fill(chunk);
+    for (const Arrival& a : std::span(chunk).first(got)) {
+      const std::size_t shard =
+          cfg.routing == Routing::kRandom ? route_rng.index(k) : i % k;
+      states[shard].arrivals.push_back(a);
+      ++i;
+    }
   }
 }
 
@@ -294,12 +311,13 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   TRACON_REQUIRE(make_scheduler != nullptr, "scheduler factory must be set");
   const std::size_t shards = shard_count(cfg);
   const std::size_t threads = worker_count(cfg);
-  const bool routed =
-      cfg.routing != Routing::kIndependent || cfg.arrival_source != nullptr;
   TRACON_REQUIRE(cfg.routing != Routing::kIndependent ||
                      cfg.arrival_source == nullptr || shards == 1,
                  "an arrival-source override with independent routing "
                  "needs one shard");
+  // A one-shard run never routes: shard 0 pulls the root stream itself,
+  // which is the slice either routing would deal it.
+  const bool routed = shards > 1 && cfg.routing != Routing::kIndependent;
   TRACON_REQUIRE(cfg.ensembles.empty() ||
                      (cfg.ensembles.size() == shards &&
                       std::count(cfg.ensembles.begin(), cfg.ensembles.end(),
@@ -350,7 +368,7 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     TRACON_REQUIRE(s.scheduler != nullptr, "scheduler factory returned null");
   }
   TRACON_ASSERT(base == cfg.machines, "shard partition must cover the fleet");
-  if (routed) route_root_stream(table, cfg, states);
+  if (routed) route_root_stream(cfg, states);
 
   // Wire the per-shard sinks only now that `states` has its final
   // addresses (DynamicConfig stores raw pointers into its ShardState).
@@ -426,7 +444,7 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     parallel_for(threads, shards, [&](std::size_t i) {
       ShardState& s = states[i];
       if (count && epoch == 0)
-        s.counted = count_arrivals(s, routed, table.num_apps());
+        s.counted = count_arrivals(s, routed);
       run_epoch(table, cfg, s, i, shards, routed, until, last);
       // Spans are recorded as they close, and a merge part is ordered
       // by start. A task's starts never decrease, so its own spans stay

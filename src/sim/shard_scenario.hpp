@@ -4,10 +4,11 @@
 // simulated run: the CLI's `dynamic`, `record`, `replay` and `hierarchy`
 // subcommands each build one ShardedConfig and call it.
 //
-// Each shard is one work item: a DynamicEngine fed its arrivals either
-// in chunks drawn lazily from its own Poisson stream or as its routed
-// slice, built in full, beside an optional FIFO baseline engine fed
-// the same arrivals first. A run whose decision or span log streams to
+// Each shard is one work item: a DynamicEngine fed its arrivals in
+// chunks pulled from its own Poisson stream (or, in a one-shard run,
+// from the caller's arrival source), or as its routed slice, built in
+// full, beside an optional FIFO baseline engine fed the same arrivals
+// first. A run whose decision or span log streams to
 // its file runs in epochs of kEpochArrivals arrivals: every shard
 // advances to the epoch's end, and at that barrier the logs write the
 // records no shard can precede any more. Any other run is one epoch.
@@ -94,12 +95,13 @@ struct ShardedConfig {
   /// the simulated system's shape — never derived from `threads`.
   std::size_t shards = 0;
 
-  /// Arrival routing. A run has a root stream when routing is
-  /// round-robin or random, or when `arrival_source` is set: the engine
-  /// materializes it once and hands each shard its routed slice (a
-  /// thinned Poisson process is Poisson again, so the slices are what
-  /// independent leaf managers would see). Without a root stream each
-  /// shard draws its own Poisson stream on shard_seed(seed, i).
+  /// Arrival routing. A multi-shard run routes when routing is
+  /// round-robin or random: the engine pulls one root stream and deals
+  /// it out chunk by chunk into each shard's slice (a thinned Poisson
+  /// process is Poisson again, so the slices are what independent leaf
+  /// managers would see). Otherwise each shard draws its own Poisson
+  /// stream on shard_seed(seed, i). A one-shard run never routes: either
+  /// routing would deal it the whole root stream, which it pulls itself.
   Routing routing = Routing::kIndependent;
   /// Root-stream override (not owned; may be nullptr), like
   /// DynamicConfig::arrival_source: when set it replaces the Poisson

@@ -19,7 +19,9 @@
 #      to one shard prints exactly the flag-free run's stdout, and
 #      --scheduler mix --confidence-weighting runs flat and sharded;
 #   5. `breakdown --window` and `attribution --top` reject NaN, negative
-#      and overflowing values; valid ones print tests/data/cli_* exactly;
+#      and overflowing values; valid ones print tests/data/cli_* exactly,
+#      and so do the `--json` reports of `attribution`, `critical-path`
+#      and `timeline`;
 #   6. the task-event CSV (--trace), the task-event JSONL
 #      (--events-jsonl) and the snapshot series (--series-out) of a
 #      small run, flat and on 2 shards, match tests/data/task_events_*
@@ -218,6 +220,16 @@ expect_rejected top attribution --decisions decisions.jsonl --top -1
 diff breakdown.json "$DATA/cli_breakdown_window600.json"
 "$TRACON" attribution --decisions decisions.jsonl --top 3 > attribution.txt
 diff attribution.txt "$DATA/cli_attribution_top3.txt"
+
+echo "== the --json reports keep their bytes =="
+"$TRACON" attribution --decisions decisions.jsonl --top 3 --json \
+    > attribution.json
+diff attribution.json "$DATA/cli_attribution_top3.json"
+"$TRACON" critical-path --spans spans.jsonl --json > critical_path.json
+diff critical_path.json "$DATA/cli_critical_path.json"
+"$TRACON" timeline --series "$DATA/series_flat.jsonl" --json \
+    > timeline_flat.json
+diff timeline_flat.json "$DATA/cli_timeline_series_flat.json"
 
 echo "== the tracer's exports and the series keep their bytes =="
 for shape in flat:"" 2shards:"--threads 2 --shards 2"; do

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "drain.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
@@ -185,25 +188,51 @@ TEST(DynamicScenario, DistinctWakeupsAreEachDelivered) {
             (std::vector<double>{1.0, 2.0, 3.0, 40.0, 60.0}));
 }
 
+void expect_same_stream(const std::vector<Arrival>& got,
+                        const std::vector<Arrival>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time_s, want[i].time_s) << what << " arrival " << i;
+    EXPECT_EQ(got[i].app, want[i].app) << what << " arrival " << i;
+  }
+}
+
 TEST(PoissonStream, ChunksAreTheMaterializedStream) {
-  PoissonArrivalSource source(60.0, 1800.0, workload::MixKind::kHeavy, 1.5,
-                              23);
-  const std::vector<Arrival> whole = source.arrivals(8);
+  PoissonStream one(60.0, 1800.0, workload::MixKind::kHeavy, 1.5, 23);
+  std::vector<Arrival> whole;
+  while (std::optional<Arrival> a = one.next()) whole.push_back(*a);
   ASSERT_GT(whole.size(), 1000u);
   for (std::size_t chunk : {1u, 7u, 4096u}) {
-    PoissonStream stream(60.0, 1800.0, workload::MixKind::kHeavy, 1.5, 23, 8);
-    std::vector<Arrival> buf(chunk), pulled;
-    for (std::size_t got = chunk; got == chunk;) {
-      got = stream.fill(buf);
-      pulled.insert(pulled.end(), buf.begin(),
-                    buf.begin() + static_cast<long>(got));
-    }
-    ASSERT_EQ(pulled.size(), whole.size()) << "chunk " << chunk;
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      EXPECT_EQ(pulled[i].time_s, whole[i].time_s) << i;
-      EXPECT_EQ(pulled[i].app, whole[i].app) << i;
-    }
+    PoissonStream stream(60.0, 1800.0, workload::MixKind::kHeavy, 1.5, 23);
+    expect_same_stream(test::drain(stream, chunk), whole,
+                       "chunks of " + std::to_string(chunk));
     EXPECT_FALSE(stream.next().has_value());  // an ended stream stays so
+  }
+}
+
+TEST(MixShiftArrivalSource, ChunksAreTheTwoStreamsSplitAtTheShift) {
+  // The reference: the light stream on seed 31 before the shift, then
+  // the heavy stream on seed 32 from the shift on.
+  const double shift = 900.0;
+  PoissonStream before(60.0, 1800.0, workload::MixKind::kLight, 1.5, 31);
+  PoissonStream after(60.0, 1800.0, workload::MixKind::kHeavy, 1.5, 32);
+  std::vector<Arrival> want;
+  for (const Arrival& a : test::drain(before))
+    if (a.time_s < shift) want.push_back(a);
+  const std::size_t head = want.size();
+  for (const Arrival& a : test::drain(after))
+    if (a.time_s >= shift) want.push_back(a);
+  ASSERT_GT(head, 500u);
+  ASSERT_GT(want.size() - head, 500u);
+  for (std::size_t chunk : {1u, 7u, 4096u}) {
+    MixShiftArrivalSource source(60.0, 1800.0, shift,
+                                 workload::MixKind::kLight,
+                                 workload::MixKind::kHeavy, 1.5, 31);
+    expect_same_stream(test::drain(source, chunk), want,
+                       "chunks of " + std::to_string(chunk));
+    std::vector<Arrival> more(3);
+    EXPECT_EQ(source.fill(more), 0u);  // an ended stream stays so
   }
 }
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "drain.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "workload/benchmarks.hpp"
@@ -60,13 +64,9 @@ TEST(Hierarchy, RootStreamSplitExactly) {
     ShardedConfig cfg = small_config();
     cfg.routing = routing;
     ShardedOutcome o = run_dynamic_sharded(table(), fifo_factory(), cfg);
-    DynamicConfig root;
-    root.lambda_per_min = cfg.lambda_per_min;
-    root.duration_s = cfg.duration_s;
-    root.mix = cfg.mix;
-    root.seed = cfg.seed;
-    auto all = generate_arrivals(root, table().num_apps());
-    EXPECT_EQ(o.total.arrived, all.size());
+    PoissonStream root(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                       cfg.mix_stddev, cfg.seed);
+    EXPECT_EQ(o.total.arrived, test::drain(root).size());
   }
 }
 
@@ -144,6 +144,59 @@ TEST(Hierarchy, PerManagerSchedulersAreIndependent) {
   ASSERT_EQ(o.per_shard.size(), 4u);
 }
 
+/// One manager's run of small_config()'s shape under `routing`, with
+/// the decision and span logs on.
+struct OneManager {
+  ShardedOutcome outcome;
+  std::string decisions, spans;
+};
+
+OneManager one_manager(Routing routing) {
+  ShardedConfig cfg = small_config();
+  cfg.shards = 1;
+  cfg.routing = routing;
+  obs::Telemetry tel;
+  tel.decisions.set_enabled(true);
+  tel.spans.set_enabled(true);
+  cfg.telemetry = &tel;
+  const SchedulerFactory mibs = [](std::size_t) {
+    static const sched::TablePredictor oracle = table().oracle_predictor();
+    return std::make_unique<sched::MibsScheduler>(
+        oracle, sched::Objective::kRuntime, 8, 60.0);
+  };
+  OneManager r;
+  r.outcome = run_dynamic_sharded(table(), mibs, cfg);
+  std::ostringstream decisions, spans;
+  tel.decisions.write(decisions);
+  tel.spans.write(spans);
+  r.decisions = decisions.str();
+  r.spans = spans.str();
+  return r;
+}
+
+TEST(Hierarchy, OneManagerIsTheIndependentRunUnderEitherRouting) {
+  // Either routing deals a single manager the whole root stream, which
+  // is the stream it draws itself.
+  const OneManager independent = one_manager(Routing::kIndependent);
+  EXPECT_GT(independent.outcome.total.completed, 0u);
+  EXPECT_NE(independent.decisions.find("\"decision\""), std::string::npos);
+  for (Routing routing : {Routing::kRoundRobin, Routing::kRandom}) {
+    const OneManager routed = one_manager(routing);
+    const DynamicOutcome& a = routed.outcome.total;
+    const DynamicOutcome& b = independent.outcome.total;
+    EXPECT_EQ(a.arrived, b.arrived);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.started, b.started);
+    EXPECT_EQ(a.total_runtime, b.total_runtime);
+    EXPECT_EQ(a.total_iops, b.total_iops);
+    EXPECT_EQ(a.mean_wait_s, b.mean_wait_s);
+    EXPECT_EQ(a.mean_queue_length, b.mean_queue_length);
+    EXPECT_EQ(routed.decisions, independent.decisions);
+    EXPECT_EQ(routed.spans, independent.spans);
+  }
+}
+
 TEST(Hierarchy, ConfigValidation) {
   ShardedConfig cfg = small_config();
   cfg.machines = 0;
@@ -153,8 +206,7 @@ TEST(Hierarchy, ConfigValidation) {
                std::invalid_argument);
   // A root-stream override is dealt out by a routing policy; without
   // one it can only feed a single shard.
-  PoissonArrivalSource source(20.0, 3600.0, workload::MixKind::kMedium, 1.5,
-                              11);
+  PoissonStream source(20.0, 3600.0, workload::MixKind::kMedium, 1.5, 11);
   cfg = small_config();
   cfg.routing = Routing::kIndependent;
   cfg.arrival_source = &source;

@@ -1,15 +1,18 @@
 // The record/replay loop: JSONL arrival traces round-trip
 // byte-for-byte, TraceArrivalSource reproduces the recorded stream
 // under any scheduler, and RecordingArrivalSource tees a live stream
-// exactly once.
+// as it is pulled, however it is pulled.
 #include "replay/arrival_trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "drain.hpp"
 #include "sched/fifo.hpp"
 #include "sim/dynamic_scenario.hpp"
 #include "workload/benchmarks.hpp"
@@ -128,18 +131,12 @@ TEST(ArrivalTrace, LoadRejectsGarbageRecordLine) {
 TEST(TraceArrivalSource, ReplaysRecordedStreamExactly) {
   ArrivalTrace t = small_trace();
   TraceArrivalSource source(t);
-  std::vector<sim::Arrival> out = source.arrivals(8);
+  std::vector<sim::Arrival> out = test::drain(source);
   ASSERT_EQ(out.size(), t.arrivals.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_DOUBLE_EQ(out[i].time_s, t.arrivals[i].time_s);
     EXPECT_EQ(out[i].app, t.arrivals[i].app);
   }
-  EXPECT_EQ(source.name(), "trace");
-}
-
-TEST(TraceArrivalSource, RejectsShrunkenAppUniverse) {
-  TraceArrivalSource source(small_trace());
-  EXPECT_THROW(source.arrivals(4), std::invalid_argument);
 }
 
 TEST(TraceArrivalSource, ValidatesDemands) {
@@ -153,24 +150,28 @@ TEST(TraceArrivalSource, ValidatesDemands) {
   EXPECT_FALSE(source.validate_demands(demands));
 }
 
-TEST(RecordingArrivalSource, TeesInnerStreamIntoWriter) {
-  sim::PoissonArrivalSource poisson(30.0, 600.0, workload::MixKind::kMedium,
-                                    1.5, 11);
-  std::vector<sim::Arrival> direct = poisson.arrivals(8);
-
-  std::ostringstream os;
-  TraceWriter writer(os, small_header());
-  sim::PoissonArrivalSource poisson2(30.0, 600.0, workload::MixKind::kMedium,
-                                     1.5, 11);
+std::vector<double> ten_per_class() {
   std::vector<double> demands(8);
   for (std::size_t a = 0; a < demands.size(); ++a)
     demands[a] = 10.0 * static_cast<double>(a + 1);
+  return demands;
+}
+
+TEST(RecordingArrivalSource, TeesInnerStreamIntoWriter) {
+  sim::PoissonStream poisson(30.0, 600.0, workload::MixKind::kMedium, 1.5,
+                             11);
+  std::vector<sim::Arrival> direct = test::drain(poisson);
+
+  std::ostringstream os;
+  TraceWriter writer(os, small_header());
+  sim::PoissonStream poisson2(30.0, 600.0, workload::MixKind::kMedium, 1.5,
+                              11);
+  const std::vector<double> demands = ten_per_class();
   RecordingArrivalSource recording(poisson2, writer, demands);
-  std::vector<sim::Arrival> teed = recording.arrivals(8);
+  std::vector<sim::Arrival> teed = test::drain(recording);
 
   ASSERT_EQ(teed.size(), direct.size());
   EXPECT_EQ(writer.written(), direct.size());
-  EXPECT_EQ(recording.name(), "poisson");
 
   std::istringstream in(os.str());
   ArrivalTrace loaded = load_arrival_trace(in);
@@ -182,15 +183,41 @@ TEST(RecordingArrivalSource, TeesInnerStreamIntoWriter) {
   }
 }
 
-TEST(RecordingArrivalSource, IsSingleShot) {
-  sim::PoissonArrivalSource poisson(30.0, 300.0, workload::MixKind::kMedium,
-                                    1.5, 11);
-  std::ostringstream os;
-  TraceWriter writer(os, small_header());
-  RecordingArrivalSource recording(poisson, writer,
-                                   std::vector<double>(8, 1.0));
-  recording.arrivals(8);
-  EXPECT_THROW(recording.arrivals(8), std::invalid_argument);
+TEST(RecordingArrivalSource, AnyChunkingGivesTheSameArrivalsAndBytes) {
+  // The reference: the Poisson stream one arrival at a time, and the
+  // trace of it written whole.
+  const std::vector<double> demands = ten_per_class();
+  sim::PoissonStream one(120.0, 900.0, workload::MixKind::kHeavy, 1.5, 13);
+  ArrivalTrace want;
+  want.header = small_header();
+  while (std::optional<sim::Arrival> a = one.next())
+    want.arrivals.push_back({a->time_s, a->app, demands[a->app]});
+  ASSERT_GT(want.arrivals.size(), 1000u);
+  std::ostringstream want_bytes;
+  write_arrival_trace(want_bytes, want);
+
+  // Records `inner` through a tee pulled `chunk` arrivals at a time.
+  auto record = [&](sim::ArrivalSource& inner, std::size_t chunk,
+                    const std::string& what) {
+    std::ostringstream os;
+    TraceWriter writer(os, want.header);
+    RecordingArrivalSource recording(inner, writer, demands);
+    const std::vector<sim::Arrival> got = test::drain(recording, chunk);
+    ASSERT_EQ(got.size(), want.arrivals.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].time_s, want.arrivals[i].time_s) << what << " " << i;
+      EXPECT_EQ(got[i].app, want.arrivals[i].app) << what << " " << i;
+    }
+    EXPECT_EQ(os.str(), want_bytes.str()) << what;
+  };
+  for (std::size_t chunk : {1u, 7u, 4096u}) {
+    const std::string at = " in chunks of " + std::to_string(chunk);
+    sim::PoissonStream poisson(120.0, 900.0, workload::MixKind::kHeavy, 1.5,
+                               13);
+    record(poisson, chunk, "the live stream" + at);
+    TraceArrivalSource replayed(want);
+    record(replayed, chunk, "the replayed trace" + at);
+  }
 }
 
 class ReplayedDynamic : public ::testing::Test {
@@ -220,17 +247,16 @@ TEST_F(ReplayedDynamic, ReplayMatchesLiveRunUnderSameScheduler) {
   header.duration_s = cfg.duration_s;
   std::ostringstream trace_os;
   TraceWriter writer(trace_os, header);
-  sim::PoissonArrivalSource poisson(cfg.lambda_per_min, cfg.duration_s,
-                                    cfg.mix, cfg.mix_stddev, cfg.seed);
+  sim::PoissonStream poisson(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                             cfg.mix_stddev, cfg.seed);
   std::vector<double> demands;
   for (std::size_t a = 0; a < table().num_apps(); ++a)
     demands.push_back(table().solo_runtime(a));
   RecordingArrivalSource recording(poisson, writer, demands);
-  std::vector<sim::Arrival> live_arrivals =
-      recording.arrivals(table().num_apps());
+  cfg.arrival_source = &recording;
   sched::FifoScheduler live_fifo(9);
-  sim::DynamicOutcome live =
-      sim::run_dynamic(table(), live_fifo, cfg, live_arrivals);
+  sim::DynamicOutcome live = sim::run_dynamic(table(), live_fifo, cfg);
+  EXPECT_EQ(writer.written(), live.arrived);
 
   // Replay through cfg.arrival_source.
   std::istringstream trace_in(trace_os.str());
@@ -271,19 +297,25 @@ TEST_F(ReplayedDynamic, ArrivalsBeforeTimeZeroAreRefused) {
   EXPECT_THROW(sim::run_dynamic(table(), fifo, cfg), std::invalid_argument);
 }
 
-TEST_F(ReplayedDynamic, PoissonSourceMatchesGenerateArrivals) {
+TEST_F(ReplayedDynamic, AppClassMissingFromThePerfTableIsRefused) {
+  // A trace recorded against nine app classes, replayed against eight.
+  ArrivalTrace t = small_trace();
+  t.header.num_apps = table().num_apps() + 1;
+  t.arrivals.push_back({4.0, table().num_apps(), 1.0});
+  TraceArrivalSource source(t);
   sim::DynamicConfig cfg;
-  cfg.lambda_per_min = 60.0;
-  cfg.duration_s = 1800.0;
-  cfg.seed = 23;
-  std::vector<sim::Arrival> via_cfg = sim::generate_arrivals(cfg, 8);
-  sim::PoissonArrivalSource source(cfg.lambda_per_min, cfg.duration_s,
-                                   cfg.mix, cfg.mix_stddev, cfg.seed);
-  std::vector<sim::Arrival> via_source = source.arrivals(8);
-  ASSERT_EQ(via_cfg.size(), via_source.size());
-  for (std::size_t i = 0; i < via_cfg.size(); ++i) {
-    EXPECT_DOUBLE_EQ(via_cfg[i].time_s, via_source[i].time_s);
-    EXPECT_EQ(via_cfg[i].app, via_source[i].app);
+  cfg.machines = 4;
+  cfg.duration_s = 600.0;
+  cfg.arrival_source = &source;
+  sched::FifoScheduler fifo(9);
+  try {
+    sim::run_dynamic(table(), fifo, cfg);
+    FAIL() << "a trace naming app class 8 ran";
+  } catch (const std::invalid_argument& e) {
+    // The engine refuses it as it is fed, before any scheduler sees it.
+    EXPECT_NE(std::string(e.what()).find("not in the perf table"),
+              std::string::npos)
+        << e.what();
   }
 }
 

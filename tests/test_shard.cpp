@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 
+#include "drain.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
@@ -467,8 +468,10 @@ DynamicConfig chunked_config() {
 /// more at 600 s, where a round, a rebalance and a snapshot are due too.
 /// The arrival comes first.
 std::vector<Arrival> chunked_stream() {
-  std::vector<Arrival> stream =
-      generate_arrivals(chunked_config(), table().num_apps());
+  const DynamicConfig cfg = chunked_config();
+  PoissonStream poisson(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                        cfg.mix_stddev, cfg.seed);
+  std::vector<Arrival> stream = test::drain(poisson);
   const Arrival tie{600.0, 3};
   stream.insert(std::upper_bound(stream.begin(), stream.end(), tie,
                                  [](const Arrival& a, const Arrival& b) {

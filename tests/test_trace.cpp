@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "drain.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/fifo.hpp"
 #include "sim/dynamic_scenario.hpp"
@@ -200,11 +201,8 @@ TEST_F(TracedDynamic, UnsortedArrivalsRejected) {
 }
 
 TEST_F(TracedDynamic, GeneratedArrivalsSortedAndMixed) {
-  DynamicConfig cfg;
-  cfg.lambda_per_min = 120.0;
-  cfg.duration_s = 3600.0;
-  cfg.mix = workload::MixKind::kUniform;
-  auto arrivals = generate_arrivals(cfg, 8);
+  PoissonStream stream(120.0, 3600.0, workload::MixKind::kUniform, 1.5, 7);
+  const std::vector<Arrival> arrivals = test::drain(stream);
   ASSERT_GT(arrivals.size(), 50u);
   for (std::size_t i = 1; i < arrivals.size(); ++i)
     EXPECT_LE(arrivals[i - 1].time_s, arrivals[i].time_s);

@@ -900,12 +900,13 @@ int cmd_record(const ArgParser& args) {
   header.num_apps = sys.perf_table().num_apps();
 
   replay::TraceWriter writer(trace_file, header);
-  sim::PoissonArrivalSource poisson(cfg.lambda_per_min, cfg.duration_s,
-                                    cfg.mix, cfg.mix_stddev, cfg.seed);
+  sim::PoissonStream poisson(cfg.lambda_per_min, cfg.duration_s, cfg.mix,
+                             cfg.mix_stddev, cfg.seed);
   replay::RecordingArrivalSource recording(poisson, writer,
                                            solo_demands(sys.perf_table()));
-  // The engine materializes the root stream once, through the tee: the
-  // trace file and the run see the same stream.
+  // The run pulls its stream through the tee, chunk by chunk: the trace
+  // file gets each arrival as the run is fed it, and neither holds the
+  // stream.
   cfg.arrival_source = &recording;
   std::string name;
   const sim::ShardedOutcome o = simulate(sys, run, name);
@@ -1143,46 +1144,48 @@ int cmd_timeline(const ArgParser& args) {
   }
 
   if (args.has("json")) {
-    std::ostream& os = std::cout;
-    os << "{\n  \"schema\": \"" << obs::kMetricsSeriesSchema
-       << "\", \"version\": " << series.version
-       << ", \"interval_s\": " << obs::json_number(series.interval_s)
-       << ",\n  \"windows\": [";
+    obs::JsonlBuffer out(std::cout);
+    out.raw("{\n  \"schema\": ").string(obs::kMetricsSeriesSchema)
+        .raw(", \"version\": ")
+        .integer(static_cast<std::uint64_t>(series.version))
+        .raw(", \"interval_s\": ").number(series.interval_s)
+        .raw(",\n  \"windows\": [");
     bool first_window = true;
     for (const obs::SeriesWindow& w : series.windows) {
-      os << (first_window ? "\n" : ",\n") << "    {\"window\": " << w.index
-         << ", \"t_start\": " << obs::json_number(w.t_start)
-         << ", \"t_end\": " << obs::json_number(w.t_end);
+      out.raw(first_window ? "\n" : ",\n")
+          .raw("    {\"window\": ").integer(w.index)
+          .raw(", \"t_start\": ").number(w.t_start)
+          .raw(", \"t_end\": ").number(w.t_end);
       first_window = false;
       auto scalar_map = [&](const char* key,
                             const std::map<std::string, double>& m) {
-        os << ", \"" << key << "\": {";
-        bool first = true;
+        out.raw(", \"").raw(key).raw("\": {");
+        const char* sep = "";
         for (const auto& [name, value] : m) {
           if (!keep(name)) continue;
-          os << (first ? "" : ", ") << "\"" << obs::json_escape(name)
-             << "\": " << obs::json_number(value);
-          first = false;
+          out.raw(sep).string(name).raw(": ").number(value);
+          sep = ", ";
         }
-        os << "}";
+        out.raw("}");
       };
       scalar_map("counters", w.counters);
       scalar_map("gauges", w.gauges);
-      os << ", \"accuracy\": {";
-      bool first_acc = true;
+      out.raw(", \"accuracy\": {");
+      const char* sep = "";
       for (const auto& [name, acc] : w.accuracy) {
         if (!keep(name)) continue;
-        os << (first_acc ? "" : ", ") << "\"" << obs::json_escape(name)
-           << "\": {\"count\": " << fmt(acc.count, 0)
-           << ", \"total\": " << fmt(acc.total, 0)
-           << ", \"mean_abs\": " << obs::json_number(acc.mean_abs)
-           << ", \"p50\": " << obs::json_number(acc.p50)
-           << ", \"p90\": " << obs::json_number(acc.p90) << "}";
-        first_acc = false;
+        out.raw(sep).string(name).raw(": {\"count\": ")
+            .integer(static_cast<std::uint64_t>(acc.count))
+            .raw(", \"total\": ").integer(static_cast<std::uint64_t>(acc.total))
+            .raw(", \"mean_abs\": ").number(acc.mean_abs)
+            .raw(", \"p50\": ").number(acc.p50)
+            .raw(", \"p90\": ").number(acc.p90).raw("}");
+        sep = ", ";
       }
-      os << "}}";
+      out.raw("}}");
     }
-    os << (first_window ? "" : "\n  ") << "]\n}\n";
+    out.raw(first_window ? "" : "\n  ").raw("]\n}").end_line();
+    out.flush();
     return 0;
   }
 
@@ -1407,48 +1410,45 @@ int cmd_attribution(const ArgParser& args) {
   const std::size_t shown = std::min(top, report.mispredict_order.size());
 
   if (args.has("json")) {
-    std::ostream& os = std::cout;
-    os << "{\n  \"schema\": \"tracon.attribution\", \"version\": 1,\n"
-       << "  \"decisions\": " << report.decisions
-       << ", \"outcomes\": " << report.outcomes
-       << ", \"joined\": " << report.joined
-       << ",\n  \"mean_candidates\": "
-       << obs::json_number(report.mean_candidates)
-       << ", \"mean_abs_runtime_error\": "
-       << obs::json_number(report.mean_abs_runtime_error)
-       << ", \"mean_abs_iops_error\": "
-       << obs::json_number(report.mean_abs_iops_error)
-       << ",\n  \"pairs\": [";
+    obs::JsonlBuffer out(std::cout);
+    out.raw("{\n  \"schema\": \"tracon.attribution\", \"version\": 1,\n")
+        .raw("  \"decisions\": ").integer(report.decisions)
+        .raw(", \"outcomes\": ").integer(report.outcomes)
+        .raw(", \"joined\": ").integer(report.joined)
+        .raw(",\n  \"mean_candidates\": ").number(report.mean_candidates)
+        .raw(", \"mean_abs_runtime_error\": ")
+        .number(report.mean_abs_runtime_error)
+        .raw(", \"mean_abs_iops_error\": ").number(report.mean_abs_iops_error)
+        .raw(",\n  \"pairs\": [");
     bool first = true;
     for (const auto& [key, cell] : report.pairs) {
-      os << (first ? "\n" : ",\n") << "    {\"app\": \""
-         << obs::json_escape(app_class_name(key.first))
-         << "\", \"neighbour\": \""
-         << obs::json_escape(neighbour_name(key.second))
-         << "\", \"count\": " << cell.count
-         << ", \"mean_slowdown\": " << obs::json_number(cell.mean_slowdown())
-         << ", \"mean_abs_runtime_error\": "
-         << obs::json_number(cell.mean_abs_runtime_error()) << "}";
+      out.raw(first ? "\n" : ",\n")
+          .raw("    {\"app\": ").string(app_class_name(key.first))
+          .raw(", \"neighbour\": ").string(neighbour_name(key.second))
+          .raw(", \"count\": ").integer(cell.count)
+          .raw(", \"mean_slowdown\": ").number(cell.mean_slowdown())
+          .raw(", \"mean_abs_runtime_error\": ")
+          .number(cell.mean_abs_runtime_error()).raw("}");
       first = false;
     }
-    os << (first ? "" : "\n  ") << "],\n  \"mispredicts\": [";
+    out.raw(first ? "" : "\n  ").raw("],\n  \"mispredicts\": [");
     first = true;
     for (std::size_t i = 0; i < shown; ++i) {
       const obs::AttributionRow& row =
           report.rows[report.mispredict_order[i]];
-      os << (first ? "\n" : ",\n") << "    {\"task\": " << row.task
-         << ", \"app\": \"" << obs::json_escape(app_class_name(row.app))
-         << "\", \"neighbour\": \""
-         << obs::json_escape(neighbour_name(row.neighbour))
-         << "\", \"predicted_runtime_s\": "
-         << obs::json_number(row.predicted_runtime_s)
-         << ", \"runtime_s\": " << obs::json_number(row.runtime_s)
-         << ", \"runtime_error\": " << obs::json_number(row.runtime_error)
-         << ", \"margin\": " << obs::json_number(row.margin)
-         << ", \"candidates\": " << row.candidates << "}";
+      out.raw(first ? "\n" : ",\n")
+          .raw("    {\"task\": ").integer(row.task)
+          .raw(", \"app\": ").string(app_class_name(row.app))
+          .raw(", \"neighbour\": ").string(neighbour_name(row.neighbour))
+          .raw(", \"predicted_runtime_s\": ").number(row.predicted_runtime_s)
+          .raw(", \"runtime_s\": ").number(row.runtime_s)
+          .raw(", \"runtime_error\": ").number(row.runtime_error)
+          .raw(", \"margin\": ").number(row.margin)
+          .raw(", \"candidates\": ").integer(row.candidates).raw("}");
       first = false;
     }
-    os << (first ? "" : "\n  ") << "]\n}\n";
+    out.raw(first ? "" : "\n  ").raw("]\n}").end_line();
+    out.flush();
     return 0;
   }
 
@@ -1526,43 +1526,45 @@ int cmd_breakdown(const ArgParser& args) {
       obs::breakdown(parse_log(&content, obs::parse_span_log), window_s);
 
   if (args.has("json")) {
-    std::ostream& os = std::cout;
+    obs::JsonlBuffer out(std::cout);
     auto cell = [&](const obs::BreakdownCell& c) {
-      os << "{\"tasks\": " << c.tasks
-         << ", \"wait_s\": " << obs::json_number(c.wait_s)
-         << ", \"solo_s\": " << obs::json_number(c.solo_s)
-         << ", \"interference_s\": " << obs::json_number(c.interference_s)
-         << ", \"migration_s\": " << obs::json_number(c.migration_s)
-         << ", \"end_to_end_s\": " << obs::json_number(c.end_to_end_s())
-         << "}";
+      out.raw("{\"tasks\": ").integer(c.tasks)
+          .raw(", \"wait_s\": ").number(c.wait_s)
+          .raw(", \"solo_s\": ").number(c.solo_s)
+          .raw(", \"interference_s\": ").number(c.interference_s)
+          .raw(", \"migration_s\": ").number(c.migration_s)
+          .raw(", \"end_to_end_s\": ").number(c.end_to_end_s()).raw("}");
     };
-    os << "{\n  \"schema\": \"tracon.breakdown\", \"version\": 1,\n"
-       << "  \"tasks\": " << report.rows.size()
-       << ", \"incomplete\": " << report.incomplete
-       << ", \"window_s\": " << obs::json_number(report.window_s)
-       << ",\n  \"total\": ";
+    out.raw("{\n  \"schema\": \"tracon.breakdown\", \"version\": 1,\n")
+        .raw("  \"tasks\": ").integer(report.rows.size())
+        .raw(", \"incomplete\": ").integer(report.incomplete)
+        .raw(", \"window_s\": ").number(report.window_s)
+        .raw(",\n  \"total\": ");
     cell(report.total);
-    os << ",\n  \"by_app\": [";
+    out.raw(",\n  \"by_app\": [");
     bool first = true;
     for (const auto& [app, c] : report.by_app) {
-      os << (first ? "\n" : ",\n") << "    {\"app\": \""
-         << obs::json_escape(app_class_name(app)) << "\", \"cell\": ";
+      out.raw(first ? "\n" : ",\n")
+          .raw("    {\"app\": ").string(app_class_name(app))
+          .raw(", \"cell\": ");
       cell(c);
-      os << "}";
+      out.raw("}");
       first = false;
     }
-    os << (first ? "" : "\n  ") << "],\n  \"by_window\": [";
+    out.raw(first ? "" : "\n  ").raw("],\n  \"by_window\": [");
     first = true;
     for (const auto& [w, c] : report.by_window) {
-      os << (first ? "\n" : ",\n") << "    {\"window\": " << w
-         << ", \"t_start\": "
-         << obs::json_number(static_cast<double>(w) * report.window_s)
-         << ", \"cell\": ";
+      out.raw(first ? "\n" : ",\n")
+          .raw("    {\"window\": ").integer(w)
+          .raw(", \"t_start\": ")
+          .number(static_cast<double>(w) * report.window_s)
+          .raw(", \"cell\": ");
       cell(c);
-      os << "}";
+      out.raw("}");
       first = false;
     }
-    os << (first ? "" : "\n  ") << "]\n}\n";
+    out.raw(first ? "" : "\n  ").raw("]\n}").end_line();
+    out.flush();
     return 0;
   }
 
@@ -1636,23 +1638,25 @@ int cmd_critical_path(const ArgParser& args) {
       obs::critical_path(parse_log(&content, obs::parse_span_log));
 
   if (args.has("json")) {
-    std::ostream& os = std::cout;
-    os << "{\n  \"schema\": \"tracon.critical_path\", \"version\": 1,\n"
-       << "  \"links\": [";
+    obs::JsonlBuffer out(std::cout);
+    out.raw("{\n  \"schema\": \"tracon.critical_path\", \"version\": 1,\n")
+        .raw("  \"links\": [");
     bool first = true;
     for (const obs::CriticalPathEntry& e : chain) {
-      os << (first ? "\n" : ",\n") << "    {\"task\": " << e.task
-         << ", \"app\": \"" << obs::json_escape(app_class_name(e.app))
-         << "\", \"machine\": ";
-      if (e.machine != obs::SpanEvent::kNoMachine) os << e.machine;
-      else os << "\"-\"";
-      os << ", \"enqueue_s\": " << obs::json_number(e.enqueue_s)
-         << ", \"start_s\": " << obs::json_number(e.start_s)
-         << ", \"complete_s\": " << obs::json_number(e.complete_s)
-         << ", \"wait_s\": " << obs::json_number(e.wait_s) << "}";
+      out.raw(first ? "\n" : ",\n")
+          .raw("    {\"task\": ").integer(e.task)
+          .raw(", \"app\": ").string(app_class_name(e.app))
+          .raw(", \"machine\": ");
+      if (e.machine != obs::SpanEvent::kNoMachine) out.integer(e.machine);
+      else out.raw("\"-\"");
+      out.raw(", \"enqueue_s\": ").number(e.enqueue_s)
+          .raw(", \"start_s\": ").number(e.start_s)
+          .raw(", \"complete_s\": ").number(e.complete_s)
+          .raw(", \"wait_s\": ").number(e.wait_s).raw("}");
       first = false;
     }
-    os << (first ? "" : "\n  ") << "]\n}\n";
+    out.raw(first ? "" : "\n  ").raw("]\n}").end_line();
+    out.flush();
     return 0;
   }
 
